@@ -5,6 +5,16 @@ loss walks the graph in reverse topological order and accumulates
 gradients into every tensor that requires them. Ops preserve the input
 dtype, so the same graph runs in float32 for training and float64 for
 finite-difference verification.
+
+The two hottest ops of the encoder are matmul-shaped. temporal_conv
+multiplies the (F,K) kernels into a strided sliding-window view of the
+padded input, and its weight gradient multiplies the output gradient into
+the same view; both go through np.matmul, and so reach BLAS. The view
+costs no memory. No (B,C,M,K) im2col buffer is built or kept for backward:
+for a 256-epoch prediction batch it would take about 100 MB. batch_norm
+works on a (B,F,N) view. It takes its statistics with einsum reductions,
+normalises the centred copy in place, and builds the input gradient from
+the same two reductions that give the gamma and beta gradients.
 """
 
 from __future__ import annotations
@@ -215,11 +225,14 @@ def temporal_conv(x: Tensor, w: Tensor) -> Tensor:
     f, k = w.data.shape
     left, right = _same_pad(k)
     xp = np.pad(x.data[:, 0], ((0, 0), (0, 0), (left, right)))
-    win = sliding_window_view(xp, k, axis=-1)  # (B,C,M,K)
-    data = np.einsum("bcmk,fk->bfcm", win, w.data)
+    win = sliding_window_view(xp, k, axis=-1)  # (B,C,M,K), a strided view
+    data = np.ascontiguousarray(
+        np.matmul(w.data, win.transpose(0, 1, 3, 2)).transpose(0, 2, 1, 3))
 
     def grad_fn(g):
-        gw = np.einsum("bcmk,bfcm->fk", win, g) if w.requires_grad else None
+        gw = None
+        if w.requires_grad:
+            gw = np.matmul(g.transpose(0, 2, 1, 3), win).sum(axis=(0, 1))
         gx = None
         if _wants_grad(x):
             gxp = np.zeros_like(xp)
@@ -294,37 +307,38 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
                eps: float = 1e-5) -> Tensor:
     """Normalizes axis 1 of a (B,F,C,M) tensor. Batch statistics in training
     mode (running buffers updated in place), running statistics otherwise."""
-    axes = (0, 2, 3)
-    shape = (1, -1, 1, 1)
+    b, f = x.data.shape[:2]
+    x3 = x.data.reshape(b, f, -1)
+    n = b * x3.shape[2]
     if training:
-        mu = x.data.mean(axis=axes)
-        var = x.data.var(axis=axes)
-        n = x.data.size // x.data.shape[1]
+        mu = np.einsum("bfn->f", x3) / n
+        xhat = x3 - mu[:, None]
+        var = np.einsum("bfn,bfn->f", xhat, xhat) / n
         running_mean *= 1.0 - momentum
         running_mean += momentum * mu
         running_var *= 1.0 - momentum
         running_var += momentum * (var * n / max(n - 1, 1))
     else:
-        mu = running_mean.astype(x.data.dtype)
+        xhat = x3 - running_mean.astype(x.data.dtype)[:, None]
         var = running_var.astype(x.data.dtype)
     istd = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu.reshape(shape)) * istd.reshape(shape)
-    data = gamma.data.reshape(shape) * xhat + beta.data.reshape(shape)
+    xhat *= istd[:, None]
+    data = (gamma.data[:, None] * xhat + beta.data[:, None]).reshape(x.data.shape)
 
     def grad_fn(g):
-        ggamma = np.einsum("bfcm,bfcm->f", g, xhat) if gamma.requires_grad else None
-        gbeta = g.sum(axis=axes) if beta.requires_grad else None
+        g3 = g.reshape(b, f, -1)
+        gbeta = np.einsum("bfn->f", g3)
+        ggamma = np.einsum("bfn,bfn->f", g3, xhat)
         gx = None
         if _wants_grad(x):
-            gxhat = g * gamma.data.reshape(shape)
+            scale = gamma.data * istd
+            gx = g3 * scale[:, None]
             if training:
-                n = x.data.size // x.data.shape[1]
-                s1 = gxhat.sum(axis=axes).reshape(shape)
-                s2 = np.einsum("bfcm,bfcm->f", gxhat, xhat).reshape(shape)
-                gx = (istd.reshape(shape) / n) * (n * gxhat - s1 - xhat * s2)
-            else:
-                gx = gxhat * istd.reshape(shape)
-        return (gx, ggamma, gbeta)
+                gx -= xhat * (scale * ggamma / n)[:, None]
+                gx -= (scale * gbeta / n)[:, None]
+            gx = gx.reshape(x.data.shape)
+        return (gx, ggamma if gamma.requires_grad else None,
+                gbeta if beta.requires_grad else None)
 
     return _node(data, (x, gamma, beta), grad_fn)
 

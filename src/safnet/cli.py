@@ -19,7 +19,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .asr import AsrConfig, asr_fit, select_calibration
-from .datamodel import Manifest, load_manifest, read_recording, write_manifest, write_ndf
+from .datamodel import (
+    Manifest,
+    check_manifest_field,
+    load_manifest,
+    read_recording,
+    write_manifest,
+    write_ndf,
+)
 from .dsp import PipelineConfig, bandpass, notch, preprocess_pipeline, resample
 from .errors import ConfigError, SafError, ValidationError
 from .isbcs import SwapConfig
@@ -183,6 +190,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_preprocess(args) -> int:
+    check_manifest_field(args.subject)
     cfg = load_cli_config(args.config)
     rec = read_recording(args.input)
     asr_model = None

@@ -20,8 +20,12 @@ Raw recording container (SAFR), used by the CLI as pipeline input:
     payload C*N f64 values, channel-major
 
 Manifest: CSV with exact header "path,subject,class,split", UTF-8,
-LF line endings, no quoting. Relative paths resolve against the
+LF line endings, no quoting, so no path or subject id may contain a
+comma, a double quote, CR or LF. Relative paths resolve against the
 manifest's own directory.
+
+The readers raise FormatError for any blob they cannot decode into a
+valid value, truncated or corrupted alike.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ SAFR_MAGIC = b"SAFR"
 SAFR_VERSION = 1
 
 SPLIT_TOKENS = ("train", "val", "test", "none")
+_MANIFEST_FORBIDDEN = (",", '"', "\n", "\r")
 
 
 @dataclass(frozen=True)
@@ -57,7 +62,7 @@ class Recording:
             raise ValidationError(f"recording data must be 2-D, got shape {data.shape}")
         if data.shape[0] < 1 or data.shape[1] < 1:
             raise ValidationError("recording must have at least one channel and one sample")
-        if self.sample_rate_hz <= 0:
+        if not 0 < self.sample_rate_hz < np.inf:
             raise ValidationError(f"sample rate must be positive, got {self.sample_rate_hz}")
         if not np.all(np.isfinite(data)):
             raise ValidationError("recording contains non-finite values")
@@ -98,7 +103,7 @@ class Epoch:
             raise ValidationError(f"epoch data must be non-empty 2-D, got shape {x.shape}")
         if self.y not in (0, 1):
             raise ValidationError(f"class label must be 0 or 1, got {self.y}")
-        if self.sample_rate_hz <= 0:
+        if not 0 < self.sample_rate_hz < np.inf:
             raise ValidationError("sample rate must be positive")
         if not np.all(np.isfinite(x)):
             raise ValidationError("epoch contains non-finite values")
@@ -212,7 +217,7 @@ def read_ndf(path: str) -> Epoch:
     offset = head_size
     if len(blob) < offset + slen:
         raise FormatError(f"{path}: truncated subject id")
-    subject = blob[offset : offset + slen].decode("utf-8")
+    subject = _decode_utf8(blob[offset : offset + slen], path, "subject id")
     offset += slen
     expected = c * m * 4
     if len(blob) - offset != expected:
@@ -220,7 +225,10 @@ def read_ndf(path: str) -> Epoch:
             f"{path}: payload is {len(blob) - offset} bytes, expected {expected}"
         )
     x = np.frombuffer(blob, dtype="<f4", count=c * m, offset=offset).reshape(c, m)
-    return Epoch(x=x.copy(), y=int(y), s=subject, sample_rate_hz=float(fs))
+    try:
+        return Epoch(x=x.copy(), y=int(y), s=subject, sample_rate_hz=float(fs))
+    except ValidationError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 def write_recording(rec: Recording, path: str) -> None:
@@ -242,26 +250,52 @@ def read_recording(path: str) -> Recording:
         blob = fh.read()
     if len(blob) < 4 or blob[:4] != SAFR_MAGIC:
         raise FormatError(f"{path}: not a SAFR recording")
+    offset = 4 + struct.calcsize("<IIQd")
+    if len(blob) < offset:
+        raise FormatError(f"{path}: file too short for SAFR header")
     version, c, n, fs = struct.unpack_from("<IIQd", blob, 4)
     if version != SAFR_VERSION:
         raise FormatError(f"{path}: unsupported SAFR version {version}")
-    offset = 4 + struct.calcsize("<IIQd")
     names = []
     for _ in range(c):
         if len(blob) < offset + 4:
             raise FormatError(f"{path}: truncated channel names")
         (nlen,) = struct.unpack_from("<I", blob, offset)
         offset += 4
-        names.append(blob[offset : offset + nlen].decode("utf-8"))
+        if len(blob) < offset + nlen:
+            raise FormatError(f"{path}: truncated channel names")
+        names.append(_decode_utf8(blob[offset : offset + nlen], path, "channel name"))
         offset += nlen
     expected = c * n * 8
     if len(blob) - offset != expected:
         raise FormatError(f"{path}: truncated or oversized payload")
     data = np.frombuffer(blob, dtype="<f8", count=c * n, offset=offset).reshape(c, n)
-    return Recording(data=data.copy(), sample_rate_hz=fs, channel_names=tuple(names))
+    try:
+        return Recording(data=data.copy(), sample_rate_hz=fs,
+                         channel_names=tuple(names))
+    except ValidationError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+
+
+def _decode_utf8(raw: bytes, path: str, what: str) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: {what} is not valid UTF-8") from exc
+
+
+def check_manifest_field(value: str, what: str = "subject id") -> None:
+    """Reject a path or subject id that the unquoted manifest CSV cannot carry."""
+    for ch in _MANIFEST_FORBIDDEN:
+        if ch in value:
+            raise ValidationError(f"{what} {value!r} contains {ch!r}, which a "
+                                  f"manifest cannot hold")
 
 
 def write_manifest(manifest: Manifest, path: str) -> None:
+    for row_path, subject, _, _ in manifest.rows:
+        check_manifest_field(row_path, "path")
+        check_manifest_field(subject)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("path,subject,class,split\n")
         for row_path, subject, cls, split in manifest.rows:

@@ -215,19 +215,19 @@ def load_checkpoint(path: str) -> SafModel:
     if version != CHECKPOINT_VERSION:
         raise FormatError(f"{path}: unsupported checkpoint version {version}")
     offset = 8
-    c, m, fs, f1, d, f2, k, pool1, pool2, dropout = struct.unpack_from(
-        "<IIdIIIIIId", blob, offset)
-    offset += struct.calcsize("<IIdIIIIIId")
-    num_domains, grl_lambda = struct.unpack_from("<Id", blob, offset)
-    offset += struct.calcsize("<Id")
-    (count,) = struct.unpack_from("<I", blob, offset)
-    offset += 4
-
-    cfg = EncoderConfig(C=c, M=m, fs=fs, F1=f1, D=d, F2=f2, temporal_kernel=k,
-                        dropout=dropout, pool1=pool1, pool2=pool2)
-    model = SafModel(cfg, num_domains=num_domains, grl_lambda=grl_lambda, seed=0)
-    seen = set()
     try:
+        c, m, fs, f1, d, f2, k, pool1, pool2, dropout = struct.unpack_from(
+            "<IIdIIIIIId", blob, offset)
+        offset += struct.calcsize("<IIdIIIIIId")
+        num_domains, grl_lambda = struct.unpack_from("<Id", blob, offset)
+        offset += struct.calcsize("<Id")
+        (count,) = struct.unpack_from("<I", blob, offset)
+        offset += 4
+
+        cfg = EncoderConfig(C=c, M=m, fs=fs, F1=f1, D=d, F2=f2, temporal_kernel=k,
+                            dropout=dropout, pool1=pool1, pool2=pool2)
+        model = SafModel(cfg, num_domains=num_domains, grl_lambda=grl_lambda, seed=0)
+        seen = set()
         for _ in range(count):
             (nlen,) = struct.unpack_from("<I", blob, offset)
             offset += 4
@@ -240,18 +240,22 @@ def load_checkpoint(path: str) -> SafModel:
             size = int(np.prod(shape)) if ndim else 1
             arr = np.frombuffer(blob, dtype="<f4", count=size, offset=offset)
             offset += 4 * size
-            arr = arr.reshape(shape).copy()
             if name in model.params:
-                if model.params[name].data.shape != arr.shape:
-                    raise FormatError(f"{path}: shape mismatch for {name}")
-                model.params[name].data = arr
+                target = model.params[name].data
             elif name in model.buffers:
-                model.buffers[name][...] = arr
+                target = model.buffers[name]
             else:
                 raise FormatError(f"{path}: unknown tensor {name!r}")
+            if shape != target.shape:
+                raise FormatError(f"{path}: {name} stored with shape {shape}, "
+                                  f"model expects {target.shape}")
+            target[...] = arr.reshape(shape)
             seen.add(name)
     except (struct.error, ValueError) as exc:
         raise FormatError(f"{path}: truncated checkpoint") from exc
+    if offset != len(blob):
+        raise FormatError(f"{path}: {len(blob) - offset} trailing bytes after the "
+                          f"last tensor")
     missing = (set(model.params) | set(model.buffers)) - seen
     if missing:
         raise FormatError(f"{path}: missing tensors {sorted(missing)}")

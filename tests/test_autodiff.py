@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from _gradcheck import max_relative_error, numeric_gradient
 from safnet import autodiff as ad
@@ -133,6 +134,91 @@ class TestBatchNorm:
                             np.zeros(2), np.ones(2), training=True)
         assert np.allclose(out.data.mean(axis=(0, 2, 3)), 0, atol=1e-10)
         assert np.allclose(out.data.std(axis=(0, 2, 3)), 1, atol=1e-3)
+
+
+# Reference kernels: the einsum formulation that the matmul-shaped kernels
+# replaced. Kept here only, to pin the production kernels to them.
+
+def ref_temporal_conv(x, w, g):
+    """Output and weight gradient of temporal_conv for output gradient g."""
+    k = w.shape[1]
+    left = (k - 1) // 2
+    xp = np.pad(x[:, 0], ((0, 0), (0, 0), (left, k - 1 - left)))
+    win = sliding_window_view(xp, k, axis=-1)
+    return np.einsum("bcmk,fk->bfcm", win, w), np.einsum("bcmk,bfcm->fk", win, g)
+
+
+def ref_batch_norm(x, gamma, beta, running_mean, running_var, training, g,
+                   momentum=0.1, eps=1e-5):
+    """Output and (x, gamma, beta) gradients of batch_norm for output gradient
+    g; updates the running buffers in place as batch_norm does."""
+    axes, shape = (0, 2, 3), (1, -1, 1, 1)
+    n = x.size // x.shape[1]
+    if training:
+        mu, var = x.mean(axis=axes), x.var(axis=axes)
+        running_mean *= 1.0 - momentum
+        running_mean += momentum * mu
+        running_var *= 1.0 - momentum
+        running_var += momentum * (var * n / max(n - 1, 1))
+    else:
+        mu, var = running_mean, running_var
+    istd = (1.0 / np.sqrt(var + eps)).reshape(shape)
+    xhat = (x - mu.reshape(shape)) * istd
+    out = gamma.reshape(shape) * xhat + beta.reshape(shape)
+    gxhat = g * gamma.reshape(shape)
+    if training:
+        s1 = gxhat.sum(axis=axes).reshape(shape)
+        s2 = np.einsum("bfcm,bfcm->f", gxhat, xhat).reshape(shape)
+        gx = (istd / n) * (n * gxhat - s1 - xhat * s2)
+    else:
+        gx = gxhat * istd
+    return out, gx, np.einsum("bfcm,bfcm->f", g, xhat), g.sum(axis=axes)
+
+
+def assert_matches(got, want):
+    np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)
+
+
+class TestKernelEquivalence:
+    """The training kernels against the reference formulas, float64, at the
+    shape the encoder trains on (B=32, C=6, M=256, F=8)."""
+
+    @pytest.mark.parametrize("k", [64, 31, 16])
+    def test_temporal_conv(self, k):
+        rng = np.random.default_rng(k)
+        x = rng.standard_normal((32, 1, 6, 256))
+        w = rng.standard_normal((8, k))
+        g = rng.standard_normal((32, 8, 6, 256))
+        w_t = t64(w)
+        out = ad.temporal_conv(t64(x, requires_grad=False), w_t)
+        weighted_sum(out, g).backward()
+        ref_out, ref_gw = ref_temporal_conv(x, w, g)
+        assert out.data.flags.c_contiguous
+        assert_matches(out.data, ref_out)
+        assert_matches(w_t.grad, ref_gw)
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_batch_norm(self, training):
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((32, 8, 6, 256)) * 2.0 + 0.5
+        gamma = rng.standard_normal(8) + 1.5
+        beta = rng.standard_normal(8)
+        rm = rng.standard_normal(8) * 0.1
+        rv = np.abs(rng.standard_normal(8)) + 0.5
+        g = rng.standard_normal(x.shape)
+        xt, gt, bt = t64(x), t64(gamma), t64(beta)
+        rm_new, rv_new = rm.copy(), rv.copy()
+        out = ad.batch_norm(xt, gt, bt, rm_new, rv_new, training)
+        weighted_sum(out, g).backward()
+        rm_ref, rv_ref = rm.copy(), rv.copy()
+        ref_out, ref_gx, ref_ggamma, ref_gbeta = ref_batch_norm(
+            x, gamma, beta, rm_ref, rv_ref, training, g)
+        assert_matches(out.data, ref_out)
+        assert_matches(xt.grad, ref_gx)
+        assert_matches(gt.grad, ref_ggamma)
+        assert_matches(bt.grad, ref_gbeta)
+        assert_matches(rm_new, rm_ref)
+        assert_matches(rv_new, rv_ref)
 
 
 class TestPoolDropoutLinear:

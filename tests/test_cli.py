@@ -227,6 +227,27 @@ class TestPreprocessCommand:
         assert len(epoch_set) == 6
         assert np.all(np.isfinite(epoch_set.epochs[0].x))
 
+    @pytest.mark.parametrize("subject", ["a,b", "a\nb", "a\rb"])
+    def test_unwritable_subject_is_validation_error(self, tmp_path, subject, capsys):
+        config = write_config(tmp_path / "c.ini")
+        rec_path = self.make_recording(str(tmp_path / "raw.safr"))
+        out = tmp_path / "pre"
+        code = main(["preprocess", "--config", config, "--in", rec_path,
+                     "--subject", subject, "--class", "0", "--out", str(out)])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_truncated_recording_is_format_error(self, tmp_path, capsys):
+        config = write_config(tmp_path / "c.ini")
+        rec_path = tmp_path / "raw.safr"
+        rec_path.write_bytes(b"SAFR\x01\x00")
+        code = main(["preprocess", "--config", config, "--in", str(rec_path),
+                     "--subject", "s00", "--class", "0", "--out",
+                     str(tmp_path / "pre")])
+        assert code == 1
+        assert "too short" in capsys.readouterr().err
+
 
 class TestTrainAndEvalCommands:
     def test_train_writes_model_and_log(self, dataset, tmp_path):

@@ -1,7 +1,11 @@
 import os
+import struct
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from safnet.datamodel import (
     Epoch,
@@ -93,6 +97,24 @@ class TestNdf:
         with pytest.raises(FormatError):
             read_ndf(str(path))
 
+    def test_nan_sample_rate(self, tmp_path):
+        path = tmp_path / "e.ndf"
+        write_ndf(make_epoch(), str(path))
+        blob = bytearray(path.read_bytes())
+        blob[16:20] = struct.pack("<f", float("nan"))
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="sample rate"):
+            read_ndf(str(path))
+
+    def test_subject_not_utf8(self, tmp_path):
+        path = tmp_path / "e.ndf"
+        write_ndf(make_epoch(s="ab"), str(path))
+        blob = bytearray(path.read_bytes())
+        blob[25:27] = b"\xc3\x28"  # a UTF-8 lead byte without its continuation
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="UTF-8"):
+            read_ndf(str(path))
+
 
 class TestSafr:
     def test_round_trip(self, tmp_path):
@@ -111,6 +133,75 @@ class TestSafr:
         path.write_bytes(b"NOPE" + b"\x00" * 40)
         with pytest.raises(FormatError):
             read_recording(str(path))
+
+    def test_header_truncated_after_magic(self, tmp_path):
+        path = tmp_path / "r.safr"
+        path.write_bytes(b"SAFR\x01\x00")
+        with pytest.raises(FormatError):
+            read_recording(str(path))
+
+    def test_channel_name_not_utf8(self, tmp_path):
+        path = tmp_path / "r.safr"
+        blob = b"SAFR" + struct.pack("<IIQd", 1, 1, 1, 10.0)
+        blob += struct.pack("<I", 2) + b"\xff\xfe" + struct.pack("<d", 0.5)
+        path.write_bytes(blob)
+        with pytest.raises(FormatError, match="UTF-8"):
+            read_recording(str(path))
+
+
+def _valid_blob(writer, value):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "blob")
+        writer(value, path)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+NDF_BLOB = _valid_blob(write_ndf, Epoch(
+    x=np.array([[0.5, -1.0, 2.0], [3.0, 0.0, -0.25]], dtype=np.float32), y=1,
+    s="s\u00e91", sample_rate_hz=128.0))
+SAFR_BLOB = _valid_blob(write_recording, Recording(
+    data=np.array([[0.5, -1.0, 2.0], [3.0, 0.0, -0.25]]), sample_rate_hz=256.0,
+    channel_names=("Fz", "C\u00e93")))
+
+
+@st.composite
+def corruptions(draw, blob):
+    """A strict prefix of blob, or blob with one byte XORed by a non-zero mask."""
+    if draw(st.booleans()):
+        return blob[:draw(st.integers(0, len(blob) - 1))], True
+    pos = draw(st.integers(0, len(blob) - 1))
+    flipped = bytearray(blob)
+    flipped[pos] ^= draw(st.integers(1, 255))
+    return bytes(flipped), False
+
+
+class TestCorruptContainers:
+    """Every truncation and single-byte flip of a valid container either
+    reads back or raises FormatError; truncations always raise it."""
+
+    @staticmethod
+    def check(reader, corruption):
+        blob, truncated = corruption
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "blob")
+            with open(path, "wb") as fh:
+                fh.write(blob)
+            try:
+                reader(path)
+            except FormatError:
+                return
+        assert not truncated, "a truncated container was accepted"
+
+    @settings(max_examples=400, deadline=None)
+    @given(corruptions(NDF_BLOB))
+    def test_ndf(self, corruption):
+        self.check(read_ndf, corruption)
+
+    @settings(max_examples=400, deadline=None)
+    @given(corruptions(SAFR_BLOB))
+    def test_safr(self, corruption):
+        self.check(read_recording, corruption)
 
 
 def write_set(tmp_path, rows):
@@ -180,6 +271,30 @@ class TestManifest:
                                       ("b.ndf", "b", 0, "train")]), mpath)
         with pytest.raises(ValidationError):
             load_manifest(mpath)
+
+
+class TestManifestFields:
+    @pytest.mark.parametrize("subject", ["a,b", "a\nb", "a\rb", '"a'])
+    def test_unwritable_subject_rejected(self, tmp_path, subject):
+        mpath = str(tmp_path / "m.csv")
+        with pytest.raises(ValidationError):
+            write_manifest(Manifest(rows=[("e.ndf", subject, 0, "none")]), mpath)
+        assert not os.path.exists(mpath)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(max_size=12))
+    def test_subject_round_trips_or_is_rejected(self, subject):
+        with tempfile.TemporaryDirectory() as tmp:
+            write_ndf(make_epoch(s=subject), os.path.join(tmp, "e.ndf"))
+            mpath = os.path.join(tmp, "m.csv")
+            try:
+                write_manifest(Manifest(rows=[("e.ndf", subject, 0, "none")]), mpath)
+            except ValidationError:
+                assert any(ch in subject for ch in ',"\r\n')
+                return
+            manifest, eset = load_manifest(mpath)
+        assert manifest.rows == [("e.ndf", subject, 0, "none")]
+        assert eset.epochs[0].s == subject
 
 
 class TestSubjectIndex:

@@ -186,3 +186,18 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes()[:-100])
         with pytest.raises(FormatError):
             load_checkpoint(str(path))
+
+    def test_buffer_shape_mismatch(self, tmp_path):
+        model = small_model()
+        model.buffers["bn1_mean"] = np.full(1, 0.5, dtype=np.float32)
+        path = str(tmp_path / "m.safm")
+        save_checkpoint(model, path)
+        with pytest.raises(FormatError, match="bn1_mean"):
+            load_checkpoint(path)
+
+    def test_trailing_bytes(self, tmp_path):
+        path = tmp_path / "m.safm"
+        save_checkpoint(small_model(), str(path))
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(FormatError, match="trailing"):
+            load_checkpoint(str(path))
