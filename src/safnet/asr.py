@@ -12,16 +12,14 @@ Gaussian fit used by some toolboxes; deterministic and adequate here.
 
 from __future__ import annotations
 
-import struct
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .datamodel import Recording
-from .errors import FormatError, ValidationError
+from .errors import ValidationError
 
-ASR_MAGIC = b"ASR1"
 EIGVAL_CLAMP = 1e-12
 PINV_RCOND = 1e-10
 
@@ -167,25 +165,3 @@ def asr_apply(rec: Recording, model: AsrModel, cfg: AsrConfig) -> Recording:
     out /= norm
     return Recording(data=out, sample_rate_hz=rec.sample_rate_hz,
                      channel_names=rec.channel_names)
-
-
-def write_asr_model(model: AsrModel, path: str) -> None:
-    with open(path, "wb") as fh:
-        fh.write(ASR_MAGIC)
-        fh.write(struct.pack("<I", model.channels))
-        fh.write(np.ascontiguousarray(model.mixing_M, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(model.threshold_T, dtype="<f8").tobytes())
-
-
-def read_asr_model(path: str) -> AsrModel:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 8 or blob[:4] != ASR_MAGIC:
-        raise FormatError(f"{path}: not an ASR model file")
-    (c,) = struct.unpack_from("<I", blob, 4)
-    expected = 8 + 2 * c * c * 8
-    if len(blob) != expected:
-        raise FormatError(f"{path}: expected {expected} bytes, got {len(blob)}")
-    mixing = np.frombuffer(blob, dtype="<f8", count=c * c, offset=8).reshape(c, c)
-    thresh = np.frombuffer(blob, dtype="<f8", count=c * c, offset=8 + c * c * 8).reshape(c, c)
-    return AsrModel(mixing_M=mixing.copy(), threshold_T=thresh.copy(), channels=c)

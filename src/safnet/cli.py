@@ -27,14 +27,13 @@ from .datamodel import (
     write_manifest,
     write_ndf,
 )
-from .dsp import PipelineConfig, bandpass, notch, preprocess_pipeline, resample
+from .dsp import PipelineConfig, filter_recording, preprocess_pipeline
 from .errors import ConfigError, SafError, ValidationError
 from .isbcs import SwapConfig
 from .metrics import (
     BandDefinition,
     clip_bands,
     coefficient_of_variation,
-    confusion,
     f_statistic,
     iqr_row_mask,
     log_band_power_features,
@@ -48,6 +47,7 @@ from .textio import format_float, write_csv
 from .train import (
     LossWeights,
     TrainConfig,
+    eval_confusion,
     fit,
     grid_search,
     write_grid_table,
@@ -66,7 +66,7 @@ _ASR_KEYS = {
     "calib_z_hi": float, "min_calib_windows": int, "proc_window_s": float,
     "proc_overlap": float,
 }
-_SWAP_KEYS = {"p": float, "seed": int, "keep_originals": bool}
+_SWAP_KEYS = {"p": float}
 _TRAIN_KEYS = {
     "lr": float, "batch_size": int, "min_epochs": int, "max_epochs": int,
     "patience": int, "plateau_window": int, "improvement_eps": float,
@@ -84,10 +84,6 @@ _SECTIONS = {
     "train": _TRAIN_KEYS, "synth": _SYNTH_KEYS,
 }
 
-_TRUE = {"1", "true", "yes", "on"}
-_FALSE = {"0", "false", "no", "off"}
-
-
 @dataclass(frozen=True)
 class CliConfig:
     pipeline: PipelineConfig = field(default_factory=PipelineConfig)
@@ -104,13 +100,6 @@ def _convert(section: str, key: str, raw: str, kind):
             return float(raw)
         if kind is int:
             return int(raw)
-        if kind is bool:
-            token = raw.strip().lower()
-            if token in _TRUE:
-                return True
-            if token in _FALSE:
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
         if kind == FLOAT_TUPLE:
             return tuple(float(tok) for tok in raw.split(",") if tok.strip())
     except ValueError as exc:
@@ -195,9 +184,7 @@ def _cmd_preprocess(args) -> int:
     rec = read_recording(args.input)
     asr_model = None
     if args.asr_calib:
-        calib = read_recording(args.asr_calib)
-        calib = resample(calib, cfg.pipeline.target_rate_hz)
-        calib = notch(bandpass(calib, cfg.pipeline), cfg.pipeline)
+        calib = filter_recording(read_recording(args.asr_calib), cfg.pipeline)
         asr_model = asr_fit(select_calibration(calib, cfg.asr), cfg.asr)
     epochs = preprocess_pipeline(rec, cfg.pipeline, asr_model=asr_model,
                                  y=args.label, s=args.subject,
@@ -229,7 +216,7 @@ def _cmd_train(args) -> int:
     train_eps, val_eps = _split_epochs(args.manifest, "train", "val")
     num_domains = len({ep.s for ep in train_eps})
     model = SafModel(_encoder_config(train_eps), num_domains=num_domains,
-                     grl_lambda=weights.lambda_grl, seed=train_cfg.seed)
+                     seed=train_cfg.seed)
     model, log = fit(train_eps, val_eps, model, train_cfg, weights)
     save_checkpoint(model, args.out)
     if args.log:
@@ -255,13 +242,7 @@ def _cmd_grid(args) -> int:
 def _cmd_eval(args) -> int:
     model = load_checkpoint(args.model)
     epochs = _split_epochs(args.manifest, args.split)
-    preds = []
-    for start in range(0, len(epochs), 256):
-        chunk = epochs[start:start + 256]
-        x = np.stack([ep.x for ep in chunk])[:, None, :, :]
-        preds.extend(model.predict(x).tolist())
-    acc, prec, rec, f1 = macro_metrics(
-        confusion([ep.y for ep in epochs], preds))
+    acc, prec, rec, f1 = macro_metrics(eval_confusion(model, epochs))
     write_csv(args.out, ["metric", "value"],
               [("macro_accuracy", acc), ("macro_precision", prec),
                ("macro_recall", rec), ("macro_f1", f1)])

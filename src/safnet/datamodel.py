@@ -33,7 +33,7 @@ from __future__ import annotations
 import csv
 import os
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -95,7 +95,6 @@ class Epoch:
     y: int
     s: str
     sample_rate_hz: float
-    subject_index: int = 0
 
     def __post_init__(self):
         x = np.ascontiguousarray(self.x, dtype=np.float32)
@@ -120,11 +119,7 @@ class Epoch:
 
 @dataclass
 class EpochSet:
-    """A collection of epochs with consistent shape and a per-epoch split tag.
-
-    Construction reindexes every epoch's subject_index against the sorted
-    set of subject ids, so the index is a stable bijection onto [0, L).
-    """
+    """A collection of epochs with consistent shape and a per-epoch split tag."""
 
     epochs: list[Epoch]
     split: list[str] = field(default_factory=list)
@@ -145,22 +140,10 @@ class EpochSet:
                     raise ValidationError(
                         "all epochs in a set must share channel count, length and rate"
                     )
-        index = {s: i for i, s in enumerate(sorted({ep.s for ep in self.epochs}))}
-        self.epochs = [
-            ep if ep.subject_index == index[ep.s] else replace(ep, subject_index=index[ep.s])
-            for ep in self.epochs
-        ]
 
     @property
     def subjects(self) -> list[str]:
         return sorted({ep.s for ep in self.epochs})
-
-    @property
-    def per_subject_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {s: 0 for s in self.subjects}
-        for ep in self.epochs:
-            counts[ep.s] += 1
-        return counts
 
     def subset(self, tag: str) -> list[Epoch]:
         return [ep for ep, t in zip(self.epochs, self.split) if t == tag]
@@ -175,7 +158,6 @@ class Manifest:
 
     rows: list[tuple[str, str, int, str]]
     base_dir: str = "."
-    format_version: int = 1
 
 
 def write_ndf(epoch: Epoch, path: str) -> None:

@@ -7,7 +7,7 @@ over the whole recording before slicing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -52,47 +52,44 @@ class PipelineConfig:
 
 @dataclass(frozen=True)
 class BiquadCascade:
-    """Stack of second-order sections (b0, b1, b2, a1, a2), a0 normalized to 1."""
+    """Stack of second-order sections, one (b0, b1, b2, 1, a1, a2) row each."""
 
-    sections: tuple[tuple[float, float, float, float, float], ...]
+    sos: np.ndarray
     description: str = ""
 
     def __post_init__(self):
-        for b0, b1, b2, a1, a2 in self.sections:
-            coeffs = (b0, b1, b2, a1, a2)
-            if not all(np.isfinite(coeffs)):
-                raise ValidationError(f"non-finite section {coeffs} in {self.description}")
-            poles = np.roots([1.0, a1, a2])
+        sos = np.asarray(self.sos, dtype=np.float64)
+        if sos.ndim != 2 or sos.shape[1] != 6 or np.any(sos[:, 3] != 1.0):
+            raise ValidationError(f"sections must be (n, 6) rows with a0 = 1 "
+                                  f"in {self.description}")
+        for row in sos:
+            if not np.all(np.isfinite(row)):
+                raise ValidationError(f"non-finite section {row} in {self.description}")
+            poles = np.roots(row[3:])
             if np.any(np.abs(poles) >= 1.0):
                 raise ValidationError(
                     f"unstable section (pole magnitude {np.abs(poles).max():.6f}) "
                     f"in {self.description}"
                 )
-
-    def as_sos(self) -> np.ndarray:
-        return np.array([[b0, b1, b2, 1.0, a1, a2]
-                         for b0, b1, b2, a1, a2 in self.sections], dtype=np.float64)
+        object.__setattr__(self, "sos", sos)
 
     def apply_zero_phase(self, data: np.ndarray) -> np.ndarray:
         """Forward-backward filtering along the last axis."""
-        return signal.sosfiltfilt(self.as_sos(), data, axis=-1)
+        return signal.sosfiltfilt(self.sos, data, axis=-1)
 
 
 def design_bandpass(cfg: PipelineConfig) -> BiquadCascade:
     sos = signal.butter(cfg.butter_order // 2,
                         [cfg.band_lo_hz, cfg.band_hi_hz],
                         btype="bandpass", fs=cfg.target_rate_hz, output="sos")
-    sections = tuple((row[0], row[1], row[2], row[4], row[5]) for row in sos)
-    return BiquadCascade(sections=sections,
+    return BiquadCascade(sos=sos,
                          description=f"butterworth-{cfg.butter_order} bandpass "
                                      f"{cfg.band_lo_hz}-{cfg.band_hi_hz} Hz")
 
 
 def design_notch(freq_hz: float, q: float, fs: float) -> BiquadCascade:
     b, a = signal.iirnotch(freq_hz, q, fs=fs)
-    b = b / a[0]
-    a = a / a[0]
-    return BiquadCascade(sections=((b[0], b[1], b[2], a[1], a[2]),),
+    return BiquadCascade(sos=np.concatenate([b, a])[None, :] / a[0],
                          description=f"notch {freq_hz} Hz Q={q}")
 
 
@@ -161,23 +158,34 @@ def slice_epochs(rec: Recording, cfg: PipelineConfig, y: int, s: str) -> list[Ep
     ]
 
 
+def _unhooked(name: str, rec: Recording) -> Recording:
+    return rec
+
+
+def filter_recording(rec: Recording, cfg: PipelineConfig,
+                     stage_hook=None) -> Recording:
+    """Resample (if needed) -> bandpass -> notch: the filter chain ahead of
+    artifact removal, shared by preprocessing and ASR calibration. stage_hook
+    is as in preprocess_pipeline."""
+    hook = stage_hook or _unhooked
+    if rec.sample_rate_hz != cfg.target_rate_hz:
+        rec = resample(rec, cfg.target_rate_hz)
+    rec = hook("resample", rec)
+    rec = hook("bandpass", bandpass(rec, cfg))
+    return hook("notch", notch(rec, cfg))
+
+
 def preprocess_pipeline(rec: Recording, cfg: PipelineConfig, asr_model=None,
                         y: int = 0, s: str = "", asr_config=None,
                         stage_hook=None) -> list[Epoch]:
-    """Resample (if needed) -> bandpass -> notch -> ASR (if model) -> slice.
+    """filter_recording -> ASR (if model) -> slice.
 
     stage_hook(name, rec) -> Recording, when given, is called after each
     stage and may substitute the intermediate recording; tests use it to
     verify stage ordering.
     """
-    def hook(name, r):
-        return stage_hook(name, r) if stage_hook is not None else r
-
-    if rec.sample_rate_hz != cfg.target_rate_hz:
-        rec = resample(rec, cfg.target_rate_hz)
-    rec = hook("resample", rec)
-    rec = hook("bandpass", bandpass(rec, cfg))
-    rec = hook("notch", notch(rec, cfg))
+    hook = stage_hook or _unhooked
+    rec = filter_recording(rec, cfg, hook)
     if asr_model is not None:
         from .asr import AsrConfig, asr_apply
 

@@ -2,7 +2,8 @@
 
 Within each class group of a batch, samples are randomly paired and each
 pair exchanges a Bernoulli-selected subset of channels, full time series,
-both directions. Labels and the base sample's subject identity are kept.
+both directions. Each row keeps the label and subject identity of the
+sample it was built on, so callers read both from the input batch.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ from .errors import ValidationError
 @dataclass(frozen=True)
 class SwapConfig:
     p: float = 0.5
-    seed: int = 0
-    keep_originals: bool = False
 
     def __post_init__(self):
         if not (0.0 <= self.p <= 1.0):
@@ -46,38 +45,33 @@ def pair_by_class(labels, rng: np.random.Generator) -> list[tuple[int, int]]:
 
 
 def isbcs_augment_batch(batch: list[Epoch], cfg: SwapConfig,
-                        rng: np.random.Generator) -> tuple[list[Epoch], list[SwapRecord]]:
+                        rng: np.random.Generator) -> tuple[np.ndarray, list[SwapRecord]]:
     """Swap Bernoulli(p)-masked channels between randomly paired same-class
-    epochs. Returns the augmented epochs (originals appended when
-    cfg.keep_originals) and one SwapRecord per pair or leftover singleton.
+    epochs. Returns the augmented batch as one (B, C, M) float32 array, row i
+    built on batch[i], and one SwapRecord per pair, then one per leftover
+    singleton.
+
+    The masks of all P pairs come from a single (P, C) draw, which consumes
+    rng exactly as P consecutive draws of C values.
     """
     if not batch:
-        return [], []
+        raise ValidationError("cannot augment an empty batch")
     shapes = {(ep.channels, ep.samples) for ep in batch}
     if len(shapes) != 1:
         raise ValidationError(f"mixed epoch shapes in batch: {sorted(shapes)}")
-    c = batch[0].channels
+    x = np.stack([ep.x for ep in batch])
+    c = x.shape[1]
 
-    xs = [ep.x.copy() for ep in batch]
-    records: list[SwapRecord] = []
-    paired: set[int] = set()
-    for a, b in pair_by_class([ep.y for ep in batch], rng):
-        mask = rng.random(c) < cfg.p
-        xa = xs[a][mask].copy()
-        xs[a][mask] = xs[b][mask]
-        xs[b][mask] = xa
-        records.append(SwapRecord(pair=(a, b), swapped_channels=mask))
-        paired.update((a, b))
-    for i in range(len(batch)):
-        if i not in paired:
-            records.append(SwapRecord(pair=(i, i),
-                                      swapped_channels=np.zeros(c, dtype=bool)))
+    pairs = pair_by_class([ep.y for ep in batch], rng)
+    masks = rng.random((len(pairs), c)) < cfg.p
+    ends = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+    k, ch = np.nonzero(masks)
+    a, b = ends[k, 0], ends[k, 1]
+    x[a, ch], x[b, ch] = x[b, ch], x[a, ch]
 
-    augmented = [
-        Epoch(x=xs[i], y=ep.y, s=ep.s, sample_rate_hz=ep.sample_rate_hz,
-              subject_index=ep.subject_index)
-        for i, ep in enumerate(batch)
-    ]
-    if cfg.keep_originals:
-        augmented = augmented + list(batch)
-    return augmented, records
+    records = [SwapRecord(pair=pair, swapped_channels=mask)
+               for pair, mask in zip(pairs, masks)]
+    paired = set(ends.ravel().tolist())
+    records.extend(SwapRecord(pair=(i, i), swapped_channels=np.zeros(c, dtype=bool))
+                   for i in range(len(batch)) if i not in paired)
+    return x, records

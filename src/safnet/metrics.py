@@ -207,34 +207,23 @@ def silhouette(features, labels) -> float:
     return float(scores.mean())
 
 
-def _iqr_mask(values: np.ndarray) -> np.ndarray:
-    q1, q3 = np.percentile(values, [25.0, 75.0])
-    iqr = q3 - q1
-    if iqr == 0.0:
-        return values == q1
-    return (values > q1 - 1.5 * iqr) & (values < q3 + 1.5 * iqr)
-
-
-def iqr_filter(values) -> np.ndarray:
-    """Values strictly inside (Q1 - 1.5*IQR, Q3 + 1.5*IQR); when IQR is zero,
-    values equal to the common quartile are retained."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.size < 4:
-        raise ValidationError("need at least four values")
-    return values[_iqr_mask(values)]
-
-
 def iqr_row_mask(features) -> np.ndarray:
-    """Boolean mask of feature rows whose every dimension lies inside that
-    dimension's IQR fence (the per-column rule of iqr_filter)."""
+    """Boolean mask of feature rows whose every dimension lies strictly inside
+    that dimension's fence (Q1 - 1.5*IQR, Q3 + 1.5*IQR); in a dimension whose
+    IQR is zero, only values equal to the common quartile pass."""
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2:
         raise ValidationError("feature matrix must be 2-D")
     if features.shape[0] < 4:
         raise ValidationError("need at least four rows")
     mask = np.ones(features.shape[0], dtype=bool)
-    for d in range(features.shape[1]):
-        mask &= _iqr_mask(features[:, d])
+    for col in features.T:
+        q1, q3 = np.percentile(col, [25.0, 75.0])
+        iqr = q3 - q1
+        if iqr == 0.0:
+            mask &= col == q1
+        else:
+            mask &= (col > q1 - 1.5 * iqr) & (col < q3 + 1.5 * iqr)
     return mask
 
 

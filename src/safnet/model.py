@@ -10,6 +10,7 @@ that the encoder is trained to make subjects indistinguishable.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -20,7 +21,9 @@ from .autodiff import Tensor
 from .errors import FormatError, ValidationError
 
 CHECKPOINT_MAGIC = b"SAFM"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+# C, M, fs, F1, D, F2, temporal kernel, pool1, pool2, dropout, domains, tensors
+_HEADER = struct.Struct("<IIdIIIIIIdII")
 SEP_KERNEL = 16
 DOMAIN_HIDDEN = 64
 NUM_CLASSES = 2
@@ -59,61 +62,64 @@ class EncoderConfig:
         return self.F2 * ((self.M // self.pool1) // self.pool2)
 
 
-def _glorot(rng, shape, fan_in, fan_out, dtype):
-    bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape).astype(dtype)
+def _tensor_specs(cfg: EncoderConfig, num_domains: int):
+    """Shape and initial value of every parameter and of every batch-norm
+    running buffer, by name in checkpoint order. The initial value is a
+    (fan_in, fan_out) pair for a Glorot-uniform draw, or a constant fill."""
+    c, k = cfg.C, cfg.temporal_kernel
+    f1, d, f2 = cfg.F1, cfg.D, cfg.F2
+    fdim = cfg.feature_dim
+    params = {
+        "conv_temporal_w": ((f1, k), (k, f1 * k)),
+        "bn1_gamma": ((f1,), 1.0),
+        "bn1_beta": ((f1,), 0.0),
+        "conv_spatial_w": ((f1, d, c), (c, d * c)),
+        "bn2_gamma": ((f1 * d,), 1.0),
+        "bn2_beta": ((f1 * d,), 0.0),
+        "conv_sep_depth_w": ((f1 * d, SEP_KERNEL), (SEP_KERNEL, SEP_KERNEL)),
+        "conv_sep_point_w": ((f2, f1 * d), (f1 * d, f2)),
+        "bn3_gamma": ((f2,), 1.0),
+        "bn3_beta": ((f2,), 0.0),
+        "task_w": ((fdim, NUM_CLASSES), (fdim, NUM_CLASSES)),
+        "task_b": ((NUM_CLASSES,), 0.0),
+        "dom1_w": ((fdim, DOMAIN_HIDDEN), (fdim, DOMAIN_HIDDEN)),
+        "dom1_b": ((DOMAIN_HIDDEN,), 0.0),
+        "dom2_w": ((DOMAIN_HIDDEN, num_domains), (DOMAIN_HIDDEN, num_domains)),
+        "dom2_b": ((num_domains,), 0.0),
+    }
+    buffers = {f"bn{i}_{stat}": ((n,), fill)
+               for i, n in ((1, f1), (2, f1 * d), (3, f2))
+               for stat, fill in (("mean", 0.0), ("var", 1.0))}
+    return params, buffers
+
+
+def _initial(rng, shape, init, dtype) -> np.ndarray:
+    if isinstance(init, tuple):
+        fan_in, fan_out = init
+        bound = np.sqrt(6.0 / (fan_in + fan_out))
+        return rng.uniform(-bound, bound, size=shape).astype(dtype)
+    return np.full(shape, init, dtype=dtype)
 
 
 class SafModel:
-    """Encoder f, task head g, domain head h, and the GRL coefficient."""
+    """Encoder f, task head g and domain head h."""
 
-    def __init__(self, cfg: EncoderConfig, num_domains: int, grl_lambda: float = 0.0,
-                 seed: int = 0, dtype=np.float32):
+    def __init__(self, cfg: EncoderConfig, num_domains: int, seed: int = 0,
+                 dtype=np.float32):
         if num_domains < 1:
             raise ValidationError("need at least one domain")
         self.cfg = cfg
         self.num_domains = int(num_domains)
-        self.grl_lambda = float(grl_lambda)
         self.dtype = np.dtype(dtype)
 
         rng = np.random.default_rng(seed)
-        c, k = cfg.C, cfg.temporal_kernel
-        f1, d, f2 = cfg.F1, cfg.D, cfg.F2
-        fdim = cfg.feature_dim
-
-        def param(values):
-            return Tensor(np.asarray(values, dtype=self.dtype), requires_grad=True)
-
+        params, buffers = _tensor_specs(cfg, self.num_domains)
         self.params: dict[str, Tensor] = {
-            "conv_temporal_w": param(_glorot(rng, (f1, k), k, f1 * k, self.dtype)),
-            "bn1_gamma": param(np.ones(f1)),
-            "bn1_beta": param(np.zeros(f1)),
-            "conv_spatial_w": param(_glorot(rng, (f1, d, c), c, d * c, self.dtype)),
-            "bn2_gamma": param(np.ones(f1 * d)),
-            "bn2_beta": param(np.zeros(f1 * d)),
-            "conv_sep_depth_w": param(
-                _glorot(rng, (f1 * d, SEP_KERNEL), SEP_KERNEL, SEP_KERNEL, self.dtype)),
-            "conv_sep_point_w": param(_glorot(rng, (f2, f1 * d), f1 * d, f2, self.dtype)),
-            "bn3_gamma": param(np.ones(f2)),
-            "bn3_beta": param(np.zeros(f2)),
-            "task_w": param(_glorot(rng, (fdim, NUM_CLASSES), fdim, NUM_CLASSES,
-                                    self.dtype)),
-            "task_b": param(np.zeros(NUM_CLASSES)),
-            "dom1_w": param(_glorot(rng, (fdim, DOMAIN_HIDDEN), fdim, DOMAIN_HIDDEN,
-                                    self.dtype)),
-            "dom1_b": param(np.zeros(DOMAIN_HIDDEN)),
-            "dom2_w": param(_glorot(rng, (DOMAIN_HIDDEN, self.num_domains),
-                                    DOMAIN_HIDDEN, self.num_domains, self.dtype)),
-            "dom2_b": param(np.zeros(self.num_domains)),
-        }
+            name: Tensor(_initial(rng, shape, init, self.dtype), requires_grad=True)
+            for name, (shape, init) in params.items()}
         self.buffers: dict[str, np.ndarray] = {
-            "bn1_mean": np.zeros(f1, dtype=self.dtype),
-            "bn1_var": np.ones(f1, dtype=self.dtype),
-            "bn2_mean": np.zeros(f1 * d, dtype=self.dtype),
-            "bn2_var": np.ones(f1 * d, dtype=self.dtype),
-            "bn3_mean": np.zeros(f2, dtype=self.dtype),
-            "bn3_var": np.ones(f2, dtype=self.dtype),
-        }
+            name: _initial(rng, shape, init, self.dtype)
+            for name, (shape, init) in buffers.items()}
 
     def zero_grad(self):
         for p in self.params.values():
@@ -153,34 +159,28 @@ class SafModel:
         h = ad.dropout(h, self.cfg.dropout, rng, training)
         return ad.reshape(h, (b, self.cfg.feature_dim))
 
-    def heads_forward(self, z: Tensor, lambda_grl: float | None = None):
+    def heads_forward(self, z: Tensor, lambda_grl: float):
         """(task_logits, domain_logits); the domain head reads z through the
-        gradient reversal layer."""
-        lam = self.grl_lambda if lambda_grl is None else float(lambda_grl)
+        gradient reversal layer with coefficient lambda_grl."""
         p = self.params
         task = ad.linear(z, p["task_w"], p["task_b"])
-        zd = ad.grl(z, lam)
+        zd = ad.grl(z, lambda_grl)
         hidden = ad.elu(ad.linear(zd, p["dom1_w"], p["dom1_b"]))
         domain = ad.linear(hidden, p["dom2_w"], p["dom2_b"])
         return task, domain
 
     def forward(self, x, mode: str = "eval", rng=None):
+        """Both heads' logits. The reversal layer is the identity forward, so
+        its coefficient (0 here) shapes only gradients, which training takes
+        from train.compute_losses."""
         z = self.encoder_forward(x, mode=mode, rng=rng)
-        return self.heads_forward(z)
+        return self.heads_forward(z, 0.0)
 
     def predict(self, x) -> np.ndarray:
         """Class labels for a (B,1,C,M) batch, eval mode."""
         with ad.no_grad():
             task, _ = self.forward(x, mode="eval")
         return np.argmax(task.data, axis=1)
-
-
-def encoder_forward(model: SafModel, x, mode: str = "eval", rng=None) -> Tensor:
-    return model.encoder_forward(x, mode=mode, rng=rng)
-
-
-def heads_forward(model: SafModel, z: Tensor, lambda_grl: float | None = None):
-    return model.heads_forward(z, lambda_grl)
 
 
 def save_checkpoint(model: SafModel, path: str) -> None:
@@ -191,11 +191,9 @@ def save_checkpoint(model: SafModel, path: str) -> None:
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        fh.write(struct.pack("<IIdIIIIIId", cfg.C, cfg.M, cfg.fs, cfg.F1, cfg.D,
-                             cfg.F2, cfg.temporal_kernel, cfg.pool1, cfg.pool2,
-                             cfg.dropout))
-        fh.write(struct.pack("<Id", model.num_domains, model.grl_lambda))
-        fh.write(struct.pack("<I", len(entries)))
+        fh.write(_HEADER.pack(cfg.C, cfg.M, cfg.fs, cfg.F1, cfg.D, cfg.F2,
+                              cfg.temporal_kernel, cfg.pool1, cfg.pool2, cfg.dropout,
+                              model.num_domains, len(entries)))
         for name, value in entries:
             arr = value.data if isinstance(value, Tensor) else value
             nbytes = name.encode("utf-8")
@@ -207,6 +205,9 @@ def save_checkpoint(model: SafModel, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> SafModel:
+    """Read a checkpoint written by save_checkpoint. Every stored tensor is
+    checked against the shapes the header implies before the model is built,
+    so a corrupted header cannot ask for more memory than the file holds."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < 8 or blob[:4] != CHECKPOINT_MAGIC:
@@ -216,18 +217,10 @@ def load_checkpoint(path: str) -> SafModel:
         raise FormatError(f"{path}: unsupported checkpoint version {version}")
     offset = 8
     try:
-        c, m, fs, f1, d, f2, k, pool1, pool2, dropout = struct.unpack_from(
-            "<IIdIIIIIId", blob, offset)
-        offset += struct.calcsize("<IIdIIIIIId")
-        num_domains, grl_lambda = struct.unpack_from("<Id", blob, offset)
-        offset += struct.calcsize("<Id")
-        (count,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
-
-        cfg = EncoderConfig(C=c, M=m, fs=fs, F1=f1, D=d, F2=f2, temporal_kernel=k,
-                            dropout=dropout, pool1=pool1, pool2=pool2)
-        model = SafModel(cfg, num_domains=num_domains, grl_lambda=grl_lambda, seed=0)
-        seen = set()
+        (c, m, fs, f1, d, f2, k, pool1, pool2, dropout, num_domains,
+         count) = _HEADER.unpack_from(blob, offset)
+        offset += _HEADER.size
+        stored = {}
         for _ in range(count):
             (nlen,) = struct.unpack_from("<I", blob, offset)
             offset += 4
@@ -237,26 +230,36 @@ def load_checkpoint(path: str) -> SafModel:
             offset += 4
             shape = struct.unpack_from(f"<{ndim}I", blob, offset)
             offset += 4 * ndim
-            size = int(np.prod(shape)) if ndim else 1
+            size = math.prod(shape)
             arr = np.frombuffer(blob, dtype="<f4", count=size, offset=offset)
             offset += 4 * size
-            if name in model.params:
-                target = model.params[name].data
-            elif name in model.buffers:
-                target = model.buffers[name]
-            else:
-                raise FormatError(f"{path}: unknown tensor {name!r}")
-            if shape != target.shape:
-                raise FormatError(f"{path}: {name} stored with shape {shape}, "
-                                  f"model expects {target.shape}")
-            target[...] = arr.reshape(shape)
-            seen.add(name)
-    except (struct.error, ValueError) as exc:
+            stored[name] = arr.reshape(shape)
+    except (struct.error, ValueError, OverflowError) as exc:
         raise FormatError(f"{path}: truncated checkpoint") from exc
     if offset != len(blob):
         raise FormatError(f"{path}: {len(blob) - offset} trailing bytes after the "
                           f"last tensor")
-    missing = (set(model.params) | set(model.buffers)) - seen
+    try:
+        cfg = EncoderConfig(C=c, M=m, fs=fs, F1=f1, D=d, F2=f2, temporal_kernel=k,
+                            dropout=dropout, pool1=pool1, pool2=pool2)
+    except (ValidationError, ValueError, OverflowError) as exc:
+        raise FormatError(f"{path}: invalid model header: {exc}") from exc
+    params, buffers = _tensor_specs(cfg, num_domains)
+    shapes = {name: shape for name, (shape, _) in (params | buffers).items()}
+    for name, arr in stored.items():
+        if name not in shapes:
+            raise FormatError(f"{path}: unknown tensor {name!r}")
+        if arr.shape != shapes[name]:
+            raise FormatError(f"{path}: {name} stored with shape {arr.shape}, "
+                              f"model expects {shapes[name]}")
+    missing = set(shapes) - set(stored)
     if missing:
         raise FormatError(f"{path}: missing tensors {sorted(missing)}")
+    try:
+        model = SafModel(cfg, num_domains=num_domains, seed=0)
+    except ValidationError as exc:
+        raise FormatError(f"{path}: invalid model header: {exc}") from exc
+    for name, arr in stored.items():
+        target = model.params[name].data if name in model.params else model.buffers[name]
+        target[...] = arr
     return model

@@ -31,7 +31,7 @@ from .datamodel import (
     write_manifest,
     write_ndf,
 )
-from .dsp import PipelineConfig, bandpass, notch, preprocess_pipeline, resample
+from .dsp import PipelineConfig, filter_recording, preprocess_pipeline
 from .errors import ValidationError
 from .metrics import BandDefinition
 
@@ -163,16 +163,6 @@ def generate_subject_recording(cfg: SynthConfig, subject: int,
     return Recording(data=x, sample_rate_hz=cfg.fs)
 
 
-def _fit_subject_asr(cfg: SynthConfig, subject: int,
-                     pipeline_cfg: PipelineConfig, asr_cfg: AsrConfig):
-    """Fit the artifact-removal model on the subject's class-0 recording,
-    processed through the pipeline stages that precede it."""
-    rec = generate_subject_recording(cfg, subject, 0)
-    rec = resample(rec, pipeline_cfg.target_rate_hz)
-    rec = notch(bandpass(rec, pipeline_cfg), pipeline_cfg)
-    return asr_fit(select_calibration(rec, asr_cfg), asr_cfg)
-
-
 def generate_dataset(cfg: SynthConfig, out_dir: str,
                      pipeline_cfg: PipelineConfig | None = None,
                      asr_cfg: AsrConfig | None = None,
@@ -193,11 +183,14 @@ def generate_dataset(cfg: SynthConfig, out_dir: str,
     cell_of = []
     for j in range(cfg.subjects):
         subject_name = f"s{j:02d}"
-        asr_model = _fit_subject_asr(cfg, j, pipeline_cfg, asr_cfg)
         for y in (0, 1):
-            rec = generate_subject_recording(cfg, j, y)
-            recordings[(j, y)] = rec
-            cell = preprocess_pipeline(rec, pipeline_cfg, asr_model=asr_model,
+            recordings[(j, y)] = generate_subject_recording(cfg, j, y)
+        # artifact removal is calibrated on the filtered class-0 recording
+        calib = filter_recording(recordings[(j, 0)], pipeline_cfg)
+        asr_model = asr_fit(select_calibration(calib, asr_cfg), asr_cfg)
+        for y in (0, 1):
+            cell = preprocess_pipeline(recordings[(j, y)], pipeline_cfg,
+                                       asr_model=asr_model,
                                        y=y, s=subject_name, asr_config=asr_cfg)
             for k, ep in enumerate(cell):
                 epochs.append(ep)

@@ -20,10 +20,7 @@ weighted sum above with lambda_grl multiplying L_domain.
 Routing the entropy term through the reversal layer means the encoder is
 pushed to *maximize* domain-posterior entropy (an uninformative subject
 posterior, i.e. low mutual information between features and subject)
-while the head stays confident. Setting ``LossWeights.literal_mi_sign``
-instead evaluates the entropy on a parallel branch that bypasses the
-reversal layer, so every parameter descends the entropy term as written;
-this sharpens domain predictions and exists for comparison only.
+while the head stays confident.
 """
 
 from __future__ import annotations
@@ -35,16 +32,17 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import autodiff as ad
-from .datamodel import Epoch, EpochSet
+from .datamodel import Epoch
 from .errors import ValidationError
 from .isbcs import SwapConfig, isbcs_augment_batch
-from .metrics import confusion, macro_metrics
+from .metrics import ConfusionMatrix, confusion, macro_metrics
 from .model import EncoderConfig, SafModel
 from .textio import write_csv
 
 TRAIN_LOG_HEADER = ["epoch", "l_task", "l_domain", "l_mi", "l_total", "lr",
                     "val_macro_acc"]
 GRID_TABLE_HEADER = ["lambda_mi", "lambda_grl", "val_macro_acc"]
+EVAL_BATCH = 256
 
 
 @dataclass(frozen=True)
@@ -53,7 +51,6 @@ class LossWeights:
 
     lambda_mi: float = 0.0
     lambda_grl: float = 0.0
-    literal_mi_sign: bool = False
 
     def __post_init__(self):
         for name in ("lambda_mi", "lambda_grl"):
@@ -129,12 +126,6 @@ def write_train_log(log: TrainLog, path: str) -> None:
     write_csv(path, TRAIN_LOG_HEADER, rows)
 
 
-def _domain_head(model: SafModel, zin: ad.Tensor) -> ad.Tensor:
-    p = model.params
-    hidden = ad.elu(ad.linear(zin, p["dom1_w"], p["dom1_b"]))
-    return ad.linear(hidden, p["dom2_w"], p["dom2_b"])
-
-
 def compute_losses(x, y, subject_index, model: SafModel, weights: LossWeights,
                    mode: str = "train", rng=None):
     """Forward pass and the three loss terms on one batch.
@@ -158,10 +149,7 @@ def compute_losses(x, y, subject_index, model: SafModel, weights: LossWeights,
         z, lambda_grl=weights.lambda_grl)
     l_task = ad.softmax_cross_entropy(task_logits, np.asarray(y))
     l_domain = ad.softmax_cross_entropy(domain_logits, s)
-    if weights.literal_mi_sign:
-        l_mi = ad.entropy_of_softmax(_domain_head(model, z))
-    else:
-        l_mi = ad.entropy_of_softmax(domain_logits)
+    l_mi = ad.entropy_of_softmax(domain_logits)
     l_total = l_task + ad.Tensor(np.asarray(weights.lambda_mi,
                                             dtype=l_mi.data.dtype)) * l_mi
     l_total = l_total + ad.scale_value_only(l_domain, weights.lambda_grl)
@@ -243,31 +231,20 @@ def early_stop_check(history, cfg: TrainConfig) -> bool:
     return _tail_stagnation(history, cfg.improvement_eps) >= cfg.patience
 
 
-def _as_epochs(data) -> list[Epoch]:
-    if isinstance(data, EpochSet):
-        return list(data.epochs)
-    return list(data)
-
-
-def _batch_arrays(epochs: list[Epoch], subject_map: dict[str, int]):
-    x = np.stack([ep.x for ep in epochs])[:, None, :, :]
-    y = np.array([ep.y for ep in epochs], dtype=np.int64)
-    s = np.array([subject_map[ep.s] for ep in epochs], dtype=np.int64)
-    return x, y, s
-
-
-def evaluate_macro_accuracy(model: SafModel, epochs: list[Epoch],
-                            batch_size: int = 256) -> float:
-    """Task-head macro-accuracy over the given epochs, eval mode."""
+def eval_confusion(model: SafModel, epochs: list[Epoch]) -> ConfusionMatrix:
+    """Task-head confusion matrix over the given epochs, eval mode."""
     if not epochs:
         raise ValidationError("cannot evaluate an empty epoch list")
     preds = []
-    for start in range(0, len(epochs), batch_size):
-        chunk = epochs[start:start + batch_size]
-        x = np.stack([ep.x for ep in chunk])[:, None, :, :]
-        preds.extend(model.predict(x).tolist())
-    y_true = [ep.y for ep in epochs]
-    return macro_metrics(confusion(y_true, preds))[0]
+    for start in range(0, len(epochs), EVAL_BATCH):
+        x = np.stack([ep.x for ep in epochs[start:start + EVAL_BATCH]])
+        preds.extend(model.predict(x[:, None]).tolist())
+    return confusion([ep.y for ep in epochs], preds)
+
+
+def evaluate_macro_accuracy(model: SafModel, epochs: list[Epoch]) -> float:
+    """Task-head macro-accuracy over the given epochs, eval mode."""
+    return macro_metrics(eval_confusion(model, epochs))[0]
 
 
 def _snapshot(model: SafModel):
@@ -294,13 +271,13 @@ def fit(train_data, val_data, model: SafModel, cfg: TrainConfig,
     trajectory of a plain classifier loop that never touches the swap
     stream. The model is updated in place.
     """
-    train_epochs = _as_epochs(train_data)
-    val_epochs = _as_epochs(val_data)
-    if not train_epochs or not val_epochs:
+    if not train_data or not val_data:
         raise ValidationError("train and validation sets must be non-empty")
 
-    subjects = sorted({ep.s for ep in train_epochs})
+    subjects = sorted({ep.s for ep in train_data})
     subject_map = {s: i for i, s in enumerate(subjects)}
+    labels = np.array([ep.y for ep in train_data], dtype=np.int64)
+    domains = np.array([subject_map[ep.s] for ep in train_data], dtype=np.int64)
     if model.num_domains != len(subjects):
         raise ValidationError(
             f"model has {model.num_domains} domain outputs but the training "
@@ -324,27 +301,28 @@ def fit(train_data, val_data, model: SafModel, cfg: TrainConfig,
     best_snap = _snapshot(model)
     best_epoch = 0
 
-    n = len(train_epochs)
+    n = len(train_data)
     for epoch in range(1, cfg.max_epochs + 1):
         lr_used = sched.lr
         order = shuffle_rng.permutation(n)
         sums = np.zeros(4)
         seen = 0
         for start in range(0, n, cfg.batch_size):
-            batch = [train_epochs[i] for i in order[start:start + cfg.batch_size]]
-            batch, _ = isbcs_augment_batch(batch, cfg.swap, swap_rng)
-            x, y, s = _batch_arrays(batch, subject_map)
+            idx = order[start:start + cfg.batch_size]
+            x, _ = isbcs_augment_batch([train_data[i] for i in idx], cfg.swap,
+                                       swap_rng)
             model.zero_grad()
             l_task, l_domain, l_mi, l_total = compute_losses(
-                x, y, s, model, weights, mode="train", rng=dropout_rng)
+                x, labels[idx], domains[idx], model, weights, mode="train",
+                rng=dropout_rng)
             l_total.backward()
             adam_step(model.params, adam, lr_used)
-            b = len(batch)
+            b = len(idx)
             sums += b * np.array([float(l_task.data), float(l_domain.data),
                                   float(l_mi.data), float(l_total.data)])
             seen += b
 
-        val_acc = evaluate_macro_accuracy(model, val_epochs)
+        val_acc = evaluate_macro_accuracy(model, val_data)
         history.append(val_acc)
         means = sums / seen
         log.records.append(EpochRecord(
@@ -380,8 +358,7 @@ def make_lambda_grid(lo: float = 0.001, hi: float = 10.0, n: int = 10) -> list[f
 def _grid_cell(args):
     (i, j, lam_mi, lam_grl, train_epochs, val_epochs, enc_cfg, cell_cfg,
      num_domains, model_seed) = args
-    model = SafModel(enc_cfg, num_domains=num_domains, grl_lambda=lam_grl,
-                     seed=model_seed)
+    model = SafModel(enc_cfg, num_domains=num_domains, seed=model_seed)
     _, log = fit(train_epochs, val_epochs, model, cell_cfg,
                  LossWeights(lambda_mi=lam_mi, lambda_grl=lam_grl))
     return i, j, max(log.val_accuracies)
@@ -400,9 +377,7 @@ def grid_search(train_data, val_data, enc_cfg: EncoderConfig, cfg: TrainConfig,
     """
     grid_mi = make_lambda_grid(n=n_mi)
     grid_grl = make_lambda_grid(n=n_grl)
-    train_epochs = _as_epochs(train_data)
-    val_epochs = _as_epochs(val_data)
-    num_domains = len({ep.s for ep in train_epochs})
+    num_domains = len({ep.s for ep in train_data})
 
     tasks = []
     for i, lam_mi in enumerate(grid_mi):
@@ -411,7 +386,7 @@ def grid_search(train_data, val_data, enc_cfg: EncoderConfig, cfg: TrainConfig,
             cell_cfg = replace(cfg, max_epochs=budget_epochs,
                                min_epochs=min(cfg.min_epochs, budget_epochs),
                                seed=int(state[0]))
-            tasks.append((i, j, lam_mi, lam_grl, train_epochs, val_epochs,
+            tasks.append((i, j, lam_mi, lam_grl, train_data, val_data,
                           enc_cfg, cell_cfg, num_domains, int(state[1])))
 
     if jobs > 1:

@@ -29,7 +29,13 @@ from safnet.asr import AsrConfig, AsrModel, asr_apply, asr_fit, select_calibrati
 from safnet.autodiff import Tensor
 from safnet.cli import main
 from safnet.datamodel import Recording, write_recording
-from safnet.dsp import PipelineConfig, bandpass, notch, preprocess_pipeline, resample
+from safnet.dsp import (
+    PipelineConfig,
+    bandpass,
+    filter_recording,
+    notch,
+    preprocess_pipeline,
+)
 from safnet.isbcs import SwapConfig, isbcs_augment_batch
 from safnet.metrics import (
     BandDefinition,
@@ -257,7 +263,7 @@ class TestCriterion3Autodiff:
 
         # full model, every parameter, sampled entries
         model = SafModel(EncoderConfig(C=4, M=64, fs=32.0), num_domains=3,
-                         grl_lambda=0.8, seed=0, dtype=np.float64)
+                         seed=0, dtype=np.float64)
         x = rng.standard_normal((3, 1, 4, 64))
         y, s = np.array([0, 1, 0]), np.array([0, 2, 1])
         model.zero_grad()
@@ -305,8 +311,7 @@ def _make_epochs(n, channels, samples, rng, subjects=4, classes=2):
     from safnet.datamodel import Epoch
     return [Epoch(x=rng.standard_normal((channels, samples)).astype(np.float32),
                   y=i % classes, s=f"s{i % subjects:02d}",
-                  sample_rate_hz=float(samples),
-                  subject_index=i % subjects)
+                  sample_rate_hz=float(samples))
             for i in range(n)]
 
 
@@ -316,29 +321,30 @@ class TestCriterion4Isbcs:
         rng = np.random.default_rng(4)
         batch = _make_epochs(64, 6, 32, rng)
 
-        out0, _ = isbcs_augment_batch(batch, SwapConfig(p=0.0),
-                                      np.random.default_rng(0))
-        identity = all(np.array_equal(a.x, b.x) for a, b in zip(out0, batch))
+        # row i of the augmented batch keeps batch[i]'s label and subject
+        x0, _ = isbcs_augment_batch(batch, SwapConfig(p=0.0),
+                                    np.random.default_rng(0))
+        identity = all(np.array_equal(row, ep.x) for row, ep in zip(x0, batch))
 
-        out1, recs1 = isbcs_augment_batch(batch, SwapConfig(p=1.0),
-                                          np.random.default_rng(1))
+        x1, recs1 = isbcs_augment_batch(batch, SwapConfig(p=1.0),
+                                        np.random.default_rng(1))
         full_exchange = all(
             rec.pair[0] == rec.pair[1] or (
                 bool(rec.swapped_channels.all())
-                and np.array_equal(out1[rec.pair[0]].x, batch[rec.pair[1]].x)
-                and np.array_equal(out1[rec.pair[1]].x, batch[rec.pair[0]].x))
+                and np.array_equal(x1[rec.pair[0]], batch[rec.pair[1]].x)
+                and np.array_equal(x1[rec.pair[1]], batch[rec.pair[0]].x))
             for rec in recs1)
 
-        outh, _ = isbcs_augment_batch(batch, SwapConfig(p=0.5),
-                                      np.random.default_rng(2))
-        labels_kept = (sorted(ep.y for ep in outh)
-                       == sorted(ep.y for ep in batch))
+        xh, recsh = isbcs_augment_batch(batch, SwapConfig(p=0.5),
+                                        np.random.default_rng(2))
+        labels_kept = all(batch[rec.pair[0]].y == batch[rec.pair[1]].y
+                          for rec in recsh)
         conserved = True
         for cls in (0, 1):
             before = sorted(ep.x[c].tobytes() for ep in batch if ep.y == cls
                             for c in range(6))
-            after = sorted(ep.x[c].tobytes() for ep in outh if ep.y == cls
-                           for c in range(6))
+            after = sorted(xh[i, c].tobytes() for i, ep in enumerate(batch)
+                           if ep.y == cls for c in range(6))
             conserved &= before == after
 
         mc_batch = _make_epochs(20000, 8, 4, np.random.default_rng(5),
@@ -491,8 +497,7 @@ def benchmark_epochs(gen_seed, bias_strength):
     epochs = []
     for j in range(cfg.subjects):
         rec0 = generate_subject_recording(cfg, j, 0)
-        calib = notch(bandpass(resample(rec0, BENCH_PIPE.target_rate_hz),
-                               BENCH_PIPE), BENCH_PIPE)
+        calib = filter_recording(rec0, BENCH_PIPE)
         asr_model = asr_fit(select_calibration(calib, BENCH_ASR), BENCH_ASR)
         for y in range(2):
             rec = rec0 if y == 0 else generate_subject_recording(cfg, j, y)
@@ -534,9 +539,8 @@ class TestCriterion7SwapFstat:
             raw_fs.append(f_statistic(feats, [ep.s for ep in epochs]))
             augmented, _ = isbcs_augment_batch(epochs, SwapConfig(p=0.5),
                                                np.random.default_rng(seed))
-            feats = log_band_power_features([ep.x for ep in augmented], 128.0,
-                                            bands)
-            aug_fs.append(f_statistic(feats, [ep.s for ep in augmented]))
+            feats = log_band_power_features(augmented, 128.0, bands)
+            aug_fs.append(f_statistic(feats, [ep.s for ep in epochs]))
         ratio = float(np.mean(aug_fs) / np.mean(raw_fs))
         elapsed = time.monotonic() - t0
 
@@ -557,8 +561,7 @@ def _run_config(train_eps, val_eps, test_eps, p, lam_mi, lam_grl, seed):
     weights = LossWeights(lambda_mi=lam_mi, lambda_grl=lam_grl)
     enc = EncoderConfig(C=train_eps[0].channels, M=train_eps[0].samples,
                         fs=train_eps[0].sample_rate_hz)
-    model = SafModel(enc, num_domains=BENCH_SUBJECTS - 1, grl_lambda=lam_grl,
-                     seed=seed)
+    model = SafModel(enc, num_domains=BENCH_SUBJECTS - 1, seed=seed)
     model, _ = fit(train_eps, val_eps, model, cfg, weights)
     return evaluate_macro_accuracy(model, test_eps)
 

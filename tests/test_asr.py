@@ -6,13 +6,11 @@ from safnet.asr import (
     AsrModel,
     asr_apply,
     asr_fit,
-    read_asr_model,
     select_calibration,
-    write_asr_model,
 )
 from safnet.datamodel import Recording
 from safnet.dsp import PipelineConfig, bandpass, notch, preprocess_pipeline
-from safnet.errors import FormatError, ValidationError
+from safnet.errors import ValidationError
 
 
 def noise_rec(c, seconds, fs, seed, mix=None):
@@ -169,33 +167,6 @@ class TestAsrApply:
         _, model = self.fit_on_noise(c=4)
         with pytest.raises(ValidationError):
             asr_apply(noise_rec(5, 2, 256, 1), model, self.cfg)
-
-
-class TestSerialization:
-    def test_round_trip_bit_exact(self, tmp_path):
-        calib = noise_rec(6, 40, 128, 12)
-        model = asr_fit(calib, AsrConfig())
-        path = str(tmp_path / "m.asr")
-        write_asr_model(model, path)
-        back = read_asr_model(path)
-        assert back.channels == 6
-        assert np.array_equal(back.mixing_M, model.mixing_M)
-        assert np.array_equal(back.threshold_T, model.threshold_T)
-
-    def test_bad_magic(self, tmp_path):
-        p = tmp_path / "x.asr"
-        p.write_bytes(b"NOPE" + b"\x00" * 20)
-        with pytest.raises(FormatError):
-            read_asr_model(str(p))
-
-    def test_truncated(self, tmp_path):
-        calib = noise_rec(3, 40, 128, 13)
-        model = asr_fit(calib, AsrConfig())
-        path = tmp_path / "m.asr"
-        write_asr_model(model, str(path))
-        path.write_bytes(path.read_bytes()[:-4])
-        with pytest.raises(FormatError):
-            read_asr_model(str(path))
 
 
 class TestPipelineIntegration:

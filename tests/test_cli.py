@@ -103,16 +103,6 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             load_cli_config(path)
 
-    def test_bool_values(self, tmp_path):
-        for token, expected in (("yes", True), ("off", False), ("1", True)):
-            path = write_config(tmp_path / "c.ini",
-                                f"[swap]\nkeep_originals = {token}\n")
-            assert load_cli_config(path).swap.keep_originals is expected
-        path = write_config(tmp_path / "c.ini",
-                            "[swap]\nkeep_originals = maybe\n")
-        with pytest.raises(ConfigError):
-            load_cli_config(path)
-
     def test_class_signature_pair(self, tmp_path):
         path = write_config(
             tmp_path / "c.ini",
@@ -154,6 +144,15 @@ class TestExitCodes:
         code = main(["synth", "--config", path,
                      "--out", str(tmp_path / "d")])
         assert code == 1
+
+    @pytest.mark.parametrize("line", ["seed = 3", "keep_originals = true"])
+    def test_removed_swap_key_is_validation_error(self, tmp_path, line, capsys):
+        """[swap] holds only p: the swap stream is seeded from [train] seed."""
+        path = write_config(tmp_path / "c.ini", f"[swap]\np = 0.5\n{line}\n")
+        code = main(["synth", "--config", path, "--out", str(tmp_path / "d")])
+        assert code == 1
+        assert "unknown key" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "d")
 
     def test_missing_required_flag_is_usage_error(self):
         assert main(["train"]) == 1

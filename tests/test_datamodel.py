@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _corruption import check_reader, corruptions, valid_blob
 from safnet.datamodel import (
     Epoch,
     EpochSet,
@@ -149,59 +150,27 @@ class TestSafr:
             read_recording(str(path))
 
 
-def _valid_blob(writer, value):
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "blob")
-        writer(value, path)
-        with open(path, "rb") as fh:
-            return fh.read()
-
-
-NDF_BLOB = _valid_blob(write_ndf, Epoch(
+NDF_BLOB = valid_blob(write_ndf, Epoch(
     x=np.array([[0.5, -1.0, 2.0], [3.0, 0.0, -0.25]], dtype=np.float32), y=1,
     s="s\u00e91", sample_rate_hz=128.0))
-SAFR_BLOB = _valid_blob(write_recording, Recording(
+SAFR_BLOB = valid_blob(write_recording, Recording(
     data=np.array([[0.5, -1.0, 2.0], [3.0, 0.0, -0.25]]), sample_rate_hz=256.0,
     channel_names=("Fz", "C\u00e93")))
-
-
-@st.composite
-def corruptions(draw, blob):
-    """A strict prefix of blob, or blob with one byte XORed by a non-zero mask."""
-    if draw(st.booleans()):
-        return blob[:draw(st.integers(0, len(blob) - 1))], True
-    pos = draw(st.integers(0, len(blob) - 1))
-    flipped = bytearray(blob)
-    flipped[pos] ^= draw(st.integers(1, 255))
-    return bytes(flipped), False
 
 
 class TestCorruptContainers:
     """Every truncation and single-byte flip of a valid container either
     reads back or raises FormatError; truncations always raise it."""
 
-    @staticmethod
-    def check(reader, corruption):
-        blob, truncated = corruption
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "blob")
-            with open(path, "wb") as fh:
-                fh.write(blob)
-            try:
-                reader(path)
-            except FormatError:
-                return
-        assert not truncated, "a truncated container was accepted"
-
     @settings(max_examples=400, deadline=None)
     @given(corruptions(NDF_BLOB))
     def test_ndf(self, corruption):
-        self.check(read_ndf, corruption)
+        check_reader(read_ndf, corruption)
 
     @settings(max_examples=400, deadline=None)
     @given(corruptions(SAFR_BLOB))
     def test_safr(self, corruption):
-        self.check(read_recording, corruption)
+        check_reader(read_recording, corruption)
 
 
 def write_set(tmp_path, rows):
@@ -220,8 +189,8 @@ class TestManifest:
     def test_subject_index_sorted(self, tmp_path):
         mpath = write_set(tmp_path, [("b", 0, "train"), ("a", 1, "train")])
         _, eset = load_manifest(mpath)
-        by_subject = {ep.s: ep.subject_index for ep in eset.epochs}
-        assert by_subject == {"a": 0, "b": 1}
+        assert eset.subjects == ["a", "b"]
+        assert [ep.s for ep in eset.epochs] == ["b", "a"]  # row order kept
 
     def test_class_out_of_range(self, tmp_path):
         mpath = write_set(tmp_path, [("a", 0, "train")])
@@ -242,14 +211,6 @@ class TestManifest:
         mpath.write_text("file,subj,cls,split\n")
         with pytest.raises(ParseError):
             load_manifest(str(mpath))
-
-    def test_per_subject_counts(self, tmp_path):
-        rows = [("a", 0, "train"), ("a", 1, "train"), ("a", 0, "val"),
-                ("b", 1, "train"), ("b", 0, "test"), ("c", 1, "none")]
-        mpath = write_set(tmp_path, rows)
-        _, eset = load_manifest(mpath)
-        assert eset.per_subject_counts == {"a": 3, "b": 2, "c": 1}
-        assert sum(eset.per_subject_counts.values()) == len(eset)
 
     def test_relative_paths_resolve_from_manifest_dir(self, tmp_path):
         sub = tmp_path / "data"
@@ -302,10 +263,7 @@ class TestSubjectIndex:
         eps = [make_epoch(s=s, seed=i) for i, s in enumerate(["c", "a", "b", "a"])]
         fwd = EpochSet(epochs=list(eps))
         rev = EpochSet(epochs=list(reversed(eps)))
-        fwd_map = {ep.s: ep.subject_index for ep in fwd.epochs}
-        rev_map = {ep.s: ep.subject_index for ep in rev.epochs}
-        assert fwd_map == rev_map == {"a": 0, "b": 1, "c": 2}
-        assert sorted(fwd_map.values()) == [0, 1, 2]
+        assert fwd.subjects == rev.subjects == ["a", "b", "c"]
 
 
 class TestSplitDataset:

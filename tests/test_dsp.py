@@ -50,11 +50,11 @@ class TestBiquadCascade:
     def test_unstable_section_rejected(self):
         # poles at 1.5 and 1.0
         with pytest.raises(ValidationError):
-            BiquadCascade(sections=((1.0, 0.0, 0.0, -2.5, 1.5),))
+            BiquadCascade(sos=np.array([[1.0, 0.0, 0.0, 1.0, -2.5, 1.5]]))
 
     def test_designed_bandpass_stable(self):
         cascade = design_bandpass(PipelineConfig())
-        assert len(cascade.sections) == 2  # 4th-order filter = 2 biquads
+        assert cascade.sos.shape == (2, 6)  # 4th-order filter = 2 biquads
 
 
 class TestResample:

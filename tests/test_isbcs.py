@@ -3,13 +3,13 @@ import pytest
 
 from safnet.datamodel import Epoch
 from safnet.errors import ValidationError
-from safnet.isbcs import SwapConfig, isbcs_augment_batch, pair_by_class
+from safnet.isbcs import SwapConfig, SwapRecord, isbcs_augment_batch, pair_by_class
 
 
-def make_epoch(c=15, m=8, y=0, s="s0", idx=0, seed=0):
+def make_epoch(c=15, m=8, y=0, s="s0", seed=0):
     rng = np.random.default_rng(seed)
     return Epoch(x=rng.standard_normal((c, m)).astype(np.float32), y=y, s=s,
-                 sample_rate_hz=128.0, subject_index=idx)
+                 sample_rate_hz=128.0)
 
 
 def make_batch(n, c=15, m=8, classes=(0, 1)):
@@ -48,26 +48,26 @@ class TestPairByClass:
 class TestAugment:
     def test_p0_identity(self):
         batch = make_batch(8)
-        out, records = isbcs_augment_batch(batch, SwapConfig(p=0.0),
-                                           np.random.default_rng(0))
-        assert len(out) == 8
-        for before, after in zip(batch, out):
-            assert np.array_equal(before.x, after.x)
-            assert (before.y, before.s, before.subject_index) == \
-                   (after.y, after.s, after.subject_index)
+        x, records = isbcs_augment_batch(batch, SwapConfig(p=0.0),
+                                         np.random.default_rng(0))
+        assert x.shape == (8, 15, 8) and x.dtype == np.float32
+        assert np.array_equal(x, np.stack([ep.x for ep in batch]))
         assert all(not r.swapped_channels.any() for r in records)
 
     def test_p1_full_exchange(self):
-        a = make_epoch(y=0, s="a", idx=0, seed=1)
-        b = make_epoch(y=0, s="b", idx=1, seed=2)
-        out, records = isbcs_augment_batch([a, b], SwapConfig(p=1.0),
-                                           np.random.default_rng(5))
-        assert np.array_equal(out[0].x, b.x)
-        assert np.array_equal(out[1].x, a.x)
-        assert out[0].y == 0 and out[1].y == 0
-        assert out[0].s == "a" and out[1].s == "b"  # identity follows the base sample
-        assert out[0].subject_index == 0 and out[1].subject_index == 1
+        a = make_epoch(y=0, s="a", seed=1)
+        b = make_epoch(y=0, s="b", seed=2)
+        x, records = isbcs_augment_batch([a, b], SwapConfig(p=1.0),
+                                         np.random.default_rng(5))
+        assert np.array_equal(x[0], b.x)
+        assert np.array_equal(x[1], a.x)
         assert len(records) == 1 and records[0].swapped_channels.all()
+
+    def test_inputs_untouched(self):
+        batch = make_batch(6)
+        before = [ep.x.copy() for ep in batch]
+        isbcs_augment_batch(batch, SwapConfig(p=1.0), np.random.default_rng(3))
+        assert all(np.array_equal(ep.x, b) for ep, b in zip(batch, before))
 
     def test_p05_swap_fraction(self):
         c, n_pairs = 15, 10000
@@ -80,61 +80,108 @@ class TestAugment:
         assert 0.49 <= frac <= 0.51
 
     def test_label_multiset_preserved(self):
+        """Row i keeps batch[i]'s label, so every channel in it must come
+        from a sample of that class."""
         batch = make_batch(17)
-        out, _ = isbcs_augment_batch(batch, SwapConfig(p=0.7),
-                                     np.random.default_rng(7))
-        assert sorted(ep.y for ep in out) == sorted(ep.y for ep in batch)
+        x, records = isbcs_augment_batch(batch, SwapConfig(p=0.7),
+                                         np.random.default_rng(7))
+        for r in records:
+            assert batch[r.pair[0]].y == batch[r.pair[1]].y
+        for i, ep in enumerate(batch):
+            for ch in range(ep.channels):
+                sources = [j for j, other in enumerate(batch)
+                           if np.array_equal(other.x[ch], x[i, ch])]
+                assert any(batch[j].y == ep.y for j in sources)
 
     def test_channel_conservation_within_class(self):
         batch = make_batch(12)
-        out, _ = isbcs_augment_batch(batch, SwapConfig(p=0.5),
-                                     np.random.default_rng(8))
+        x, _ = isbcs_augment_batch(batch, SwapConfig(p=0.5),
+                                   np.random.default_rng(8))
         for y in (0, 1):
             before = sorted(ep.x[ch].tobytes() for ep in batch if ep.y == y
                             for ch in range(ep.channels))
-            after = sorted(ep.x[ch].tobytes() for ep in out if ep.y == y
-                           for ch in range(ep.channels))
+            after = sorted(x[i, ch].tobytes() for i, ep in enumerate(batch)
+                           if ep.y == y for ch in range(ep.channels))
             assert before == after
 
     def test_determinism(self):
         batch = make_batch(10)
-        out1, rec1 = isbcs_augment_batch(batch, SwapConfig(p=0.5),
-                                         np.random.default_rng(9))
-        out2, rec2 = isbcs_augment_batch(batch, SwapConfig(p=0.5),
-                                         np.random.default_rng(9))
-        for a, b in zip(out1, out2):
-            assert np.array_equal(a.x, b.x)
+        x1, rec1 = isbcs_augment_batch(batch, SwapConfig(p=0.5),
+                                       np.random.default_rng(9))
+        x2, rec2 = isbcs_augment_batch(batch, SwapConfig(p=0.5),
+                                       np.random.default_rng(9))
+        assert np.array_equal(x1, x2)
         for r1, r2 in zip(rec1, rec2):
             assert r1.pair == r2.pair
             assert np.array_equal(r1.swapped_channels, r2.swapped_channels)
 
     def test_empty_batch(self):
-        assert isbcs_augment_batch([], SwapConfig(), np.random.default_rng(0)) == ([], [])
+        with pytest.raises(ValidationError):
+            isbcs_augment_batch([], SwapConfig(), np.random.default_rng(0))
 
     def test_mixed_shapes_rejected(self):
         batch = [make_epoch(c=4), make_epoch(c=5)]
         with pytest.raises(ValidationError):
             isbcs_augment_batch(batch, SwapConfig(), np.random.default_rng(0))
 
-    def test_keep_originals(self):
-        batch = make_batch(6)
-        out, _ = isbcs_augment_batch(batch, SwapConfig(p=1.0, keep_originals=True),
-                                     np.random.default_rng(10))
-        assert len(out) == 12
-        for orig, tail in zip(batch, out[6:]):
-            assert np.array_equal(orig.x, tail.x)
-
     def test_singleton_stratum_record(self):
         batch = [make_epoch(y=0, seed=1), make_epoch(y=0, seed=2),
                  make_epoch(y=1, seed=3)]
-        out, records = isbcs_augment_batch(batch, SwapConfig(p=1.0),
-                                           np.random.default_rng(11))
+        x, records = isbcs_augment_batch(batch, SwapConfig(p=1.0),
+                                         np.random.default_rng(11))
         singles = [r for r in records if r.pair[0] == r.pair[1]]
         assert len(singles) == 1
         assert singles[0].pair == (2, 2)
         assert not singles[0].swapped_channels.any()
-        assert np.array_equal(out[2].x, batch[2].x)
+        assert np.array_equal(x[2], batch[2].x)
 
     def test_bad_probability(self):
         with pytest.raises(ValidationError):
             SwapConfig(p=1.5)
+
+
+def reference_augment(batch, p, rng):
+    """Per-pair swap: one mask draw of C values and one exchange per pair."""
+    c = batch[0].channels
+    xs = [ep.x.copy() for ep in batch]
+    records, paired = [], set()
+    for a, b in pair_by_class([ep.y for ep in batch], rng):
+        mask = rng.random(c) < p
+        xa = xs[a][mask].copy()
+        xs[a][mask] = xs[b][mask]
+        xs[b][mask] = xa
+        records.append(SwapRecord(pair=(a, b), swapped_channels=mask))
+        paired.update((a, b))
+    for i in range(len(batch)):
+        if i not in paired:
+            records.append(SwapRecord(pair=(i, i),
+                                      swapped_channels=np.zeros(c, dtype=bool)))
+    return np.stack(xs), records
+
+
+class TestReferenceEquivalence:
+    """The vectorised swap against the per-pair loop, bit for bit, including
+    the state the generator is left in."""
+
+    BATCHES = {
+        "even": [0, 1] * 16,
+        "odd_classes": [0] * 7 + [1] * 5,
+        "singleton_class": [0] * 6 + [1],
+        "one_sample": [1],
+        "no_partners": [0, 1],
+    }
+
+    @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("labels", sorted(BATCHES))
+    def test_matches_per_pair_loop(self, p, labels):
+        batch = [make_epoch(c=6, m=16, y=y, s=f"s{i % 3}", seed=200 + i)
+                 for i, y in enumerate(self.BATCHES[labels])]
+        rng_vec, rng_ref = np.random.default_rng(42), np.random.default_rng(42)
+        x, records = isbcs_augment_batch(batch, SwapConfig(p=p), rng_vec)
+        x_ref, records_ref = reference_augment(batch, p, rng_ref)
+        assert x.dtype == x_ref.dtype and x.tobytes() == x_ref.tobytes()
+        assert [r.pair for r in records] == [r.pair for r in records_ref]
+        for r, ref in zip(records, records_ref):
+            assert r.swapped_channels.dtype == bool
+            assert np.array_equal(r.swapped_channels, ref.swapped_channels)
+        assert rng_vec.random() == rng_ref.random()

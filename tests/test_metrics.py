@@ -10,7 +10,7 @@ from safnet.metrics import (
     coefficient_of_variation,
     confusion,
     f_statistic,
-    iqr_filter,
+    iqr_row_mask,
     macro_metrics,
     silhouette,
     welch_psd,
@@ -354,17 +354,22 @@ class TestFeatureHelpers:
 
 
 class TestIqrFilter:
+    """The fence rule of iqr_row_mask on a single feature column."""
+
+    @staticmethod
+    def kept(values):
+        values = np.asarray(values, dtype=float)
+        return values[iqr_row_mask(values[:, None])]
+
     def test_outlier_removed(self):
         values = np.array([1, 2, 3, 4, 5, 6, 7, 8, 9, 100], dtype=float)
-        kept = iqr_filter(values)
-        assert sorted(kept) == list(range(1, 10))
+        assert sorted(self.kept(values)) == list(range(1, 10))
 
     def test_all_equal_retained(self):
-        kept = iqr_filter(np.full(6, 2.5))
-        assert len(kept) == 6
+        assert len(self.kept(np.full(6, 2.5))) == 6
 
     def test_zero_iqr_keeps_only_quartile_value(self):
-        kept = iqr_filter(np.array([1.0, 5.0, 5.0, 5.0, 5.0, 9.0]))
+        kept = self.kept(np.array([1.0, 5.0, 5.0, 5.0, 5.0, 9.0]))
         assert sorted(kept) == [5.0, 5.0, 5.0, 5.0]
 
     def test_clean_uniform_mostly_retained(self):
@@ -372,9 +377,9 @@ class TestIqrFilter:
         rates = []
         for _ in range(20):
             values = rng.uniform(0, 1, 200)
-            rates.append(len(iqr_filter(values)) / 200)
+            rates.append(len(self.kept(values)) / 200)
         assert np.mean(rates) >= 0.95
 
     def test_too_few_values(self):
         with pytest.raises(ValidationError):
-            iqr_filter([1.0, 2.0, 3.0])
+            self.kept([1.0, 2.0, 3.0])

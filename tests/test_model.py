@@ -1,16 +1,21 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+from _corruption import check_reader, corruptions, valid_blob
 from _gradcheck import max_relative_error, numeric_gradient, sample_indices
 from safnet import autodiff as ad
+from safnet import model as model_module
 from safnet.autodiff import Tensor
 from safnet.errors import FormatError, ValidationError
 from safnet.model import EncoderConfig, SafModel, load_checkpoint, save_checkpoint
 
 
-def small_model(dtype=np.float32, k=3, lam=0.8, seed=0):
+def small_model(dtype=np.float32, k=3, seed=0):
     cfg = EncoderConfig(C=4, M=64, fs=32.0)
-    return SafModel(cfg, num_domains=k, grl_lambda=lam, seed=seed, dtype=dtype)
+    return SafModel(cfg, num_domains=k, seed=seed, dtype=dtype)
 
 
 class TestArchitectureArithmetic:
@@ -118,7 +123,7 @@ class TestFullModelGradients:
             assert err < 1e-3, (name, err)
 
     def test_domain_gradient_sign_flips_through_grl(self):
-        model = small_model(dtype=np.float64, lam=1.0)
+        model = small_model(dtype=np.float64)
         rng = np.random.default_rng(10)
         x = rng.standard_normal((4, 1, 4, 64))
         s = np.array([0, 1, 2, 0])
@@ -140,13 +145,13 @@ class TestFullModelGradients:
         assert np.any(without != 0.0)
 
     def test_lambda_zero_blocks_domain_gradient_into_encoder(self):
-        model = small_model(dtype=np.float64, lam=0.0)
+        model = small_model(dtype=np.float64)
         rng = np.random.default_rng(11)
         x = rng.standard_normal((3, 1, 4, 64))
         s = np.array([0, 1, 2])
         model.zero_grad()
         z = model.encoder_forward(Tensor(x), mode="eval")
-        _, dom = model.heads_forward(z)
+        _, dom = model.heads_forward(z, 0.0)
         ad.softmax_cross_entropy(dom, s).backward()
         assert np.all(model.params["conv_temporal_w"].grad == 0.0)
         assert np.any(model.params["dom2_w"].grad != 0.0)
@@ -154,7 +159,7 @@ class TestFullModelGradients:
 
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
-        model = small_model(k=4, lam=2.084, seed=5)
+        model = small_model(k=4, seed=5)
         # push the running stats away from their init values
         x = np.random.default_rng(6).standard_normal((8, 1, 4, 64)).astype(np.float32)
         model.encoder_forward(x, mode="train", rng=np.random.default_rng(0))
@@ -163,7 +168,6 @@ class TestCheckpoint:
         back = load_checkpoint(path)
         assert back.cfg == model.cfg
         assert back.num_domains == 4
-        assert back.grl_lambda == 2.084
         for name in model.params:
             assert np.array_equal(back.params[name].data, model.params[name].data)
         for name in model.buffers:
@@ -201,3 +205,58 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(FormatError, match="trailing"):
             load_checkpoint(str(path))
+
+    def test_corrupt_header_checked_before_model_is_built(self, tmp_path,
+                                                          monkeypatch):
+        """A header asking for a huge model is rejected from the stored
+        shapes alone: M's high byte set makes the heads ~10^9 wide."""
+        path = tmp_path / "m.safm"
+        save_checkpoint(small_model(), str(path))
+        blob = bytearray(path.read_bytes())
+        blob[15] ^= 0x40  # high byte of M, after magic, version and C
+        path.write_bytes(bytes(blob))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("model built before the header was checked")
+
+        monkeypatch.setattr(model_module, "SafModel", refuse)
+        with pytest.raises(FormatError):
+            load_checkpoint(str(path))
+
+    def test_shape_product_beyond_any_buffer(self, tmp_path):
+        path = tmp_path / "m.safm"
+        save_checkpoint(small_model(), str(path))
+        blob = bytearray(path.read_bytes())
+        # first tensor: name length at 64, "conv_temporal_w", ndim, shape
+        assert blob[68:83] == b"conv_temporal_w"
+        struct.pack_into("<II", blob, 87, 0xFFFFFFFF, 0xFFFFFFFF)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError):
+            load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("fields", [
+        {48: ("<d", 2.0)},                     # dropout outside [0, 1)
+        {40: ("<I", 0)},                       # pool1 of zero
+        {36: ("<I", 0), 16: ("<d", np.inf)},   # kernel from an infinite rate
+    ])
+    def test_header_the_config_rejects(self, tmp_path, fields):
+        path = tmp_path / "m.safm"
+        save_checkpoint(small_model(), str(path))
+        blob = bytearray(path.read_bytes())
+        for offset, (fmt, value) in fields.items():
+            struct.pack_into(fmt, blob, offset, value)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="invalid model header"):
+            load_checkpoint(str(path))
+
+
+SAFM_BLOB = valid_blob(save_checkpoint, SafModel(
+    EncoderConfig(C=1, M=1, fs=2.0, F1=1, D=1, F2=1, pool1=1, pool2=1),
+    num_domains=1, seed=1))
+
+
+class TestCorruptCheckpoint:
+    @settings(max_examples=400, deadline=None)
+    @given(corruptions(SAFM_BLOB))
+    def test_truncation_raises_and_flip_reads_back_or_raises(self, corruption):
+        check_reader(load_checkpoint, corruption)

@@ -29,9 +29,8 @@ from safnet.train import (
 TINY = EncoderConfig(C=2, M=32, fs=16.0)
 
 
-def tiny_model(num_domains=2, grl_lambda=0.0, seed=0):
-    return SafModel(TINY, num_domains=num_domains, grl_lambda=grl_lambda,
-                    seed=seed)
+def tiny_model(num_domains=2, seed=0):
+    return SafModel(TINY, num_domains=num_domains, seed=seed)
 
 
 def make_epochs(n_per_cell, subjects=("s0", "s1"), seed=0, shift=1.5):
@@ -115,7 +114,7 @@ class TestComputeLosses:
         assert float(l_total.data) == float(l_task.data)
 
     def test_total_is_weighted_sum(self):
-        model = tiny_model(grl_lambda=2.0)
+        model = tiny_model()
         epochs = make_epochs(4)
         x, y, s = batch_arrays(epochs)
         w = LossWeights(lambda_mi=0.5, lambda_grl=2.0)
@@ -155,7 +154,7 @@ class TestComputeLosses:
         x, y, s = batch_arrays(epochs)
         grads = {}
         for lam in (1.0, 2.5):
-            model = tiny_model(grl_lambda=lam)
+            model = tiny_model()
             _, l_domain, _, _ = compute_losses(
                 x, y, s, model, LossWeights(lambda_grl=lam), mode="eval")
             l_domain.backward()
@@ -163,19 +162,25 @@ class TestComputeLosses:
         assert np.allclose(grads[2.5], 2.5 * grads[1.0], rtol=1e-4, atol=1e-9)
 
     def test_literal_mi_sign_reverses_encoder_entropy_gradient(self):
+        """The entropy term reaches the encoder through the reversal layer:
+        its gradient there is the negative of the literal-sign gradient,
+        taken through the same head without reversal (lambda 1 makes the
+        magnitudes equal)."""
         epochs = make_epochs(4)
         x, y, s = batch_arrays(epochs)
-        grads = {}
-        for literal in (False, True):
-            model = tiny_model(grl_lambda=1.0)
-            w = LossWeights(lambda_mi=1.0, lambda_grl=1.0,
-                            literal_mi_sign=literal)
-            _, _, l_mi, _ = compute_losses(x, y, s, model, w, mode="eval")
-            l_mi.backward()
-            grads[literal] = model.params["conv_temporal_w"].grad.copy()
-        # grl-routed entropy flips the encoder direction relative to the
-        # literal branch (lambda 1 makes the magnitudes equal)
-        assert np.allclose(grads[True], -grads[False], rtol=1e-4, atol=1e-9)
+        model = tiny_model()
+        w = LossWeights(lambda_mi=1.0, lambda_grl=1.0)
+        _, _, l_mi, _ = compute_losses(x, y, s, model, w, mode="eval")
+        l_mi.backward()
+        routed = model.params["conv_temporal_w"].grad.copy()
+
+        literal = tiny_model()
+        p = literal.params
+        z = literal.encoder_forward(x[:, None], mode="eval")
+        hidden = ad.elu(ad.linear(z, p["dom1_w"], p["dom1_b"]))
+        ad.entropy_of_softmax(ad.linear(hidden, p["dom2_w"], p["dom2_b"])).backward()
+        assert np.allclose(routed, -p["conv_temporal_w"].grad, rtol=1e-4, atol=1e-9)
+        assert np.any(routed != 0.0)
 
     def test_subject_index_out_of_range(self):
         model = tiny_model(num_domains=2)
@@ -378,7 +383,7 @@ class TestFit:
 
     def test_single_subject_adversary_warns(self):
         train = make_epochs(4, subjects=("solo",))
-        model = tiny_model(num_domains=1, grl_lambda=1.0)
+        model = tiny_model(num_domains=1)
         with pytest.warns(RuntimeWarning):
             fit(train, train, model, quick_cfg(max_epochs=1),
                 LossWeights(lambda_grl=1.0))
