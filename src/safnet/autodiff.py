@@ -6,15 +6,30 @@ gradients into every tensor that requires them. Ops preserve the input
 dtype, so the same graph runs in float32 for training and float64 for
 finite-difference verification.
 
-The two hottest ops of the encoder are matmul-shaped. temporal_conv
-multiplies the (F,K) kernels into a strided sliding-window view of the
-padded input, and its weight gradient multiplies the output gradient into
-the same view; both go through np.matmul, and so reach BLAS. The view
-costs no memory. No (B,C,M,K) im2col buffer is built or kept for backward:
-for a 256-epoch prediction batch it would take about 100 MB. batch_norm
-works on a (B,F,N) view. It takes its statistics with einsum reductions,
-normalises the centred copy in place, and builds the input gradient from
-the same two reductions that give the gamma and beta gradients.
+The encoder's training kernels are each a single-pass ufunc or an
+np.matmul that BLAS accepts: BLAS takes a matrix only when one of its
+strides is one element and the other spans at least a row.
+- depthwise_spatial_conv, pointwise_conv and the weight gradient of
+  temporal_conv reach BLAS. The weight gradient pads each (B,C) row to a
+  multiple of K samples, so that windows starting K samples apart never
+  overlap; for each of the K phases these windows form a read-only strided
+  matrix, and the output gradient is copied once into the matching phase
+  layout.
+- The temporal_conv forward multiplies the (F,K) kernels into a sliding-
+  window view of the padded input. Its rows start one sample apart, so
+  numpy runs its own matmul loop on it instead of BLAS. A polyphase forward
+  measured two to three times slower at the encoder's training shape,
+  because scattering its output back into time order costs more than the
+  GEMM saves. No (B,C,M,K) im2col buffer is built or kept: for a 256-epoch
+  prediction batch it would take about 100 MB.
+- elu uses np.maximum and one multiply instead of np.where, and
+  avg_pool_time adds the pool strided slices of a (..., n, pool) view
+  instead of taking a mean over the trailing axis; both avoided forms run
+  on numpy's slow paths, several times slower on the encoder's arrays.
+- batch_norm works on a (B,F,N) view. It takes its statistics with einsum
+  reductions, normalises the centred copy in place, and builds the input
+  gradient in one buffer from the two reductions that give the gamma and
+  beta gradients.
 """
 
 from __future__ import annotations
@@ -22,7 +37,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .errors import ValidationError
 
@@ -203,11 +218,15 @@ def tensor_mean(x: Tensor, axis=None, keepdims=False) -> Tensor:
 
 
 def elu(x: Tensor) -> Tensor:
+    # expm1(t) >= t, so the maximum picks x where x > 0 and expm1(x)
+    # elsewhere; neg is exactly 0 where x > 0, so neg + 1 is the derivative.
     neg = np.expm1(np.minimum(x.data, 0.0))
-    data = np.where(x.data > 0, x.data, neg)
+    data = np.maximum(x.data, neg)
 
     def grad_fn(g):
-        return (g * np.where(x.data > 0, 1.0, neg + 1.0).astype(x.data.dtype),)
+        gx = neg + 1.0
+        gx *= g
+        return (gx,)
 
     return _node(data, (x,), grad_fn)
 
@@ -230,9 +249,7 @@ def temporal_conv(x: Tensor, w: Tensor) -> Tensor:
         np.matmul(w.data, win.transpose(0, 1, 3, 2)).transpose(0, 2, 1, 3))
 
     def grad_fn(g):
-        gw = None
-        if w.requires_grad:
-            gw = np.matmul(g.transpose(0, 2, 1, 3), win).sum(axis=(0, 1))
+        gw = _temporal_conv_weight_grad(x.data, g, k) if w.requires_grad else None
         gx = None
         if _wants_grad(x):
             gxp = np.zeros_like(xp)
@@ -242,6 +259,38 @@ def temporal_conv(x: Tensor, w: Tensor) -> Tensor:
         return (gx, gw)
 
     return _node(data, (x, w), grad_fn)
+
+
+def _temporal_conv_weight_grad(x: np.ndarray, g: np.ndarray, k: int) -> np.ndarray:
+    """gw[f,i] = sum over b, c, t of g[b,f,c,t] * xpad[b,c,t+i], as K BLAS
+    products on a polyphase view of the padded input.
+
+    Each (B,C) row is zero-padded to L = (Q+1)K samples, Q = ceil(M/K), and
+    the rows are laid end to end. Output time t = qK + p is phase p of block
+    q. For phase p, the windows starting at p, p+K, p+2K, ... of the flat
+    buffer never overlap, so they form a (J,K) matrix with row stride K.
+    Window r(Q+1) + q starts at sample qK + p of row r. It meets a zero of
+    g's phase layout where t >= M, which covers block Q, the only windows
+    that run into the next row. The very last window, which would run past
+    the buffer, is left out.
+    """
+    b, _, c, m = x.shape
+    f = g.shape[1]
+    left = (k - 1) // 2
+    q = -(-m // k)
+    rows = b * c
+    xq = np.zeros((rows, (q + 1) * k), dtype=x.dtype)
+    xq[:, left:left + m] = x.reshape(rows, m)
+    j = rows * (q + 1) - 1
+    step = xq.itemsize
+    win = as_strided(xq, shape=(k, j, k), strides=(step, k * step, step),
+                     writeable=False)
+    gq = np.zeros((k, f, b, c, q + 1), dtype=g.dtype)
+    blocks = gq.transpose(2, 1, 3, 4, 0)  # (B,F,C,Q+1,K) view of gq
+    full = m // k
+    blocks[:, :, :, :full] = g[..., :full * k].reshape(b, f, c, full, k)
+    blocks[:, :, :, full, :m - full * k] = g[..., full * k:]
+    return np.matmul(gq.reshape(k, f, -1)[..., :j], win).sum(axis=0)
 
 
 def depthwise_temporal_conv(x: Tensor, w: Tensor) -> Tensor:
@@ -275,13 +324,14 @@ def depthwise_spatial_conv(x: Tensor, w: Tensor) -> Tensor:
     if fw != f or cw != c:
         raise ValidationError(f"kernel {w.data.shape} incompatible with input "
                               f"{x.data.shape}")
-    out4 = np.einsum("bfcm,fdc->bfdm", x.data, w.data)
-    data = out4.reshape(b, f * d, 1, m)
+    data = np.matmul(w.data, x.data).reshape(b, f * d, 1, m)  # (F,D,C)@(B,F,C,M)
 
     def grad_fn(g):
         g4 = g.reshape(b, f, d, m)
-        gw = np.einsum("bfcm,bfdm->fdc", x.data, g4) if w.requires_grad else None
-        gx = np.einsum("bfdm,fdc->bfcm", g4, w.data) if _wants_grad(x) else None
+        gw = None
+        if w.requires_grad:
+            gw = np.matmul(g4, x.data.transpose(0, 1, 3, 2)).sum(axis=0)
+        gx = np.matmul(w.data.transpose(0, 2, 1), g4) if _wants_grad(x) else None
         return (gx, gw)
 
     return _node(data, (x, w), grad_fn)
@@ -292,11 +342,17 @@ def pointwise_conv(x: Tensor, w: Tensor) -> Tensor:
     if w.data.shape[1] != x.data.shape[1]:
         raise ValidationError(f"pointwise kernel {w.data.shape} incompatible with "
                               f"input {x.data.shape}")
-    data = np.einsum("bfcm,of->bocm", x.data, w.data)
+    b, f, c, m = x.data.shape
+    o = w.data.shape[0]
+    x3 = x.data.reshape(b, f, c * m)
+    data = np.matmul(w.data, x3).reshape(b, o, c, m)
 
     def grad_fn(g):
-        gw = np.einsum("bfcm,bocm->of", x.data, g) if w.requires_grad else None
-        gx = np.einsum("bocm,of->bfcm", g, w.data) if _wants_grad(x) else None
+        g3 = g.reshape(b, o, c * m)
+        gw = None
+        if w.requires_grad:
+            gw = np.matmul(g3, x3.transpose(0, 2, 1)).sum(axis=0)
+        gx = np.matmul(w.data.T, g3).reshape(x.data.shape) if _wants_grad(x) else None
         return (gx, gw)
 
     return _node(data, (x, w), grad_fn)
@@ -323,7 +379,9 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
         var = running_var.astype(x.data.dtype)
     istd = 1.0 / np.sqrt(var + eps)
     xhat *= istd[:, None]
-    data = (gamma.data[:, None] * xhat + beta.data[:, None]).reshape(x.data.shape)
+    data = xhat * gamma.data[:, None]
+    data += beta.data[:, None]
+    data = data.reshape(x.data.shape)
 
     def grad_fn(g):
         g3 = g.reshape(b, f, -1)
@@ -331,11 +389,14 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
         ggamma = np.einsum("bfn,bfn->f", g3, xhat)
         gx = None
         if _wants_grad(x):
-            scale = gamma.data * istd
-            gx = g3 * scale[:, None]
+            scale = (gamma.data * istd)[:, None]
             if training:
-                gx -= xhat * (scale * ggamma / n)[:, None]
-                gx -= (scale * gbeta / n)[:, None]
+                gx = xhat * (-ggamma / n)[:, None]
+                gx += g3
+                gx -= (gbeta / n)[:, None]
+                gx *= scale
+            else:
+                gx = g3 * scale
             gx = gx.reshape(x.data.shape)
         return (gx, ggamma if gamma.requires_grad else None,
                 gbeta if beta.requires_grad else None)
@@ -349,11 +410,21 @@ def avg_pool_time(x: Tensor, pool: int) -> Tensor:
     n = m // pool
     if n < 1:
         raise ValidationError(f"pool {pool} longer than time axis {m}")
-    data = x.data[..., :n * pool].reshape(b, f, c, n, pool).mean(axis=-1)
+    scale = x.data.dtype.type(1.0 / pool)
+    # Strided slices of the (..., n, pool) view: a trailing-axis mean over
+    # `pool` elements runs numpy's slow reduction path.
+    blocks = x.data[..., :n * pool].reshape(b, f, c, n, pool)
+    data = blocks[..., 0].copy()
+    for i in range(1, pool):
+        data += blocks[..., i]
+    data *= scale
 
     def grad_fn(g):
         gx = np.zeros_like(x.data)
-        gx[..., :n * pool] = np.repeat(g / pool, pool, axis=-1)
+        gblocks = gx[..., :n * pool].reshape(b, f, c, n, pool)
+        gs = g * scale
+        for i in range(pool):
+            gblocks[..., i] = gs
         return (gx,)
 
     return _node(data, (x,), grad_fn)

@@ -88,7 +88,6 @@ _SECTIONS = {
 class CliConfig:
     pipeline: PipelineConfig = field(default_factory=PipelineConfig)
     asr: AsrConfig = field(default_factory=AsrConfig)
-    swap: SwapConfig = field(default_factory=SwapConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
     synth: SynthConfig = field(default_factory=SynthConfig)
 
@@ -138,12 +137,11 @@ def load_cli_config(path: str) -> CliConfig:
     if sig0 is not None:
         synth_kwargs["class_signature"] = (sig0, sig1)
 
-    swap = SwapConfig(**values.get("swap", {}))
     return CliConfig(
         pipeline=PipelineConfig(**values.get("pipeline", {})),
         asr=AsrConfig(**values.get("asr", {})),
-        swap=swap,
-        train=TrainConfig(swap=swap, **values.get("train", {})),
+        train=TrainConfig(swap=SwapConfig(**values.get("swap", {})),
+                          **values.get("train", {})),
         synth=SynthConfig(**synth_kwargs),
     )
 

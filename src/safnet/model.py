@@ -185,29 +185,39 @@ class SafModel:
 
 def save_checkpoint(model: SafModel, path: str) -> None:
     """Binary checkpoint: architecture header, then every parameter and
-    batch-norm running buffer as a named float32 tensor."""
+    batch-norm running buffer as a named float32 tensor. A model holding a
+    value that is not finite in float32 is refused before the file is
+    opened, since load_checkpoint would reject it."""
     cfg = model.cfg
-    entries = list(model.params.items()) + list(model.buffers.items())
+    entries = []
+    for name, value in list(model.params.items()) + list(model.buffers.items()):
+        arr = value.data if isinstance(value, Tensor) else value
+        with np.errstate(over="ignore"):
+            arr = np.ascontiguousarray(arr, dtype="<f4")
+        if not np.isfinite(arr).all():
+            raise ValidationError(f"cannot save a model whose {name} is not "
+                                  f"finite in float32")
+        entries.append((name, arr))
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))
         fh.write(_HEADER.pack(cfg.C, cfg.M, cfg.fs, cfg.F1, cfg.D, cfg.F2,
                               cfg.temporal_kernel, cfg.pool1, cfg.pool2, cfg.dropout,
                               model.num_domains, len(entries)))
-        for name, value in entries:
-            arr = value.data if isinstance(value, Tensor) else value
+        for name, arr in entries:
             nbytes = name.encode("utf-8")
             fh.write(struct.pack("<I", len(nbytes)))
             fh.write(nbytes)
             fh.write(struct.pack("<I", arr.ndim))
             fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+            fh.write(arr.tobytes())
 
 
 def load_checkpoint(path: str) -> SafModel:
     """Read a checkpoint written by save_checkpoint. Every stored tensor is
-    checked against the shapes the header implies before the model is built,
-    so a corrupted header cannot ask for more memory than the file holds."""
+    checked against the shapes the header implies, and for values that are
+    not finite, before the model is built, so a corrupted header cannot ask
+    for more memory than the file holds."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < 8 or blob[:4] != CHECKPOINT_MAGIC:
@@ -252,6 +262,8 @@ def load_checkpoint(path: str) -> SafModel:
         if arr.shape != shapes[name]:
             raise FormatError(f"{path}: {name} stored with shape {arr.shape}, "
                               f"model expects {shapes[name]}")
+        if not np.isfinite(arr).all():
+            raise FormatError(f"{path}: {name} holds a value that is not finite")
     missing = set(shapes) - set(stored)
     if missing:
         raise FormatError(f"{path}: missing tensors {sorted(missing)}")

@@ -136,8 +136,38 @@ class TestBatchNorm:
         assert np.allclose(out.data.std(axis=(0, 2, 3)), 1, atol=1e-3)
 
 
-# Reference kernels: the einsum formulation that the matmul-shaped kernels
-# replaced. Kept here only, to pin the production kernels to them.
+# Reference kernels: the formulations that the single-pass ufunc and
+# matmul-shaped kernels replaced (np.where, trailing-axis mean, np.repeat,
+# einsum). Kept here only, to pin the production kernels to them.
+
+def ref_elu(x, g):
+    """Output and input gradient of elu for output gradient g."""
+    neg = np.expm1(np.minimum(x, 0.0))
+    return np.where(x > 0, x, neg), g * np.where(x > 0, 1.0, neg + 1.0)
+
+
+def ref_avg_pool_time(x, pool, g):
+    n = x.shape[-1] // pool
+    out = x[..., :n * pool].reshape(*x.shape[:-1], n, pool).mean(axis=-1)
+    gx = np.zeros_like(x)
+    gx[..., :n * pool] = np.repeat(g / pool, pool, axis=-1)
+    return out, gx
+
+
+def ref_depthwise_spatial_conv(x, w, g):
+    """Output and (x, w) gradients for output gradient g of shape (B,F*D,1,M)."""
+    b, f, _, m = x.shape
+    d = w.shape[1]
+    g4 = g.reshape(b, f, d, m)
+    out = np.einsum("bfcm,fdc->bfdm", x, w).reshape(b, f * d, 1, m)
+    return (out, np.einsum("bfdm,fdc->bfcm", g4, w),
+            np.einsum("bfcm,bfdm->fdc", x, g4))
+
+
+def ref_pointwise_conv(x, w, g):
+    return (np.einsum("bfcm,of->bocm", x, w), np.einsum("bocm,of->bfcm", g, w),
+            np.einsum("bfcm,bocm->of", x, g))
+
 
 def ref_temporal_conv(x, w, g):
     """Output and weight gradient of temporal_conv for output gradient g."""
@@ -179,16 +209,64 @@ def assert_matches(got, want):
     np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)
 
 
+def run_op(op, g, *arrays):
+    """Output of op on float64 tensors, and every input's gradient for the
+    output gradient g."""
+    tensors = [t64(a) for a in arrays]
+    out = op(*tensors)
+    weighted_sum(out, g).backward()
+    return out.data, [t.grad for t in tensors]
+
+
 class TestKernelEquivalence:
     """The training kernels against the reference formulas, float64, at the
-    shape the encoder trains on (B=32, C=6, M=256, F=8)."""
+    shapes the encoder trains on (B=32, C=6, M=256, F1=8, D=2, F2=16)."""
 
-    @pytest.mark.parametrize("k", [64, 31, 16])
-    def test_temporal_conv(self, k):
-        rng = np.random.default_rng(k)
-        x = rng.standard_normal((32, 1, 6, 256))
-        w = rng.standard_normal((8, k))
-        g = rng.standard_normal((32, 8, 6, 256))
+    def test_elu(self):
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal((32, 16, 1, 256)) * 3.0
+        x.reshape(-1)[::97] = 0.0
+        g = rng.standard_normal(x.shape)
+        out, (gx,) = run_op(ad.elu, g, x)
+        ref_out, ref_gx = ref_elu(x, g)
+        assert_matches(out, ref_out)
+        assert_matches(gx, ref_gx)
+
+    @pytest.mark.parametrize("pool, m", [(4, 256), (4, 258), (8, 64), (8, 71),
+                                         (3, 256), (1, 5)])
+    def test_avg_pool_time(self, pool, m):
+        rng = np.random.default_rng(pool * 1000 + m)
+        x = rng.standard_normal((32, 16, 1, m))
+        g = rng.standard_normal((32, 16, 1, m // pool))
+        out, (gx,) = run_op(lambda t: ad.avg_pool_time(t, pool), g, x)
+        ref_out, ref_gx = ref_avg_pool_time(x, pool, g)
+        assert_matches(out, ref_out)
+        assert_matches(gx, ref_gx)
+
+    def test_depthwise_spatial_conv(self):
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((32, 8, 6, 256))
+        w = rng.standard_normal((8, 2, 6))
+        g = rng.standard_normal((32, 16, 1, 256))
+        out, grads = run_op(ad.depthwise_spatial_conv, g, x, w)
+        for got, want in zip([out, *grads], ref_depthwise_spatial_conv(x, w, g)):
+            assert_matches(got, want)
+
+    def test_pointwise_conv(self):
+        rng = np.random.default_rng(13)
+        x = rng.standard_normal((32, 16, 1, 64))
+        w = rng.standard_normal((16, 16))
+        g = rng.standard_normal((32, 16, 1, 64))
+        out, grads = run_op(ad.pointwise_conv, g, x, w)
+        for got, want in zip([out, *grads], ref_pointwise_conv(x, w, g)):
+            assert_matches(got, want)
+
+    @staticmethod
+    def check_temporal_conv(seed, b, c, m, f, k):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((b, 1, c, m))
+        w = rng.standard_normal((f, k))
+        g = rng.standard_normal((b, f, c, m))
         w_t = t64(w)
         out = ad.temporal_conv(t64(x, requires_grad=False), w_t)
         weighted_sum(out, g).backward()
@@ -196,6 +274,22 @@ class TestKernelEquivalence:
         assert out.data.flags.c_contiguous
         assert_matches(out.data, ref_out)
         assert_matches(w_t.grad, ref_gw)
+
+    @pytest.mark.parametrize("k", [64, 31, 16])
+    def test_temporal_conv(self, k):
+        self.check_temporal_conv(k, 32, 6, 256, 8, k)
+
+    @pytest.mark.parametrize("b, c, m, k", [
+        (2, 3, 250, 64),  # M not a multiple of K
+        (3, 2, 20, 1),    # K = 1
+        (2, 3, 10, 16),   # K > M
+        (2, 2, 10, 11),   # odd K > M
+        (1, 6, 37, 7),    # B = 1, odd K
+        (1, 6, 37, 8),    # B = 1, even K
+        (1, 1, 1, 2),     # one sample
+    ])
+    def test_temporal_conv_weight_grad_shapes(self, b, c, m, k):
+        self.check_temporal_conv(b * 10000 + m * 100 + k, b, c, m, 5, k)
 
     @pytest.mark.parametrize("training", [True, False])
     def test_batch_norm(self, training):

@@ -72,7 +72,6 @@ class TestConfigParsing:
         assert cfg.pipeline.notch_hz == (60.0,)
         assert cfg.train.max_epochs == 3
         assert cfg.train.batch_size == 16
-        assert cfg.swap.p == 0.5
         assert cfg.train.swap.p == 0.5
 
     def test_empty_config_gives_defaults(self, tmp_path):
@@ -81,7 +80,7 @@ class TestConfigParsing:
         assert cfg.pipeline.band_lo_hz == 1.0
         assert cfg.asr.cutoff_k == 20.0
         assert cfg.train.lr == 0.001
-        assert cfg.swap.p == 0.5
+        assert cfg.train.swap.p == 0.5
 
     def test_notch_list_parsing(self, tmp_path):
         path = write_config(tmp_path / "c.ini",
@@ -279,6 +278,21 @@ class TestTrainAndEvalCommands:
                      "--out", zero_model])
         assert code == 0
         assert read_bytes(base_model) == read_bytes(zero_model)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverged_model_is_validation_error(self, dataset, tmp_path, capsys):
+        """An absurd learning rate drives the weights to inf or NaN; train
+        exits 1 and writes no checkpoint that load_checkpoint would refuse."""
+        config, out = dataset
+        config = write_config(tmp_path / "c.ini",
+                              BASE_CONFIG.replace("seed = 1", "seed = 1\nlr = 1e30"))
+        model_path = tmp_path / "model.safm"
+        code = main(["train", "--config", config,
+                     "--manifest", os.path.join(out, "manifest.csv"),
+                     "--out", str(model_path)])
+        assert code == 1
+        assert "not finite" in capsys.readouterr().err
+        assert not model_path.exists()
 
     def test_eval_matches_direct_metrics(self, dataset, tmp_path):
         config, out = dataset

@@ -1,3 +1,4 @@
+import math
 import struct
 
 import numpy as np
@@ -233,6 +234,43 @@ class TestCheckpoint:
         path.write_bytes(bytes(blob))
         with pytest.raises(FormatError):
             load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("name", ["conv_temporal_w", "bn2_gamma", "bn3_var",
+                                      "dom2_b"])
+    @pytest.mark.parametrize("last", [False, True])
+    def test_flipped_exponent_is_format_error(self, tmp_path, name, last):
+        """Setting every exponent bit of one stored float32 makes it NaN or
+        inf; the reader refuses it instead of loading a broken model."""
+        path = tmp_path / "m.safm"
+        model = small_model()
+        save_checkpoint(model, str(path))
+        blob = bytearray(path.read_bytes())
+        value = model.params.get(name)
+        shape = value.data.shape if value is not None else model.buffers[name].shape
+        at = blob.index(name.encode()) + len(name) + 4 + 4 * len(shape)
+        if last:
+            at += 4 * (math.prod(shape) - 1)
+        blob[at + 3] |= 0x7F  # sign kept; exponent bits 30..23 all set
+        blob[at + 2] |= 0x80
+        assert not np.isfinite(np.frombuffer(bytes(blob[at:at + 4]), "<f4")[0])
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match=name):
+            load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_save_refuses_non_finite_model(self, tmp_path, bad):
+        model = small_model()
+        model.params["task_b"].data[1] = bad
+        path = tmp_path / "m.safm"
+        with pytest.raises(ValidationError, match="task_b"):
+            save_checkpoint(model, str(path))
+        assert not path.exists()
+
+    def test_save_refuses_float64_beyond_float32_range(self, tmp_path):
+        model = small_model(dtype=np.float64)
+        model.buffers["bn1_var"][0] = 1e39
+        with pytest.raises(ValidationError, match="bn1_var"):
+            save_checkpoint(model, str(tmp_path / "m.safm"))
 
     @pytest.mark.parametrize("fields", [
         {48: ("<d", 2.0)},                     # dropout outside [0, 1)
