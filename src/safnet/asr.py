@@ -8,6 +8,16 @@ subspace, and blends windows with a raised-cosine weight.
 
 Statistics are robust (median / 1.4826*MAD) rather than the truncated
 Gaussian fit used by some toolboxes; deterministic and adequate here.
+
+Apply works on all windows at once: one np.matmul on a sliding-window view
+gives the covariance of every full window (the few short windows at the end
+are done one by one), one stacked eigh decomposes them all, and every
+window's rejection limits come from one product. Only windows that reject
+a component run the pseudo-inverse reconstruction. The blend adds the
+weighted windows with one strided add per hop-sized segment of a window,
+ordered so that every sample still sums its windows in window order: float
+addition is not associative, and that order keeps the output bit-identical
+to adding the windows one after the other, whatever the overlap.
 """
 
 from __future__ import annotations
@@ -128,6 +138,23 @@ def asr_fit(calib: Recording, cfg: AsrConfig) -> AsrModel:
     return AsrModel(mixing_M=mixing, threshold_T=threshold, channels=calib.channels)
 
 
+def _overlap_add(frames: np.ndarray, hop: int, n: int) -> np.ndarray:
+    """Sum (W, ..., width) frames, frame k starting at sample k*hop, into an
+    (..., n) array; parts of frames beyond n are dropped.
+
+    Frame segment j (samples j*hop onwards of each frame) of every frame is
+    added in one strided add; taking j from last to first adds each
+    sample's frames in window order.
+    """
+    count, width = frames.shape[0], frames.shape[-1]
+    segments = -(-width // hop)
+    out = np.zeros(frames.shape[1:-1] + (count + segments - 1, hop))
+    for j in reversed(range(segments)):
+        seg = np.moveaxis(frames[..., j * hop:(j + 1) * hop], 0, -2)
+        out[..., j:j + count, :seg.shape[-1]] += seg
+    return out.reshape(out.shape[:-2] + (-1,))[..., :n]
+
+
 def asr_apply(rec: Recording, model: AsrModel, cfg: AsrConfig) -> Recording:
     """Sliding-window subspace reconstruction with raised-cosine blending."""
     if rec.channels != model.channels:
@@ -137,31 +164,37 @@ def asr_apply(rec: Recording, model: AsrModel, cfg: AsrConfig) -> Recording:
     width = int(round(cfg.proc_window_s * rec.sample_rate_hz))
     hop = max(1, int(round(width * (1.0 - cfg.proc_overlap))))
     n = rec.samples
+    x = rec.data
     mixing = model.mixing_M
     thresh = model.threshold_T
 
+    starts = np.arange(0, n, hop)
+    full = max(0, (n - width) // hop + 1)
+    # (full, C, width) view of the windows that fit; the rest are shorter
+    windows = np.lib.stride_tricks.as_strided(
+        x, shape=(full, rec.channels, width),
+        strides=(hop * x.strides[1],) + x.strides, writeable=False)
+    tails = [x[:, start:] for start in starts[full:]]
+    covs = np.concatenate(
+        [np.matmul(windows, windows.transpose(0, 2, 1)) / width]
+        + [(xw @ xw.T / xw.shape[1])[None] for xw in tails])
+    evals, evecs = np.linalg.eigh(covs)
+    limits = np.sum((thresh @ evecs) ** 2, axis=1)
+    rejected = evals > limits
+
     taper = 0.5 - 0.5 * np.cos(2.0 * np.pi * (np.arange(width) + 0.5) / width)
-    out = np.zeros_like(rec.data, dtype=np.float64)
-    norm = np.zeros(n, dtype=np.float64)
+    frames = np.zeros((starts.size, rec.channels, width))
+    frames[:full] = windows * taper
+    for k, xw in enumerate(tails, start=full):
+        frames[k, :, :xw.shape[1]] = xw * taper[:xw.shape[1]]
+    for k in np.flatnonzero(rejected.any(axis=1)):
+        xw = x[:, starts[k]:starts[k] + width]
+        a = evecs[k].T @ mixing
+        a[rejected[k], :] = 0.0
+        recon = mixing @ np.linalg.pinv(a, rcond=PINV_RCOND) @ evecs[k].T
+        frames[k, :, :xw.shape[1]] = (recon @ xw) * taper[:xw.shape[1]]
 
-    for start in range(0, n, hop):
-        stop = min(start + width, n)
-        xw = rec.data[:, start:stop]
-        cov = xw @ xw.T / xw.shape[1]
-        evals, evecs = np.linalg.eigh(cov)
-        limits = np.sum((thresh @ evecs) ** 2, axis=0)
-        rejected = evals > limits
-        if np.any(rejected):
-            a = evecs.T @ mixing
-            a[rejected, :] = 0.0
-            recon = mixing @ np.linalg.pinv(a, rcond=PINV_RCOND) @ evecs.T
-            yw = recon @ xw
-        else:
-            yw = xw
-        w = taper[: stop - start]
-        out[:, start:stop] += yw * w
-        norm[start:stop] += w
-
-    out /= norm
+    out = (_overlap_add(frames, hop, n)
+           / _overlap_add(np.broadcast_to(taper, (starts.size, width)), hop, n))
     return Recording(data=out, sample_rate_hz=rec.sample_rate_hz,
                      channel_names=rec.channel_names)

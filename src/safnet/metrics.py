@@ -5,6 +5,15 @@ macro-accuracy is the unweighted mean of per-class recall (balanced
 accuracy). The analysis half quantifies inter-subject variability on
 spectral features: Welch PSD, band power, coefficient of variation,
 one-way ANOVA F, silhouette, and IQR outlier filtering.
+
+The feature path works on whole arrays: ``welch_psd`` transforms every
+channel of every epoch in one call along the last axis, and ``band_power``
+integrates all the spectra at once, so ``log_band_power_features`` costs two
+numpy-level calls however many epochs it gets instead of one Welch and one
+band loop per channel per epoch. ``silhouette`` takes its pairwise
+distances from ``cdist`` and every point's per-cluster distance sums from a
+single product with a one-hot membership matrix, with no n x n x d
+temporary.
 """
 
 from __future__ import annotations
@@ -13,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import signal as sp_signal
+from scipy.spatial.distance import cdist
 
 from .errors import ConfigError, ValidationError
 
@@ -102,42 +112,59 @@ def macro_metrics(cm: ConfusionMatrix) -> tuple[float, float, float, float]:
 
 def welch_psd(x, fs: float, window_s: float = 2.0,
               overlap: float = 0.5) -> tuple[np.ndarray, np.ndarray]:
-    """One-sided power spectral density of a single-channel series,
-    Hann-windowed averaged periodograms."""
+    """One-sided power spectral density along the last axis of an (..., M)
+    array, Hann-windowed averaged periodograms. Returns (freqs, psd) with
+    psd shaped (..., F)."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValidationError(f"expected a 1-D series, got shape {x.shape}")
+    if x.ndim < 1:
+        raise ValidationError("expected a series, got a scalar")
     nperseg = int(round(window_s * fs))
-    if x.size < nperseg:
+    if x.shape[-1] < nperseg:
         raise ValidationError(
-            f"series of {x.size} samples shorter than one {nperseg}-sample window"
+            f"series of {x.shape[-1]} samples shorter than one {nperseg}-sample window"
         )
     freqs, psd = sp_signal.welch(x, fs=fs, window="hann", nperseg=nperseg,
                                  noverlap=int(round(nperseg * overlap)),
-                                 scaling="density")
+                                 scaling="density", axis=-1)
     return freqs, psd
 
 
+def _edge_value(freqs: np.ndarray, psd: np.ndarray, f: float) -> np.ndarray:
+    """(...,) PSD at frequency f: the linear blend of the two bins around
+    it, in np.interp's arithmetic, and the bin itself when f is on one."""
+    j = int(np.searchsorted(freqs, f, side="right")) - 1
+    if freqs[j] == f:
+        return psd[..., j]
+    slope = (psd[..., j + 1] - psd[..., j]) / (freqs[j + 1] - freqs[j])
+    return slope * (f - freqs[j]) + psd[..., j]
+
+
 def band_power(freqs: np.ndarray, psd: np.ndarray,
-               bands: BandDefinition | None = None) -> dict[str, float]:
-    """Trapezoidal integral of the PSD over each band, with the PSD linearly
-    interpolated at the band edges so a flat PSD integrates to exactly the
-    band width."""
+               bands: BandDefinition | None = None) -> dict[str, np.ndarray | float]:
+    """Trapezoidal integral of a (..., F) PSD over each band, with the PSD
+    linearly interpolated at the band edges so a flat PSD integrates to
+    exactly the band width. Each band's power has shape psd.shape[:-1]; a
+    1-D PSD gives floats."""
     bands = bands or BandDefinition()
     freqs = np.asarray(freqs, dtype=np.float64)
     psd = np.asarray(psd, dtype=np.float64)
-    powers: dict[str, float] = {}
+    powers: dict[str, np.ndarray | float] = {}
     for name, lo, hi in bands.bands:
         if hi > freqs[-1] or lo < freqs[0]:
             raise ConfigError(
                 f"band {name} [{lo},{hi}) outside PSD range "
                 f"[{freqs[0]},{freqs[-1]}]"
             )
-        inside = (freqs > lo) & (freqs < hi)
+        # the bins strictly inside (lo, hi), as a slice so that values keeps
+        # frequency as its contiguous axis and each row sums as a 1-D PSD would
+        inside = slice(np.searchsorted(freqs, lo, side="right"),
+                       np.searchsorted(freqs, hi, side="left"))
         grid = np.concatenate(([lo], freqs[inside], [hi]))
-        values = np.concatenate(([np.interp(lo, freqs, psd)], psd[inside],
-                                 [np.interp(hi, freqs, psd)]))
-        powers[name] = float(np.trapezoid(values, grid))
+        values = np.concatenate((_edge_value(freqs, psd, lo)[..., None],
+                                 psd[..., inside],
+                                 _edge_value(freqs, psd, hi)[..., None]), axis=-1)
+        power = np.trapezoid(values, grid, axis=-1)
+        powers[name] = float(power) if power.ndim == 0 else power
     return powers
 
 
@@ -187,23 +214,21 @@ def silhouette(features, labels) -> float:
     n = features.shape[0]
     if n < 2:
         raise ValidationError("need at least two points")
-    unique = np.unique(labels)
+    unique, cluster = np.unique(labels, return_inverse=True)
     if unique.size < 2:
         raise ValidationError("need at least two clusters")
 
-    diff = features[:, None, :] - features[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=2))
+    members = (cluster[:, None] == np.arange(unique.size)).astype(np.float64)
+    sums = cdist(features, features) @ members  # (n, clusters) distance sums
+    sizes = np.bincount(cluster)
+    rows = np.arange(n)
+    own = sizes[cluster] > 1
+    a = sums[rows, cluster] / np.maximum(sizes[cluster] - 1, 1)
+    means = sums / sizes
+    means[rows, cluster] = np.inf
+    b = means.min(axis=1)
     scores = np.zeros(n)
-    for i in range(n):
-        own = labels == labels[i]
-        n_own = int(own.sum())
-        if n_own == 1:
-            scores[i] = 0.0
-            continue
-        a = dist[i, own].sum() / (n_own - 1)
-        b = min(dist[i, labels == other].mean()
-                for other in unique if other != labels[i])
-        scores[i] = (b - a) / max(a, b)
+    scores[own] = (b[own] - a[own]) / np.maximum(a[own], b[own])
     return float(scores.mean())
 
 
@@ -245,22 +270,21 @@ def log_band_power_features(arrays, fs: float, bands: BandDefinition | None = No
                             overlap: float = 0.5) -> np.ndarray:
     """Row of log band powers, per channel, for each (C, M) array.
 
-    Returns shape (len(arrays), n_bands * C), features ordered channel-major
+    arrays is a sequence of equally shaped (C, M) arrays or one (N, C, M)
+    array. Returns shape (N, n_bands * C), features ordered channel-major
     (all bands of channel 0, then channel 1, ...). Powers are floored at the
     smallest positive float before the log.
     """
     bands = bands if bands is not None else BandDefinition()
-    rows = []
-    for x in arrays:
-        x = np.asarray(x)
-        if x.ndim != 2:
-            raise ValidationError("each sample must be a (channels, samples) array")
-        feats = []
-        for ch in range(x.shape[0]):
-            freqs, psd = welch_psd(x[ch], fs, window_s=window_s, overlap=overlap)
-            feats.extend(band_power(freqs, psd, bands).values())
-        rows.append(feats)
-    powers = np.asarray(rows, dtype=np.float64)
+    try:
+        x = np.asarray(arrays, dtype=np.float64)
+    except ValueError as exc:
+        raise ValidationError(f"samples differ in shape: {exc}") from exc
+    if x.ndim != 3:
+        raise ValidationError("each sample must be a (channels, samples) array")
+    freqs, psd = welch_psd(x, fs, window_s=window_s, overlap=overlap)
+    powers = np.stack(list(band_power(freqs, psd, bands).values()), axis=-1)
+    powers = powers.reshape(x.shape[0], -1)
     return np.log(np.maximum(powers, np.finfo(np.float64).tiny))
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import struct
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +22,7 @@ from .autodiff import Tensor
 from .errors import FormatError, ValidationError
 
 CHECKPOINT_MAGIC = b"SAFM"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 # C, M, fs, F1, D, F2, temporal kernel, pool1, pool2, dropout, domains, tensors
 _HEADER = struct.Struct("<IIdIIIIIIdII")
 SEP_KERNEL = 16
@@ -185,9 +186,10 @@ class SafModel:
 
 def save_checkpoint(model: SafModel, path: str) -> None:
     """Binary checkpoint: architecture header, then every parameter and
-    batch-norm running buffer as a named float32 tensor. A model holding a
-    value that is not finite in float32 is refused before the file is
-    opened, since load_checkpoint would reject it."""
+    batch-norm running buffer as a named float32 tensor, then the CRC-32 of
+    all the bytes before it. A model holding a value that is not finite in
+    float32 is refused before the file is opened, since load_checkpoint
+    would reject it."""
     cfg = model.cfg
     entries = []
     for name, value in list(model.params.items()) + list(model.buffers.items()):
@@ -198,26 +200,27 @@ def save_checkpoint(model: SafModel, path: str) -> None:
             raise ValidationError(f"cannot save a model whose {name} is not "
                                   f"finite in float32")
         entries.append((name, arr))
+    parts = [CHECKPOINT_MAGIC, struct.pack("<I", CHECKPOINT_VERSION),
+             _HEADER.pack(cfg.C, cfg.M, cfg.fs, cfg.F1, cfg.D, cfg.F2,
+                          cfg.temporal_kernel, cfg.pool1, cfg.pool2, cfg.dropout,
+                          model.num_domains, len(entries))]
+    for name, arr in entries:
+        nbytes = name.encode("utf-8")
+        parts += [struct.pack("<I", len(nbytes)), nbytes,
+                  struct.pack(f"<I{arr.ndim}I", arr.ndim, *arr.shape), arr.tobytes()]
+    blob = b"".join(parts)
     with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        fh.write(_HEADER.pack(cfg.C, cfg.M, cfg.fs, cfg.F1, cfg.D, cfg.F2,
-                              cfg.temporal_kernel, cfg.pool1, cfg.pool2, cfg.dropout,
-                              model.num_domains, len(entries)))
-        for name, arr in entries:
-            nbytes = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(nbytes)))
-            fh.write(nbytes)
-            fh.write(struct.pack("<I", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(arr.tobytes())
+        fh.write(blob)
+        fh.write(struct.pack("<I", zlib.crc32(blob)))
 
 
 def load_checkpoint(path: str) -> SafModel:
-    """Read a checkpoint written by save_checkpoint. Every stored tensor is
-    checked against the shapes the header implies, and for values that are
-    not finite, before the model is built, so a corrupted header cannot ask
-    for more memory than the file holds."""
+    """Read a checkpoint written by save_checkpoint. After the magic and
+    version, the CRC-32 is checked before any header field or tensor is
+    parsed. Every stored tensor is then checked against the shapes the
+    header implies, and for values that are not finite, before the model is
+    built, so a corrupted header cannot ask for more memory than the file
+    holds."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < 8 or blob[:4] != CHECKPOINT_MAGIC:
@@ -225,6 +228,10 @@ def load_checkpoint(path: str) -> SafModel:
     (version,) = struct.unpack_from("<I", blob, 4)
     if version != CHECKPOINT_VERSION:
         raise FormatError(f"{path}: unsupported checkpoint version {version}")
+    blob, crc = blob[:-4], blob[-4:]
+    if len(crc) < 4 or struct.pack("<I", zlib.crc32(blob)) != crc:
+        raise FormatError(f"{path}: checksum mismatch, the file is truncated or "
+                          f"corrupted")
     offset = 8
     try:
         (c, m, fs, f1, d, f2, k, pool1, pool2, dropout, num_domains,

@@ -270,6 +270,9 @@ def fit(train_data, val_data, model: SafModel, cfg: TrainConfig,
     swap probability 0 and both lambdas 0 follows the exact parameter
     trajectory of a plain classifier loop that never touches the swap
     stream. The model is updated in place.
+
+    A batch whose loss is not finite stops training with a ValidationError
+    that names its epoch and step, before that batch updates the weights.
     """
     if not train_data or not val_data:
         raise ValidationError("train and validation sets must be non-empty")
@@ -307,7 +310,7 @@ def fit(train_data, val_data, model: SafModel, cfg: TrainConfig,
         order = shuffle_rng.permutation(n)
         sums = np.zeros(4)
         seen = 0
-        for start in range(0, n, cfg.batch_size):
+        for step, start in enumerate(range(0, n, cfg.batch_size), start=1):
             idx = order[start:start + cfg.batch_size]
             x, _ = isbcs_augment_batch([train_data[i] for i in idx], cfg.swap,
                                        swap_rng)
@@ -315,11 +318,16 @@ def fit(train_data, val_data, model: SafModel, cfg: TrainConfig,
             l_task, l_domain, l_mi, l_total = compute_losses(
                 x, labels[idx], domains[idx], model, weights, mode="train",
                 rng=dropout_rng)
+            losses = np.array([float(l_task.data), float(l_domain.data),
+                               float(l_mi.data), float(l_total.data)])
+            if not np.isfinite(losses).all():
+                raise ValidationError(
+                    f"training diverged at epoch {epoch}, step {step}: loss "
+                    f"(task, domain, mi, total) = {losses.tolist()} is not finite")
             l_total.backward()
             adam_step(model.params, adam, lr_used)
             b = len(idx)
-            sums += b * np.array([float(l_task.data), float(l_domain.data),
-                                  float(l_mi.data), float(l_total.data)])
+            sums += b * losses
             seen += b
 
         val_acc = evaluate_macro_accuracy(model, val_data)

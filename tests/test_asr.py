@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from safnet.asr import (
+    PINV_RCOND,
     AsrConfig,
     AsrModel,
     asr_apply,
@@ -19,6 +20,38 @@ def noise_rec(c, seconds, fs, seed, mix=None):
     if mix is not None:
         data = mix @ data
     return Recording(data=data, sample_rate_hz=float(fs))
+
+
+def loop_asr_apply(rec, model, cfg):
+    """The one-window-at-a-time loop the batched asr_apply replaced. Returns
+    the cleaned data and the number of windows that rejected a component."""
+    width = int(round(cfg.proc_window_s * rec.sample_rate_hz))
+    hop = max(1, int(round(width * (1.0 - cfg.proc_overlap))))
+    n = rec.samples
+    taper = 0.5 - 0.5 * np.cos(2.0 * np.pi * (np.arange(width) + 0.5) / width)
+    out = np.zeros_like(rec.data, dtype=np.float64)
+    norm = np.zeros(n, dtype=np.float64)
+    rejecting = 0
+    for start in range(0, n, hop):
+        stop = min(start + width, n)
+        xw = rec.data[:, start:stop]
+        cov = xw @ xw.T / xw.shape[1]
+        evals, evecs = np.linalg.eigh(cov)
+        limits = np.sum((model.threshold_T @ evecs) ** 2, axis=0)
+        rejected = evals > limits
+        if np.any(rejected):
+            rejecting += 1
+            a = evecs.T @ model.mixing_M
+            a[rejected, :] = 0.0
+            recon = model.mixing_M @ np.linalg.pinv(a, rcond=PINV_RCOND) @ evecs.T
+            yw = recon @ xw
+        else:
+            yw = xw
+        w = taper[: stop - start]
+        out[:, start:stop] += yw * w
+        norm[start:stop] += w
+    out /= norm
+    return out, rejecting
 
 
 class TestSelectCalibration:
@@ -167,6 +200,52 @@ class TestAsrApply:
         _, model = self.fit_on_noise(c=4)
         with pytest.raises(ValidationError):
             asr_apply(noise_rec(5, 2, 256, 1), model, self.cfg)
+
+
+class TestBatchedApply:
+    """asr_apply against the per-window loop it replaced."""
+
+    @staticmethod
+    def setup(seconds, overlap, seed, artifacts):
+        fs = 128.0
+        cfg = AsrConfig(proc_overlap=overlap)
+        model = asr_fit(noise_rec(6, 60, fs, seed), cfg)
+        data = noise_rec(6, seconds, fs, seed + 1).data
+        if artifacts:
+            rng = np.random.default_rng(seed + 2)
+            # bursts through the recording, the last one in the short windows
+            # at its end
+            for start in [*range(200, data.shape[1] - 100, 1000), data.shape[1] - 40]:
+                data[[1, 4], start:start + 48] += 30.0 * rng.standard_normal(
+                    (2, data[:, start:start + 48].shape[1]))
+        return Recording(data=data, sample_rate_hz=fs), model, cfg
+
+    @pytest.mark.parametrize("artifacts", [False, True])
+    def test_bit_identical_at_default_config(self, artifacts):
+        rec, model, cfg = self.setup(120, AsrConfig().proc_overlap, 30, artifacts)
+        expected, rejecting = loop_asr_apply(rec, model, cfg)
+        assert (rejecting > 0) == artifacts
+        got = asr_apply(rec, model, cfg).data
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("overlap", [0.0, 0.25, 0.75])
+    @pytest.mark.parametrize("seconds", [20, 20.3])  # 20.3 s is not a whole hop
+    def test_matches_loop_at_other_overlaps(self, overlap, seconds):
+        """At 0.75 every sample sums four windows, so this also checks that
+        the blend adds them in window order."""
+        rec, model, cfg = self.setup(seconds, overlap, 40, True)
+        expected, rejecting = loop_asr_apply(rec, model, cfg)
+        assert rejecting > 0
+        got = asr_apply(rec, model, cfg).data
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
+        assert got.tobytes() == expected.tobytes()
+
+    def test_recording_shorter_than_a_window(self):
+        rec, model, cfg = self.setup(0.3, 0.5, 50, False)  # 38 samples, width 64
+        expected, _ = loop_asr_apply(rec, model, cfg)
+        np.testing.assert_allclose(asr_apply(rec, model, cfg).data, expected,
+                                   rtol=1e-12, atol=1e-12)
 
 
 class TestPipelineIntegration:

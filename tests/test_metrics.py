@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import signal as sp_signal
 from scipy import stats as sp_stats
 
 from safnet.errors import ConfigError, ValidationError
@@ -7,10 +8,12 @@ from safnet.metrics import (
     BandDefinition,
     ConfusionMatrix,
     band_power,
+    clip_bands,
     coefficient_of_variation,
     confusion,
     f_statistic,
     iqr_row_mask,
+    log_band_power_features,
     macro_metrics,
     silhouette,
     welch_psd,
@@ -50,6 +53,27 @@ def brute_force_silhouette(features, labels):
         )
         scores.append((b - a) / max(a, b))
     return float(np.mean(scores))
+
+
+def loop_log_band_power_features(arrays, fs, bands, window_s=2.0, overlap=0.5):
+    """The per-channel loop the batched features replaced: one Welch and one
+    band loop, with np.interp at the band edges, per channel per epoch."""
+    rows = []
+    for x in arrays:
+        feats = []
+        for ch in np.asarray(x, dtype=np.float64):
+            nperseg = int(round(window_s * fs))
+            freqs, psd = sp_signal.welch(ch, fs=fs, window="hann", nperseg=nperseg,
+                                         noverlap=int(round(nperseg * overlap)),
+                                         scaling="density")
+            for _, lo, hi in bands.bands:
+                inside = (freqs > lo) & (freqs < hi)
+                grid = np.concatenate(([lo], freqs[inside], [hi]))
+                values = np.concatenate(([np.interp(lo, freqs, psd)], psd[inside],
+                                         [np.interp(hi, freqs, psd)]))
+                feats.append(float(np.trapezoid(values, grid)))
+        rows.append(feats)
+    return np.log(np.maximum(np.asarray(rows), np.finfo(np.float64).tiny))
 
 
 class TestConfusion:
@@ -180,6 +204,60 @@ class TestBandPower:
             BandDefinition(bands=(("A", 1.0, 5.0), ("B", 4.0, 8.0)))
 
 
+class TestBatchedFeatures:
+    """log_band_power_features against the per-channel loop it replaced."""
+
+    @pytest.mark.parametrize("n, m, window_s, overlap", [
+        (1, 256, 2.0, 0.5),     # one epoch, exactly one window
+        (7, 700, 2.0, 0.5),     # M not a multiple of the window
+        (7, 700, 1.5, 0.0),     # no overlap, window not a power of two
+        (20, 384, 1.0, 0.5),
+    ])
+    @pytest.mark.parametrize("as_list", [False, True])
+    def test_matches_per_channel_loop(self, n, m, window_s, overlap, as_list):
+        fs = 128.0
+        rng = np.random.default_rng(n * m)
+        x = rng.standard_normal((n, 3, m)).astype(np.float32)
+        x[:, 1] += np.sin(2 * np.pi * 10.0 * np.arange(m) / fs)
+        bands = clip_bands(BandDefinition(), fs / 2.0)  # Gamma ends at Nyquist
+        got = log_band_power_features(list(x) if as_list else x, fs, bands,
+                                      window_s=window_s, overlap=overlap)
+        expected = loop_log_band_power_features(x, fs, bands, window_s, overlap)
+        assert got.shape == (n, 3 * len(bands.bands))
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
+
+    def test_band_edges_between_and_on_bins(self):
+        fs = 100.0
+        x = np.random.default_rng(3).standard_normal((4, 2, 300))
+        bands = BandDefinition(bands=(("a", 0.0, 1.0), ("b", 1.3, 7.77),
+                                      ("c", 20.0, 50.0)))
+        got = log_band_power_features(x, fs, bands, window_s=2.0)
+        expected = loop_log_band_power_features(x, fs, bands)
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
+
+    def test_band_power_of_stacked_psd_matches_rows(self):
+        freqs = np.linspace(0, 128, 257)
+        psd = np.random.default_rng(4).uniform(0, 1, (5, 2, 257))
+        stacked = band_power(freqs, psd)
+        for i in range(5):
+            for c in range(2):
+                row = band_power(freqs, psd[i, c])
+                for name, value in row.items():
+                    assert isinstance(value, float)
+                    assert stacked[name][i, c] == pytest.approx(value, rel=1e-12,
+                                                                abs=1e-12)
+
+    def test_ragged_input_rejected(self):
+        with pytest.raises(ValidationError):
+            log_band_power_features([np.zeros((2, 512)), np.zeros((2, 600))], 128.0)
+        with pytest.raises(ValidationError):
+            log_band_power_features([np.zeros((2, 512)), np.zeros((3, 512))], 128.0)
+
+    def test_one_channel_series_rejected(self):
+        with pytest.raises(ValidationError):
+            log_band_power_features(np.zeros((4, 512)), 128.0)
+
+
 class TestCoefficientOfVariation:
     def test_identical_values(self):
         assert coefficient_of_variation([3.0, 3.0, 3.0]) == 0.0
@@ -292,6 +370,17 @@ class TestSilhouette:
         labels = np.array([0, 0, 1])
         assert silhouette(features, labels) == pytest.approx(
             brute_force_silhouette(features, labels), abs=1e-12)
+
+    def test_matches_brute_force_at_analysis_size(self):
+        """480 epochs of 30 features over 8 subjects, the size the signal
+        analysis runs at; one subject reduced to a singleton."""
+        rng = np.random.default_rng(15)
+        labels = np.repeat(np.arange(8), 60)
+        features = rng.standard_normal((480, 30)) + labels[:, None] * 0.05
+        labels[0] = 8  # a singleton cluster
+        got = silhouette(features, labels)
+        assert got == pytest.approx(brute_force_silhouette(features, labels),
+                                    rel=1e-12, abs=1e-12)
 
     def test_one_cluster_rejected(self):
         with pytest.raises(ValidationError):

@@ -1,11 +1,14 @@
 import math
+import os
 import struct
+import tempfile
+import zlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from _corruption import check_reader, corruptions, valid_blob
+from _corruption import corruptions, valid_blob
 from _gradcheck import max_relative_error, numeric_gradient, sample_indices
 from safnet import autodiff as ad
 from safnet import model as model_module
@@ -158,6 +161,13 @@ class TestFullModelGradients:
         assert np.any(model.params["dom2_w"].grad != 0.0)
 
 
+def resealed(blob) -> bytes:
+    """blob with its CRC-32 trailer recomputed over the edited body, so the
+    edit reaches the checks behind the checksum."""
+    body = bytes(blob[:-4])
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         model = small_model(k=4, seed=5)
@@ -188,8 +198,12 @@ class TestCheckpoint:
         model = small_model()
         path = tmp_path / "m.safm"
         save_checkpoint(model, str(path))
-        path.write_bytes(path.read_bytes()[:-100])
-        with pytest.raises(FormatError):
+        blob = path.read_bytes()
+        path.write_bytes(blob[:-100])
+        with pytest.raises(FormatError, match="checksum mismatch"):
+            load_checkpoint(str(path))
+        path.write_bytes(resealed(blob[:-104] + blob[-4:]))
+        with pytest.raises(FormatError, match="truncated checkpoint"):
             load_checkpoint(str(path))
 
     def test_buffer_shape_mismatch(self, tmp_path):
@@ -203,8 +217,9 @@ class TestCheckpoint:
     def test_trailing_bytes(self, tmp_path):
         path = tmp_path / "m.safm"
         save_checkpoint(small_model(), str(path))
-        path.write_bytes(path.read_bytes() + b"\x00")
-        with pytest.raises(FormatError, match="trailing"):
+        blob = path.read_bytes()
+        path.write_bytes(resealed(blob[:-4] + b"\x00" + blob[-4:]))
+        with pytest.raises(FormatError, match="1 trailing bytes after"):
             load_checkpoint(str(path))
 
     def test_corrupt_header_checked_before_model_is_built(self, tmp_path,
@@ -215,7 +230,7 @@ class TestCheckpoint:
         save_checkpoint(small_model(), str(path))
         blob = bytearray(path.read_bytes())
         blob[15] ^= 0x40  # high byte of M, after magic, version and C
-        path.write_bytes(bytes(blob))
+        path.write_bytes(resealed(blob))
 
         def refuse(*args, **kwargs):
             raise AssertionError("model built before the header was checked")
@@ -231,7 +246,7 @@ class TestCheckpoint:
         # first tensor: name length at 64, "conv_temporal_w", ndim, shape
         assert blob[68:83] == b"conv_temporal_w"
         struct.pack_into("<II", blob, 87, 0xFFFFFFFF, 0xFFFFFFFF)
-        path.write_bytes(bytes(blob))
+        path.write_bytes(resealed(blob))
         with pytest.raises(FormatError):
             load_checkpoint(str(path))
 
@@ -253,7 +268,7 @@ class TestCheckpoint:
         blob[at + 3] |= 0x7F  # sign kept; exponent bits 30..23 all set
         blob[at + 2] |= 0x80
         assert not np.isfinite(np.frombuffer(bytes(blob[at:at + 4]), "<f4")[0])
-        path.write_bytes(bytes(blob))
+        path.write_bytes(resealed(blob))
         with pytest.raises(FormatError, match=name):
             load_checkpoint(str(path))
 
@@ -283,8 +298,27 @@ class TestCheckpoint:
         blob = bytearray(path.read_bytes())
         for offset, (fmt, value) in fields.items():
             struct.pack_into(fmt, blob, offset, value)
-        path.write_bytes(bytes(blob))
+        path.write_bytes(resealed(blob))
         with pytest.raises(FormatError, match="invalid model header"):
+            load_checkpoint(str(path))
+
+    def test_checksum_mismatch(self, tmp_path):
+        path = tmp_path / "m.safm"
+        save_checkpoint(small_model(), str(path))
+        blob = bytearray(path.read_bytes())
+        blob[-8] ^= 0x01  # lowest mantissa bit of the last stored value
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="checksum mismatch"):
+            load_checkpoint(str(path))
+
+    def test_version_2_refused(self, tmp_path):
+        """Version 2 had no checksum; its files are refused by version."""
+        path = tmp_path / "m.safm"
+        save_checkpoint(small_model(), str(path))
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<I", blob, 4, 2)
+        path.write_bytes(bytes(blob[:-4]))
+        with pytest.raises(FormatError, match="unsupported checkpoint version 2"):
             load_checkpoint(str(path))
 
 
@@ -293,8 +327,26 @@ SAFM_BLOB = valid_blob(save_checkpoint, SafModel(
     num_domains=1, seed=1))
 
 
+def load_blob(blob: bytes) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "blob.safm")
+        with open(path, "wb") as fh:
+            fh.write(blob)
+        load_checkpoint(path)
+
+
 class TestCorruptCheckpoint:
     @settings(max_examples=400, deadline=None)
     @given(corruptions(SAFM_BLOB))
-    def test_truncation_raises_and_flip_reads_back_or_raises(self, corruption):
-        check_reader(load_checkpoint, corruption)
+    def test_every_truncation_and_flip_raises(self, corruption):
+        with pytest.raises(FormatError):
+            load_blob(corruption[0])
+
+    def test_every_single_byte_flip_raises(self):
+        """The CRC-32 trailer catches any error confined to one byte, so no
+        flip of any byte of the file reads back."""
+        for pos in range(len(SAFM_BLOB)):
+            flipped = bytearray(SAFM_BLOB)
+            flipped[pos] ^= pos % 255 + 1
+            with pytest.raises(FormatError):
+                load_blob(bytes(flipped))

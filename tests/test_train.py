@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import safnet.autodiff as ad
+import safnet.train as train_module
 from safnet.datamodel import Epoch
 from safnet.errors import ValidationError
 from safnet.isbcs import SwapConfig
@@ -392,6 +393,21 @@ class TestFit:
         model = tiny_model()
         with pytest.raises(ValidationError):
             fit([], make_epochs(1), model, quick_cfg(), LossWeights())
+
+    def test_divergence_raises_before_validation(self, monkeypatch):
+        """lr = 1e30 sends the weights to inf within a step or two; fit stops
+        at the first batch whose loss is not finite, before any validation
+        pass or snapshot of that epoch."""
+        def no_validation(*args, **kwargs):
+            raise AssertionError("validation ran on a diverged model")
+
+        monkeypatch.setattr(train_module, "evaluate_macro_accuracy", no_validation)
+        train = make_epochs(8, seed=2)
+        with np.errstate(all="ignore"):
+            with pytest.raises(ValidationError,
+                               match=r"epoch 1, step \d+: .* is not finite"):
+                fit(train, train, tiny_model(), quick_cfg(lr=1e30, batch_size=4),
+                    LossWeights(lambda_mi=1.0, lambda_grl=1.0))
 
     def test_early_stop_fires(self):
         # constant inputs never improve past epoch 1
