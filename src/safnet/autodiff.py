@@ -9,19 +9,25 @@ finite-difference verification.
 The encoder's training kernels are each a single-pass ufunc or an
 np.matmul that BLAS accepts: BLAS takes a matrix only when one of its
 strides is one element and the other spans at least a row.
-- depthwise_spatial_conv, pointwise_conv and the weight gradient of
-  temporal_conv reach BLAS. The weight gradient pads each (B,C) row to a
-  multiple of K samples, so that windows starting K samples apart never
-  overlap; for each of the K phases these windows form a read-only strided
-  matrix, and the output gradient is copied once into the matching phase
-  layout.
-- The temporal_conv forward multiplies the (F,K) kernels into a sliding-
-  window view of the padded input. Its rows start one sample apart, so
-  numpy runs its own matmul loop on it instead of BLAS. A polyphase forward
-  measured two to three times slower at the encoder's training shape,
-  because scattering its output back into time order costs more than the
-  GEMM saves. No (B,C,M,K) im2col buffer is built or kept: for a 256-epoch
-  prediction batch it would take about 100 MB.
+- Every temporal convolution is a blocked-Toeplitz GEMM. Each row is
+  zero-padded to (Q+1)K samples, Q = ceil(M/K), and read as (Q+1, K)
+  blocks. Output block q is X[q] T0 + X[q+1] T1, where T0 and T1 are the
+  two K x K band-Toeplitz halves of a kernel, so the forward and the input
+  gradient are each one batched GEMM and one add, and the output comes out
+  in time order. The weight gradient sums G[q]' [X[q] | X[q+1]] over
+  blocks, one batched GEMM on strided views of the padded rows, and reads
+  the result's diagonals through one strided view. The halves do twice the
+  multiply-adds of a direct convolution, but at BLAS speed, and no
+  (..., M, K) im2col buffer is built: for a 256-epoch prediction batch it
+  would take about 100 MB.
+- first_block is the encoder's temporal conv, first batch norm and depthwise
+  spatial conv as one op. The spatial mix goes first, so the K-tap
+  convolution runs on B*F*D rows instead of B*F*C, and the batch
+  statistics come from float64 window moments of the input. The
+  (B,F,C,M) intermediate that the three ops would pass along is never
+  built. temporal_conv, batch_norm and depthwise_spatial_conv remain ops
+  of their own.
+- depthwise_spatial_conv and pointwise_conv are single BLAS products.
 - elu uses np.maximum and one multiply instead of np.where, and
   avg_pool_time adds the pool strided slices of a (..., n, pool) view
   instead of taking a mean over the trailing axis; both avoided forms run
@@ -37,7 +43,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ValidationError
 
@@ -236,61 +242,125 @@ def _same_pad(kernel: int) -> tuple[int, int]:
     return left, kernel - 1 - left
 
 
+def _blocks(a: np.ndarray, k: int, left: int) -> np.ndarray:
+    """Rows of a (..., M) zero-padded to (Q+1)K samples, Q = ceil(M/K), with
+    a[..., t] at sample left + t, as (..., Q+1, K) blocks. With left = 0 the
+    last block of every row is zero."""
+    m = a.shape[-1]
+    q = -(-m // k)
+    out = np.zeros(a.shape[:-1] + ((q + 1) * k,), dtype=a.dtype)
+    out[..., left:left + m] = a
+    return out.reshape(a.shape[:-1] + (q + 1, k))
+
+
+def _bands(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(F,K) kernels -> band-Toeplitz pairs [T0 | T1] and their adjoints
+    [T0' | T1'], each (F,K,2K): T0[s,p] = w[s-p] for s >= p and
+    T1[s,p] = w[K+s-p] for s < p, zero elsewhere. The pair reads
+    [w, 0, w] at 2K+s-p and the adjoint, a plain band, reads [0, w, 0] at
+    K+s-p; both are strided views copied once."""
+    f, k = w.shape
+    wide = np.zeros((f, 2, 3 * k), dtype=w.dtype)
+    wide[:, 0, :k] = w
+    wide[:, 0, 2 * k:] = w
+    wide[:, 1, k:2 * k] = w
+    fs, _, step = wide.strides
+    fwd = as_strided(wide[:, 0, 2 * k:], shape=(f, k, 2 * k),
+                     strides=(fs, step, -step), writeable=False)
+    adj = as_strided(wide[:, 1, k:], shape=(f, k, 2 * k),
+                     strides=(fs, -step, step), writeable=False)
+    return np.ascontiguousarray(fwd), np.ascontiguousarray(adj)
+
+
+def _toeplitz_conv(xb: np.ndarray, bands: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Blocked-Toeplitz correlation y[t] = sum_i w[i] xp[t+i] of each padded
+    row with each kernel of its group.
+
+    xb (G,*R,Q+1,K) holds the blocks of G groups of rows (_blocks), bands
+    (G,K,H,2K) the band pairs of the H kernels applied to every row of a
+    group. Output block q of a row is X[q] T0 + X[q+1] T1: one batched GEMM
+    against [T0 | T1] and one add, written to out (G,*R,Q,H,K) in time order.
+    """
+    g, k = xb.shape[0], xb.shape[-1]
+    y = np.matmul(xb.reshape(g, -1, k), bands.reshape(g, k, -1))
+    y = y.reshape(xb.shape[:-1] + bands.shape[2:])
+    return np.add(y[..., :-1, :, :k], y[..., 1:, :, k:], out=out)
+
+
+def _block_products(xb: np.ndarray, gb: np.ndarray) -> np.ndarray:
+    """P[f,q] = sum over rows of G[q]' [X[q] | X[q+1]], (F,Q,K,2K), for the
+    blocks xb (G,*R,Q+1,K) of a padded input and gb (F,*R,Q+1,K) of a
+    signal aligned with it (G is 1 or F). P[f,q][a, a+i] sums g[qK+a] times
+    xp[qK+a+i]. Each [X[q] | X[q+1]] is a strided view of a row's blocks,
+    so this is one batched GEMM."""
+    k, q1 = xb.shape[-1], xb.shape[-2]
+    xf = xb.reshape(xb.shape[0], -1, q1 * k)
+    gf = gb.reshape(gb.shape[0], -1, q1, k)
+    step = xf.itemsize
+    pairs = as_strided(xf, shape=(xf.shape[0], q1 - 1, xf.shape[1], 2 * k),
+                       strides=(xf.strides[0], k * step, xf.strides[1], step),
+                       writeable=False)
+    return np.matmul(gf[:, :, :-1].transpose(0, 2, 3, 1), pairs)
+
+
+def _diagonals(p: np.ndarray) -> np.ndarray:
+    """(..., K, 2K) -> strided view (..., K, K) of p[..., a, a+i] at [a, i]."""
+    k = p.shape[-2]
+    rows, cols = p.strides[-2:]
+    return as_strided(p, shape=p.shape[:-1] + (k,),
+                      strides=p.strides[:-2] + (rows + cols, cols), writeable=False)
+
+
+def _toeplitz_weight_grad(xb: np.ndarray, gb: np.ndarray) -> np.ndarray:
+    """gw[f,i] = sum over rows and t of g[t] xp[t+i] for the blocks xb of
+    the padded input and gb of the output gradient (_block_products)."""
+    return _diagonals(_block_products(xb, gb)).sum(axis=(1, 2))
+
+
+def _toeplitz_input_grad(gb: np.ndarray, adj: np.ndarray) -> np.ndarray:
+    """Gradient of the padded input blocks for output-gradient blocks gb
+    (F,*R,Q+1,K) and kernel adjoints adj (F,K,2K): block q is
+    G[q] T0' + G[q-1] T1', one GEMM and one add shifted by a block on the
+    flat block axis. The last block of each row of gb must be zero (left = 0
+    in _blocks), so the shift never carries a row into the next. Same shape
+    as gb."""
+    f, k = gb.shape[0], gb.shape[-1]
+    p = np.matmul(gb.reshape(f, -1, k), adj)
+    gxb = p[..., :k].copy()
+    gxb[:, 1:] += p[:, :-1, k:]
+    return gxb.reshape(gb.shape)
+
+
+def _unblock(gxb: np.ndarray, left: int, m: int) -> np.ndarray:
+    """Samples left .. left+M-1 of each blocked row: the unpadded signal."""
+    return gxb.reshape(gxb.shape[:-2] + (-1,))[..., left:left + m]
+
+
 def temporal_conv(x: Tensor, w: Tensor) -> Tensor:
     """(B,1,C,M) with per-filter kernels (F,K), same padding on time."""
     if x.data.ndim != 4 or x.data.shape[1] != 1:
         raise ValidationError(f"temporal_conv expects (B,1,C,M), got {x.data.shape}")
     b, _, c, m = x.data.shape
     f, k = w.data.shape
-    left, right = _same_pad(k)
-    xp = np.pad(x.data[:, 0], ((0, 0), (0, 0), (left, right)))
-    win = sliding_window_view(xp, k, axis=-1)  # (B,C,M,K), a strided view
-    data = np.ascontiguousarray(
-        np.matmul(w.data, win.transpose(0, 1, 3, 2)).transpose(0, 2, 1, 3))
+    left = _same_pad(k)[0]
+    q = -(-m // k)
+    xb = _blocks(x.data[:, 0], k, left)[None]  # one group of B*C rows
+    fwd, adj = _bands(w.data)
+    out = np.empty((b, f, c, q, k), dtype=np.result_type(x.data, w.data))
+    _toeplitz_conv(xb, fwd.transpose(1, 0, 2)[None],
+                   out.transpose(0, 2, 3, 1, 4)[None])
+    data = np.ascontiguousarray(out.reshape(b, f, c, q * k)[..., :m])
 
     def grad_fn(g):
-        gw = _temporal_conv_weight_grad(x.data, g, k) if w.requires_grad else None
+        gb = _blocks(g.transpose(1, 0, 2, 3), k, 0)  # (F,B,C,Q+1,K)
+        gw = _toeplitz_weight_grad(xb, gb) if w.requires_grad else None
         gx = None
         if _wants_grad(x):
-            gxp = np.zeros_like(xp)
-            for kk in range(k):
-                gxp[:, :, kk:kk + m] += np.tensordot(g, w.data[:, kk], axes=([1], [0]))
-            gx = gxp[:, :, left:left + m][:, None]
+            gxb = _toeplitz_input_grad(gb, adj).sum(axis=0)
+            gx = _unblock(gxb, left, m)[:, None].copy()
         return (gx, gw)
 
     return _node(data, (x, w), grad_fn)
-
-
-def _temporal_conv_weight_grad(x: np.ndarray, g: np.ndarray, k: int) -> np.ndarray:
-    """gw[f,i] = sum over b, c, t of g[b,f,c,t] * xpad[b,c,t+i], as K BLAS
-    products on a polyphase view of the padded input.
-
-    Each (B,C) row is zero-padded to L = (Q+1)K samples, Q = ceil(M/K), and
-    the rows are laid end to end. Output time t = qK + p is phase p of block
-    q. For phase p, the windows starting at p, p+K, p+2K, ... of the flat
-    buffer never overlap, so they form a (J,K) matrix with row stride K.
-    Window r(Q+1) + q starts at sample qK + p of row r. It meets a zero of
-    g's phase layout where t >= M, which covers block Q, the only windows
-    that run into the next row. The very last window, which would run past
-    the buffer, is left out.
-    """
-    b, _, c, m = x.shape
-    f = g.shape[1]
-    left = (k - 1) // 2
-    q = -(-m // k)
-    rows = b * c
-    xq = np.zeros((rows, (q + 1) * k), dtype=x.dtype)
-    xq[:, left:left + m] = x.reshape(rows, m)
-    j = rows * (q + 1) - 1
-    step = xq.itemsize
-    win = as_strided(xq, shape=(k, j, k), strides=(step, k * step, step),
-                     writeable=False)
-    gq = np.zeros((k, f, b, c, q + 1), dtype=g.dtype)
-    blocks = gq.transpose(2, 1, 3, 4, 0)  # (B,F,C,Q+1,K) view of gq
-    full = m // k
-    blocks[:, :, :, :full] = g[..., :full * k].reshape(b, f, c, full, k)
-    blocks[:, :, :, full, :m - full * k] = g[..., full * k:]
-    return np.matmul(gq.reshape(k, f, -1)[..., :j], win).sum(axis=0)
 
 
 def depthwise_temporal_conv(x: Tensor, w: Tensor) -> Tensor:
@@ -299,19 +369,21 @@ def depthwise_temporal_conv(x: Tensor, w: Tensor) -> Tensor:
     fw, k = w.data.shape
     if fw != f:
         raise ValidationError(f"kernel count {fw} != filter count {f}")
-    left, right = _same_pad(k)
-    xp = np.pad(x.data, ((0, 0), (0, 0), (0, 0), (left, right)))
-    win = sliding_window_view(xp, k, axis=-1)  # (B,F,C,M,K)
-    data = np.einsum("bfcmk,fk->bfcm", win, w.data)
+    left = _same_pad(k)[0]
+    q = -(-m // k)
+    xb = _blocks(x.data.transpose(1, 0, 2, 3), k, left)  # (F,B,C,Q+1,K)
+    fwd, adj = _bands(w.data)
+    out = np.empty((b, f, c, q, k), dtype=np.result_type(x.data, w.data))
+    _toeplitz_conv(xb, fwd[:, :, None], out.transpose(1, 0, 2, 3, 4)[..., None, :])
+    data = np.ascontiguousarray(out.reshape(b, f, c, q * k)[..., :m])
 
     def grad_fn(g):
-        gw = np.einsum("bfcmk,bfcm->fk", win, g) if w.requires_grad else None
+        gb = _blocks(g.transpose(1, 0, 2, 3), k, 0)
+        gw = _toeplitz_weight_grad(xb, gb) if w.requires_grad else None
         gx = None
         if _wants_grad(x):
-            gxp = np.zeros_like(xp)
-            for kk in range(k):
-                gxp[:, :, :, kk:kk + m] += g * w.data[:, kk][None, :, None, None]
-            gx = gxp[:, :, :, left:left + m]
+            gxb = _toeplitz_input_grad(gb, adj)
+            gx = np.ascontiguousarray(_unblock(gxb, left, m).transpose(1, 0, 2, 3))
         return (gx, gw)
 
     return _node(data, (x, w), grad_fn)
@@ -402,6 +474,120 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
                 gbeta if beta.requires_grad else None)
 
     return _node(data, (x, gamma, beta), grad_fn)
+
+
+def _window_moments(x: np.ndarray, k: int, left: int):
+    """Mean (K,) and Gram (K,K), in float64, of the K-sample windows
+    xp[t : t+K], t < M, of rows x (R,M) padded with `left` zeros in front:
+    mean[i] = sum xp[t+i] / n and gram[i,j] = sum xp[t+i] xp[t+j] over rows
+    and t, with n = R*M.
+
+    Tap i reads x[o : o+M], o = i - left, so gram[i,j] sums the lag
+    products p[s, |i-j|] = sum over rows of x[s] x[s+|i-j|] over
+    s in [o, o+M), o = min(i,j) - left. _block_products of x with itself
+    gives p for every s, the window sums are differences of a running sum
+    over s, and a strided view lays gram[i, i+l] out from them."""
+    x = x.astype(np.float64)
+    rows, m = x.shape
+    q = -(-m // k)
+    xb = _blocks(x, k, 0)[None]
+    lagprod = _diagonals(_block_products(xb, xb)[0])  # p[qK+a, l] at [q, a, l]
+    cum = np.zeros((q * k + 1, k))
+    np.cumsum(lagprod.reshape(q * k, k), axis=0, out=cum[1:])
+    o = np.arange(k) - left
+    band = np.zeros((k, 2 * k))  # band[i, l] = gram[i, i+l]
+    band[:, :k] = cum[np.clip(o + m, 0, q * k)] - cum[np.clip(o, 0, q * k)]
+    step = band.itemsize
+    upper = as_strided(band, shape=(k, k), strides=((2 * k - 1) * step, step),
+                       writeable=False)  # band[i, j-i]; zero below the diagonal
+    gram = upper + upper.T
+    gram.flat[::k + 1] = band[:, 0]
+    total = np.concatenate([[0.0], np.cumsum(x.sum(axis=0))])
+    mean = (total[np.clip(o + m, 0, m)] - total[np.clip(o, 0, m)]) / (rows * m)
+    return mean, gram
+
+
+def first_block(x: Tensor, w: Tensor, gamma: Tensor, beta: Tensor,
+                spatial_w: Tensor, running_mean: np.ndarray,
+                running_var: np.ndarray, training: bool, momentum: float = 0.1,
+                eps: float = 1e-5) -> Tensor:
+    """temporal_conv(x, w), batch_norm(gamma, beta) and
+    depthwise_spatial_conv(spatial_w) as one op: (B,1,C,M) -> (B,F*D,1,M).
+
+    Once the batch-norm statistics are known all three are linear, and
+    batch norm is constant over channels and time, so the spatial mix goes
+    first: u = W x is (B,F,D,M), v_f = w_f * u runs on B*F*D rows instead of
+    B*F*C, and out = a_f v + c_f S_fd with a = gamma/sigma,
+    c = beta - a mu and S_fd = sum_c W[f,d,c]. In training mode
+    mu_f = w_f . mean and sigma_f^2 = w_f' gram w_f / n - mu_f^2 come from
+    the window moments of x (_window_moments, float64, n = B*C*M), and the
+    running buffers are updated as batch_norm does; otherwise they are read.
+    x is data: it may not require a gradient."""
+    if _wants_grad(x):
+        raise ValidationError("first_block does not differentiate its input")
+    if x.data.ndim != 4 or x.data.shape[1] != 1:
+        raise ValidationError(f"first_block expects (B,1,C,M), got {x.data.shape}")
+    b, _, c, m = x.data.shape
+    f, k = w.data.shape
+    fw, d, cw = spatial_w.data.shape
+    if fw != f or cw != c:
+        raise ValidationError(f"spatial kernel {spatial_w.data.shape} incompatible "
+                              f"with {f} filters over {c} channels")
+    dtype = x.data.dtype
+    left = _same_pad(k)[0]
+    q = -(-m // k)
+    xb = _blocks(x.data[:, 0].transpose(1, 0, 2), k, left)  # (C,B,Q+1,K)
+    ub = np.matmul(spatial_w.data.reshape(f * d, c), xb.reshape(c, -1))
+    ub = ub.reshape(f, d, b, q + 1, k)  # u, padded as xb is
+    fwd, adj = _bands(w.data)
+    v = np.empty((f, d, b, q, 1, k), dtype=dtype)
+    _toeplitz_conv(ub, fwd[:, :, None], v)
+
+    w64 = w.data.astype(np.float64)
+    n = b * c * m
+    if training:
+        mean, gram = _window_moments(x.data[:, 0].reshape(b * c, m), k, left)
+        mu = w64 @ mean
+        rw = w64 @ gram
+        # rounding can leave E[h^2] - mu^2 a hair below zero
+        var = np.maximum(np.einsum("fk,fk->f", rw, w64) / n - mu * mu, 0.0)
+        running_mean *= 1.0 - momentum
+        running_mean += momentum * mu
+        running_var *= 1.0 - momentum
+        running_var += momentum * (var * n / max(n - 1, 1))
+    else:
+        mu = running_mean.astype(np.float64)
+        var = running_var.astype(np.float64)
+    istd = 1.0 / np.sqrt(var + eps)
+    gamma64 = gamma.data.astype(np.float64)
+    a = gamma64 * istd
+    shift = beta.data - a * mu
+    ssum = spatial_w.data.sum(axis=2)  # S (F,D)
+    data = np.empty((b, f, d, m), dtype=dtype)
+    np.multiply(v.reshape(f, d, b, q * k)[..., :m],
+                a.astype(dtype)[:, None, None, None], out=data.transpose(1, 2, 0, 3))
+    data += (shift[:, None] * ssum).astype(dtype)[None, :, :, None]
+    data = data.reshape(b, f * d, 1, m)
+
+    def grad_fn(g):
+        gb = _blocks(g.reshape(b, f, d, m).transpose(1, 2, 0, 3), k, 0)
+        gsum = np.einsum("fdbqk->fd", gb).astype(np.float64)
+        ga = np.einsum("fdbqk,fdbqk->f", gb[:, :, :, :q], v[..., 0, :])
+        gc = np.einsum("fd,fd->f", ssum, gsum)
+        gscale = ga - mu * gc
+        gw = a[:, None] * _toeplitz_weight_grad(ub, gb)
+        if training:
+            gvar = -0.5 * istd ** 3 * gamma64 * gscale
+            gmu = -a * gc - 2.0 * mu * gvar
+            gw += gmu[:, None] * mean + (2.0 / n) * gvar[:, None] * rw
+        gub = _toeplitz_input_grad(gb, adj)
+        gsw = np.matmul(gub.reshape(f * d, -1), xb.reshape(c, -1).T).reshape(f, d, c)
+        gsw = gsw * a[:, None, None] + (shift[:, None] * gsum)[:, :, None]
+        return (None, gw.astype(w.data.dtype),
+                (istd * gscale).astype(gamma.data.dtype), gc.astype(beta.data.dtype),
+                gsw.astype(spatial_w.data.dtype))
+
+    return _node(data, (x, w, gamma, beta, spatial_w), grad_fn)
 
 
 def avg_pool_time(x: Tensor, pool: int) -> Tensor:

@@ -6,6 +6,14 @@ convolution collapses the electrode axis, and a separable convolution
 mixes the resulting feature maps. The task head is a single linear layer;
 the domain head reads the features through a gradient reversal layer so
 that the encoder is trained to make subjects indistinguishable.
+
+The first block (temporal conv, batch norm, depthwise spatial conv) runs
+as one op, autodiff.first_block. With its batch statistics fixed the block
+is linear and batch norm is constant over electrodes and time, so the
+spatial mix is applied first and the temporal convolution runs on F1*D
+rows per epoch instead of F1*C. The statistics of the temporal conv's
+output come from float64 moments of the input windows. The parameters,
+buffers and checkpoint layout are those of the three separate layers.
 """
 
 from __future__ import annotations
@@ -142,10 +150,9 @@ class SafModel:
             raise ValidationError(f"expected input {expected}, got {x.data.shape}")
 
         p, bufs = self.params, self.buffers
-        h = ad.temporal_conv(x, p["conv_temporal_w"])
-        h = ad.batch_norm(h, p["bn1_gamma"], p["bn1_beta"], bufs["bn1_mean"],
-                          bufs["bn1_var"], training, BN_MOMENTUM)
-        h = ad.depthwise_spatial_conv(h, p["conv_spatial_w"])
+        h = ad.first_block(x, p["conv_temporal_w"], p["bn1_gamma"], p["bn1_beta"],
+                           p["conv_spatial_w"], bufs["bn1_mean"], bufs["bn1_var"],
+                           training, BN_MOMENTUM)
         h = ad.batch_norm(h, p["bn2_gamma"], p["bn2_beta"], bufs["bn2_mean"],
                           bufs["bn2_var"], training, BN_MOMENTUM)
         h = ad.elu(h)

@@ -43,6 +43,9 @@ TRAIN_LOG_HEADER = ["epoch", "l_task", "l_domain", "l_mi", "l_total", "lr",
                     "val_macro_acc"]
 GRID_TABLE_HEADER = ["lambda_mi", "lambda_grl", "val_macro_acc"]
 EVAL_BATCH = 256
+# fit stops as diverged at a step whose l_total exceeds this factor times
+# max(1, l_total of the run's first step)
+DIVERGENCE_FACTOR = 1e4
 
 
 @dataclass(frozen=True)
@@ -271,8 +274,10 @@ def fit(train_data, val_data, model: SafModel, cfg: TrainConfig,
     trajectory of a plain classifier loop that never touches the swap
     stream. The model is updated in place.
 
-    A batch whose loss is not finite stops training with a ValidationError
-    that names its epoch and step, before that batch updates the weights.
+    A batch whose loss is not finite, or whose l_total exceeds
+    DIVERGENCE_FACTOR * max(1, first step's l_total), stops training with a
+    ValidationError that names its epoch and step, before that batch
+    updates the weights.
     """
     if not train_data or not val_data:
         raise ValidationError("train and validation sets must be non-empty")
@@ -303,6 +308,7 @@ def fit(train_data, val_data, model: SafModel, cfg: TrainConfig,
     best_acc = -np.inf
     best_snap = _snapshot(model)
     best_epoch = 0
+    loss_limit = None
 
     n = len(train_data)
     for epoch in range(1, cfg.max_epochs + 1):
@@ -324,6 +330,13 @@ def fit(train_data, val_data, model: SafModel, cfg: TrainConfig,
                 raise ValidationError(
                     f"training diverged at epoch {epoch}, step {step}: loss "
                     f"(task, domain, mi, total) = {losses.tolist()} is not finite")
+            if loss_limit is None:
+                loss_limit = DIVERGENCE_FACTOR * max(1.0, losses[3])
+            elif losses[3] > loss_limit:
+                raise ValidationError(
+                    f"training diverged at epoch {epoch}, step {step}: l_total "
+                    f"{losses[3]:.3g} exceeds {DIVERGENCE_FACTOR:g} x max(1, first "
+                    f"step's l_total) = {loss_limit:.3g}")
             l_total.backward()
             adam_step(model.params, adam, lr_used)
             b = len(idx)

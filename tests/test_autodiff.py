@@ -315,6 +315,126 @@ class TestKernelEquivalence:
         assert_matches(rv_new, rv_ref)
 
 
+def ref_depthwise_temporal_conv(x, w, g):
+    """Output and (x, w) gradients of depthwise_temporal_conv for output
+    gradient g: the einsum over a sliding-window view and the K-step
+    input-gradient loop that the blocked-Toeplitz kernel replaced."""
+    m, k = x.shape[-1], w.shape[1]
+    left = (k - 1) // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (0, 0), (left, k - 1 - left)))
+    win = sliding_window_view(xp, k, axis=-1)
+    gxp = np.zeros_like(xp)
+    for kk in range(k):
+        gxp[..., kk:kk + m] += g * w[:, kk][None, :, None, None]
+    return (np.einsum("bfcmk,fk->bfcm", win, w), gxp[..., left:left + m],
+            np.einsum("bfcmk,bfcm->fk", win, g))
+
+
+@pytest.mark.parametrize("b, f, c, m, k", [
+    (32, 16, 1, 64, 16),  # the encoder's separable block
+    (2, 3, 2, 250, 64),   # M not a multiple of K
+    (3, 2, 2, 20, 1),     # K = 1
+    (2, 3, 3, 10, 16),    # K > M
+    (2, 2, 1, 10, 11),    # odd K > M
+    (1, 4, 2, 37, 7),     # B = 1, odd K
+    (1, 4, 1, 37, 8),     # B = 1, even K
+    (1, 2, 1, 1, 2),      # one sample
+])
+def test_depthwise_temporal_conv_matches_reference(b, f, c, m, k):
+    rng = np.random.default_rng(b * 10000 + m * 100 + k)
+    x = rng.standard_normal((b, f, c, m))
+    w = rng.standard_normal((f, k))
+    g = rng.standard_normal((b, f, c, m))
+    out, grads = run_op(ad.depthwise_temporal_conv, g, x, w)
+    assert out.flags.c_contiguous
+    for got, want in zip([out, *grads], ref_depthwise_temporal_conv(x, w, g)):
+        assert_matches(got, want)
+
+
+def chain_first_block(x, w, gamma, beta, spatial_w, running_mean, running_var,
+                      training):
+    """The three ops that first_block fuses, as the encoder once ran them."""
+    h = ad.temporal_conv(x, w)
+    h = ad.batch_norm(h, gamma, beta, running_mean, running_var, training)
+    return ad.depthwise_spatial_conv(h, spatial_w)
+
+
+def run_first_block(op, dtype, b, c, m, f, d, k, training, seed):
+    """Output, gradients of (w, gamma, beta, spatial_w) for a random output
+    gradient, and both running buffers after one call of op."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((b, 1, c, m)) * 2.0 + 0.3
+    arrays = [rng.standard_normal((f, k)), rng.standard_normal(f) + 1.5,
+              rng.standard_normal(f), rng.standard_normal((f, d, c))]
+    running_mean = rng.standard_normal(f) * 0.1
+    running_var = np.abs(rng.standard_normal(f)) + 0.5
+    g = rng.standard_normal((b, f * d, 1, m)).astype(dtype)
+    tensors = [Tensor(a.astype(dtype), requires_grad=True) for a in arrays]
+    running_mean, running_var = running_mean.astype(dtype), running_var.astype(dtype)
+    out = op(Tensor(x.astype(dtype)), *tensors, running_mean, running_var, training)
+    weighted_sum(out, g).backward()
+    return [out.data, *(t.grad for t in tensors), running_mean, running_var]
+
+
+FIRST_BLOCK_SHAPES = [  # (B, C, M, F, D, K)
+    (32, 6, 256, 8, 2, 64),  # the encoder's training shape
+    (3, 4, 37, 3, 2, 7),     # odd K, M off the block size
+    (2, 3, 40, 2, 1, 8),     # even K, M off the block size, D = 1
+    (2, 3, 10, 2, 2, 16),    # K > M
+    (1, 5, 33, 4, 2, 6),     # B = 1
+    (1, 2, 12, 3, 1, 5),     # B = 1, D = 1
+]
+
+
+class TestFirstBlock:
+    """first_block against the temporal_conv -> batch_norm ->
+    depthwise_spatial_conv chain it replaces in the encoder."""
+
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("shape", FIRST_BLOCK_SHAPES)
+    def test_matches_chain_float64(self, shape, training):
+        seed = sum(shape)
+        got = run_first_block(ad.first_block, np.float64, *shape, training, seed)
+        want = run_first_block(chain_first_block, np.float64, *shape, training, seed)
+        for g, w in zip(got, want):
+            assert_matches(g, w)
+
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("shape", FIRST_BLOCK_SHAPES[:3])
+    def test_matches_chain_float32(self, shape, training):
+        seed = sum(shape)
+        got = run_first_block(ad.first_block, np.float32, *shape, training, seed)
+        want = run_first_block(chain_first_block, np.float32, *shape, training, seed)
+        for g, w in zip(got, want):
+            assert g.dtype == np.float32
+            assert np.max(np.abs(g - w)) <= 1e-5 * np.max(np.abs(w))
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_gradient(self, training):
+        rng = np.random.default_rng(21)
+        x = Tensor(rng.standard_normal((3, 1, 4, 11)))
+
+        def build(w, gamma, beta, spatial_w):
+            return ad.first_block(x, w, gamma, beta, spatial_w, np.full(2, 0.2),
+                                  np.full(2, 1.3), training)
+
+        check_op(build, rng.standard_normal((2, 4)), rng.standard_normal(2) + 1.5,
+                 rng.standard_normal(2), rng.standard_normal((2, 2, 4)))
+
+    def test_rejects_input_that_needs_a_gradient(self):
+        with pytest.raises(ValidationError):
+            ad.first_block(t64(np.zeros((2, 1, 3, 8))), t64(np.ones((2, 3))),
+                           t64(np.ones(2)), t64(np.zeros(2)), t64(np.ones((2, 1, 3))),
+                           np.zeros(2), np.ones(2), training=True)
+
+    def test_rejects_mismatched_spatial_kernel(self):
+        with pytest.raises(ValidationError):
+            ad.first_block(t64(np.zeros((2, 1, 3, 8)), requires_grad=False),
+                           t64(np.ones((2, 3))), t64(np.ones(2)), t64(np.zeros(2)),
+                           t64(np.ones((2, 1, 4))), np.zeros(2), np.ones(2),
+                           training=True)
+
+
 class TestPoolDropoutLinear:
     rng = np.random.default_rng(4)
 

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -408,6 +409,31 @@ class TestFit:
                                match=r"epoch 1, step \d+: .* is not finite"):
                 fit(train, train, tiny_model(), quick_cfg(lr=1e30, batch_size=4),
                     LossWeights(lambda_mi=1.0, lambda_grl=1.0))
+
+    def test_exploding_finite_loss_raises(self, monkeypatch):
+        """lr = 1e6 keeps every loss finite while l_total grows by orders
+        of magnitude (1.8e20 as the first epoch's mean); fit stops at the
+        first step past DIVERGENCE_FACTOR x max(1, first step's l_total),
+        before that step's update and before any validation pass."""
+        def no_validation(*args, **kwargs):
+            raise AssertionError("validation ran on a diverged model")
+
+        monkeypatch.setattr(train_module, "evaluate_macro_accuracy", no_validation)
+        updates = []
+        real_adam_step = train_module.adam_step
+
+        def counting_adam_step(*args, **kwargs):
+            updates.append(1)
+            return real_adam_step(*args, **kwargs)
+
+        monkeypatch.setattr(train_module, "adam_step", counting_adam_step)
+        train = make_epochs(8)
+        pattern = r"epoch 1, step (\d+): l_total .* exceeds 10000 x"
+        with pytest.raises(ValidationError, match=pattern) as exc:
+            fit(train, train, tiny_model(), quick_cfg(lr=1e6, batch_size=4),
+                LossWeights(lambda_mi=1.0, lambda_grl=1.0))
+        step = int(re.search(r"step (\d+)", str(exc.value)).group(1))
+        assert len(updates) == step - 1
 
     def test_early_stop_fires(self):
         # constant inputs never improve past epoch 1
