@@ -2,7 +2,9 @@
 
 Subcommands: synth, preprocess, train, grid, eval, analyze. A single INI
 configuration file (sections [pipeline], [asr], [swap], [train], [synth])
-carries defaults; flags override. Unknown sections or keys are rejected.
+carries defaults; flags override. A section's keys are the number fields of
+its config dataclass (INI_SCHEMA); unknown sections or keys, and floats that
+are not finite, are rejected.
 Exit codes: 0 success, 1 validation/configuration error, 2 I/O error. All
 diagnostics go to standard error; data outputs go to files only, so
 re-running a command with identical inputs reproduces identical bytes.
@@ -12,9 +14,11 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import os
 import sys
 from dataclasses import dataclass, field, replace
+from typing import get_type_hints
 
 import numpy as np
 
@@ -54,35 +58,30 @@ from .train import (
     write_train_log,
 )
 
-FLOAT_TUPLE = "float_tuple"
 
-_PIPELINE_KEYS = {
-    "band_lo_hz": float, "band_hi_hz": float, "notch_hz": FLOAT_TUPLE,
-    "notch_q": float, "target_rate_hz": float, "epoch_seconds": float,
-    "butter_order": int,
-}
-_ASR_KEYS = {
-    "cutoff_k": float, "calib_window_s": float, "calib_z_lo": float,
-    "calib_z_hi": float, "min_calib_windows": int, "proc_window_s": float,
-    "proc_overlap": float,
-}
-_SWAP_KEYS = {"p": float}
-_TRAIN_KEYS = {
-    "lr": float, "batch_size": int, "min_epochs": int, "max_epochs": int,
-    "patience": int, "plateau_window": int, "improvement_eps": float,
-    "lr_factor": float, "lr_floor": float, "beta1": float, "beta2": float,
-    "adam_eps": float, "seed": int,
-}
-_SYNTH_KEYS = {
-    "subjects": int, "channels": int, "fs": float, "duration_s": float,
-    "subject_bias_strength": float, "line_noise_amp": float,
-    "artifact_rate_per_min": float, "artifact_gain": float, "seed": int,
-    "class_signature_0": FLOAT_TUPLE, "class_signature_1": FLOAT_TUPLE,
-}
-_SECTIONS = {
-    "pipeline": _PIPELINE_KEYS, "asr": _ASR_KEYS, "swap": _SWAP_KEYS,
-    "train": _TRAIN_KEYS, "synth": _SYNTH_KEYS,
-}
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"must be a finite number, got {raw.strip()!r}")
+    return value
+
+
+def _finite_list(raw: str) -> tuple[float, ...]:
+    return tuple(_finite(tok) for tok in raw.split(",") if tok.strip())
+
+
+_CONVERTERS = {float: _finite, int: int, tuple[float, ...]: _finite_list}
+# Each section's keys and their converters: the fields of its config dataclass
+# annotated float, int or tuple[float, ...], plus synth's class signature pair.
+INI_SCHEMA = {section: {name: _CONVERTERS[kind]
+                        for name, kind in get_type_hints(cls).items()
+                        if kind in _CONVERTERS}
+              for section, cls in (("pipeline", PipelineConfig), ("asr", AsrConfig),
+                                   ("swap", SwapConfig), ("train", TrainConfig),
+                                   ("synth", SynthConfig))}
+INI_SCHEMA["synth"].update(class_signature_0=_finite_list,
+                           class_signature_1=_finite_list)
+
 
 @dataclass(frozen=True)
 class CliConfig:
@@ -90,20 +89,6 @@ class CliConfig:
     asr: AsrConfig = field(default_factory=AsrConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
     synth: SynthConfig = field(default_factory=SynthConfig)
-
-
-def _convert(section: str, key: str, raw: str, kind):
-    where = f"[{section}] {key}"
-    try:
-        if kind is float:
-            return float(raw)
-        if kind is int:
-            return int(raw)
-        if kind == FLOAT_TUPLE:
-            return tuple(float(tok) for tok in raw.split(",") if tok.strip())
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
-    raise ConfigError(f"{where}: unsupported value kind")
 
 
 def load_cli_config(path: str) -> CliConfig:
@@ -117,15 +102,17 @@ def load_cli_config(path: str) -> CliConfig:
 
     values: dict[str, dict] = {}
     for section in parser.sections():
-        if section not in _SECTIONS:
+        if section not in INI_SCHEMA:
             raise ConfigError(f"{path}: unknown section [{section}]")
-        keymap = _SECTIONS[section]
-        kwargs = {}
+        converters = INI_SCHEMA[section]
+        kwargs = values[section] = {}
         for key, raw in parser[section].items():
-            if key not in keymap:
+            if key not in converters:
                 raise ConfigError(f"{path}: unknown key {key!r} in [{section}]")
-            kwargs[key] = _convert(section, key, raw, keymap[key])
-        values[section] = kwargs
+            try:
+                kwargs[key] = converters[key](raw)
+            except ValueError as exc:
+                raise ConfigError(f"[{section}] {key}: {exc}") from None
 
     synth_kwargs = values.get("synth", {})
     sig0 = synth_kwargs.pop("class_signature_0", None)

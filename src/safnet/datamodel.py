@@ -24,13 +24,16 @@ LF line endings, no quoting, so no path or subject id may contain a
 comma, a double quote, CR or LF. Relative paths resolve against the
 manifest's own directory.
 
-The readers raise FormatError for any blob they cannot decode into a
-valid value, truncated or corrupted alike.
+The NDF, SAFR and SAFM (safnet.model) readers parse through one
+ContainerReader, which names the file and the field in the FormatError of a
+truncated file. Any blob the readers cannot decode into a valid value,
+truncated or corrupted alike, raises FormatError.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -160,6 +163,51 @@ class Manifest:
     base_dir: str = "."
 
 
+class ContainerReader:
+    """Bounds-checked cursor over the bytes of one container file. Every read
+    names its field; one that runs past the end raises FormatError naming the
+    file and the field."""
+
+    def __init__(self, blob: bytes, path: str, kind: str):
+        self.blob, self.path, self.kind = blob, path, kind
+        self.offset = 0
+
+    def _advance(self, size: int, field: str) -> int:
+        start = self.offset
+        if size > len(self.blob) - start:
+            raise FormatError(f"{self.path}: truncated {self.kind}: too short "
+                              f"for the {field}")
+        self.offset = start + size
+        return start
+
+    def unpack(self, fmt: str, field: str) -> tuple:
+        return struct.unpack_from(fmt, self.blob,
+                                  self._advance(struct.calcsize(fmt), field))
+
+    def text(self, field: str) -> str:
+        """u32 byte length, then that many bytes of UTF-8."""
+        (size,) = self.unpack("<I", f"{field} length")
+        start = self._advance(size, field)
+        try:
+            return self.blob[start:self.offset].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{self.path}: {field} is not valid UTF-8") from exc
+
+    def array(self, dtype: str, shape: tuple[int, ...], field: str) -> np.ndarray:
+        """A read-only view of the next prod(shape) values, not a copy."""
+        count = math.prod(shape)
+        start = self._advance(count * np.dtype(dtype).itemsize, field)
+        return np.frombuffer(self.blob, dtype=dtype, count=count,
+                             offset=start).reshape(shape)
+
+    def finish(self, field: str) -> None:
+        """Reject bytes after the last field."""
+        extra = len(self.blob) - self.offset
+        if extra:
+            raise FormatError(f"{self.path}: {extra} trailing bytes after the "
+                              f"{field}")
+
+
 def write_ndf(epoch: Epoch, path: str) -> None:
     """Serialize one epoch to the binary NDF layout (see module docstring)."""
     x = epoch.x
@@ -186,27 +234,15 @@ def write_ndf(epoch: Epoch, path: str) -> None:
 def read_ndf(path: str) -> Epoch:
     """Read one epoch written by write_ndf; rejects bad magic and truncation."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    head_fmt = "<4sIIIfB I"
-    head_size = struct.calcsize(head_fmt)
-    if len(blob) < head_size:
-        raise FormatError(f"{path}: file too short for NDF header")
-    magic, version, c, m, fs, y, slen = struct.unpack_from(head_fmt, blob)
+        r = ContainerReader(fh.read(), path, "NDF epoch")
+    magic, version, c, m, fs, y = r.unpack("<4sIIIfB", "header")
     if magic != NDF_MAGIC:
         raise FormatError(f"{path}: bad magic {magic!r}")
     if version != NDF_VERSION:
         raise FormatError(f"{path}: unsupported NDF version {version}")
-    offset = head_size
-    if len(blob) < offset + slen:
-        raise FormatError(f"{path}: truncated subject id")
-    subject = _decode_utf8(blob[offset : offset + slen], path, "subject id")
-    offset += slen
-    expected = c * m * 4
-    if len(blob) - offset != expected:
-        raise FormatError(
-            f"{path}: payload is {len(blob) - offset} bytes, expected {expected}"
-        )
-    x = np.frombuffer(blob, dtype="<f4", count=c * m, offset=offset).reshape(c, m)
+    subject = r.text("subject")
+    x = r.array("<f4", (c, m), "payload")
+    r.finish("payload")
     try:
         return Epoch(x=x.copy(), y=int(y), s=subject, sample_rate_hz=float(fs))
     except ValidationError as exc:
@@ -229,41 +265,19 @@ def write_recording(rec: Recording, path: str) -> None:
 def read_recording(path: str) -> Recording:
     """Read a SAFR recording container."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 4 or blob[:4] != SAFR_MAGIC:
+        r = ContainerReader(fh.read(), path, "SAFR recording")
+    magic, version, c, n, fs = r.unpack("<4sIIQd", "header")
+    if magic != SAFR_MAGIC:
         raise FormatError(f"{path}: not a SAFR recording")
-    offset = 4 + struct.calcsize("<IIQd")
-    if len(blob) < offset:
-        raise FormatError(f"{path}: file too short for SAFR header")
-    version, c, n, fs = struct.unpack_from("<IIQd", blob, 4)
     if version != SAFR_VERSION:
         raise FormatError(f"{path}: unsupported SAFR version {version}")
-    names = []
-    for _ in range(c):
-        if len(blob) < offset + 4:
-            raise FormatError(f"{path}: truncated channel names")
-        (nlen,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
-        if len(blob) < offset + nlen:
-            raise FormatError(f"{path}: truncated channel names")
-        names.append(_decode_utf8(blob[offset : offset + nlen], path, "channel name"))
-        offset += nlen
-    expected = c * n * 8
-    if len(blob) - offset != expected:
-        raise FormatError(f"{path}: truncated or oversized payload")
-    data = np.frombuffer(blob, dtype="<f8", count=c * n, offset=offset).reshape(c, n)
+    names = tuple(r.text("channel name") for _ in range(c))
+    data = r.array("<f8", (c, n), "payload")
+    r.finish("payload")
     try:
-        return Recording(data=data.copy(), sample_rate_hz=fs,
-                         channel_names=tuple(names))
+        return Recording(data=data.copy(), sample_rate_hz=fs, channel_names=names)
     except ValidationError as exc:
         raise FormatError(f"{path}: {exc}") from exc
-
-
-def _decode_utf8(raw: bytes, path: str, what: str) -> str:
-    try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: {what} is not valid UTF-8") from exc
 
 
 def check_manifest_field(value: str, what: str = "subject id") -> None:

@@ -14,11 +14,11 @@ spatial mix is applied first and the temporal convolution runs on F1*D
 rows per epoch instead of F1*C. The statistics of the temporal conv's
 output come from float64 moments of the input windows. The parameters,
 buffers and checkpoint layout are those of the three separate layers.
+Checkpoints are read through datamodel.ContainerReader, like NDF and SAFR.
 """
 
 from __future__ import annotations
 
-import math
 import struct
 import zlib
 from dataclasses import dataclass
@@ -27,12 +27,13 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .datamodel import ContainerReader
 from .errors import FormatError, ValidationError
 
 CHECKPOINT_MAGIC = b"SAFM"
 CHECKPOINT_VERSION = 3
 # C, M, fs, F1, D, F2, temporal kernel, pool1, pool2, dropout, domains, tensors
-_HEADER = struct.Struct("<IIdIIIIIIdII")
+_HEADER = "<IIdIIIIIIdII"
 SEP_KERNEL = 16
 DOMAIN_HIDDEN = 64
 NUM_CLASSES = 2
@@ -208,9 +209,9 @@ def save_checkpoint(model: SafModel, path: str) -> None:
                                   f"finite in float32")
         entries.append((name, arr))
     parts = [CHECKPOINT_MAGIC, struct.pack("<I", CHECKPOINT_VERSION),
-             _HEADER.pack(cfg.C, cfg.M, cfg.fs, cfg.F1, cfg.D, cfg.F2,
-                          cfg.temporal_kernel, cfg.pool1, cfg.pool2, cfg.dropout,
-                          model.num_domains, len(entries))]
+             struct.pack(_HEADER, cfg.C, cfg.M, cfg.fs, cfg.F1, cfg.D, cfg.F2,
+                         cfg.temporal_kernel, cfg.pool1, cfg.pool2, cfg.dropout,
+                         model.num_domains, len(entries))]
     for name, arr in entries:
         nbytes = name.encode("utf-8")
         parts += [struct.pack("<I", len(nbytes)), nbytes,
@@ -222,47 +223,25 @@ def save_checkpoint(model: SafModel, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> SafModel:
-    """Read a checkpoint written by save_checkpoint. After the magic and
-    version, the CRC-32 is checked before any header field or tensor is
-    parsed. Every stored tensor is then checked against the shapes the
-    header implies, and for values that are not finite, before the model is
-    built, so a corrupted header cannot ask for more memory than the file
-    holds."""
+    """Read a checkpoint written by save_checkpoint through
+    datamodel.ContainerReader. After the magic and version, the CRC-32 is
+    checked before any header field or tensor is parsed. Each stored tensor
+    is then checked, as it is read, against the shape the header implies and
+    for values that are not finite, and the model is built last, so a
+    corrupted header cannot ask for more memory than the file holds."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    if len(blob) < 8 or blob[:4] != CHECKPOINT_MAGIC:
+    r = ContainerReader(blob[:-4], path, "checkpoint")
+    magic, version = r.unpack("<4sI", "magic and version")
+    if magic != CHECKPOINT_MAGIC:
         raise FormatError(f"{path}: not a model checkpoint")
-    (version,) = struct.unpack_from("<I", blob, 4)
     if version != CHECKPOINT_VERSION:
         raise FormatError(f"{path}: unsupported checkpoint version {version}")
-    blob, crc = blob[:-4], blob[-4:]
-    if len(crc) < 4 or struct.pack("<I", zlib.crc32(blob)) != crc:
+    if struct.pack("<I", zlib.crc32(r.blob)) != blob[-4:]:
         raise FormatError(f"{path}: checksum mismatch, the file is truncated or "
                           f"corrupted")
-    offset = 8
-    try:
-        (c, m, fs, f1, d, f2, k, pool1, pool2, dropout, num_domains,
-         count) = _HEADER.unpack_from(blob, offset)
-        offset += _HEADER.size
-        stored = {}
-        for _ in range(count):
-            (nlen,) = struct.unpack_from("<I", blob, offset)
-            offset += 4
-            name = blob[offset:offset + nlen].decode("utf-8")
-            offset += nlen
-            (ndim,) = struct.unpack_from("<I", blob, offset)
-            offset += 4
-            shape = struct.unpack_from(f"<{ndim}I", blob, offset)
-            offset += 4 * ndim
-            size = math.prod(shape)
-            arr = np.frombuffer(blob, dtype="<f4", count=size, offset=offset)
-            offset += 4 * size
-            stored[name] = arr.reshape(shape)
-    except (struct.error, ValueError, OverflowError) as exc:
-        raise FormatError(f"{path}: truncated checkpoint") from exc
-    if offset != len(blob):
-        raise FormatError(f"{path}: {len(blob) - offset} trailing bytes after the "
-                          f"last tensor")
+    (c, m, fs, f1, d, f2, k, pool1, pool2, dropout, num_domains,
+     count) = r.unpack(_HEADER, "header")
     try:
         cfg = EncoderConfig(C=c, M=m, fs=fs, F1=f1, D=d, F2=f2, temporal_kernel=k,
                             dropout=dropout, pool1=pool1, pool2=pool2)
@@ -270,14 +249,21 @@ def load_checkpoint(path: str) -> SafModel:
         raise FormatError(f"{path}: invalid model header: {exc}") from exc
     params, buffers = _tensor_specs(cfg, num_domains)
     shapes = {name: shape for name, (shape, _) in (params | buffers).items()}
-    for name, arr in stored.items():
+    stored = {}
+    for _ in range(count):
+        name = r.text("tensor name")
         if name not in shapes:
             raise FormatError(f"{path}: unknown tensor {name!r}")
-        if arr.shape != shapes[name]:
-            raise FormatError(f"{path}: {name} stored with shape {arr.shape}, "
+        (ndim,) = r.unpack("<I", f"shape of {name}")
+        shape = r.unpack(f"<{ndim}I", f"shape of {name}")
+        if shape != shapes[name]:
+            raise FormatError(f"{path}: {name} stored with shape {shape}, "
                               f"model expects {shapes[name]}")
+        arr = r.array("<f4", shape, f"payload of {name}")
         if not np.isfinite(arr).all():
             raise FormatError(f"{path}: {name} holds a value that is not finite")
+        stored[name] = arr
+    r.finish("last tensor")
     missing = set(shapes) - set(stored)
     if missing:
         raise FormatError(f"{path}: missing tensors {sorted(missing)}")

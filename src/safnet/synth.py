@@ -63,6 +63,8 @@ class SynthConfig:
             raise ValidationError("need at least one subject and one channel")
         if self.fs <= 0 or self.duration_s <= 0:
             raise ValidationError("fs and duration_s must be positive")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if len(self.class_signature) != 2:
             raise ValidationError("class_signature needs exactly two classes")
         n_bands = len(self.bands.bands)

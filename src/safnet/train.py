@@ -99,6 +99,8 @@ class TrainConfig:
                 raise ValidationError(f"{name} must be in [0, 1)")
         if self.adam_eps <= 0:
             raise ValidationError("adam_eps must be positive")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

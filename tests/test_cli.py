@@ -2,11 +2,15 @@
 exit codes and byte-identical reruns."""
 
 import os
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from safnet.cli import load_cli_config, main
+import safnet
+from safnet.cli import INI_SCHEMA, load_cli_config, main
 from safnet.datamodel import Recording, load_manifest, write_recording
 from safnet.errors import ConfigError, SafError
 from safnet.metrics import confusion, macro_metrics
@@ -127,6 +131,75 @@ class TestConfigParsing:
             load_cli_config(path)
 
 
+# The INI keys and value kinds from before the schema was derived from the
+# config dataclasses, when cli.py kept them in hand-written tables.
+KEY_KINDS = {
+    "pipeline": {
+        "band_lo_hz": float, "band_hi_hz": float, "notch_hz": tuple,
+        "notch_q": float, "target_rate_hz": float, "epoch_seconds": float,
+        "butter_order": int},
+    "asr": {
+        "cutoff_k": float, "calib_window_s": float, "calib_z_lo": float,
+        "calib_z_hi": float, "min_calib_windows": int, "proc_window_s": float,
+        "proc_overlap": float},
+    "swap": {"p": float},
+    "train": {
+        "lr": float, "batch_size": int, "min_epochs": int, "max_epochs": int,
+        "patience": int, "plateau_window": int, "improvement_eps": float,
+        "lr_factor": float, "lr_floor": float, "beta1": float, "beta2": float,
+        "adam_eps": float, "seed": int},
+    "synth": {
+        "subjects": int, "channels": int, "fs": float, "duration_s": float,
+        "subject_bias_strength": float, "line_noise_amp": float,
+        "artifact_rate_per_min": float, "artifact_gain": float, "seed": int,
+        "class_signature_0": tuple, "class_signature_1": tuple},
+}
+FLOAT_KEYS = [(section, key) for section, kinds in KEY_KINDS.items()
+              for key, kind in kinds.items() if kind is not int]
+
+
+class TestIniSchema:
+    def test_key_sets_derived_from_the_dataclasses(self):
+        assert {s: sorted(keys) for s, keys in INI_SCHEMA.items()} == {
+            s: sorted(kinds) for s, kinds in KEY_KINDS.items()}
+        assert [len(keys) for keys in INI_SCHEMA.values()] == [7, 7, 1, 13, 11]
+
+    def test_value_kinds(self):
+        for section, kinds in KEY_KINDS.items():
+            for key, kind in kinds.items():
+                convert = INI_SCHEMA[section][key]
+                if kind is int:
+                    assert convert(" 7 ") == 7
+                    with pytest.raises(ValueError):
+                        convert("1.5")
+                elif kind is float:
+                    assert convert("1.5") == 1.5
+                else:
+                    assert convert("1.5, 2,") == (1.5, 2.0)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("section, key", FLOAT_KEYS)
+    def test_non_finite_float_rejected(self, tmp_path, section, key, value):
+        path = write_config(tmp_path / "c.ini", f"[{section}]\n{key} = {value}\n")
+        with pytest.raises(ConfigError, match=rf"^\[{section}\] {key}: .*finite"):
+            load_cli_config(path)
+
+    def test_readme_lists_every_key(self):
+        """README's per-section bullets name exactly the derived keys, so a
+        new dataclass field cannot become an undocumented INI key."""
+        readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
+        with open(readme, encoding="utf-8") as fh:
+            text = fh.read()
+        text = text.split("\n## Configuration file\n", 1)[1].split("\n## ", 1)[0]
+        documented = {}
+        for bullet in re.findall(r"^- `\[(\w+)\]` — (.*?)(?=^- |\Z)", text,
+                                 re.M | re.S):
+            section, body = bullet
+            body = re.sub(r"\([^)]*\)", "", body)  # drop the notes in brackets
+            documented[section] = sorted(re.findall(r"`(\w+)`", body))
+        assert documented == {s: sorted(keys) for s, keys in INI_SCHEMA.items()}
+
+
 class TestExitCodes:
     def test_missing_config_file_is_io_error(self, tmp_path):
         code = main(["synth", "--config", str(tmp_path / "absent.ini"),
@@ -152,6 +225,37 @@ class TestExitCodes:
         assert code == 1
         assert "unknown key" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "d")
+
+    @pytest.mark.parametrize("section, line", [
+        ("pipeline", "epoch_seconds = nan"), ("pipeline", "epoch_seconds = inf"),
+        ("asr", "calib_window_s = nan"), ("asr", "proc_window_s = inf"),
+        ("synth", "fs = nan"), ("synth", "duration_s = inf"),
+        ("synth", "seed = -1"), ("train", "seed = -1")])
+    def test_bad_value_is_validation_error(self, tmp_path, section, line, capsys):
+        path = write_config(tmp_path / "c.ini", f"[{section}]\n{line}\n")
+        code = main(["synth", "--config", path, "--out", str(tmp_path / "d")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not os.path.exists(tmp_path / "d")
+
+    @pytest.mark.parametrize("command, text", [
+        ("preprocess", "[pipeline]\nepoch_seconds = nan\n"),
+        ("synth", "[synth]\nfs = nan\n")])
+    def test_non_finite_value_exits_1_without_traceback(self, tmp_path, command,
+                                                        text):
+        config = write_config(tmp_path / "c.ini", text)
+        args = ["--config", config, "--out", str(tmp_path / "d")]
+        if command == "preprocess":
+            rec = TestPreprocessCommand.make_recording(str(tmp_path / "raw.safr"))
+            args += ["--in", rec, "--subject", "s00", "--class", "0"]
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(safnet.__file__)))
+        run = subprocess.run([sys.executable, "-m", "safnet.cli", command, *args],
+                             capture_output=True, text=True, env=env, timeout=120)
+        assert run.returncode == 1
+        assert run.stderr.startswith("error: ") and "Traceback" not in run.stderr
+        assert "finite" in run.stderr
 
     def test_missing_required_flag_is_usage_error(self):
         assert main(["train"]) == 1

@@ -173,6 +173,47 @@ class TestCorruptContainers:
         check_reader(read_recording, corruption)
 
 
+def truncated_read(reader, blob, cut, tmp_path):
+    """The FormatError message reader raises on blob[:cut]."""
+    path = tmp_path / "blob"
+    path.write_bytes(blob[:cut])
+    with pytest.raises(FormatError) as info:
+        reader(str(path))
+    message = str(info.value)
+    assert message.startswith(f"{path}: ")
+    return message
+
+
+class TestTruncatedFields:
+    """A cut one byte into a field, or one byte before its end, names that
+    field."""
+
+    # header 0..21, subject length 21..25, subject "s\u00e91" 25..29,
+    # payload 29..53
+    @pytest.mark.parametrize("field, start, end", [
+        ("header", 0, 21), ("subject length", 21, 25), ("subject", 25, 29),
+        ("payload", 29, 53)])
+    def test_ndf(self, tmp_path, field, start, end):
+        assert len(NDF_BLOB) == 53
+        for cut in (start + 1, end - 1):
+            message = truncated_read(read_ndf, NDF_BLOB, cut, tmp_path)
+            assert message.endswith(f"truncated NDF epoch: too short for the "
+                                    f"{field}")
+
+    # header 0..28, then per channel a u32 length and the name ("Fz" 32..34,
+    # "C\u00e93" 38..42), payload 42..90
+    @pytest.mark.parametrize("field, start, end", [
+        ("header", 0, 28), ("channel name length", 28, 32),
+        ("channel name", 32, 34), ("channel name length", 34, 38),
+        ("channel name", 38, 42), ("payload", 42, 90)])
+    def test_safr(self, tmp_path, field, start, end):
+        assert len(SAFR_BLOB) == 90
+        for cut in (start + 1, end - 1):
+            message = truncated_read(read_recording, SAFR_BLOB, cut, tmp_path)
+            assert message.endswith(f"truncated SAFR recording: too short for "
+                                    f"the {field}")
+
+
 def write_set(tmp_path, rows):
     """rows: list of (subject, y, split). Returns manifest path."""
     manifest_rows = []

@@ -350,3 +350,27 @@ class TestCorruptCheckpoint:
             flipped[pos] ^= pos % 255 + 1
             with pytest.raises(FormatError):
                 load_blob(bytes(flipped))
+
+
+class TestTruncatedFields:
+    # magic and version 0..8, header 8..64; the first tensor's name length
+    # 64..68, "conv_temporal_w" 68..83, ndim and shape (1, 1) 83..95,
+    # payload 95..99; the last tensor's name length 1442..1446, "bn3_var"
+    # 1446..1453, ndim and shape (1,) 1453..1461, payload 1461..1465; CRC-32
+    @pytest.mark.parametrize("field, start, end", [
+        ("header", 8, 64), ("tensor name length", 64, 68),
+        ("tensor name", 68, 83), ("shape of conv_temporal_w", 83, 95),
+        ("payload of conv_temporal_w", 95, 99),
+        ("tensor name length", 1442, 1446), ("tensor name", 1446, 1453),
+        ("shape of bn3_var", 1453, 1461), ("payload of bn3_var", 1461, 1465)])
+    def test_safm(self, tmp_path, field, start, end):
+        """A cut one byte into a field, or one byte before its end, behind a
+        CRC-32 recomputed for the cut body, names that field."""
+        assert len(SAFM_BLOB) == 1469
+        path = tmp_path / "m.safm"
+        for cut in (start + 1, end - 1):
+            path.write_bytes(resealed(SAFM_BLOB[:cut] + bytes(4)))
+            with pytest.raises(FormatError) as info:
+                load_checkpoint(str(path))
+            assert str(info.value) == (f"{path}: truncated checkpoint: too short "
+                                       f"for the {field}")
