@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datamodel import Recording
+from .dsp import window_samples
 from .errors import ValidationError
 
 EIGVAL_CLAMP = 1e-12
@@ -49,6 +50,9 @@ class AsrConfig:
             raise ValidationError("cutoff_k must be positive")
         if not (0 <= self.proc_overlap < 1):
             raise ValidationError("proc_overlap must be in [0, 1)")
+        if self.calib_window_s <= 0 or self.proc_window_s <= 0:
+            raise ValidationError("calib_window_s and proc_window_s must be "
+                                  "positive")
 
 
 @dataclass(frozen=True)
@@ -99,7 +103,7 @@ def select_calibration(rec: Recording, cfg: AsrConfig) -> Recording:
     Falls back to the full recording when fewer than min_calib_windows
     windows survive.
     """
-    width = int(round(cfg.calib_window_s * rec.sample_rate_hz))
+    width = window_samples(cfg.calib_window_s, rec.sample_rate_hz, "calib_window_s")
     nwin = rec.samples // width
     if nwin < 1:
         raise ValidationError("recording shorter than one calibration window")
@@ -117,7 +121,7 @@ def select_calibration(rec: Recording, cfg: AsrConfig) -> Recording:
 
 def asr_fit(calib: Recording, cfg: AsrConfig) -> AsrModel:
     """Mixing matrix and per-component RMS thresholds from calibration data."""
-    width = int(round(cfg.proc_window_s * calib.sample_rate_hz))
+    width = window_samples(cfg.proc_window_s, calib.sample_rate_hz, "proc_window_s")
     if calib.samples < 2 * width:
         raise ValidationError("calibration shorter than two processing windows")
 
@@ -161,7 +165,7 @@ def asr_apply(rec: Recording, model: AsrModel, cfg: AsrConfig) -> Recording:
         raise ValidationError(
             f"recording has {rec.channels} channels, model expects {model.channels}"
         )
-    width = int(round(cfg.proc_window_s * rec.sample_rate_hz))
+    width = window_samples(cfg.proc_window_s, rec.sample_rate_hz, "proc_window_s")
     hop = max(1, int(round(width * (1.0 - cfg.proc_overlap))))
     n = rec.samples
     x = rec.data

@@ -25,8 +25,9 @@ strides is one element and the other spans at least a row.
   convolution runs on B*F*D rows instead of B*F*C, and the batch
   statistics come from float64 window moments of the input. The
   (B,F,C,M) intermediate that the three ops would pass along is never
-  built. temporal_conv, batch_norm and depthwise_spatial_conv remain ops
-  of their own.
+  built. batch_norm and depthwise_spatial_conv remain ops of their own,
+  and temporal_conv is depthwise_temporal_conv on its input repeated over
+  the filters.
 - depthwise_spatial_conv and pointwise_conv are single BLAS products.
 - elu uses np.maximum and one multiply instead of np.where, and
   avg_pool_time adds the pool strided slices of a (..., n, pool) view
@@ -35,7 +36,8 @@ strides is one element and the other spans at least a row.
 - batch_norm works on a (B,F,N) view. It takes its statistics with einsum
   reductions, normalises the centred copy in place, and builds the input
   gradient in one buffer from the two reductions that give the gamma and
-  beta gradients.
+  beta gradients. It and first_block share BN_EPS and one running-statistics
+  update (BN_MOMENTUM, unbiased variance).
 """
 
 from __future__ import annotations
@@ -46,6 +48,9 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import ValidationError
+
+BN_MOMENTUM = 0.1
+BN_EPS = 1e-5
 
 _grad_enabled = True
 
@@ -336,33 +341,6 @@ def _unblock(gxb: np.ndarray, left: int, m: int) -> np.ndarray:
     return gxb.reshape(gxb.shape[:-2] + (-1,))[..., left:left + m]
 
 
-def temporal_conv(x: Tensor, w: Tensor) -> Tensor:
-    """(B,1,C,M) with per-filter kernels (F,K), same padding on time."""
-    if x.data.ndim != 4 or x.data.shape[1] != 1:
-        raise ValidationError(f"temporal_conv expects (B,1,C,M), got {x.data.shape}")
-    b, _, c, m = x.data.shape
-    f, k = w.data.shape
-    left = _same_pad(k)[0]
-    q = -(-m // k)
-    xb = _blocks(x.data[:, 0], k, left)[None]  # one group of B*C rows
-    fwd, adj = _bands(w.data)
-    out = np.empty((b, f, c, q, k), dtype=np.result_type(x.data, w.data))
-    _toeplitz_conv(xb, fwd.transpose(1, 0, 2)[None],
-                   out.transpose(0, 2, 3, 1, 4)[None])
-    data = np.ascontiguousarray(out.reshape(b, f, c, q * k)[..., :m])
-
-    def grad_fn(g):
-        gb = _blocks(g.transpose(1, 0, 2, 3), k, 0)  # (F,B,C,Q+1,K)
-        gw = _toeplitz_weight_grad(xb, gb) if w.requires_grad else None
-        gx = None
-        if _wants_grad(x):
-            gxb = _toeplitz_input_grad(gb, adj).sum(axis=0)
-            gx = _unblock(gxb, left, m)[:, None].copy()
-        return (gx, gw)
-
-    return _node(data, (x, w), grad_fn)
-
-
 def depthwise_temporal_conv(x: Tensor, w: Tensor) -> Tensor:
     """(B,F,C,M) with one kernel per filter (F,K), same padding on time."""
     b, f, c, m = x.data.shape
@@ -387,6 +365,15 @@ def depthwise_temporal_conv(x: Tensor, w: Tensor) -> Tensor:
         return (gx, gw)
 
     return _node(data, (x, w), grad_fn)
+
+
+def temporal_conv(x: Tensor, w: Tensor) -> Tensor:
+    """(B,1,C,M) with per-filter kernels (F,K), same padding on time: the
+    input repeated over the F filters, then depthwise_temporal_conv."""
+    if x.data.ndim != 4 or x.data.shape[1] != 1:
+        raise ValidationError(f"temporal_conv expects (B,1,C,M), got {x.data.shape}")
+    ones = Tensor(np.ones((1, w.data.shape[0], 1, 1), dtype=x.data.dtype))
+    return depthwise_temporal_conv(mul(x, ones), w)
 
 
 def depthwise_spatial_conv(x: Tensor, w: Tensor) -> Tensor:
@@ -430,9 +417,17 @@ def pointwise_conv(x: Tensor, w: Tensor) -> Tensor:
     return _node(data, (x, w), grad_fn)
 
 
+def _update_running(running_mean, running_var, mu, var, n: int) -> None:
+    """Fold the mean and biased variance of n values into the running buffers,
+    in place."""
+    running_mean *= 1.0 - BN_MOMENTUM
+    running_mean += BN_MOMENTUM * mu
+    running_var *= 1.0 - BN_MOMENTUM
+    running_var += BN_MOMENTUM * (var * n / max(n - 1, 1))
+
+
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
-               running_var: np.ndarray, training: bool, momentum: float = 0.1,
-               eps: float = 1e-5) -> Tensor:
+               running_var: np.ndarray, training: bool) -> Tensor:
     """Normalizes axis 1 of a (B,F,C,M) tensor. Batch statistics in training
     mode (running buffers updated in place), running statistics otherwise."""
     b, f = x.data.shape[:2]
@@ -442,14 +437,11 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
         mu = np.einsum("bfn->f", x3) / n
         xhat = x3 - mu[:, None]
         var = np.einsum("bfn,bfn->f", xhat, xhat) / n
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mu
-        running_var *= 1.0 - momentum
-        running_var += momentum * (var * n / max(n - 1, 1))
+        _update_running(running_mean, running_var, mu, var, n)
     else:
         xhat = x3 - running_mean.astype(x.data.dtype)[:, None]
         var = running_var.astype(x.data.dtype)
-    istd = 1.0 / np.sqrt(var + eps)
+    istd = 1.0 / np.sqrt(var + BN_EPS)
     xhat *= istd[:, None]
     data = xhat * gamma.data[:, None]
     data += beta.data[:, None]
@@ -509,8 +501,7 @@ def _window_moments(x: np.ndarray, k: int, left: int):
 
 def first_block(x: Tensor, w: Tensor, gamma: Tensor, beta: Tensor,
                 spatial_w: Tensor, running_mean: np.ndarray,
-                running_var: np.ndarray, training: bool, momentum: float = 0.1,
-                eps: float = 1e-5) -> Tensor:
+                running_var: np.ndarray, training: bool) -> Tensor:
     """temporal_conv(x, w), batch_norm(gamma, beta) and
     depthwise_spatial_conv(spatial_w) as one op: (B,1,C,M) -> (B,F*D,1,M).
 
@@ -551,14 +542,11 @@ def first_block(x: Tensor, w: Tensor, gamma: Tensor, beta: Tensor,
         rw = w64 @ gram
         # rounding can leave E[h^2] - mu^2 a hair below zero
         var = np.maximum(np.einsum("fk,fk->f", rw, w64) / n - mu * mu, 0.0)
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mu
-        running_var *= 1.0 - momentum
-        running_var += momentum * (var * n / max(n - 1, 1))
+        _update_running(running_mean, running_var, mu, var, n)
     else:
         mu = running_mean.astype(np.float64)
         var = running_var.astype(np.float64)
-    istd = 1.0 / np.sqrt(var + eps)
+    istd = 1.0 / np.sqrt(var + BN_EPS)
     gamma64 = gamma.data.astype(np.float64)
     a = gamma64 * istd
     shift = beta.data - a * mu

@@ -24,12 +24,11 @@ import numpy as np
 
 from .asr import AsrConfig, asr_fit, select_calibration
 from .datamodel import (
-    Manifest,
+    EpochSet,
     check_manifest_field,
     load_manifest,
     read_recording,
-    write_manifest,
-    write_ndf,
+    write_epoch_dir,
 )
 from .dsp import PipelineConfig, filter_recording, preprocess_pipeline
 from .errors import ConfigError, SafError, ValidationError
@@ -93,7 +92,9 @@ class CliConfig:
 
 def load_cli_config(path: str) -> CliConfig:
     """Parse and validate the INI configuration file."""
-    parser = configparser.ConfigParser(interpolation=None)
+    # no section header can name a newline, so [DEFAULT] is an unknown section
+    # instead of defaults copied into every section
+    parser = configparser.ConfigParser(interpolation=None, default_section="\n")
     with open(path, "r", encoding="utf-8") as fh:
         try:
             parser.read_file(fh)
@@ -174,16 +175,7 @@ def _cmd_preprocess(args) -> int:
     epochs = preprocess_pipeline(rec, cfg.pipeline, asr_model=asr_model,
                                  y=args.label, s=args.subject,
                                  asr_config=cfg.asr)
-    if not epochs:
-        raise ValidationError("recording shorter than one epoch")
-    os.makedirs(args.out, exist_ok=True)
-    rows = []
-    for k, ep in enumerate(epochs):
-        fname = f"{args.subject}_c{args.label}_{k:04d}.ndf"
-        write_ndf(ep, os.path.join(args.out, fname))
-        rows.append((fname, args.subject, args.label, "none"))
-    write_manifest(Manifest(rows=rows, base_dir=args.out),
-                   os.path.join(args.out, "manifest.csv"))
+    write_epoch_dir(EpochSet(epochs=epochs), args.out)
     _note(f"wrote {len(epochs)} epochs to {args.out}")
     return 0
 

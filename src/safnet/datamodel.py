@@ -48,6 +48,7 @@ SAFR_MAGIC = b"SAFR"
 SAFR_VERSION = 1
 
 SPLIT_TOKENS = ("train", "val", "test", "none")
+SPLIT_RATIOS = (0.8, 0.1, 0.1)  # train, val, test
 _MANIFEST_FORBIDDEN = (",", '"', "\n", "\r")
 
 
@@ -298,6 +299,28 @@ def write_manifest(manifest: Manifest, path: str) -> None:
             fh.write(f"{row_path},{subject},{cls},{split}\n")
 
 
+def write_epoch_dir(epoch_set: EpochSet, out_dir: str) -> Manifest:
+    """Write each epoch as {subject}_c{class}_{k:04d}.ndf, k counting the
+    epochs of its (subject, class) cell, then manifest.csv listing them with
+    their split tags, into out_dir. An empty set is refused before out_dir
+    is created."""
+    if not epoch_set.epochs:
+        raise ValidationError("no epochs to write: every recording is shorter "
+                              "than one epoch")
+    os.makedirs(out_dir, exist_ok=True)
+    counts: dict[tuple[str, int], int] = {}
+    rows = []
+    for ep, split in zip(epoch_set.epochs, epoch_set.split):
+        k = counts.get((ep.s, ep.y), 0)
+        counts[(ep.s, ep.y)] = k + 1
+        fname = f"{ep.s}_c{ep.y}_{k:04d}.ndf"
+        write_ndf(ep, os.path.join(out_dir, fname))
+        rows.append((fname, ep.s, ep.y, split))
+    manifest = Manifest(rows=rows, base_dir=out_dir)
+    write_manifest(manifest, os.path.join(out_dir, "manifest.csv"))
+    return manifest
+
+
 def load_manifest(path: str) -> tuple[Manifest, EpochSet]:
     """Load a manifest CSV and every epoch it references, in row order."""
     base_dir = os.path.dirname(os.path.abspath(path))
@@ -337,20 +360,15 @@ def load_manifest(path: str) -> tuple[Manifest, EpochSet]:
     return manifest, EpochSet(epochs=epochs, split=splits)
 
 
-def split_dataset(epoch_set: EpochSet, ratios: tuple[float, float, float],
-                  seed: int) -> EpochSet:
-    """Assign train/val/test tags, stratified by (subject, class).
+def split_dataset(epoch_set: EpochSet, seed: int) -> EpochSet:
+    """Assign train/val/test tags in SPLIT_RATIOS, stratified by (subject,
+    class).
 
     Within each stratum the epochs are shuffled with a generator seeded from
     `seed` and assigned by cumulative ratio with floor rounding; remainder
     epochs go to train. The assignment is deterministic per seed.
     """
-    r_train, r_val, r_test = ratios
-    if min(ratios) <= 0:
-        raise ValidationError("split ratios must be positive")
-    if abs(r_train + r_val + r_test - 1.0) > 1e-9:
-        raise ValidationError(f"split ratios must sum to 1, got {sum(ratios)}")
-
+    r_train, r_val, r_test = SPLIT_RATIOS
     rng = np.random.default_rng(seed)
     strata: dict[tuple[str, int], list[int]] = {}
     for i, ep in enumerate(epoch_set.epochs):

@@ -147,9 +147,19 @@ def notch(rec: Recording, cfg: PipelineConfig) -> Recording:
                      channel_names=rec.channel_names)
 
 
+def window_samples(seconds: float, rate_hz: float, what: str) -> int:
+    """A window of `seconds` at `rate_hz` as a whole number of samples;
+    refuses one that rounds to less than one sample."""
+    n = int(round(seconds * rate_hz))
+    if n < 1:
+        raise ValidationError(f"{what} of {seconds} s is less than one sample "
+                              f"at {rate_hz} Hz")
+    return n
+
+
 def slice_epochs(rec: Recording, cfg: PipelineConfig, y: int, s: str) -> list[Epoch]:
     """Consecutive non-overlapping windows; trailing partial window discarded."""
-    m = int(round(cfg.epoch_seconds * rec.sample_rate_hz))
+    m = window_samples(cfg.epoch_seconds, rec.sample_rate_hz, "epoch_seconds")
     count = rec.samples // m
     return [
         Epoch(x=rec.data[:, i * m:(i + 1) * m], y=y, s=s,

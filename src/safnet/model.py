@@ -14,7 +14,10 @@ spatial mix is applied first and the temporal convolution runs on F1*D
 rows per epoch instead of F1*C. The statistics of the temporal conv's
 output come from float64 moments of the input windows. The parameters,
 buffers and checkpoint layout are those of the three separate layers.
-Checkpoints are read through datamodel.ContainerReader, like NDF and SAFR.
+Only the input's channels, length and rate are configurable (EncoderConfig);
+the other sizes are the constants below, with a half-second temporal kernel,
+and load_checkpoint refuses a header that stores other values. Checkpoints
+are read through datamodel.ContainerReader, like NDF and SAFR.
 """
 
 from __future__ import annotations
@@ -34,10 +37,15 @@ CHECKPOINT_MAGIC = b"SAFM"
 CHECKPOINT_VERSION = 3
 # C, M, fs, F1, D, F2, temporal kernel, pool1, pool2, dropout, domains, tensors
 _HEADER = "<IIdIIIIIIdII"
+F1 = 8  # temporal filters
+D = 2  # spatial filters per temporal filter
+F2 = 16  # separable-conv output maps
+POOL1 = 4
+POOL2 = 8
+DROPOUT = 0.25
 SEP_KERNEL = 16
 DOMAIN_HIDDEN = 64
 NUM_CLASSES = 2
-BN_MOMENTUM = 0.1
 
 
 @dataclass(frozen=True)
@@ -45,31 +53,28 @@ class EncoderConfig:
     C: int
     M: int
     fs: float
-    F1: int = 8
-    D: int = 2
-    F2: int = 16
-    temporal_kernel: int = 0  # 0 means round(fs / 2)
-    dropout: float = 0.25
-    pool1: int = 4
-    pool2: int = 8
 
     def __post_init__(self):
-        if self.temporal_kernel == 0:
-            object.__setattr__(self, "temporal_kernel", int(round(self.fs / 2)))
         if self.temporal_kernel < 1:
             raise ValidationError("temporal kernel must be at least 1 sample")
-        if min(self.C, self.M, self.F1, self.D, self.F2, self.pool1, self.pool2) < 1:
-            raise ValidationError("all architecture sizes must be positive")
-        if not (0.0 <= self.dropout < 1.0):
-            raise ValidationError(f"dropout must be in [0,1), got {self.dropout}")
+        if min(self.C, self.M) < 1:
+            raise ValidationError("C and M must be positive")
         if self.feature_dim < 1:
             raise ValidationError(
-                f"pooling {self.pool1}x{self.pool2} leaves no features for M={self.M}"
-            )
+                f"pooling {POOL1}x{POOL2} leaves no features for M={self.M}")
+
+    @property
+    def temporal_kernel(self) -> int:
+        return int(round(self.fs / 2))
 
     @property
     def feature_dim(self) -> int:
-        return self.F2 * ((self.M // self.pool1) // self.pool2)
+        return F2 * ((self.M // POOL1) // POOL2)
+
+
+def _architecture(cfg: EncoderConfig) -> tuple:
+    """The header fields after C, M and fs, in _HEADER order."""
+    return F1, D, F2, cfg.temporal_kernel, POOL1, POOL2, DROPOUT
 
 
 def _tensor_specs(cfg: EncoderConfig, num_domains: int):
@@ -77,19 +82,18 @@ def _tensor_specs(cfg: EncoderConfig, num_domains: int):
     running buffer, by name in checkpoint order. The initial value is a
     (fan_in, fan_out) pair for a Glorot-uniform draw, or a constant fill."""
     c, k = cfg.C, cfg.temporal_kernel
-    f1, d, f2 = cfg.F1, cfg.D, cfg.F2
     fdim = cfg.feature_dim
     params = {
-        "conv_temporal_w": ((f1, k), (k, f1 * k)),
-        "bn1_gamma": ((f1,), 1.0),
-        "bn1_beta": ((f1,), 0.0),
-        "conv_spatial_w": ((f1, d, c), (c, d * c)),
-        "bn2_gamma": ((f1 * d,), 1.0),
-        "bn2_beta": ((f1 * d,), 0.0),
-        "conv_sep_depth_w": ((f1 * d, SEP_KERNEL), (SEP_KERNEL, SEP_KERNEL)),
-        "conv_sep_point_w": ((f2, f1 * d), (f1 * d, f2)),
-        "bn3_gamma": ((f2,), 1.0),
-        "bn3_beta": ((f2,), 0.0),
+        "conv_temporal_w": ((F1, k), (k, F1 * k)),
+        "bn1_gamma": ((F1,), 1.0),
+        "bn1_beta": ((F1,), 0.0),
+        "conv_spatial_w": ((F1, D, c), (c, D * c)),
+        "bn2_gamma": ((F1 * D,), 1.0),
+        "bn2_beta": ((F1 * D,), 0.0),
+        "conv_sep_depth_w": ((F1 * D, SEP_KERNEL), (SEP_KERNEL, SEP_KERNEL)),
+        "conv_sep_point_w": ((F2, F1 * D), (F1 * D, F2)),
+        "bn3_gamma": ((F2,), 1.0),
+        "bn3_beta": ((F2,), 0.0),
         "task_w": ((fdim, NUM_CLASSES), (fdim, NUM_CLASSES)),
         "task_b": ((NUM_CLASSES,), 0.0),
         "dom1_w": ((fdim, DOMAIN_HIDDEN), (fdim, DOMAIN_HIDDEN)),
@@ -98,7 +102,7 @@ def _tensor_specs(cfg: EncoderConfig, num_domains: int):
         "dom2_b": ((num_domains,), 0.0),
     }
     buffers = {f"bn{i}_{stat}": ((n,), fill)
-               for i, n in ((1, f1), (2, f1 * d), (3, f2))
+               for i, n in ((1, F1), (2, F1 * D), (3, F2))
                for stat, fill in (("mean", 0.0), ("var", 1.0))}
     return params, buffers
 
@@ -141,7 +145,7 @@ class SafModel:
         if mode not in ("train", "eval"):
             raise ValidationError(f"mode must be train or eval, got {mode!r}")
         training = mode == "train"
-        if training and rng is None and self.cfg.dropout > 0:
+        if training and rng is None:
             raise ValidationError("train mode needs an rng for dropout")
         if not isinstance(x, Tensor):
             x = Tensor(np.asarray(x, dtype=self.dtype))
@@ -153,19 +157,19 @@ class SafModel:
         p, bufs = self.params, self.buffers
         h = ad.first_block(x, p["conv_temporal_w"], p["bn1_gamma"], p["bn1_beta"],
                            p["conv_spatial_w"], bufs["bn1_mean"], bufs["bn1_var"],
-                           training, BN_MOMENTUM)
+                           training)
         h = ad.batch_norm(h, p["bn2_gamma"], p["bn2_beta"], bufs["bn2_mean"],
-                          bufs["bn2_var"], training, BN_MOMENTUM)
+                          bufs["bn2_var"], training)
         h = ad.elu(h)
-        h = ad.avg_pool_time(h, self.cfg.pool1)
-        h = ad.dropout(h, self.cfg.dropout, rng, training)
+        h = ad.avg_pool_time(h, POOL1)
+        h = ad.dropout(h, DROPOUT, rng, training)
         h = ad.depthwise_temporal_conv(h, p["conv_sep_depth_w"])
         h = ad.pointwise_conv(h, p["conv_sep_point_w"])
         h = ad.batch_norm(h, p["bn3_gamma"], p["bn3_beta"], bufs["bn3_mean"],
-                          bufs["bn3_var"], training, BN_MOMENTUM)
+                          bufs["bn3_var"], training)
         h = ad.elu(h)
-        h = ad.avg_pool_time(h, self.cfg.pool2)
-        h = ad.dropout(h, self.cfg.dropout, rng, training)
+        h = ad.avg_pool_time(h, POOL2)
+        h = ad.dropout(h, DROPOUT, rng, training)
         return ad.reshape(h, (b, self.cfg.feature_dim))
 
     def heads_forward(self, z: Tensor, lambda_grl: float):
@@ -178,17 +182,16 @@ class SafModel:
         domain = ad.linear(hidden, p["dom2_w"], p["dom2_b"])
         return task, domain
 
-    def forward(self, x, mode: str = "eval", rng=None):
-        """Both heads' logits. The reversal layer is the identity forward, so
-        its coefficient (0 here) shapes only gradients, which training takes
-        from train.compute_losses."""
-        z = self.encoder_forward(x, mode=mode, rng=rng)
-        return self.heads_forward(z, 0.0)
+    def forward(self, x):
+        """Both heads' logits in eval mode. The reversal layer is the identity
+        forward, so its coefficient (0 here) shapes only gradients, which
+        training takes from train.compute_losses."""
+        return self.heads_forward(self.encoder_forward(x), 0.0)
 
     def predict(self, x) -> np.ndarray:
         """Class labels for a (B,1,C,M) batch, eval mode."""
         with ad.no_grad():
-            task, _ = self.forward(x, mode="eval")
+            task, _ = self.forward(x)
         return np.argmax(task.data, axis=1)
 
 
@@ -198,7 +201,6 @@ def save_checkpoint(model: SafModel, path: str) -> None:
     all the bytes before it. A model holding a value that is not finite in
     float32 is refused before the file is opened, since load_checkpoint
     would reject it."""
-    cfg = model.cfg
     entries = []
     for name, value in list(model.params.items()) + list(model.buffers.items()):
         arr = value.data if isinstance(value, Tensor) else value
@@ -209,9 +211,8 @@ def save_checkpoint(model: SafModel, path: str) -> None:
                                   f"finite in float32")
         entries.append((name, arr))
     parts = [CHECKPOINT_MAGIC, struct.pack("<I", CHECKPOINT_VERSION),
-             struct.pack(_HEADER, cfg.C, cfg.M, cfg.fs, cfg.F1, cfg.D, cfg.F2,
-                         cfg.temporal_kernel, cfg.pool1, cfg.pool2, cfg.dropout,
-                         model.num_domains, len(entries))]
+             struct.pack(_HEADER, model.cfg.C, model.cfg.M, model.cfg.fs,
+                         *_architecture(model.cfg), model.num_domains, len(entries))]
     for name, arr in entries:
         nbytes = name.encode("utf-8")
         parts += [struct.pack("<I", len(nbytes)), nbytes,
@@ -228,7 +229,8 @@ def load_checkpoint(path: str) -> SafModel:
     checked before any header field or tensor is parsed. Each stored tensor
     is then checked, as it is read, against the shape the header implies and
     for values that are not finite, and the model is built last, so a
-    corrupted header cannot ask for more memory than the file holds."""
+    corrupted header cannot ask for more memory than the file holds. A
+    header whose architecture is not the encoder constants' is refused."""
     with open(path, "rb") as fh:
         blob = fh.read()
     r = ContainerReader(blob[:-4], path, "checkpoint")
@@ -240,11 +242,12 @@ def load_checkpoint(path: str) -> SafModel:
     if struct.pack("<I", zlib.crc32(r.blob)) != blob[-4:]:
         raise FormatError(f"{path}: checksum mismatch, the file is truncated or "
                           f"corrupted")
-    (c, m, fs, f1, d, f2, k, pool1, pool2, dropout, num_domains,
-     count) = r.unpack(_HEADER, "header")
+    c, m, fs, *arch, num_domains, count = r.unpack(_HEADER, "header")
     try:
-        cfg = EncoderConfig(C=c, M=m, fs=fs, F1=f1, D=d, F2=f2, temporal_kernel=k,
-                            dropout=dropout, pool1=pool1, pool2=pool2)
+        cfg = EncoderConfig(C=c, M=m, fs=fs)
+        if tuple(arch) != _architecture(cfg):
+            raise ValidationError(f"architecture {tuple(arch)} is not the "
+                                  f"encoder's {_architecture(cfg)}")
     except (ValidationError, ValueError, OverflowError) as exc:
         raise FormatError(f"{path}: invalid model header: {exc}") from exc
     params, buffers = _tensor_specs(cfg, num_domains)

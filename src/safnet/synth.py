@@ -10,30 +10,24 @@ scales both the mixing perturbation and a per-subject multiplicative
 band tilt exp(beta * 0.2 * t_jb), so beta = 0 makes all subjects
 statistically identical up to line noise and artifacts.
 
-Subject-level draws (G_j, band tilt, line-noise gain and phase) are fixed
-per (seed, subject); cell-level noise and artifact schedules are fixed
-per (seed, subject, class). Everything is bit-reproducible.
+The bands are metrics.DEFAULT_BANDS. Subject-level draws (G_j, band tilt,
+line-noise gain and phase) are fixed per (seed, subject); cell-level noise
+and artifact schedules are fixed per (seed, subject, class). Everything is
+bit-reproducible. generate_dataset splits the epochs in
+datamodel.SPLIT_RATIOS and writes them with datamodel.write_epoch_dir.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .asr import AsrConfig, asr_fit, select_calibration
-from .datamodel import (
-    EpochSet,
-    Manifest,
-    Recording,
-    split_dataset,
-    write_manifest,
-    write_ndf,
-)
+from .datamodel import EpochSet, Manifest, Recording, split_dataset, write_epoch_dir
 from .dsp import PipelineConfig, filter_recording, preprocess_pipeline
 from .errors import ValidationError
-from .metrics import BandDefinition
+from .metrics import DEFAULT_BANDS
 
 LINE_FREQ_HZ = 60.0
 BURST_SECONDS = 0.5
@@ -56,7 +50,6 @@ class SynthConfig:
     artifact_rate_per_min: float = 2.0
     artifact_gain: float = 8.0
     seed: int = 0
-    bands: BandDefinition = field(default_factory=BandDefinition)
 
     def __post_init__(self):
         if self.subjects < 1 or self.channels < 1:
@@ -67,7 +60,7 @@ class SynthConfig:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if len(self.class_signature) != 2:
             raise ValidationError("class_signature needs exactly two classes")
-        n_bands = len(self.bands.bands)
+        n_bands = len(DEFAULT_BANDS)
         for sig in self.class_signature:
             if len(sig) != n_bands:
                 raise ValidationError(
@@ -87,7 +80,7 @@ def _subject_draws(cfg: SynthConfig, subject: int):
     """Per-subject quantities, fixed across classes and beta values."""
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, subject]))
     mixing_noise = rng.standard_normal((cfg.channels, cfg.channels))
-    band_tilt = rng.standard_normal(len(cfg.bands.bands))
+    band_tilt = rng.standard_normal(len(DEFAULT_BANDS))
     line_gain = rng.uniform(0.5, 1.5)
     line_phase = rng.uniform(0.0, 2.0 * np.pi)
     return mixing_noise, band_tilt, line_gain, line_phase
@@ -133,7 +126,7 @@ def generate_subject_recording(cfg: SynthConfig, subject: int,
     nyquist = cfg.fs / 2.0
 
     x = np.zeros((c, n))
-    for b, (_, lo, hi) in enumerate(cfg.bands.bands):
+    for b, (_, lo, hi) in enumerate(DEFAULT_BANDS):
         hi_eff = min(hi, nyquist)
         if lo >= hi_eff:
             continue
@@ -168,21 +161,19 @@ def generate_subject_recording(cfg: SynthConfig, subject: int,
 def generate_dataset(cfg: SynthConfig, out_dir: str,
                      pipeline_cfg: PipelineConfig | None = None,
                      asr_cfg: AsrConfig | None = None,
-                     ratios: tuple[float, float, float] = (0.8, 0.1, 0.1),
                      ) -> tuple[dict[tuple[int, int], Recording], Manifest]:
     """Generate all subjects x {0,1} cells, preprocess them (per-subject
     artifact removal), slice into epochs, and write NDF files plus a
-    stratified-split manifest into out_dir.
+    stratified-split manifest into out_dir. A config that yields no epochs
+    is refused before out_dir is created.
 
     Returns the raw recordings keyed by (subject, class) and the manifest.
     """
     pipeline_cfg = pipeline_cfg or PipelineConfig()
     asr_cfg = asr_cfg or AsrConfig()
-    os.makedirs(out_dir, exist_ok=True)
 
     recordings: dict[tuple[int, int], Recording] = {}
     epochs = []
-    cell_of = []
     for j in range(cfg.subjects):
         subject_name = f"s{j:02d}"
         for y in (0, 1):
@@ -191,22 +182,9 @@ def generate_dataset(cfg: SynthConfig, out_dir: str,
         calib = filter_recording(recordings[(j, 0)], pipeline_cfg)
         asr_model = asr_fit(select_calibration(calib, asr_cfg), asr_cfg)
         for y in (0, 1):
-            cell = preprocess_pipeline(recordings[(j, y)], pipeline_cfg,
-                                       asr_model=asr_model,
-                                       y=y, s=subject_name, asr_config=asr_cfg)
-            for k, ep in enumerate(cell):
-                epochs.append(ep)
-                cell_of.append((subject_name, y, k))
+            epochs += preprocess_pipeline(recordings[(j, y)], pipeline_cfg,
+                                          asr_model=asr_model, y=y, s=subject_name,
+                                          asr_config=asr_cfg)
 
-    epoch_set = split_dataset(EpochSet(epochs=epochs), ratios, seed=cfg.seed)
-
-    rows = []
-    for ep, split, (subject_name, y, k) in zip(epoch_set.epochs,
-                                               epoch_set.split, cell_of):
-        fname = f"{subject_name}_c{y}_{k:04d}.ndf"
-        write_ndf(ep, os.path.join(out_dir, fname))
-        rows.append((fname, subject_name, y, split))
-
-    manifest = Manifest(rows=rows, base_dir=out_dir)
-    write_manifest(manifest, os.path.join(out_dir, "manifest.csv"))
-    return recordings, manifest
+    epoch_set = split_dataset(EpochSet(epochs=epochs), seed=cfg.seed)
+    return recordings, write_epoch_dir(epoch_set, out_dir)

@@ -162,13 +162,12 @@ def compute_losses(x, y, subject_index, model: SafModel, weights: LossWeights,
 
 
 class AdamState:
-    """First/second moment estimates and the shared step counter."""
+    """First/second moment estimates and the shared step counter, with the
+    decay rates and epsilon of cfg (the TrainConfig defaults if None)."""
 
-    def __init__(self, params: dict[str, ad.Tensor], beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
+    def __init__(self, params: dict[str, ad.Tensor], cfg: TrainConfig | None = None):
+        cfg = cfg or TrainConfig()
+        self.beta1, self.beta2, self.eps = cfg.beta1, cfg.beta2, cfg.adam_eps
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
@@ -303,7 +302,7 @@ def fit(train_data, val_data, model: SafModel, cfg: TrainConfig,
     swap_rng = np.random.default_rng(swap_ss)
     dropout_rng = np.random.default_rng(dropout_ss)
 
-    adam = AdamState(model.params, cfg.beta1, cfg.beta2, cfg.adam_eps)
+    adam = AdamState(model.params, cfg)
     sched = SchedulerState(lr=cfg.lr)
     log = TrainLog()
     history: list[float] = []

@@ -121,7 +121,7 @@ class TestBatchNorm:
         x = t64(self.rng.standard_normal((8, 2, 3, 10)))
         gamma, beta = t64(np.ones(2)), t64(np.zeros(2))
         rm, rv = np.zeros(2), np.ones(2)
-        ad.batch_norm(x, gamma, beta, rm, rv, training=True, momentum=0.1)
+        ad.batch_norm(x, gamma, beta, rm, rv, training=True)
         mu = x.data.mean(axis=(0, 2, 3))
         n = x.data.size // 2
         var_unbiased = x.data.var(axis=(0, 2, 3)) * n / (n - 1)

@@ -230,13 +230,32 @@ class TestExitCodes:
         ("pipeline", "epoch_seconds = nan"), ("pipeline", "epoch_seconds = inf"),
         ("asr", "calib_window_s = nan"), ("asr", "proc_window_s = inf"),
         ("synth", "fs = nan"), ("synth", "duration_s = inf"),
-        ("synth", "seed = -1"), ("train", "seed = -1")])
+        ("synth", "seed = -1"), ("train", "seed = -1"),
+        ("asr", "calib_window_s = 0"), ("asr", "proc_window_s = 0"),
+        ("asr", "proc_window_s = 1e-9"),
+        ("DEFAULT", "seed = 5"), ("DEFAULT", "warmup = 5")])
     def test_bad_value_is_validation_error(self, tmp_path, section, line, capsys):
         path = write_config(tmp_path / "c.ini", f"[{section}]\n{line}\n")
         code = main(["synth", "--config", path, "--out", str(tmp_path / "d")])
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error: ") and "Traceback" not in err
+        assert not os.path.exists(tmp_path / "d")
+
+    @pytest.mark.parametrize("line, message", [
+        ("epoch_seconds = 0.001", "less than one sample"),
+        ("epoch_seconds = 60", "no epochs to write")])
+    def test_synth_without_epochs_is_validation_error(self, tmp_path, line,
+                                                      message, capsys):
+        """A 1 ms epoch at 256 Hz rounds to no sample; a 60 s epoch does not
+        fit the 30 s recordings."""
+        path = write_config(tmp_path / "c.ini",
+                            BASE_CONFIG.replace("epoch_seconds = 2.0", line))
+        code = main(["synth", "--config", path, "--out", str(tmp_path / "d")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert message in err
         assert not os.path.exists(tmp_path / "d")
 
     @pytest.mark.parametrize("command, text", [

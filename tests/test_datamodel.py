@@ -315,22 +315,22 @@ class TestSplitDataset:
         return {tag: eset.split.count(tag) for tag in ("train", "val", "test")}
 
     def test_100_to_80_10_10(self):
-        out = split_dataset(self.make_set(100), (0.8, 0.1, 0.1), seed=0)
+        out = split_dataset(self.make_set(100), seed=0)
         assert self.counts(out) == {"train": 80, "val": 10, "test": 10}
 
     def test_10_to_8_1_1(self):
-        out = split_dataset(self.make_set(10), (0.8, 0.1, 0.1), seed=0)
+        out = split_dataset(self.make_set(10), seed=0)
         assert self.counts(out) == {"train": 8, "val": 1, "test": 1}
 
     def test_same_seed_identical(self):
         eset = self.make_set(37)
-        a = split_dataset(eset, (0.8, 0.1, 0.1), seed=7)
-        b = split_dataset(eset, (0.8, 0.1, 0.1), seed=7)
+        a = split_dataset(eset, seed=7)
+        b = split_dataset(eset, seed=7)
         assert a.split == b.split
 
     def test_multiset_preserved(self):
         eset = self.make_set(23)
-        out = split_dataset(eset, (0.8, 0.1, 0.1), seed=1)
+        out = split_dataset(eset, seed=1)
         before = sorted(ep.x.tobytes() for ep in eset.epochs)
         after = sorted(ep.x.tobytes() for ep in out.epochs)
         assert before == after
@@ -342,7 +342,7 @@ class TestSplitDataset:
             epochs.append(make_epoch(s=f"s{rng.integers(3)}", y=int(rng.integers(2)),
                                      seed=i))
         eset = EpochSet(epochs=epochs)
-        out = split_dataset(eset, (0.8, 0.1, 0.1), seed=2)
+        out = split_dataset(eset, seed=2)
         strata = {}
         for ep, tag in zip(out.epochs, out.split):
             strata.setdefault((ep.s, ep.y), []).append(tag)
@@ -351,7 +351,3 @@ class TestSplitDataset:
             for ratio, tag in [(0.8, "train"), (0.1, "val"), (0.1, "test")]:
                 got = tags.count(tag)
                 assert abs(got - ratio * n) <= 1.0 + 1e-9, (key, tag, got, n)
-
-    def test_bad_ratios(self):
-        with pytest.raises(ValidationError):
-            split_dataset(self.make_set(4), (0.8, 0.1, 0.2), seed=0)

@@ -42,16 +42,16 @@ class TestForward:
     def test_eval_deterministic(self):
         model = small_model()
         x = np.random.default_rng(0).standard_normal((5, 1, 4, 64)).astype(np.float32)
-        t1, d1 = model.forward(x, mode="eval")
-        t2, d2 = model.forward(x, mode="eval")
+        t1, d1 = model.forward(x)
+        t2, d2 = model.forward(x)
         assert np.array_equal(t1.data, t2.data)
         assert np.array_equal(d1.data, d2.data)
 
     def test_batch_size_invariance(self):
         model = small_model()
         x = np.random.default_rng(1).standard_normal((5, 1, 4, 64)).astype(np.float32)
-        batched, _ = model.forward(x, mode="eval")
-        single, _ = model.forward(x[:1], mode="eval")
+        batched, _ = model.forward(x)
+        single, _ = model.forward(x[:1])
         assert np.max(np.abs(batched.data[0] - single.data[0])) < 1e-5
 
     def test_zero_heads_give_zero_logits(self):
@@ -59,25 +59,26 @@ class TestForward:
         for name in ("task_w", "task_b", "dom1_w", "dom1_b", "dom2_w", "dom2_b"):
             model.params[name].data = np.zeros_like(model.params[name].data)
         x = np.random.default_rng(2).standard_normal((3, 1, 4, 64)).astype(np.float32)
-        task, dom = model.forward(x, mode="eval")
+        task, dom = model.forward(x)
         assert np.all(task.data == 0.0)
         assert np.all(dom.data == 0.0)
 
     def test_domain_logits_shape(self):
         model = small_model(k=5)
         x = np.random.default_rng(3).standard_normal((7, 1, 4, 64)).astype(np.float32)
-        _, dom = model.forward(x, mode="eval")
+        _, dom = model.forward(x)
         assert dom.data.shape == (7, 5)
 
     def test_shape_mismatch_rejected(self):
         model = small_model()
         with pytest.raises(ValidationError):
-            model.forward(np.zeros((2, 1, 5, 64), dtype=np.float32), mode="eval")
+            model.forward(np.zeros((2, 1, 5, 64), dtype=np.float32))
 
     def test_train_mode_needs_rng(self):
         model = small_model()
         with pytest.raises(ValidationError):
-            model.forward(np.zeros((2, 1, 4, 64), dtype=np.float32), mode="train")
+            model.encoder_forward(np.zeros((2, 1, 4, 64), dtype=np.float32),
+                                mode="train")
 
     def test_init_seeded(self):
         a, b = small_model(seed=7), small_model(seed=7)
@@ -183,8 +184,8 @@ class TestCheckpoint:
             assert np.array_equal(back.params[name].data, model.params[name].data)
         for name in model.buffers:
             assert np.array_equal(back.buffers[name], model.buffers[name])
-        t1, d1 = model.forward(x, mode="eval")
-        t2, d2 = back.forward(x, mode="eval")
+        t1, d1 = model.forward(x)
+        t2, d2 = back.forward(x)
         assert np.array_equal(t1.data, t2.data)
         assert np.array_equal(d1.data, d2.data)
 
@@ -291,6 +292,10 @@ class TestCheckpoint:
         {48: ("<d", 2.0)},                     # dropout outside [0, 1)
         {40: ("<I", 0)},                       # pool1 of zero
         {36: ("<I", 0), 16: ("<d", np.inf)},   # kernel from an infinite rate
+        {24: ("<I", 4)},                       # F1 other than the encoder's
+        {28: ("<I", 1)},                       # D other than the encoder's
+        {32: ("<I", 8)},                       # F2 other than the encoder's
+        {44: ("<I", 4)},                       # pool2 other than the encoder's
     ])
     def test_header_the_config_rejects(self, tmp_path, fields):
         path = tmp_path / "m.safm"
@@ -323,8 +328,7 @@ class TestCheckpoint:
 
 
 SAFM_BLOB = valid_blob(save_checkpoint, SafModel(
-    EncoderConfig(C=1, M=1, fs=2.0, F1=1, D=1, F2=1, pool1=1, pool2=1),
-    num_domains=1, seed=1))
+    EncoderConfig(C=1, M=32, fs=2.0), num_domains=1, seed=1))
 
 
 def load_blob(blob: bytes) -> None:
@@ -354,19 +358,19 @@ class TestCorruptCheckpoint:
 
 class TestTruncatedFields:
     # magic and version 0..8, header 8..64; the first tensor's name length
-    # 64..68, "conv_temporal_w" 68..83, ndim and shape (1, 1) 83..95,
-    # payload 95..99; the last tensor's name length 1442..1446, "bn3_var"
-    # 1446..1453, ndim and shape (1,) 1453..1461, payload 1461..1465; CRC-32
+    # 64..68, "conv_temporal_w" 68..83, ndim and shape (8, 1) 83..95,
+    # payload 95..127; the last tensor's name length 8002..8006, "bn3_var"
+    # 8006..8013, ndim and shape (16,) 8013..8021, payload 8021..8085; CRC-32
     @pytest.mark.parametrize("field, start, end", [
         ("header", 8, 64), ("tensor name length", 64, 68),
         ("tensor name", 68, 83), ("shape of conv_temporal_w", 83, 95),
-        ("payload of conv_temporal_w", 95, 99),
-        ("tensor name length", 1442, 1446), ("tensor name", 1446, 1453),
-        ("shape of bn3_var", 1453, 1461), ("payload of bn3_var", 1461, 1465)])
+        ("payload of conv_temporal_w", 95, 127),
+        ("tensor name length", 8002, 8006), ("tensor name", 8006, 8013),
+        ("shape of bn3_var", 8013, 8021), ("payload of bn3_var", 8021, 8085)])
     def test_safm(self, tmp_path, field, start, end):
         """A cut one byte into a field, or one byte before its end, behind a
         CRC-32 recomputed for the cut body, names that field."""
-        assert len(SAFM_BLOB) == 1469
+        assert len(SAFM_BLOB) == 8089
         path = tmp_path / "m.safm"
         for cut in (start + 1, end - 1):
             path.write_bytes(resealed(SAFM_BLOB[:cut] + bytes(4)))

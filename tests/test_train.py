@@ -350,7 +350,7 @@ class TestFit:
         shuffle_ss, _, dropout_ss = np.random.SeedSequence(cfg.seed).spawn(3)
         shuffle_rng = np.random.default_rng(shuffle_ss)
         dropout_rng = np.random.default_rng(dropout_ss)
-        state = AdamState(ref.params, cfg.beta1, cfg.beta2, cfg.adam_eps)
+        state = AdamState(ref.params, cfg)
         smap = {s: i for i, s in enumerate(sorted({ep.s for ep in train}))}
         final_snapshot = None
         best_acc = -np.inf
