@@ -9,6 +9,12 @@ subspace, and blends windows with a raised-cosine weight.
 Statistics are robust (median / 1.4826*MAD) rather than the truncated
 Gaussian fit used by some toolboxes; deterministic and adequate here.
 
+Calibration keeps the CALIB_WINDOW_S windows whose every channel has a
+robust z-score of its RMS in [CALIB_Z_LO, CALIB_Z_HI], and falls back to
+the whole recording when fewer than MIN_CALIB_WINDOWS survive. Fit and
+apply work on PROC_WINDOW_S windows. Only the rejection cutoff and the
+processing-window overlap are configurable (AsrConfig).
+
 Apply works on all windows at once: one np.matmul on a sliding-window view
 gives the covariance of every full window (the few short windows at the end
 are done one by one), one stacked eigh decomposes them all, and every
@@ -33,16 +39,16 @@ from .errors import ValidationError
 
 EIGVAL_CLAMP = 1e-12
 PINV_RCOND = 1e-10
+CALIB_WINDOW_S = 1.0
+CALIB_Z_LO = -3.5
+CALIB_Z_HI = 5.5
+MIN_CALIB_WINDOWS = 30
+PROC_WINDOW_S = 0.5
 
 
 @dataclass(frozen=True)
 class AsrConfig:
     cutoff_k: float = 20.0
-    calib_window_s: float = 1.0
-    calib_z_lo: float = -3.5
-    calib_z_hi: float = 5.5
-    min_calib_windows: int = 30
-    proc_window_s: float = 0.5
     proc_overlap: float = 0.5
 
     def __post_init__(self):
@@ -50,23 +56,18 @@ class AsrConfig:
             raise ValidationError("cutoff_k must be positive")
         if not (0 <= self.proc_overlap < 1):
             raise ValidationError("proc_overlap must be in [0, 1)")
-        if self.calib_window_s <= 0 or self.proc_window_s <= 0:
-            raise ValidationError("calib_window_s and proc_window_s must be "
-                                  "positive")
 
 
 @dataclass(frozen=True)
 class AsrModel:
     mixing_M: np.ndarray
     threshold_T: np.ndarray
-    channels: int
 
     def __post_init__(self):
         m = np.asarray(self.mixing_M, dtype=np.float64)
         t = np.asarray(self.threshold_T, dtype=np.float64)
-        c = self.channels
-        if m.shape != (c, c) or t.shape != (c, c):
-            raise ValidationError(f"model matrices must be {c}x{c}")
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or t.shape != m.shape:
+            raise ValidationError(f"model matrices {m.shape}, {t.shape} must be square")
         scale = max(1.0, float(np.abs(m).max()))
         if np.abs(m - m.T).max() > 1e-8 * scale:
             raise ValidationError("mixing matrix must be symmetric")
@@ -76,6 +77,10 @@ class AsrModel:
             raise ValidationError("thresholds must be finite")
         object.__setattr__(self, "mixing_M", m)
         object.__setattr__(self, "threshold_T", t)
+
+    @property
+    def channels(self) -> int:
+        return self.mixing_M.shape[0]
 
 
 def _window_rms(data: np.ndarray, width: int) -> np.ndarray:
@@ -98,19 +103,20 @@ def _robust_z(values: np.ndarray) -> np.ndarray:
 
 
 def select_calibration(rec: Recording, cfg: AsrConfig) -> Recording:
-    """Keep windows whose every channel has robust z in [z_lo, z_hi].
+    """Keep windows whose every channel has robust z in [CALIB_Z_LO,
+    CALIB_Z_HI].
 
-    Falls back to the full recording when fewer than min_calib_windows
-    windows survive.
+    Falls back to the full recording when fewer than MIN_CALIB_WINDOWS
+    windows survive. cfg is unused; the parameter stays for existing callers.
     """
-    width = window_samples(cfg.calib_window_s, rec.sample_rate_hz, "calib_window_s")
+    width = window_samples(CALIB_WINDOW_S, rec.sample_rate_hz, "calibration window")
     nwin = rec.samples // width
     if nwin < 1:
         raise ValidationError("recording shorter than one calibration window")
     rms = _window_rms(rec.data, width)
     z = _robust_z(rms)
-    clean = np.all((z >= cfg.calib_z_lo) & (z <= cfg.calib_z_hi), axis=0)
-    if int(clean.sum()) < cfg.min_calib_windows:
+    clean = np.all((z >= CALIB_Z_LO) & (z <= CALIB_Z_HI), axis=0)
+    if int(clean.sum()) < MIN_CALIB_WINDOWS:
         return rec
     keep = np.concatenate(
         [rec.data[:, i * width:(i + 1) * width] for i in np.flatnonzero(clean)], axis=1
@@ -121,7 +127,7 @@ def select_calibration(rec: Recording, cfg: AsrConfig) -> Recording:
 
 def asr_fit(calib: Recording, cfg: AsrConfig) -> AsrModel:
     """Mixing matrix and per-component RMS thresholds from calibration data."""
-    width = window_samples(cfg.proc_window_s, calib.sample_rate_hz, "proc_window_s")
+    width = window_samples(PROC_WINDOW_S, calib.sample_rate_hz, "processing window")
     if calib.samples < 2 * width:
         raise ValidationError("calibration shorter than two processing windows")
 
@@ -139,7 +145,7 @@ def asr_fit(calib: Recording, cfg: AsrConfig) -> AsrModel:
     mu = np.median(rms, axis=1)
     sigma = 1.4826 * np.median(np.abs(rms - mu[:, None]), axis=1)
     threshold = (mu + cfg.cutoff_k * sigma)[:, None] * evecs.T
-    return AsrModel(mixing_M=mixing, threshold_T=threshold, channels=calib.channels)
+    return AsrModel(mixing_M=mixing, threshold_T=threshold)
 
 
 def _overlap_add(frames: np.ndarray, hop: int, n: int) -> np.ndarray:
@@ -165,7 +171,7 @@ def asr_apply(rec: Recording, model: AsrModel, cfg: AsrConfig) -> Recording:
         raise ValidationError(
             f"recording has {rec.channels} channels, model expects {model.channels}"
         )
-    width = window_samples(cfg.proc_window_s, rec.sample_rate_hz, "proc_window_s")
+    width = window_samples(PROC_WINDOW_S, rec.sample_rate_hz, "processing window")
     hop = max(1, int(round(width * (1.0 - cfg.proc_overlap))))
     n = rec.samples
     x = rec.data

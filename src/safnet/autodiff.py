@@ -142,15 +142,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return mul(self, _wrap(-1.0, self.dtype))
-
-    def __sub__(self, other):
-        return add(self, -_wrap(other, self.dtype))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, " \
                f"requires_grad={self.requires_grad})"
@@ -194,20 +185,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
                             _unbroadcast(g * a.data, b.data.shape)))
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data @ b.data
-    return _node(data, (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
-
-
 def reshape(x: Tensor, shape) -> Tensor:
     return _node(x.data.reshape(shape), (x,),
                  lambda g: (g.reshape(x.data.shape),))
-
-
-def transpose(x: Tensor, axes) -> Tensor:
-    inverse = np.argsort(axes)
-    return _node(x.data.transpose(axes), (x,),
-                 lambda g: (g.transpose(inverse),))
 
 
 def tensor_sum(x: Tensor, axis=None, keepdims=False) -> Tensor:
@@ -220,12 +200,6 @@ def tensor_sum(x: Tensor, axis=None, keepdims=False) -> Tensor:
         return (np.broadcast_to(gg, x.data.shape).astype(x.data.dtype, copy=True),)
 
     return _node(data, (x,), grad_fn)
-
-
-def tensor_mean(x: Tensor, axis=None, keepdims=False) -> Tensor:
-    count = x.data.size if axis is None else x.data.shape[axis]
-    return mul(tensor_sum(x, axis=axis, keepdims=keepdims),
-               _wrap(1.0 / count, x.dtype))
 
 
 def elu(x: Tensor) -> Tensor:
@@ -279,17 +253,17 @@ def _bands(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _toeplitz_conv(xb: np.ndarray, bands: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Blocked-Toeplitz correlation y[t] = sum_i w[i] xp[t+i] of each padded
-    row with each kernel of its group.
+    row with the kernel of its group.
 
     xb (G,*R,Q+1,K) holds the blocks of G groups of rows (_blocks), bands
-    (G,K,H,2K) the band pairs of the H kernels applied to every row of a
-    group. Output block q of a row is X[q] T0 + X[q+1] T1: one batched GEMM
-    against [T0 | T1] and one add, written to out (G,*R,Q,H,K) in time order.
+    (G,K,2K) the band pair of each group's kernel (_bands). Output block q
+    of a row is X[q] T0 + X[q+1] T1: one batched GEMM against [T0 | T1] and
+    one add, written to out (G,*R,Q,K) in time order.
     """
     g, k = xb.shape[0], xb.shape[-1]
-    y = np.matmul(xb.reshape(g, -1, k), bands.reshape(g, k, -1))
-    y = y.reshape(xb.shape[:-1] + bands.shape[2:])
-    return np.add(y[..., :-1, :, :k], y[..., 1:, :, k:], out=out)
+    y = np.matmul(xb.reshape(g, -1, k), bands)
+    y = y.reshape(xb.shape[:-1] + (2 * k,))
+    return np.add(y[..., :-1, :k], y[..., 1:, k:], out=out)
 
 
 def _block_products(xb: np.ndarray, gb: np.ndarray) -> np.ndarray:
@@ -352,7 +326,7 @@ def depthwise_temporal_conv(x: Tensor, w: Tensor) -> Tensor:
     xb = _blocks(x.data.transpose(1, 0, 2, 3), k, left)  # (F,B,C,Q+1,K)
     fwd, adj = _bands(w.data)
     out = np.empty((b, f, c, q, k), dtype=np.result_type(x.data, w.data))
-    _toeplitz_conv(xb, fwd[:, :, None], out.transpose(1, 0, 2, 3, 4)[..., None, :])
+    _toeplitz_conv(xb, fwd, out.transpose(1, 0, 2, 3, 4))
     data = np.ascontiguousarray(out.reshape(b, f, c, q * k)[..., :m])
 
     def grad_fn(g):
@@ -531,8 +505,8 @@ def first_block(x: Tensor, w: Tensor, gamma: Tensor, beta: Tensor,
     ub = np.matmul(spatial_w.data.reshape(f * d, c), xb.reshape(c, -1))
     ub = ub.reshape(f, d, b, q + 1, k)  # u, padded as xb is
     fwd, adj = _bands(w.data)
-    v = np.empty((f, d, b, q, 1, k), dtype=dtype)
-    _toeplitz_conv(ub, fwd[:, :, None], v)
+    v = np.empty((f, d, b, q, k), dtype=dtype)
+    _toeplitz_conv(ub, fwd, v)
 
     w64 = w.data.astype(np.float64)
     n = b * c * m
@@ -560,7 +534,7 @@ def first_block(x: Tensor, w: Tensor, gamma: Tensor, beta: Tensor,
     def grad_fn(g):
         gb = _blocks(g.reshape(b, f, d, m).transpose(1, 2, 0, 3), k, 0)
         gsum = np.einsum("fdbqk->fd", gb).astype(np.float64)
-        ga = np.einsum("fdbqk,fdbqk->f", gb[:, :, :, :q], v[..., 0, :])
+        ga = np.einsum("fdbqk,fdbqk->f", gb[:, :, :, :q], v)
         gc = np.einsum("fd,fd->f", ssum, gsum)
         gscale = ga - mu * gc
         gw = a[:, None] * _toeplitz_weight_grad(ub, gb)
@@ -629,10 +603,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 def _log_softmax(z: np.ndarray) -> np.ndarray:
     m = z.max(axis=1, keepdims=True)
     return z - m - np.log(np.exp(z - m).sum(axis=1, keepdims=True))
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    return np.exp(_log_softmax(np.asarray(logits)))
 
 
 def softmax_cross_entropy(logits: Tensor, targets) -> Tensor:

@@ -152,9 +152,6 @@ class EpochSet:
     def subset(self, tag: str) -> list[Epoch]:
         return [ep for ep, t in zip(self.epochs, self.split) if t == tag]
 
-    def __len__(self) -> int:
-        return len(self.epochs)
-
 
 @dataclass
 class Manifest:
@@ -302,11 +299,16 @@ def write_manifest(manifest: Manifest, path: str) -> None:
 def write_epoch_dir(epoch_set: EpochSet, out_dir: str) -> Manifest:
     """Write each epoch as {subject}_c{class}_{k:04d}.ndf, k counting the
     epochs of its (subject, class) cell, then manifest.csv listing them with
-    their split tags, into out_dir. An empty set is refused before out_dir
-    is created."""
+    their split tags, into out_dir. An empty set, or a subject id holding a
+    path separator (which would put its files outside out_dir), is refused
+    before out_dir is created."""
     if not epoch_set.epochs:
         raise ValidationError("no epochs to write: every recording is shorter "
                               "than one epoch")
+    for subject in epoch_set.subjects:
+        if "/" in subject or "\\" in subject:
+            raise ValidationError(f"subject id {subject!r} holds a path "
+                                  f"separator, which a file name cannot")
     os.makedirs(out_dir, exist_ok=True)
     counts: dict[tuple[str, int], int] = {}
     rows = []

@@ -2,7 +2,9 @@
 
 All filtering is zero-phase: each biquad cascade is applied forward and
 backward per channel, so passband features keep their timing. Filters run
-over the whole recording before slicing.
+over the whole recording before slicing. The band-pass is a Butterworth of
+order BUTTER_ORDER and each notch has quality NOTCH_Q; PipelineConfig holds
+the band edges, notch frequencies, target rate and epoch length.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ from .errors import ConfigError, ValidationError
 
 RESAMPLE_ATTEN_DB = 67.0
 RESAMPLE_TAPS_PER_PHASE = 20
+BUTTER_ORDER = 4
+NOTCH_Q = 30.0
 
 
 @dataclass(frozen=True)
@@ -25,10 +29,8 @@ class PipelineConfig:
     band_lo_hz: float = 1.0
     band_hi_hz: float = 128.0
     notch_hz: tuple[float, ...] = (60.0, 120.0)
-    notch_q: float = 30.0
     target_rate_hz: float = 512.0
     epoch_seconds: float = 6.0
-    butter_order: int = 4
 
     def __post_init__(self):
         nyq = self.target_rate_hz / 2.0
@@ -40,13 +42,8 @@ class PipelineConfig:
         for f in self.notch_hz:
             if not (0 < f < nyq):
                 raise ConfigError(f"notch frequency {f} Hz outside (0, {nyq})")
-        if self.notch_q <= 0:
-            raise ConfigError("notch_q must be positive")
         if self.epoch_seconds <= 0:
             raise ConfigError("epoch_seconds must be positive")
-        if self.butter_order < 2 or self.butter_order % 2:
-            raise ConfigError(f"butter_order must be a positive even integer, "
-                              f"got {self.butter_order}")
         object.__setattr__(self, "notch_hz", tuple(float(f) for f in self.notch_hz))
 
 
@@ -79,18 +76,18 @@ class BiquadCascade:
 
 
 def design_bandpass(cfg: PipelineConfig) -> BiquadCascade:
-    sos = signal.butter(cfg.butter_order // 2,
+    sos = signal.butter(BUTTER_ORDER // 2,
                         [cfg.band_lo_hz, cfg.band_hi_hz],
                         btype="bandpass", fs=cfg.target_rate_hz, output="sos")
     return BiquadCascade(sos=sos,
-                         description=f"butterworth-{cfg.butter_order} bandpass "
+                         description=f"butterworth-{BUTTER_ORDER} bandpass "
                                      f"{cfg.band_lo_hz}-{cfg.band_hi_hz} Hz")
 
 
-def design_notch(freq_hz: float, q: float, fs: float) -> BiquadCascade:
-    b, a = signal.iirnotch(freq_hz, q, fs=fs)
+def design_notch(freq_hz: float, fs: float) -> BiquadCascade:
+    b, a = signal.iirnotch(freq_hz, NOTCH_Q, fs=fs)
     return BiquadCascade(sos=np.concatenate([b, a])[None, :] / a[0],
-                         description=f"notch {freq_hz} Hz Q={q}")
+                         description=f"notch {freq_hz} Hz Q={NOTCH_Q}")
 
 
 def resample(rec: Recording, target_rate_hz: float) -> Recording:
@@ -142,7 +139,7 @@ def notch(rec: Recording, cfg: PipelineConfig) -> Recording:
         )
     data = rec.data
     for f in cfg.notch_hz:
-        data = design_notch(f, cfg.notch_q, cfg.target_rate_hz).apply_zero_phase(data)
+        data = design_notch(f, cfg.target_rate_hz).apply_zero_phase(data)
     return Recording(data=data, sample_rate_hz=rec.sample_rate_hz,
                      channel_names=rec.channel_names)
 

@@ -67,10 +67,6 @@ class BandDefinition:
                 raise ValidationError(f"band {name} overlaps the previous band")
             prev_hi = hi
 
-    @property
-    def names(self) -> list[str]:
-        return [name for name, _, _ in self.bands]
-
 
 def confusion(y_true, y_pred) -> ConfusionMatrix:
     y_true = np.asarray(y_true, dtype=np.int64)

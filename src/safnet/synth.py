@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asr import AsrConfig, asr_fit, select_calibration
+from .asr import AsrConfig, asr_apply, asr_fit, select_calibration
 from .datamodel import EpochSet, Manifest, Recording, split_dataset, write_epoch_dir
-from .dsp import PipelineConfig, filter_recording, preprocess_pipeline
+from .dsp import PipelineConfig, filter_recording, slice_epochs
 from .errors import ValidationError
 from .metrics import DEFAULT_BANDS
 
@@ -162,8 +162,9 @@ def generate_dataset(cfg: SynthConfig, out_dir: str,
                      pipeline_cfg: PipelineConfig | None = None,
                      asr_cfg: AsrConfig | None = None,
                      ) -> tuple[dict[tuple[int, int], Recording], Manifest]:
-    """Generate all subjects x {0,1} cells, preprocess them (per-subject
-    artifact removal), slice into epochs, and write NDF files plus a
+    """Generate all subjects x {0,1} cells, preprocess them (filter once,
+    then artifact removal calibrated per subject on the filtered class-0
+    recording), slice into epochs, and write NDF files plus a
     stratified-split manifest into out_dir. A config that yields no epochs
     is refused before out_dir is created.
 
@@ -176,15 +177,14 @@ def generate_dataset(cfg: SynthConfig, out_dir: str,
     epochs = []
     for j in range(cfg.subjects):
         subject_name = f"s{j:02d}"
+        filtered = []
         for y in (0, 1):
             recordings[(j, y)] = generate_subject_recording(cfg, j, y)
-        # artifact removal is calibrated on the filtered class-0 recording
-        calib = filter_recording(recordings[(j, 0)], pipeline_cfg)
-        asr_model = asr_fit(select_calibration(calib, asr_cfg), asr_cfg)
-        for y in (0, 1):
-            epochs += preprocess_pipeline(recordings[(j, y)], pipeline_cfg,
-                                          asr_model=asr_model, y=y, s=subject_name,
-                                          asr_config=asr_cfg)
+            filtered.append(filter_recording(recordings[(j, y)], pipeline_cfg))
+        asr_model = asr_fit(select_calibration(filtered[0], asr_cfg), asr_cfg)
+        for y, rec in enumerate(filtered):
+            epochs += slice_epochs(asr_apply(rec, asr_model, asr_cfg),
+                                   pipeline_cfg, y, subject_name)
 
     epoch_set = split_dataset(EpochSet(epochs=epochs), seed=cfg.seed)
     return recordings, write_epoch_dir(epoch_set, out_dir)

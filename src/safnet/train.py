@@ -21,6 +21,11 @@ Routing the entropy term through the reversal layer means the encoder is
 pushed to *maximize* domain-posterior entropy (an uninformative subject
 posterior, i.e. low mutual information between features and subject)
 while the head stays confident.
+
+Adam's decay rates and epsilon (BETA1, BETA2, ADAM_EPS) and the plateau
+schedule's improvement margin, decay factor and floor (IMPROVEMENT_EPS,
+LR_FACTOR, LR_FLOOR) are constants; TrainConfig holds the learning rate,
+batch size, epoch bounds, patience, plateau window, seed and swap setting.
 """
 
 from __future__ import annotations
@@ -46,6 +51,12 @@ EVAL_BATCH = 256
 # fit stops as diverged at a step whose l_total exceeds this factor times
 # max(1, l_total of the run's first step)
 DIVERGENCE_FACTOR = 1e4
+BETA1 = 0.9
+BETA2 = 0.999
+ADAM_EPS = 1e-8
+IMPROVEMENT_EPS = 0.001
+LR_FACTOR = 0.5
+LR_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -70,35 +81,18 @@ class TrainConfig:
     max_epochs: int = 200
     patience: int = 10
     plateau_window: int = 5
-    improvement_eps: float = 0.001
-    lr_factor: float = 0.5
-    lr_floor: float = 1e-6
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
     swap: SwapConfig = field(default_factory=SwapConfig)
 
     def __post_init__(self):
         if self.lr <= 0:
             raise ValidationError("lr must be positive")
-        if not 0.0 < self.lr_factor < 1.0:
-            raise ValidationError("lr_factor must be in (0, 1)")
-        if self.lr_floor <= 0:
-            raise ValidationError("lr_floor must be positive")
         if self.batch_size < 1:
             raise ValidationError("batch_size must be >= 1")
         if self.min_epochs < 1 or self.max_epochs < self.min_epochs:
             raise ValidationError("need 1 <= min_epochs <= max_epochs")
         if self.patience < 1 or self.plateau_window < 1:
             raise ValidationError("patience and plateau_window must be >= 1")
-        if self.improvement_eps < 0:
-            raise ValidationError("improvement_eps must be >= 0")
-        for name in ("beta1", "beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ValidationError(f"{name} must be in [0, 1)")
-        if self.adam_eps <= 0:
-            raise ValidationError("adam_eps must be positive")
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
@@ -162,12 +156,9 @@ def compute_losses(x, y, subject_index, model: SafModel, weights: LossWeights,
 
 
 class AdamState:
-    """First/second moment estimates and the shared step counter, with the
-    decay rates and epsilon of cfg (the TrainConfig defaults if None)."""
+    """First/second moment estimates and the shared step counter."""
 
-    def __init__(self, params: dict[str, ad.Tensor], cfg: TrainConfig | None = None):
-        cfg = cfg or TrainConfig()
-        self.beta1, self.beta2, self.eps = cfg.beta1, cfg.beta2, cfg.adam_eps
+    def __init__(self, params: dict[str, ad.Tensor]):
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
@@ -176,8 +167,8 @@ class AdamState:
 def adam_step(params: dict[str, ad.Tensor], state: AdamState, lr: float) -> None:
     """One in-place Adam update; a parameter with grad None sees zero gradient."""
     state.t += 1
-    bc1 = 1.0 - state.beta1 ** state.t
-    bc2 = 1.0 - state.beta2 ** state.t
+    bc1 = 1.0 - BETA1 ** state.t
+    bc2 = 1.0 - BETA2 ** state.t
     for name, p in params.items():
         if name not in state.m:
             raise ValidationError(f"optimizer state missing parameter {name!r}")
@@ -187,20 +178,20 @@ def adam_step(params: dict[str, ad.Tensor], state: AdamState, lr: float) -> None
                 f"gradient shape {g.shape} does not match {name} {p.data.shape}")
         m = state.m[name]
         v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * np.square(g)
-        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * np.square(g)
+        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
-def _tail_stagnation(history, eps: float) -> int:
+def _tail_stagnation(history) -> int:
     """Consecutive epochs at the end of history that failed to beat the
-    running best by more than eps."""
+    running best by more than IMPROVEMENT_EPS."""
     best = -np.inf
     stagnant = 0
     for v in history:
-        if v > best + eps:
+        if v > best + IMPROVEMENT_EPS:
             stagnant = 0
         else:
             stagnant += 1
@@ -209,30 +200,26 @@ def _tail_stagnation(history, eps: float) -> int:
     return stagnant
 
 
-@dataclass
-class SchedulerState:
-    lr: float
-
-
-def scheduler_update(history, state: SchedulerState, cfg: TrainConfig) -> float:
-    """Halve the learning rate (down to lr_floor) each time the monitored
-    metric goes plateau_window consecutive epochs without improving on the
-    best-so-far by more than improvement_eps. Call once per epoch, after
-    appending that epoch's value to history."""
+def scheduler_update(history, lr: float, cfg: TrainConfig) -> float:
+    """The learning rate for the next epoch: lr times LR_FACTOR (down to
+    LR_FLOOR) each time the monitored metric goes plateau_window consecutive
+    epochs without improving on the best-so-far by more than IMPROVEMENT_EPS,
+    lr otherwise. Call once per epoch, after appending that epoch's value to
+    history."""
     if len(history) == 0:
         raise ValidationError("scheduler needs at least one recorded epoch")
-    stagnant = _tail_stagnation(history, cfg.improvement_eps)
+    stagnant = _tail_stagnation(history)
     if stagnant > 0 and stagnant % cfg.plateau_window == 0:
-        state.lr = max(state.lr * cfg.lr_factor, cfg.lr_floor)
-    return state.lr
+        return max(lr * LR_FACTOR, LR_FLOOR)
+    return lr
 
 
 def early_stop_check(history, cfg: TrainConfig) -> bool:
     """True once at least min_epochs have run and the last patience epochs
-    all failed to improve on the best by more than improvement_eps."""
+    all failed to improve on the best by more than IMPROVEMENT_EPS."""
     if len(history) < cfg.min_epochs:
         return False
-    return _tail_stagnation(history, cfg.improvement_eps) >= cfg.patience
+    return _tail_stagnation(history) >= cfg.patience
 
 
 def eval_confusion(model: SafModel, epochs: list[Epoch]) -> ConfusionMatrix:
@@ -302,8 +289,8 @@ def fit(train_data, val_data, model: SafModel, cfg: TrainConfig,
     swap_rng = np.random.default_rng(swap_ss)
     dropout_rng = np.random.default_rng(dropout_ss)
 
-    adam = AdamState(model.params, cfg)
-    sched = SchedulerState(lr=cfg.lr)
+    adam = AdamState(model.params)
+    lr = cfg.lr
     log = TrainLog()
     history: list[float] = []
     best_acc = -np.inf
@@ -313,7 +300,6 @@ def fit(train_data, val_data, model: SafModel, cfg: TrainConfig,
 
     n = len(train_data)
     for epoch in range(1, cfg.max_epochs + 1):
-        lr_used = sched.lr
         order = shuffle_rng.permutation(n)
         sums = np.zeros(4)
         seen = 0
@@ -339,7 +325,7 @@ def fit(train_data, val_data, model: SafModel, cfg: TrainConfig,
                     f"{losses[3]:.3g} exceeds {DIVERGENCE_FACTOR:g} x max(1, first "
                     f"step's l_total) = {loss_limit:.3g}")
             l_total.backward()
-            adam_step(model.params, adam, lr_used)
+            adam_step(model.params, adam, lr)
             b = len(idx)
             sums += b * losses
             seen += b
@@ -349,14 +335,14 @@ def fit(train_data, val_data, model: SafModel, cfg: TrainConfig,
         means = sums / seen
         log.records.append(EpochRecord(
             epoch=epoch, l_task=means[0], l_domain=means[1], l_mi=means[2],
-            l_total=means[3], lr=lr_used, val_macro_acc=val_acc))
+            l_total=means[3], lr=lr, val_macro_acc=val_acc))
 
         if val_acc > best_acc:
             best_acc = val_acc
             best_snap = _snapshot(model)
             best_epoch = epoch
 
-        scheduler_update(history, sched, cfg)
+        lr = scheduler_update(history, lr, cfg)
         if early_stop_check(history, cfg):
             log.stop_reason = "early_stop"
             break

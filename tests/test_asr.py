@@ -3,6 +3,7 @@ import pytest
 
 from safnet.asr import (
     PINV_RCOND,
+    PROC_WINDOW_S,
     AsrConfig,
     AsrModel,
     asr_apply,
@@ -25,7 +26,7 @@ def noise_rec(c, seconds, fs, seed, mix=None):
 def loop_asr_apply(rec, model, cfg):
     """The one-window-at-a-time loop the batched asr_apply replaced. Returns
     the cleaned data and the number of windows that rejected a component."""
-    width = int(round(cfg.proc_window_s * rec.sample_rate_hz))
+    width = int(round(PROC_WINDOW_S * rec.sample_rate_hz))
     hop = max(1, int(round(width * (1.0 - cfg.proc_overlap))))
     n = rec.samples
     taper = 0.5 - 0.5 * np.cos(2.0 * np.pi * (np.arange(width) + 0.5) / width)
@@ -140,8 +141,7 @@ class TestAsrApply:
     def test_unreachable_threshold_is_exact_identity(self):
         calib, model = self.fit_on_noise(seed=2)
         huge = AsrModel(mixing_M=model.mixing_M,
-                        threshold_T=model.threshold_T * 1e6,
-                        channels=model.channels)
+                        threshold_T=model.threshold_T * 1e6)
         out = asr_apply(calib, huge, self.cfg)
         assert np.max(np.abs(out.data - calib.data)) < 1e-9
 

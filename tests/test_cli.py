@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import safnet
+from safnet import asr, dsp, train
 from safnet.cli import INI_SCHEMA, load_cli_config, main
 from safnet.datamodel import Recording, load_manifest, write_recording
 from safnet.errors import ConfigError, SafError
@@ -154,18 +155,39 @@ KEY_KINDS = {
         "artifact_rate_per_min": float, "artifact_gain": float, "seed": int,
         "class_signature_0": tuple, "class_signature_1": tuple},
 }
+# Keys of that table that are now module constants of the same value (the
+# key in upper case), in dsp, asr and train.
+REMOVED_KEYS = {
+    "pipeline": {"notch_q": 30.0, "butter_order": 4},
+    "asr": {"calib_window_s": 1.0, "calib_z_lo": -3.5, "calib_z_hi": 5.5,
+            "min_calib_windows": 30, "proc_window_s": 0.5},
+    "train": {"improvement_eps": 0.001, "lr_factor": 0.5, "lr_floor": 1e-6,
+              "beta1": 0.9, "beta2": 0.999, "adam_eps": 1e-8},
+}
+CONSTANT_OWNERS = {"pipeline": dsp, "asr": asr, "train": train}
+REMOVED = [(section, key, value) for section, keys in REMOVED_KEYS.items()
+           for key, value in keys.items()]
 FLOAT_KEYS = [(section, key) for section, kinds in KEY_KINDS.items()
               for key, kind in kinds.items() if kind is not int]
+CURRENT_KEY_KINDS = {
+    section: {key: kind for key, kind in kinds.items()
+              if key not in REMOVED_KEYS.get(section, {})}
+    for section, kinds in KEY_KINDS.items()}
 
 
 class TestIniSchema:
     def test_key_sets_derived_from_the_dataclasses(self):
         assert {s: sorted(keys) for s, keys in INI_SCHEMA.items()} == {
-            s: sorted(kinds) for s, kinds in KEY_KINDS.items()}
-        assert [len(keys) for keys in INI_SCHEMA.values()] == [7, 7, 1, 13, 11]
+            s: sorted(kinds) for s, kinds in CURRENT_KEY_KINDS.items()}
+        assert [len(keys) for keys in INI_SCHEMA.values()] == [5, 2, 1, 7, 11]
+
+    @pytest.mark.parametrize("section, key, value", REMOVED)
+    def test_removed_key_is_a_constant_of_its_value(self, section, key, value):
+        constant = getattr(CONSTANT_OWNERS[section], key.upper())
+        assert constant == value and type(constant) is type(value)
 
     def test_value_kinds(self):
-        for section, kinds in KEY_KINDS.items():
+        for section, kinds in CURRENT_KEY_KINDS.items():
             for key, kind in kinds.items():
                 convert = INI_SCHEMA[section][key]
                 if kind is int:
@@ -180,8 +202,14 @@ class TestIniSchema:
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("section, key", FLOAT_KEYS)
     def test_non_finite_float_rejected(self, tmp_path, section, key, value):
+        """Refused as not finite, or as an unknown key where the key is now a
+        constant."""
         path = write_config(tmp_path / "c.ini", f"[{section}]\n{key} = {value}\n")
-        with pytest.raises(ConfigError, match=rf"^\[{section}\] {key}: .*finite"):
+        if key in REMOVED_KEYS.get(section, {}):
+            message = rf"unknown key '{key}' in \[{section}\]$"
+        else:
+            message = rf"^\[{section}\] {key}: .*finite"
+        with pytest.raises(ConfigError, match=message):
             load_cli_config(path)
 
     def test_readme_lists_every_key(self):
@@ -226,6 +254,17 @@ class TestExitCodes:
         assert "unknown key" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "d")
 
+    @pytest.mark.parametrize("section, key, value", REMOVED)
+    def test_removed_key_is_validation_error(self, tmp_path, section, key, value,
+                                             capsys):
+        """The keys that are now constants are unknown, even at their value."""
+        path = write_config(tmp_path / "c.ini", f"[{section}]\n{key} = {value}\n")
+        code = main(["synth", "--config", path, "--out", str(tmp_path / "d")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "unknown key" in err
+        assert not os.path.exists(tmp_path / "d")
+
     @pytest.mark.parametrize("section, line", [
         ("pipeline", "epoch_seconds = nan"), ("pipeline", "epoch_seconds = inf"),
         ("asr", "calib_window_s = nan"), ("asr", "proc_window_s = inf"),
@@ -233,6 +272,8 @@ class TestExitCodes:
         ("synth", "seed = -1"), ("train", "seed = -1"),
         ("asr", "calib_window_s = 0"), ("asr", "proc_window_s = 0"),
         ("asr", "proc_window_s = 1e-9"),
+        ("asr", "cutoff_k = 0"), ("asr", "cutoff_k = nan"),
+        ("asr", "proc_overlap = 1"), ("asr", "proc_overlap = -0.1"),
         ("DEFAULT", "seed = 5"), ("DEFAULT", "warmup = 5")])
     def test_bad_value_is_validation_error(self, tmp_path, section, line, capsys):
         path = write_config(tmp_path / "c.ini", f"[{section}]\n{line}\n")
@@ -345,7 +386,7 @@ class TestPreprocessCommand:
                      "--asr-calib", calib_path])
         assert code == 0
         _, epoch_set = load_manifest(os.path.join(out, "manifest.csv"))
-        assert len(epoch_set) == 6
+        assert len(epoch_set.epochs) == 6
         assert np.all(np.isfinite(epoch_set.epochs[0].x))
 
     @pytest.mark.parametrize("subject", ["a,b", "a\nb", "a\rb"])
@@ -358,6 +399,23 @@ class TestPreprocessCommand:
         assert code == 1
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("subject", ["../esc", "a/b", "a\\b"])
+    def test_subject_with_path_separator_is_validation_error(self, tmp_path,
+                                                             subject, capsys):
+        """A subject id becomes part of each file name, so a separator would
+        write outside --out."""
+        config = write_config(tmp_path / "c.ini")
+        rec_path = self.make_recording(str(tmp_path / "raw.safr"))
+        parent = tmp_path / "out"
+        parent.mkdir()
+        code = main(["preprocess", "--config", config, "--in", rec_path,
+                     "--subject", subject, "--class", "0",
+                     "--out", str(parent / "d")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "path separator" in err
+        assert os.listdir(parent) == []
 
     def test_truncated_recording_is_format_error(self, tmp_path, capsys):
         config = write_config(tmp_path / "c.ini")

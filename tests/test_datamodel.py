@@ -263,7 +263,7 @@ class TestManifest:
             _, eset = load_manifest(mpath)
         finally:
             os.chdir(cwd)
-        assert len(eset) == 1
+        assert len(eset.epochs) == 1
 
     def test_inconsistent_shapes(self, tmp_path):
         write_ndf(make_epoch(c=2, m=16, s="a"), str(tmp_path / "a.ndf"))

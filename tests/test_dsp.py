@@ -41,10 +41,6 @@ class TestPipelineConfig:
         with pytest.raises(ConfigError):
             PipelineConfig(notch_hz=(300.0,))
 
-    def test_odd_order_rejected(self):
-        with pytest.raises(ConfigError):
-            PipelineConfig(butter_order=3)
-
 
 class TestBiquadCascade:
     def test_unstable_section_rejected(self):

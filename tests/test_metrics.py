@@ -407,7 +407,8 @@ class TestFeatureHelpers:
         clipped = clip_bands(BandDefinition(), 64.0)
         assert clipped.bands[-1] == ("Gamma", 30.0, 64.0)
         clipped = clip_bands(BandDefinition(), 20.0)
-        assert clipped.names == ["Delta", "Theta", "Alpha", "Beta"]
+        names = [name for name, _, _ in clipped.bands]
+        assert names == ["Delta", "Theta", "Alpha", "Beta"]
         assert clipped.bands[-1] == ("Beta", 13.0, 20.0)
 
     def test_clip_bands_none_left(self):

@@ -14,7 +14,6 @@ from safnet.model import EncoderConfig, SafModel
 from safnet.train import (
     AdamState,
     LossWeights,
-    SchedulerState,
     TrainConfig,
     adam_step,
     compute_losses,
@@ -75,10 +74,6 @@ class TestTrainConfig:
         assert cfg.lr == 0.001 and cfg.batch_size == 32
         assert cfg.min_epochs == 20 and cfg.max_epochs == 200
         assert cfg.patience == 10 and cfg.plateau_window == 5
-
-    def test_bad_lr_factor(self):
-        with pytest.raises(ValidationError):
-            TrainConfig(lr_factor=1.0)
 
     def test_bad_epoch_bounds(self):
         with pytest.raises(ValidationError):
@@ -234,44 +229,41 @@ class TestScheduler:
     CFG = TrainConfig()
 
     def test_five_stagnant_epochs_halve_lr(self):
-        state = SchedulerState(lr=0.001)
         history = [0.80]
-        scheduler_update(history, state, self.CFG)
+        lr = scheduler_update(history, 0.001, self.CFG)
         for v in (0.801, 0.799, 0.80, 0.8005, 0.801):
             history.append(v)
-            lr = scheduler_update(history, state, self.CFG)
+            lr = scheduler_update(history, lr, self.CFG)
         assert lr == pytest.approx(0.0005)
 
     def test_improvement_resets_counter(self):
-        state = SchedulerState(lr=0.001)
+        lr = 0.001
         history = []
         for v in (0.80, 0.80, 0.80, 0.80, 0.85, 0.85, 0.85, 0.85):
             history.append(v)
-            lr = scheduler_update(history, state, self.CFG)
+            lr = scheduler_update(history, lr, self.CFG)
         # four stagnant, improvement, then only four stagnant again
         assert lr == 0.001
 
     def test_floor_respected(self):
-        state = SchedulerState(lr=1e-6)
-        history = [0.5] * 6
-        lr = None
+        lr = 1e-6
         hist = []
-        for v in history:
+        for v in [0.5] * 6:
             hist.append(v)
-            lr = scheduler_update(hist, state, self.CFG)
+            lr = scheduler_update(hist, lr, self.CFG)
         assert lr == 1e-6
 
     def test_repeated_plateaus_halve_again(self):
-        state = SchedulerState(lr=0.001)
+        lr = 0.001
         hist = []
         for v in [0.8] + [0.8] * 10:
             hist.append(v)
-            lr = scheduler_update(hist, state, self.CFG)
+            lr = scheduler_update(hist, lr, self.CFG)
         assert lr == pytest.approx(0.00025)
 
     def test_empty_history_rejected(self):
         with pytest.raises(ValidationError):
-            scheduler_update([], SchedulerState(lr=0.001), self.CFG)
+            scheduler_update([], 0.001, self.CFG)
 
 
 class TestEarlyStop:
@@ -350,7 +342,7 @@ class TestFit:
         shuffle_ss, _, dropout_ss = np.random.SeedSequence(cfg.seed).spawn(3)
         shuffle_rng = np.random.default_rng(shuffle_ss)
         dropout_rng = np.random.default_rng(dropout_ss)
-        state = AdamState(ref.params, cfg)
+        state = AdamState(ref.params)
         smap = {s: i for i, s in enumerate(sorted({ep.s for ep in train}))}
         final_snapshot = None
         best_acc = -np.inf
