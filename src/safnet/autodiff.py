@@ -70,8 +70,8 @@ def no_grad():
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_prev", "_grad_fn")
 
-    def __init__(self, data, requires_grad=False, dtype=None):
-        self.data = np.asarray(data, dtype=dtype) if dtype else np.asarray(data)
+    def __init__(self, data, requires_grad=False):
+        self.data = np.asarray(data)
         if self.data.dtype not in (np.float32, np.float64):
             self.data = self.data.astype(np.float32)
         self.grad = None

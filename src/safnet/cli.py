@@ -238,38 +238,35 @@ def _cmd_analyze(args) -> int:
         raise ValidationError("analysis needs at least two subjects")
 
     fs = epochs[0].sample_rate_hz
-    channels = epochs[0].channels
     bands = clip_bands(BandDefinition(), fs / 2.0)
     n_bands = len(bands.bands)
     features = log_band_power_features([ep.x for ep in epochs], fs, bands)
     mask = iqr_row_mask(features)
-    kept = [ep for ep, keep in zip(epochs, mask) if keep]
     features = features[mask]
-    labels = np.array([subjects.index(ep.s) for ep in kept])
-    if np.unique(labels).size < 2:
+    code = {s: i for i, s in enumerate(subjects)}
+    labels = np.array([code[ep.s] for ep in epochs])[mask]
+    present = np.unique(labels)
+    if present.size < 2:
         raise ValidationError("outlier filtering left fewer than two subjects")
 
     os.makedirs(args.out, exist_ok=True)
 
     # per-subject mean band power (power units, averaged over epochs and
-    # channels), then the across-subject coefficient of variation per band
-    powers = np.exp(features)
-    subject_means = {}
-    psd_rows = []
-    for s_idx, subject in enumerate(subjects):
-        rows = powers[labels == s_idx]
-        if rows.size == 0:
-            continue
-        for b in range(n_bands):
-            cols = [ch * n_bands + b for ch in range(channels)]
-            subject_means.setdefault(b, []).append(float(rows[:, cols].mean()))
-            psd_rows.append((subject, bands.bands[b][0],
-                             subject_means[b][-1]))
+    # channels), then the across-subject coefficient of variation per band.
+    # Each band's values are summed channel by channel, each channel over its
+    # epochs, as a mean over a (epochs, channels) column copy would.
+    powers = np.exp(features).reshape(len(features), -1, n_bands)
+    means = np.array([
+        np.ascontiguousarray(powers[labels == s].T).reshape(n_bands, -1).mean(axis=1)
+        for s in present])
+    names = [name for name, _, _ in bands.bands]
     write_csv(os.path.join(args.out, "psd_bands.csv"),
-              ["subject", "band", "mean_power"], psd_rows)
-    cv_rows = [(bands.bands[b][0], coefficient_of_variation(subject_means[b]))
-               for b in range(n_bands)]
-    write_csv(os.path.join(args.out, "cv.csv"), ["band", "cv"], cv_rows)
+              ["subject", "band", "mean_power"],
+              [(subjects[s], name, value) for s, row in zip(present, means)
+               for name, value in zip(names, row)])
+    write_csv(os.path.join(args.out, "cv.csv"), ["band", "cv"],
+              [(name, coefficient_of_variation(col))
+               for name, col in zip(names, means.T)])
 
     standardized = standardize_features(features)
     with open(os.path.join(args.out, "silhouette.txt"), "w",
@@ -278,7 +275,7 @@ def _cmd_analyze(args) -> int:
     with open(os.path.join(args.out, "fstat.txt"), "w",
               encoding="utf-8", newline="") as fh:
         fh.write(format_float(f_statistic(standardized, labels)) + "\n")
-    _note(f"analyzed {len(kept)} of {len(epochs)} epochs "
+    _note(f"analyzed {len(features)} of {len(epochs)} epochs "
           f"({len(subjects)} subjects) into {args.out}")
     return 0
 

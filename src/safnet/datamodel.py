@@ -370,29 +370,21 @@ def split_dataset(epoch_set: EpochSet, seed: int) -> EpochSet:
     `seed` and assigned by cumulative ratio with floor rounding; remainder
     epochs go to train. The assignment is deterministic per seed.
     """
-    r_train, r_val, r_test = SPLIT_RATIOS
     rng = np.random.default_rng(seed)
     strata: dict[tuple[str, int], list[int]] = {}
     for i, ep in enumerate(epoch_set.epochs):
         strata.setdefault((ep.s, ep.y), []).append(i)
 
-    split = ["train"] * len(epoch_set.epochs)
+    # position p of a shuffled stratum takes tags[k], k the number of
+    # cumulative edges at or below p; past the last edge (float shortfall)
+    # is train
+    tags = np.array(["train", "val", "test", "train"], dtype=object)
+    split = np.empty(len(epoch_set.epochs), dtype=object)
     for key in sorted(strata):
-        idx = strata[key]
+        idx = np.asarray(strata[key])
         order = rng.permutation(len(idx))
-        n = len(idx)
         # cumulative boundaries keep every split within one epoch of its ratio
-        edge_train = int(np.floor(n * r_train))
-        edge_val = int(np.floor(n * (r_train + r_val)))
-        edge_test = int(np.floor(n * (r_train + r_val + r_test)))
-        for pos, j in enumerate(order):
-            if pos < edge_train:
-                tag = "train"
-            elif pos < edge_val:
-                tag = "val"
-            elif pos < edge_test:
-                tag = "test"
-            else:
-                tag = "train"  # float shortfall lands in train
-            split[idx[j]] = tag
-    return EpochSet(epochs=list(epoch_set.epochs), split=split)
+        edges = np.floor(len(idx) * np.cumsum(SPLIT_RATIOS))
+        split[idx[order]] = tags[np.searchsorted(edges, np.arange(len(idx)),
+                                                 side="right")]
+    return EpochSet(epochs=list(epoch_set.epochs), split=split.tolist())

@@ -1,10 +1,11 @@
 """Resampling, band-pass/notch filtering, and epoch slicing.
 
-All filtering is zero-phase: each biquad cascade is applied forward and
-backward per channel, so passband features keep their timing. Filters run
-over the whole recording before slicing. The band-pass is a Butterworth of
-order BUTTER_ORDER and each notch has quality NOTCH_Q; PipelineConfig holds
-the band edges, notch frequencies, target rate and epoch length.
+All filtering is zero-phase: scipy's second-order sections run forward and
+backward along time (sosfiltfilt), so passband features keep their timing.
+Filters run over the whole recording before slicing. The band-pass is a
+Butterworth of order BUTTER_ORDER and each notch has quality NOTCH_Q;
+PipelineConfig holds the band edges, notch frequencies, target rate and
+epoch length.
 """
 
 from __future__ import annotations
@@ -47,49 +48,6 @@ class PipelineConfig:
         object.__setattr__(self, "notch_hz", tuple(float(f) for f in self.notch_hz))
 
 
-@dataclass(frozen=True)
-class BiquadCascade:
-    """Stack of second-order sections, one (b0, b1, b2, 1, a1, a2) row each."""
-
-    sos: np.ndarray
-    description: str = ""
-
-    def __post_init__(self):
-        sos = np.asarray(self.sos, dtype=np.float64)
-        if sos.ndim != 2 or sos.shape[1] != 6 or np.any(sos[:, 3] != 1.0):
-            raise ValidationError(f"sections must be (n, 6) rows with a0 = 1 "
-                                  f"in {self.description}")
-        for row in sos:
-            if not np.all(np.isfinite(row)):
-                raise ValidationError(f"non-finite section {row} in {self.description}")
-            poles = np.roots(row[3:])
-            if np.any(np.abs(poles) >= 1.0):
-                raise ValidationError(
-                    f"unstable section (pole magnitude {np.abs(poles).max():.6f}) "
-                    f"in {self.description}"
-                )
-        object.__setattr__(self, "sos", sos)
-
-    def apply_zero_phase(self, data: np.ndarray) -> np.ndarray:
-        """Forward-backward filtering along the last axis."""
-        return signal.sosfiltfilt(self.sos, data, axis=-1)
-
-
-def design_bandpass(cfg: PipelineConfig) -> BiquadCascade:
-    sos = signal.butter(BUTTER_ORDER // 2,
-                        [cfg.band_lo_hz, cfg.band_hi_hz],
-                        btype="bandpass", fs=cfg.target_rate_hz, output="sos")
-    return BiquadCascade(sos=sos,
-                         description=f"butterworth-{BUTTER_ORDER} bandpass "
-                                     f"{cfg.band_lo_hz}-{cfg.band_hi_hz} Hz")
-
-
-def design_notch(freq_hz: float, fs: float) -> BiquadCascade:
-    b, a = signal.iirnotch(freq_hz, NOTCH_Q, fs=fs)
-    return BiquadCascade(sos=np.concatenate([b, a])[None, :] / a[0],
-                         description=f"notch {freq_hz} Hz Q={NOTCH_Q}")
-
-
 def resample(rec: Recording, target_rate_hz: float) -> Recording:
     """Rational polyphase resampling to target_rate_hz.
 
@@ -126,8 +84,10 @@ def bandpass(rec: Recording, cfg: PipelineConfig) -> Recording:
         raise ValidationError(
             f"bandpass expects {cfg.target_rate_hz} Hz input, got {rec.sample_rate_hz}"
         )
-    cascade = design_bandpass(cfg)
-    return Recording(data=cascade.apply_zero_phase(rec.data),
+    # a band-pass designed at order n has order 2n
+    sos = signal.butter(BUTTER_ORDER // 2, [cfg.band_lo_hz, cfg.band_hi_hz],
+                        btype="bandpass", fs=cfg.target_rate_hz, output="sos")
+    return Recording(data=signal.sosfiltfilt(sos, rec.data, axis=-1),
                      sample_rate_hz=rec.sample_rate_hz,
                      channel_names=rec.channel_names)
 
@@ -139,7 +99,8 @@ def notch(rec: Recording, cfg: PipelineConfig) -> Recording:
         )
     data = rec.data
     for f in cfg.notch_hz:
-        data = design_notch(f, cfg.target_rate_hz).apply_zero_phase(data)
+        sos = np.concatenate(signal.iirnotch(f, NOTCH_Q, fs=cfg.target_rate_hz))
+        data = signal.sosfiltfilt(sos[None, :], data, axis=-1)
     return Recording(data=data, sample_rate_hz=rec.sample_rate_hz,
                      channel_names=rec.channel_names)
 

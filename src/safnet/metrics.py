@@ -2,18 +2,20 @@
 
 Macro metrics treat both classes equally regardless of support;
 macro-accuracy is the unweighted mean of per-class recall (balanced
-accuracy). The analysis half quantifies inter-subject variability on
-spectral features: Welch PSD, band power, coefficient of variation,
-one-way ANOVA F, silhouette, and IQR outlier filtering.
+accuracy). ``confusion`` returns the 2x2 int64 counts (rows the true class,
+columns the predicted one) that ``macro_metrics`` reads. The analysis half
+quantifies inter-subject variability on spectral features: Welch PSD, band
+power, coefficient of variation, one-way ANOVA F, silhouette, and IQR
+outlier filtering.
 
 The feature path works on whole arrays: ``welch_psd`` transforms every
 channel of every epoch in one call along the last axis, and ``band_power``
-integrates all the spectra at once, so ``log_band_power_features`` costs two
-numpy-level calls however many epochs it gets instead of one Welch and one
-band loop per channel per epoch. ``silhouette`` takes its pairwise
-distances from ``cdist`` and every point's per-cluster distance sums from a
-single product with a one-hot membership matrix, with no n x n x d
-temporary.
+integrates all the spectra at once into one array with bands on its last
+axis, so ``log_band_power_features`` costs two numpy-level calls however
+many epochs it gets instead of one Welch and one band loop per channel per
+epoch. ``silhouette`` takes its pairwise distances from ``cdist`` and every
+point's per-cluster distance sums from a single product with a one-hot
+membership matrix, with no n x n x d temporary.
 """
 
 from __future__ import annotations
@@ -36,23 +38,6 @@ DEFAULT_BANDS = (
 
 
 @dataclass(frozen=True)
-class ConfusionMatrix:
-    counts: np.ndarray  # 2x2, rows true class, cols predicted
-
-    def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=np.int64)
-        if counts.shape != (2, 2):
-            raise ValidationError(f"confusion matrix must be 2x2, got {counts.shape}")
-        if np.any(counts < 0):
-            raise ValidationError("confusion matrix entries must be non-negative")
-        object.__setattr__(self, "counts", counts)
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-
-@dataclass(frozen=True)
 class BandDefinition:
     """Ordered, non-overlapping frequency ranges [lo, hi) in Hz."""
 
@@ -68,7 +53,8 @@ class BandDefinition:
             prev_hi = hi
 
 
-def confusion(y_true, y_pred) -> ConfusionMatrix:
+def confusion(y_true, y_pred) -> np.ndarray:
+    """2x2 int64 counts, rows the true class and columns the predicted one."""
     y_true = np.asarray(y_true, dtype=np.int64)
     y_pred = np.asarray(y_pred, dtype=np.int64)
     if y_true.shape != y_pred.shape:
@@ -78,32 +64,31 @@ def confusion(y_true, y_pred) -> ConfusionMatrix:
     for arr, kind in ((y_true, "true"), (y_pred, "predicted")):
         if arr.size and (arr.min() < 0 or arr.max() > 1):
             raise ValidationError(f"{kind} labels must be 0 or 1")
-    counts = np.zeros((2, 2), dtype=np.int64)
-    for t, p in zip(y_true, y_pred):
-        counts[t, p] += 1
-    return ConfusionMatrix(counts=counts)
+    return np.bincount(2 * y_true + y_pred, minlength=4).reshape(2, 2)
 
 
-def macro_metrics(cm: ConfusionMatrix) -> tuple[float, float, float, float]:
-    """(macro_accuracy, macro_precision, macro_recall, macro_f1); per-class
-    ratios with zero denominators count as 0."""
-    if cm.total == 0:
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den elementwise, 0 where den is 0."""
+    return np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+
+
+def macro_metrics(counts) -> tuple[float, float, float, float]:
+    """(macro_accuracy, macro_precision, macro_recall, macro_f1) of 2x2
+    confusion counts; per-class ratios with zero denominators count as 0."""
+    counts = np.asarray(counts, dtype=np.int64)
+    if counts.shape != (2, 2):
+        raise ValidationError(f"confusion matrix must be 2x2, got {counts.shape}")
+    if np.any(counts < 0):
+        raise ValidationError("confusion matrix entries must be non-negative")
+    if counts.sum() == 0:
         raise ValidationError("empty confusion matrix")
-    counts = cm.counts.astype(np.float64)
-    precisions, recalls, f1s = [], [], []
-    for c in (0, 1):
-        tp = counts[c, c]
-        fn = counts[c, 1 - c]
-        fp = counts[1 - c, c]
-        recall = tp / (tp + fn) if tp + fn > 0 else 0.0
-        precision = tp / (tp + fp) if tp + fp > 0 else 0.0
-        f1 = (2 * precision * recall / (precision + recall)
-              if precision + recall > 0 else 0.0)
-        precisions.append(precision)
-        recalls.append(recall)
-        f1s.append(f1)
-    macro_recall = float(np.mean(recalls))
-    return macro_recall, float(np.mean(precisions)), macro_recall, float(np.mean(f1s))
+    counts = counts.astype(np.float64)
+    tp = np.diag(counts)
+    recall = _ratio(tp, counts.sum(axis=1))
+    precision = _ratio(tp, counts.sum(axis=0))
+    f1 = _ratio(2 * precision * recall, precision + recall)
+    macro_recall = float(recall.mean())
+    return macro_recall, float(precision.mean()), macro_recall, float(f1.mean())
 
 
 def welch_psd(x, fs: float, window_s: float = 2.0,
@@ -136,15 +121,15 @@ def _edge_value(freqs: np.ndarray, psd: np.ndarray, f: float) -> np.ndarray:
 
 
 def band_power(freqs: np.ndarray, psd: np.ndarray,
-               bands: BandDefinition | None = None) -> dict[str, np.ndarray | float]:
+               bands: BandDefinition | None = None) -> np.ndarray:
     """Trapezoidal integral of a (..., F) PSD over each band, with the PSD
     linearly interpolated at the band edges so a flat PSD integrates to
-    exactly the band width. Each band's power has shape psd.shape[:-1]; a
-    1-D PSD gives floats."""
+    exactly the band width. Returns shape psd.shape[:-1] + (n_bands,), bands
+    in the order of their definition."""
     bands = bands or BandDefinition()
     freqs = np.asarray(freqs, dtype=np.float64)
     psd = np.asarray(psd, dtype=np.float64)
-    powers: dict[str, np.ndarray | float] = {}
+    powers = []
     for name, lo, hi in bands.bands:
         if hi > freqs[-1] or lo < freqs[0]:
             raise ConfigError(
@@ -159,9 +144,8 @@ def band_power(freqs: np.ndarray, psd: np.ndarray,
         values = np.concatenate((_edge_value(freqs, psd, lo)[..., None],
                                  psd[..., inside],
                                  _edge_value(freqs, psd, hi)[..., None]), axis=-1)
-        power = np.trapezoid(values, grid, axis=-1)
-        powers[name] = float(power) if power.ndim == 0 else power
-    return powers
+        powers.append(np.trapezoid(values, grid, axis=-1))
+    return np.stack(powers, axis=-1)
 
 
 def coefficient_of_variation(values) -> float:
@@ -279,8 +263,7 @@ def log_band_power_features(arrays, fs: float, bands: BandDefinition | None = No
     if x.ndim != 3:
         raise ValidationError("each sample must be a (channels, samples) array")
     freqs, psd = welch_psd(x, fs, window_s=window_s, overlap=overlap)
-    powers = np.stack(list(band_power(freqs, psd, bands).values()), axis=-1)
-    powers = powers.reshape(x.shape[0], -1)
+    powers = band_power(freqs, psd, bands).reshape(x.shape[0], -1)
     return np.log(np.maximum(powers, np.finfo(np.float64).tiny))
 
 

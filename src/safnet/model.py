@@ -198,18 +198,19 @@ class SafModel:
 def save_checkpoint(model: SafModel, path: str) -> None:
     """Binary checkpoint: architecture header, then every parameter and
     batch-norm running buffer as a named float32 tensor, then the CRC-32 of
-    all the bytes before it. A model holding a value that is not finite in
-    float32 is refused before the file is opened, since load_checkpoint
-    would reject it."""
+    all the bytes before it. A tensor that is not float32, or holds a value
+    that is not finite, is refused before the file is opened, since
+    load_checkpoint would give back a float32 model or reject it."""
     entries = []
     for name, value in list(model.params.items()) + list(model.buffers.items()):
         arr = value.data if isinstance(value, Tensor) else value
-        with np.errstate(over="ignore"):
-            arr = np.ascontiguousarray(arr, dtype="<f4")
+        if arr.dtype != np.float32:
+            raise ValidationError(f"cannot save a model whose {name} is "
+                                  f"{arr.dtype}: checkpoints hold float32")
         if not np.isfinite(arr).all():
             raise ValidationError(f"cannot save a model whose {name} is not "
-                                  f"finite in float32")
-        entries.append((name, arr))
+                                  f"finite")
+        entries.append((name, np.ascontiguousarray(arr, dtype="<f4")))
     parts = [CHECKPOINT_MAGIC, struct.pack("<I", CHECKPOINT_VERSION),
              struct.pack(_HEADER, model.cfg.C, model.cfg.M, model.cfg.fs,
                          *_architecture(model.cfg), model.num_domains, len(entries))]

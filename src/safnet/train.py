@@ -40,7 +40,7 @@ from . import autodiff as ad
 from .datamodel import Epoch
 from .errors import ValidationError
 from .isbcs import SwapConfig, isbcs_augment_batch
-from .metrics import ConfusionMatrix, confusion, macro_metrics
+from .metrics import confusion, macro_metrics
 from .model import EncoderConfig, SafModel
 from .textio import write_csv
 
@@ -222,8 +222,9 @@ def early_stop_check(history, cfg: TrainConfig) -> bool:
     return _tail_stagnation(history) >= cfg.patience
 
 
-def eval_confusion(model: SafModel, epochs: list[Epoch]) -> ConfusionMatrix:
-    """Task-head confusion matrix over the given epochs, eval mode."""
+def eval_confusion(model: SafModel, epochs: list[Epoch]) -> np.ndarray:
+    """Task-head 2x2 confusion counts (rows true class, columns predicted)
+    over the given epochs, eval mode."""
     if not epochs:
         raise ValidationError("cannot evaluate an empty epoch list")
     preds = []
@@ -408,15 +409,8 @@ def grid_search(train_data, val_data, enc_cfg: EncoderConfig, cfg: TrainConfig,
             for i, lam_mi in enumerate(grid_mi)
             for j, lam_grl in enumerate(grid_grl)]
 
-    best = None
-    for i, lam_mi in enumerate(grid_mi):
-        for j, lam_grl in enumerate(grid_grl):
-            cand = (acc[(i, j)], lam_grl, lam_mi)
-            if best is None or (cand[0], -cand[1], -cand[2]) > \
-                    (best[0], -best[1], -best[2]):
-                best = cand
-    weights = LossWeights(lambda_mi=best[2], lambda_grl=best[1])
-    return weights, rows
+    lam_mi, lam_grl, _ = max(rows, key=lambda r: (r[2], -r[1], -r[0]))
+    return LossWeights(lambda_mi=lam_mi, lambda_grl=lam_grl), rows
 
 
 def write_grid_table(rows, path: str) -> None:

@@ -12,9 +12,23 @@ import pytest
 import safnet
 from safnet import asr, dsp, train
 from safnet.cli import INI_SCHEMA, load_cli_config, main
-from safnet.datamodel import Recording, load_manifest, write_recording
+from safnet.datamodel import (
+    Epoch,
+    EpochSet,
+    Recording,
+    load_manifest,
+    write_epoch_dir,
+    write_recording,
+)
 from safnet.errors import ConfigError, SafError
-from safnet.metrics import confusion, macro_metrics
+from safnet.metrics import (
+    BandDefinition,
+    clip_bands,
+    confusion,
+    iqr_row_mask,
+    log_band_power_features,
+    macro_metrics,
+)
 from safnet.model import load_checkpoint
 from safnet.textio import format_float
 
@@ -575,6 +589,47 @@ class TestAnalyzeCommand:
         for fname in ("psd_bands.csv", "cv.csv", "silhouette.txt", "fstat.txt"):
             assert (read_bytes(os.path.join(dir1, fname))
                     == read_bytes(os.path.join(dir2, fname)))
+
+    def test_subject_emptied_by_outlier_fence(self, tmp_path):
+        """Subject b's epochs are 1000x louder, so the IQR fence over all
+        epochs removes every one of them: the per-subject means and the CV
+        cover a and c only, and each mean is the plain mean of the kept
+        epochs' band powers over epochs and channels."""
+        fs, rng = 128.0, np.random.default_rng(0)
+        epochs = [Epoch(x=(1000.0 if s == "b" else 1.0)
+                        * rng.standard_normal((2, 512)).astype(np.float32),
+                        y=k % 2, s=s, sample_rate_hz=fs)
+                  for s, n in (("a", 8), ("b", 3), ("c", 8)) for k in range(n)]
+        data, adir = str(tmp_path / "data"), str(tmp_path / "analysis")
+        write_epoch_dir(EpochSet(epochs=epochs), data)
+        assert main(["analyze", "--manifest", os.path.join(data, "manifest.csv"),
+                     "--out", adir]) == 0
+
+        bands = clip_bands(BandDefinition(), fs / 2.0)
+        features = log_band_power_features([ep.x for ep in epochs], fs, bands)
+        mask = iqr_row_mask(features)
+        subjects = np.array([ep.s for ep in epochs])
+        assert not mask[subjects == "b"].any()
+        powers = np.exp(features).reshape(len(epochs), 2, len(bands.bands))
+        expected = {s: powers[mask & (subjects == s)].mean(axis=(0, 1))
+                    for s in ("a", "c")}
+
+        with open(os.path.join(adir, "psd_bands.csv"), encoding="utf-8") as fh:
+            psd_rows = [line.split(",") for line in fh.read().splitlines()[1:]]
+        assert [(s, band) for s, band, _ in psd_rows] == [
+            (s, name) for s in ("a", "c") for name, _, _ in bands.bands]
+        for s, band, value in psd_rows:
+            b = [name for name, _, _ in bands.bands].index(band)
+            assert float(value) == pytest.approx(expected[s][b], rel=1e-5)
+
+        with open(os.path.join(adir, "cv.csv"), encoding="utf-8") as fh:
+            cv_rows = [line.split(",") for line in fh.read().splitlines()[1:]]
+        assert len(cv_rows) == len(bands.bands)
+        for b, (band, value) in enumerate(cv_rows):
+            pair = np.array([expected["a"][b], expected["c"][b]])
+            assert band == bands.bands[b][0]
+            assert float(value) == pytest.approx(pair.std() / pair.mean(),
+                                                 rel=1e-5)
 
     def test_single_subject_is_validation_error(self, tmp_path):
         config = write_config(tmp_path / "c.ini")

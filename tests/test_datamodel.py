@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from _corruption import check_reader, corruptions, valid_blob
 from safnet.datamodel import (
+    SPLIT_RATIOS,
     Epoch,
     EpochSet,
     Manifest,
@@ -334,6 +335,34 @@ class TestSplitDataset:
         before = sorted(ep.x.tobytes() for ep in eset.epochs)
         after = sorted(ep.x.tobytes() for ep in out.epochs)
         assert before == after
+
+    def test_each_tag_follows_cumulative_edges(self):
+        """Two strata of n and 41 - n epochs, n = 1..40: the epoch at shuffled
+        position p of a stratum of size m is train below floor(0.8 m), val
+        below floor(0.9 m), test below floor(1.0 m), and train past that."""
+        r_train, r_val, r_test = SPLIT_RATIOS
+        for n in range(1, 41):
+            strata = {("a", 1): n, ("b", 0): 41 - n}
+            eset = EpochSet(epochs=[make_epoch(s=s, y=y, seed=i)
+                                    for (s, y), m in strata.items()
+                                    for i in range(m)])
+            got = split_dataset(eset, seed=n).split
+            rng = np.random.default_rng(n)
+            first = 0
+            for m in strata.values():  # already in sorted key order
+                edges = (np.floor(m * r_train), np.floor(m * (r_train + r_val)),
+                         np.floor(m * (r_train + r_val + r_test)))
+                for pos, j in enumerate(rng.permutation(m)):
+                    if pos < edges[0]:
+                        tag = "train"
+                    elif pos < edges[1]:
+                        tag = "val"
+                    elif pos < edges[2]:
+                        tag = "test"
+                    else:
+                        tag = "train"
+                    assert got[first + j] == tag, (n, m, pos)
+                first += m
 
     def test_proportions_within_one_epoch_per_stratum(self):
         rng = np.random.default_rng(5)

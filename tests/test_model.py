@@ -282,10 +282,20 @@ class TestCheckpoint:
             save_checkpoint(model, str(path))
         assert not path.exists()
 
-    def test_save_refuses_float64_beyond_float32_range(self, tmp_path):
+    def test_save_refuses_float64_model(self, tmp_path):
+        """A checkpoint stores float32 only, so a float64 model is refused
+        instead of loading back as float32; this covers a float64 value
+        beyond float32's range too."""
         model = small_model(dtype=np.float64)
-        model.buffers["bn1_var"][0] = 1e39
-        with pytest.raises(ValidationError, match="bn1_var"):
+        path = tmp_path / "m.safm"
+        with pytest.raises(ValidationError, match="conv_temporal_w is float64"):
+            save_checkpoint(model, str(path))
+        assert not path.exists()
+
+    def test_save_refuses_one_float64_buffer(self, tmp_path):
+        model = small_model()
+        model.buffers["bn1_var"] = model.buffers["bn1_var"].astype(np.float64)
+        with pytest.raises(ValidationError, match="bn1_var is float64"):
             save_checkpoint(model, str(tmp_path / "m.safm"))
 
     @pytest.mark.parametrize("fields", [

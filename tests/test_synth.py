@@ -37,7 +37,7 @@ def band_features(rec, window_s=2.0):
                                           ("Alpha", 8.0, 13.0),
                                           ("Beta", 13.0, 30.0),
                                           ("Gamma", 30.0, 100.0)))
-            feats.extend(band_power(freqs, psd, bands).values())
+            feats.extend(band_power(freqs, psd, bands))
         rows.append(np.log(np.asarray(feats)))
     return np.asarray(rows)
 
@@ -90,7 +90,7 @@ class TestGenerateRecording:
             for y in (0, 1):
                 rec = generate_subject_recording(cfg, 0, y)
                 freqs, psd = welch_psd(rec.data[ch], cfg.fs)
-                powers[y] = band_power(freqs, psd)["Delta"]
+                powers[y] = band_power(freqs, psd)[0]  # Delta
             ratios.append(powers[1] / powers[0])
         assert 3.0 <= np.mean(ratios) <= 5.0
 
