@@ -11,23 +11,29 @@ np.matmul that BLAS accepts: BLAS takes a matrix only when one of its
 strides is one element and the other spans at least a row.
 - Every temporal convolution is a blocked-Toeplitz GEMM. Each row is
   zero-padded to (Q+1)K samples, Q = ceil(M/K), and read as (Q+1, K)
-  blocks. Output block q is X[q] T0 + X[q+1] T1, where T0 and T1 are the
-  two K x K band-Toeplitz halves of a kernel, so the forward and the input
-  gradient are each one batched GEMM and one add, and the output comes out
-  in time order. The weight gradient sums G[q]' [X[q] | X[q+1]] over
-  blocks, one batched GEMM on strided views of the padded rows, and reads
-  the result's diagonals through one strided view. The halves do twice the
-  multiply-adds of a direct convolution, but at BLAS speed, and no
-  (..., M, K) im2col buffer is built: for a 256-epoch prediction batch it
-  would take about 100 MB.
-- first_block is the encoder's temporal conv, first batch norm and depthwise
-  spatial conv as one op. The spatial mix goes first, so the K-tap
-  convolution runs on B*F*D rows instead of B*F*C, and the batch
-  statistics come from float64 window moments of the input. The
-  (B,F,C,M) intermediate that the three ops would pass along is never
-  built. batch_norm and depthwise_spatial_conv remain ops of their own,
-  and temporal_conv is depthwise_temporal_conv on its input repeated over
-  the filters.
+  blocks; [X[q] | X[q+1]], two consecutive blocks, is a strided view of
+  the padded rows that BLAS reads as is. Output block q is
+  [X[q] | X[q+1]] S and input-gradient block q is [G[q-1] | G[q]] A, with
+  S and A (2K x K) band-Toeplitz matrices of the kernel, so each is one
+  batched GEMM written straight into a view of its result in time order.
+  The weight gradient sums G[q]' [X[q] | X[q+1]] over blocks, one batched
+  GEMM, and reads the result's diagonals through one strided view. The
+  bands do twice the multiply-adds of a direct convolution, but at BLAS
+  speed, and no (..., M, K) im2col buffer is built: for a 256-epoch
+  prediction batch it would take about 100 MB.
+- first_stage is the encoder's first block as one op: temporal conv, batch
+  norm, depthwise spatial conv, batch norm, ELU, average pool and dropout.
+  The spatial mix goes first, so the K-tap convolution runs on B*F*D rows
+  instead of B*F*C; the first batch norm's statistics come from float64
+  window moments of the input and the second's from the convolution's
+  output, both batch norms fold into one per-channel scale and shift, and
+  the rest runs in the (F*D,B,M) layout of that output. Only the pooled
+  output is transposed to (B,F*D,1,M/pool); no (B,F,C,M) or (B,F*D,1,M)
+  intermediate is built. The backward is closed form and writes the
+  second batch norm's input gradient straight into the zero-padded blocks
+  the Toeplitz gradients read. The seven ops remain ops of their own, and
+  temporal_conv is depthwise_temporal_conv on its input repeated over the
+  filters.
 - depthwise_spatial_conv and pointwise_conv are single BLAS products.
 - elu uses np.maximum and one multiply instead of np.where, and
   avg_pool_time adds the pool strided slices of a (..., n, pool) view
@@ -36,7 +42,7 @@ strides is one element and the other spans at least a row.
 - batch_norm works on a (B,F,N) view. It takes its statistics with einsum
   reductions, normalises the centred copy in place, and builds the input
   gradient in one buffer from the two reductions that give the gamma and
-  beta gradients. It and first_block share BN_EPS and one running-statistics
+  beta gradients. It and first_stage share BN_EPS and one running-statistics
   update (BN_MOMENTUM, unbiased variance).
 """
 
@@ -233,53 +239,56 @@ def _blocks(a: np.ndarray, k: int, left: int) -> np.ndarray:
 
 
 def _bands(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(F,K) kernels -> band-Toeplitz pairs [T0 | T1] and their adjoints
-    [T0' | T1'], each (F,K,2K): T0[s,p] = w[s-p] for s >= p and
-    T1[s,p] = w[K+s-p] for s < p, zero elsewhere. The pair reads
-    [w, 0, w] at 2K+s-p and the adjoint, a plain band, reads [0, w, 0] at
-    K+s-p; both are strided views copied once."""
+    """(F,K) kernels -> band matrices S and A, each (F,2K,K):
+    S[s,p] = w[s-p] and A[s,p] = w[K+p-s] where the index lies in [0,K),
+    zero elsewhere. [X[q] | X[q+1]] S is output block q of the correlation
+    and [G[q-1] | G[q]] A is block q of its input gradient. Both are
+    strided views of [0, w, 0], copied once."""
     f, k = w.shape
-    wide = np.zeros((f, 2, 3 * k), dtype=w.dtype)
-    wide[:, 0, :k] = w
-    wide[:, 0, 2 * k:] = w
-    wide[:, 1, k:2 * k] = w
-    fs, _, step = wide.strides
-    fwd = as_strided(wide[:, 0, 2 * k:], shape=(f, k, 2 * k),
-                     strides=(fs, step, -step), writeable=False)
-    adj = as_strided(wide[:, 1, k:], shape=(f, k, 2 * k),
-                     strides=(fs, -step, step), writeable=False)
+    wide = np.zeros((f, 3 * k), dtype=w.dtype)
+    wide[:, k:2 * k] = w
+    fs, step = wide.strides
+    fwd = as_strided(wide[:, k:], shape=(f, 2 * k, k), strides=(fs, step, -step),
+                     writeable=False)
+    adj = as_strided(wide[:, 2 * k:], shape=(f, 2 * k, k), strides=(fs, -step, step),
+                     writeable=False)
     return np.ascontiguousarray(fwd), np.ascontiguousarray(adj)
 
 
-def _toeplitz_conv(xb: np.ndarray, bands: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _pairs(xb: np.ndarray) -> np.ndarray:
+    """[X[q] | X[q+1]] for the blocks xb (G,*R,Q+1,K) of G groups of rows,
+    as a strided view (G,Q,R,2K) with the rows flattened: each row of one
+    (G,Q) slice is 2K consecutive samples, so BLAS reads the slice as is."""
+    k, q1 = xb.shape[-1], xb.shape[-2]
+    xf = xb.reshape(xb.shape[0], -1, q1 * k)
+    step = xf.itemsize
+    return as_strided(xf, shape=(xf.shape[0], q1 - 1, xf.shape[1], 2 * k),
+                      strides=(xf.strides[0], k * step, xf.strides[1], step),
+                      writeable=False)
+
+
+def _toeplitz_conv(xb: np.ndarray, fwd: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Blocked-Toeplitz correlation y[t] = sum_i w[i] xp[t+i] of each padded
     row with the kernel of its group.
 
-    xb (G,*R,Q+1,K) holds the blocks of G groups of rows (_blocks), bands
-    (G,K,2K) the band pair of each group's kernel (_bands). Output block q
-    of a row is X[q] T0 + X[q+1] T1: one batched GEMM against [T0 | T1] and
-    one add, written to out (G,*R,Q,K) in time order.
+    xb (G,*R,Q+1,K) holds the blocks of G groups of rows (_blocks), fwd
+    (G,2K,K) the band S of each group's kernel (_bands). Output block q of
+    a row is [X[q] | X[q+1]] S: one batched GEMM, written to out (G,Q,R,K),
+    R the rows flattened; a transposed view of a (G,*R,Q,K) array keeps
+    the output in time order.
     """
-    g, k = xb.shape[0], xb.shape[-1]
-    y = np.matmul(xb.reshape(g, -1, k), bands)
-    y = y.reshape(xb.shape[:-1] + (2 * k,))
-    return np.add(y[..., :-1, :k], y[..., 1:, k:], out=out)
+    return np.matmul(_pairs(xb), fwd[:, None], out=out)
 
 
 def _block_products(xb: np.ndarray, gb: np.ndarray) -> np.ndarray:
     """P[f,q] = sum over rows of G[q]' [X[q] | X[q+1]], (F,Q,K,2K), for the
     blocks xb (G,*R,Q+1,K) of a padded input and gb (F,*R,Q+1,K) of a
     signal aligned with it (G is 1 or F). P[f,q][a, a+i] sums g[qK+a] times
-    xp[qK+a+i]. Each [X[q] | X[q+1]] is a strided view of a row's blocks,
-    so this is one batched GEMM."""
-    k, q1 = xb.shape[-1], xb.shape[-2]
-    xf = xb.reshape(xb.shape[0], -1, q1 * k)
+    xp[qK+a+i]. Each [X[q] | X[q+1]] is a strided view of a row's blocks
+    (_pairs), so this is one batched GEMM."""
+    k, q1 = gb.shape[-1], gb.shape[-2]
     gf = gb.reshape(gb.shape[0], -1, q1, k)
-    step = xf.itemsize
-    pairs = as_strided(xf, shape=(xf.shape[0], q1 - 1, xf.shape[1], 2 * k),
-                       strides=(xf.strides[0], k * step, xf.strides[1], step),
-                       writeable=False)
-    return np.matmul(gf[:, :, :-1].transpose(0, 2, 3, 1), pairs)
+    return np.matmul(gf[:, :, :-1].transpose(0, 2, 3, 1), _pairs(xb))
 
 
 def _diagonals(p: np.ndarray) -> np.ndarray:
@@ -298,16 +307,17 @@ def _toeplitz_weight_grad(xb: np.ndarray, gb: np.ndarray) -> np.ndarray:
 
 def _toeplitz_input_grad(gb: np.ndarray, adj: np.ndarray) -> np.ndarray:
     """Gradient of the padded input blocks for output-gradient blocks gb
-    (F,*R,Q+1,K) and kernel adjoints adj (F,K,2K): block q is
-    G[q] T0' + G[q-1] T1', one GEMM and one add shifted by a block on the
-    flat block axis. The last block of each row of gb must be zero (left = 0
-    in _blocks), so the shift never carries a row into the next. Same shape
+    (F,*R,Q+1,K) and kernel bands adj (F,2K,K) (_bands): block q is
+    [G[q-1] | G[q]] A, one batched GEMM over the pairs of gb's blocks, and
+    block 0, where G[-1] is zero, is G[0] times A's lower half. The last
+    block of each row of gb must be zero (left = 0 in _blocks). Same shape
     as gb."""
-    f, k = gb.shape[0], gb.shape[-1]
-    p = np.matmul(gb.reshape(f, -1, k), adj)
-    gxb = p[..., :k].copy()
-    gxb[:, 1:] += p[:, :-1, k:]
-    return gxb.reshape(gb.shape)
+    f, k, q1 = gb.shape[0], gb.shape[-1], gb.shape[-2]
+    gxb = np.empty(gb.shape, dtype=np.result_type(gb, adj))
+    rows = gxb.reshape(f, -1, q1, k)
+    np.matmul(_pairs(gb), adj[:, None], out=rows[:, :, 1:].transpose(0, 2, 1, 3))
+    np.matmul(gb.reshape(f, -1, q1, k)[:, :, 0], adj[:, k:], out=rows[:, :, 0])
+    return gxb
 
 
 def _unblock(gxb: np.ndarray, left: int, m: int) -> np.ndarray:
@@ -325,9 +335,9 @@ def depthwise_temporal_conv(x: Tensor, w: Tensor) -> Tensor:
     q = -(-m // k)
     xb = _blocks(x.data.transpose(1, 0, 2, 3), k, left)  # (F,B,C,Q+1,K)
     fwd, adj = _bands(w.data)
-    out = np.empty((b, f, c, q, k), dtype=np.result_type(x.data, w.data))
-    _toeplitz_conv(xb, fwd, out.transpose(1, 0, 2, 3, 4))
-    data = np.ascontiguousarray(out.reshape(b, f, c, q * k)[..., :m])
+    out = np.empty((f, b, c, q, k), dtype=np.result_type(x.data, w.data))
+    _toeplitz_conv(xb, fwd, out.reshape(f, b * c, q, k).transpose(0, 2, 1, 3))
+    data = np.ascontiguousarray(out.reshape(f, b, c, q * k)[..., :m].transpose(1, 0, 2, 3))
 
     def grad_fn(g):
         gb = _blocks(g.transpose(1, 0, 2, 3), k, 0)
@@ -473,83 +483,179 @@ def _window_moments(x: np.ndarray, k: int, left: int):
     return mean, gram
 
 
-def first_block(x: Tensor, w: Tensor, gamma: Tensor, beta: Tensor,
-                spatial_w: Tensor, running_mean: np.ndarray,
-                running_var: np.ndarray, training: bool) -> Tensor:
-    """temporal_conv(x, w), batch_norm(gamma, beta) and
-    depthwise_spatial_conv(spatial_w) as one op: (B,1,C,M) -> (B,F*D,1,M).
+def _pool_mean(a: np.ndarray, pool: int) -> np.ndarray:
+    """Means of the non-overlapping `pool`-sample windows along a's last
+    axis, remainder dropped. They add the strided slices of a (..., n, pool)
+    view: a trailing-axis mean over `pool` elements runs numpy's slow
+    reduction path."""
+    n = a.shape[-1] // pool
+    blocks = a[..., :n * pool].reshape(a.shape[:-1] + (n, pool))
+    out = blocks[..., 0].copy()
+    for i in range(1, pool):
+        out += blocks[..., i]
+    out *= a.dtype.type(1.0 / pool)
+    return out
 
-    Once the batch-norm statistics are known all three are linear, and
-    batch norm is constant over channels and time, so the spatial mix goes
-    first: u = W x is (B,F,D,M), v_f = w_f * u runs on B*F*D rows instead of
-    B*F*C, and out = a_f v + c_f S_fd with a = gamma/sigma,
-    c = beta - a mu and S_fd = sum_c W[f,d,c]. In training mode
-    mu_f = w_f . mean and sigma_f^2 = w_f' gram w_f / n - mu_f^2 come from
-    the window moments of x (_window_moments, float64, n = B*C*M), and the
-    running buffers are updated as batch_norm does; otherwise they are read.
-    x is data: it may not require a gradient."""
+
+def _dropout_mask(rng: np.random.Generator, shape, p: float, dtype) -> np.ndarray:
+    """The inverted-dropout mask: 0 with probability p, else 1/(1-p)."""
+    mask = (rng.random(shape) >= p).astype(dtype)
+    mask /= 1.0 - p
+    return mask
+
+
+def first_stage(x: Tensor, w: Tensor, gamma1: Tensor, beta1: Tensor,
+                spatial_w: Tensor, gamma2: Tensor, beta2: Tensor, running,
+                pool: int, p: float, rng, training: bool) -> Tensor:
+    """The encoder's first stage as one op, (B,1,C,M) -> (B,F*D,1,M//pool):
+    temporal_conv(x, w), batch_norm(gamma1, beta1),
+    depthwise_spatial_conv(spatial_w), batch_norm(gamma2, beta2), elu,
+    avg_pool_time(pool) and dropout(p, rng). running holds the two batch
+    norms' (mean, var, mean, var) buffers.
+
+    With bn1's statistics known the first three are linear and bn1 is
+    constant over channels and time, so the spatial mix goes first:
+    u = W x is (F,D,B,M), v_fd = w_f * u_fd runs on B*F*D rows instead of
+    B*F*C, and bn1's output after the mix is h = a_f v + c_f S_fd, with
+    a = gamma1/sigma1, c = beta1 - a mu1 and S_fd = sum_c W[f,d,c]. In
+    training mode mu1 = w_f . mean and sigma1^2 = w_f' gram w_f / n1 - mu1^2
+    come from the float64 window moments of x (_window_moments,
+    n1 = B*C*M), and bn2's from v: mean a_f mean(v) + c_f S_fd, variance
+    a_f^2 var(v). Both batch norms fold into one scale and shift of
+    z = v - mean(v) (z = v with running statistics), and ELU, the pool and
+    the dropout mask run on the result in the (F*D,B,M) layout; only the
+    pooled output is transposed. The mask is the one dropout draws.
+
+    The backward is closed form. The gradient g_t of ELU's input t comes
+    from the pooled gradient and ELU's derivative, and its per-channel sums
+    R1 = sum g_t and R2 = sum g_t z give bn2's gamma and beta gradients.
+    bn2's input gradient goes straight into the zero-padded blocks the
+    Toeplitz gradients read. In training mode bn2 removes any per-channel
+    shift of h, so beta1's gradient is exactly zero, and a_f reaches the
+    output only through bn2's BN_EPS: dL/da_f = sum_d gamma2 BN_EPS R2 /
+    sigma2^3. x is data: it may not require a gradient."""
     if _wants_grad(x):
-        raise ValidationError("first_block does not differentiate its input")
+        raise ValidationError("first_stage does not differentiate its input")
     if x.data.ndim != 4 or x.data.shape[1] != 1:
-        raise ValidationError(f"first_block expects (B,1,C,M), got {x.data.shape}")
+        raise ValidationError(f"first_stage expects (B,1,C,M), got {x.data.shape}")
     b, _, c, m = x.data.shape
     f, k = w.data.shape
     fw, d, cw = spatial_w.data.shape
     if fw != f or cw != c:
         raise ValidationError(f"spatial kernel {spatial_w.data.shape} incompatible "
                               f"with {f} filters over {c} channels")
+    mp = m // pool
+    if mp < 1:
+        raise ValidationError(f"pool {pool} longer than time axis {m}")
+    if not (0.0 <= p < 1.0):
+        raise ValidationError(f"dropout probability must be in [0,1), got {p}")
+    running_mean1, running_var1, running_mean2, running_var2 = running
     dtype = x.data.dtype
+    fd = f * d
     left = _same_pad(k)[0]
     q = -(-m // k)
     xb = _blocks(x.data[:, 0].transpose(1, 0, 2), k, left)  # (C,B,Q+1,K)
-    ub = np.matmul(spatial_w.data.reshape(f * d, c), xb.reshape(c, -1))
+    ub = np.matmul(spatial_w.data.reshape(fd, c), xb.reshape(c, -1))
     ub = ub.reshape(f, d, b, q + 1, k)  # u, padded as xb is
     fwd, adj = _bands(w.data)
-    v = np.empty((f, d, b, q, k), dtype=dtype)
-    _toeplitz_conv(ub, fwd, v)
+    v = np.empty((fd, b, q, k), dtype=dtype)
+    _toeplitz_conv(ub, fwd, v.reshape(f, d * b, q, k).transpose(0, 2, 1, 3))
+    v = np.ascontiguousarray(v.reshape(fd, b, q * k)[..., :m])
 
     w64 = w.data.astype(np.float64)
-    n = b * c * m
+    n1 = b * c * m
     if training:
         mean, gram = _window_moments(x.data[:, 0].reshape(b * c, m), k, left)
-        mu = w64 @ mean
+        mu1 = w64 @ mean
         rw = w64 @ gram
         # rounding can leave E[h^2] - mu^2 a hair below zero
-        var = np.maximum(np.einsum("fk,fk->f", rw, w64) / n - mu * mu, 0.0)
-        _update_running(running_mean, running_var, mu, var, n)
+        var1 = np.maximum(np.einsum("fk,fk->f", rw, w64) / n1 - mu1 * mu1, 0.0)
+        _update_running(running_mean1, running_var1, mu1, var1, n1)
     else:
-        mu = running_mean.astype(np.float64)
-        var = running_var.astype(np.float64)
-    istd = 1.0 / np.sqrt(var + BN_EPS)
-    gamma64 = gamma.data.astype(np.float64)
-    a = gamma64 * istd
-    shift = beta.data - a * mu
+        mu1 = running_mean1.astype(np.float64)
+        var1 = running_var1.astype(np.float64)
+    istd1 = 1.0 / np.sqrt(var1 + BN_EPS)
+    gamma64 = gamma1.data.astype(np.float64)
+    a = gamma64 * istd1
+    shift = beta1.data - a * mu1
     ssum = spatial_w.data.sum(axis=2)  # S (F,D)
-    data = np.empty((b, f, d, m), dtype=dtype)
-    np.multiply(v.reshape(f, d, b, q * k)[..., :m],
-                a.astype(dtype)[:, None, None, None], out=data.transpose(1, 2, 0, 3))
-    data += (shift[:, None] * ssum).astype(dtype)[None, :, :, None]
-    data = data.reshape(b, f * d, 1, m)
+    a2 = np.repeat(a, d)  # a_f and c_f S_fd of every bn2 channel
+    cs = (shift[:, None] * ssum).reshape(fd)
+    n2 = b * m
+    z = v  # centred in place in training
+    if training:
+        mv = v.reshape(fd, -1).sum(axis=1) / n2
+        z -= mv[:, None, None]
+        z2 = z.reshape(fd, -1)
+        var2 = a2 * a2 * (np.einsum("jn,jn->j", z2, z2) / n2)
+        _update_running(running_mean2, running_var2, a2 * mv + cs, var2, n2)
+        sigma2 = np.sqrt(var2 + BN_EPS)
+        offset = np.zeros(fd)
+    else:
+        sigma2 = np.sqrt(running_var2.astype(np.float64) + BN_EPS)
+        offset = (cs - running_mean2) / sigma2
+    u = a2 / sigma2  # bn2's normalised input is u z + offset
+    g2 = gamma2.data.astype(np.float64)
+    t = z * (g2 * u).astype(dtype)[:, None, None]
+    t += (g2 * offset + beta2.data).astype(dtype)[:, None, None]
+    neg = np.minimum(t, 0.0)  # elu, as in elu()
+    np.expm1(neg, out=neg)
+    e = np.maximum(t, neg, out=t)
+    pooled = _pool_mean(e, pool)
+    data = np.empty((b, fd, 1, mp), dtype=dtype)
+    mask = None
+    if training and p > 0.0:
+        mask = _dropout_mask(rng, data.shape, p, dtype)
+        np.multiply(pooled.transpose(1, 0, 2), mask[:, :, 0], out=data[:, :, 0])
+    else:
+        data[:, :, 0] = pooled.transpose(1, 0, 2)
 
     def grad_fn(g):
-        gb = _blocks(g.reshape(b, f, d, m).transpose(1, 2, 0, 3), k, 0)
-        gsum = np.einsum("fdbqk->fd", gb).astype(np.float64)
-        ga = np.einsum("fdbqk,fdbqk->f", gb[:, :, :, :q], v)
+        if mask is not None:
+            g = g * mask
+        gs = np.empty((fd, b, mp), dtype=dtype)
+        np.multiply(g[:, :, 0].transpose(1, 0, 2), dtype.type(1.0 / pool), out=gs)
+        gt = neg + 1.0
+        gt[..., mp * pool:] = 0.0
+        gblocks = gt[..., :mp * pool].reshape(fd, b, mp, pool)
+        for i in range(pool):
+            gblocks[..., i] *= gs
+        r1 = gt.reshape(fd, -1).sum(axis=1).astype(np.float64)
+        r2 = np.einsum("jn,jn->j", gt.reshape(fd, -1), z.reshape(fd, -1))
+        r2 = r2.astype(np.float64)
+        alpha = g2 / sigma2
+        gb = np.zeros((f, d, b, q + 1, k), dtype=dtype)
+        gh = gb.reshape(fd, b, (q + 1) * k)[..., :m]  # bn2's input gradient
+        if training:
+            np.multiply(z, (-alpha * u * u * r2 / n2).astype(dtype)[:, None, None],
+                        out=gh)
+            gt *= alpha.astype(dtype)[:, None, None]
+            gh += gt
+            gh -= (alpha * r1 / n2).astype(dtype)[:, None, None]
+            gsum = np.zeros((f, d))  # sum of gh, and sum of gh v below
+            ga = alpha * BN_EPS * r2 / (sigma2 * sigma2)
+        else:
+            np.multiply(gt, alpha.astype(dtype)[:, None, None], out=gh)
+            gsum = (alpha * r1).reshape(f, d)
+            ga = alpha * r2
+        ga = ga.reshape(f, d).sum(axis=1)
         gc = np.einsum("fd,fd->f", ssum, gsum)
-        gscale = ga - mu * gc
+        gscale = ga - mu1 * gc
         gw = a[:, None] * _toeplitz_weight_grad(ub, gb)
         if training:
-            gvar = -0.5 * istd ** 3 * gamma64 * gscale
-            gmu = -a * gc - 2.0 * mu * gvar
-            gw += gmu[:, None] * mean + (2.0 / n) * gvar[:, None] * rw
+            gvar = -0.5 * istd1 ** 3 * gamma64 * gscale
+            gmu = -a * gc - 2.0 * mu1 * gvar
+            gw += gmu[:, None] * mean + (2.0 / n1) * gvar[:, None] * rw
         gub = _toeplitz_input_grad(gb, adj)
-        gsw = np.matmul(gub.reshape(f * d, -1), xb.reshape(c, -1).T).reshape(f, d, c)
+        gsw = np.matmul(gub.reshape(fd, -1), xb.reshape(c, -1).T).reshape(f, d, c)
         gsw = gsw * a[:, None, None] + (shift[:, None] * gsum)[:, :, None]
         return (None, gw.astype(w.data.dtype),
-                (istd * gscale).astype(gamma.data.dtype), gc.astype(beta.data.dtype),
-                gsw.astype(spatial_w.data.dtype))
+                (istd1 * gscale).astype(gamma1.data.dtype),
+                gc.astype(beta1.data.dtype), gsw.astype(spatial_w.data.dtype),
+                (u * r2 + offset * r1).astype(gamma2.data.dtype),
+                r1.astype(beta2.data.dtype))
 
-    return _node(data, (x, w, gamma, beta, spatial_w), grad_fn)
+    return _node(data, (x, w, gamma1, beta1, spatial_w, gamma2, beta2), grad_fn)
 
 
 def avg_pool_time(x: Tensor, pool: int) -> Tensor:
@@ -559,13 +665,7 @@ def avg_pool_time(x: Tensor, pool: int) -> Tensor:
     if n < 1:
         raise ValidationError(f"pool {pool} longer than time axis {m}")
     scale = x.data.dtype.type(1.0 / pool)
-    # Strided slices of the (..., n, pool) view: a trailing-axis mean over
-    # `pool` elements runs numpy's slow reduction path.
-    blocks = x.data[..., :n * pool].reshape(b, f, c, n, pool)
-    data = blocks[..., 0].copy()
-    for i in range(1, pool):
-        data += blocks[..., i]
-    data *= scale
+    data = _pool_mean(x.data, pool)
 
     def grad_fn(g):
         gx = np.zeros_like(x.data)
@@ -584,7 +684,7 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool) -> Te
         return x
     if not (0.0 <= p < 1.0):
         raise ValidationError(f"dropout probability must be in [0,1), got {p}")
-    mask = (rng.random(x.data.shape) >= p).astype(x.data.dtype) / (1.0 - p)
+    mask = _dropout_mask(rng, x.data.shape, p, x.data.dtype)
     return _node(x.data * mask, (x,), lambda g: (g * mask,))
 
 

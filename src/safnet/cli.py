@@ -22,7 +22,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .asr import AsrConfig, asr_fit, select_calibration
+from .asr import AsrConfig, asr_apply, asr_fit, select_calibration
 from .datamodel import (
     EpochSet,
     check_manifest_field,
@@ -30,7 +30,7 @@ from .datamodel import (
     read_recording,
     write_epoch_dir,
 )
-from .dsp import PipelineConfig, filter_recording, preprocess_pipeline
+from .dsp import PipelineConfig, filter_recording, slice_epochs
 from .errors import ConfigError, SafError, ValidationError
 from .isbcs import SwapConfig
 from .metrics import (
@@ -167,14 +167,14 @@ def _cmd_synth(args) -> int:
 def _cmd_preprocess(args) -> int:
     check_manifest_field(args.subject)
     cfg = load_cli_config(args.config)
-    rec = read_recording(args.input)
-    asr_model = None
+    rec = filter_recording(read_recording(args.input), cfg.pipeline)
     if args.asr_calib:
-        calib = filter_recording(read_recording(args.asr_calib), cfg.pipeline)
-        asr_model = asr_fit(select_calibration(calib, cfg.asr), cfg.asr)
-    epochs = preprocess_pipeline(rec, cfg.pipeline, asr_model=asr_model,
-                                 y=args.label, s=args.subject,
-                                 asr_config=cfg.asr)
+        # a class-0 recording is its own calibration: filter it once
+        calib = (rec if os.path.samefile(args.asr_calib, args.input) else
+                 filter_recording(read_recording(args.asr_calib), cfg.pipeline))
+        rec = asr_apply(rec, asr_fit(select_calibration(calib, cfg.asr), cfg.asr),
+                        cfg.asr)
+    epochs = slice_epochs(rec, cfg.pipeline, args.label, args.subject)
     write_epoch_dir(EpochSet(epochs=epochs), args.out)
     _note(f"wrote {len(epochs)} epochs to {args.out}")
     return 0

@@ -5,7 +5,10 @@ backward along time (sosfiltfilt), so passband features keep their timing.
 Filters run over the whole recording before slicing. The band-pass is a
 Butterworth of order BUTTER_ORDER and each notch has quality NOTCH_Q;
 PipelineConfig holds the band edges, notch frequencies, target rate and
-epoch length.
+epoch length, each bounded by what its consumer can compute: filter
+frequencies of at least MIN_FILTER_RATIO times the rate, and an epoch of at
+least one sample and at most an int64 of them. The filters refuse a
+recording no longer than their edge padding.
 """
 
 from __future__ import annotations
@@ -23,6 +26,10 @@ RESAMPLE_ATTEN_DB = 67.0
 RESAMPLE_TAPS_PER_PHASE = 20
 BUTTER_ORDER = 4
 NOTCH_Q = 30.0
+# Nearer 0 Hz than this fraction of the sample rate, a section's poles round
+# onto the unit circle and sosfiltfilt cannot solve for its initial state
+# (a 1e-8 Hz notch or band edge at 256 Hz raises LinAlgError).
+MIN_FILTER_RATIO = 1e-6
 
 
 @dataclass(frozen=True)
@@ -35,16 +42,16 @@ class PipelineConfig:
 
     def __post_init__(self):
         nyq = self.target_rate_hz / 2.0
-        if not (0 < self.band_lo_hz < self.band_hi_hz < nyq):
+        floor = MIN_FILTER_RATIO * self.target_rate_hz
+        if not (floor <= self.band_lo_hz < self.band_hi_hz < nyq):
             raise ConfigError(
-                f"need 0 < band_lo < band_hi < {nyq} Hz, "
+                f"need {floor} <= band_lo < band_hi < {nyq} Hz, "
                 f"got [{self.band_lo_hz}, {self.band_hi_hz}]"
             )
         for f in self.notch_hz:
-            if not (0 < f < nyq):
-                raise ConfigError(f"notch frequency {f} Hz outside (0, {nyq})")
-        if self.epoch_seconds <= 0:
-            raise ConfigError("epoch_seconds must be positive")
+            if not (floor <= f < nyq):
+                raise ConfigError(f"notch frequency {f} Hz outside [{floor}, {nyq})")
+        window_samples(self.epoch_seconds, self.target_rate_hz, "epoch_seconds")
         object.__setattr__(self, "notch_hz", tuple(float(f) for f in self.notch_hz))
 
 
@@ -87,7 +94,7 @@ def bandpass(rec: Recording, cfg: PipelineConfig) -> Recording:
     # a band-pass designed at order n has order 2n
     sos = signal.butter(BUTTER_ORDER // 2, [cfg.band_lo_hz, cfg.band_hi_hz],
                         btype="bandpass", fs=cfg.target_rate_hz, output="sos")
-    return Recording(data=signal.sosfiltfilt(sos, rec.data, axis=-1),
+    return Recording(data=_zero_phase(sos, rec.data),
                      sample_rate_hz=rec.sample_rate_hz,
                      channel_names=rec.channel_names)
 
@@ -100,14 +107,29 @@ def notch(rec: Recording, cfg: PipelineConfig) -> Recording:
     data = rec.data
     for f in cfg.notch_hz:
         sos = np.concatenate(signal.iirnotch(f, NOTCH_Q, fs=cfg.target_rate_hz))
-        data = signal.sosfiltfilt(sos[None, :], data, axis=-1)
+        data = _zero_phase(sos[None, :], data)
     return Recording(data=data, sample_rate_hz=rec.sample_rate_hz,
                      channel_names=rec.channel_names)
 
 
+def _zero_phase(sos: np.ndarray, data: np.ndarray) -> np.ndarray:
+    """sosfiltfilt along time. It pads each end with up to three times the
+    sections' tap count and needs more samples than that, so a shorter
+    recording is refused."""
+    pad = 3 * (2 * len(sos) + 1)
+    if data.shape[-1] <= pad:
+        raise ValidationError(f"recording of {data.shape[-1]} samples is too short "
+                              f"to filter: need more than {pad}")
+    return signal.sosfiltfilt(sos, data, axis=-1)
+
+
 def window_samples(seconds: float, rate_hz: float, what: str) -> int:
     """A window of `seconds` at `rate_hz` as a whole number of samples;
-    refuses one that rounds to less than one sample."""
+    refuses one that rounds to less than one sample or to more than an int64
+    holds."""
+    if not seconds * rate_hz < 2.0 ** 63:
+        raise ValidationError(f"{what} of {seconds} s at {rate_hz} Hz is more "
+                              f"samples than an int64 holds")
     n = int(round(seconds * rate_hz))
     if n < 1:
         raise ValidationError(f"{what} of {seconds} s is less than one sample "

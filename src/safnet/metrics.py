@@ -57,6 +57,9 @@ def confusion(y_true, y_pred) -> np.ndarray:
     """2x2 int64 counts, rows the true class and columns the predicted one."""
     y_true = np.asarray(y_true, dtype=np.int64)
     y_pred = np.asarray(y_pred, dtype=np.int64)
+    if y_true.ndim != 1 or y_pred.ndim != 1:
+        raise ValidationError(f"labels must be 1-D, got shapes {y_true.shape} "
+                              f"and {y_pred.shape}")
     if y_true.shape != y_pred.shape:
         raise ValidationError(
             f"length mismatch: {y_true.shape} truth vs {y_pred.shape} predictions"

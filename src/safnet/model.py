@@ -7,13 +7,16 @@ mixes the resulting feature maps. The task head is a single linear layer;
 the domain head reads the features through a gradient reversal layer so
 that the encoder is trained to make subjects indistinguishable.
 
-The first block (temporal conv, batch norm, depthwise spatial conv) runs
-as one op, autodiff.first_block. With its batch statistics fixed the block
-is linear and batch norm is constant over electrodes and time, so the
-spatial mix is applied first and the temporal convolution runs on F1*D
-rows per epoch instead of F1*C. The statistics of the temporal conv's
-output come from float64 moments of the input windows. The parameters,
-buffers and checkpoint layout are those of the three separate layers.
+The first block (temporal conv, batch norm, depthwise spatial conv, batch
+norm, ELU, average pool, dropout) runs as one op, autodiff.first_stage.
+With the first batch norm's statistics fixed the convolutions and batch
+norm are linear and batch norm is constant over electrodes and time, so
+the spatial mix is applied first and the temporal convolution runs on
+F1*D rows per epoch instead of F1*C. The first batch norm's statistics
+come from float64 moments of the input windows and the second's from the
+convolution's output; in eval mode the two fold into one scale and shift.
+The parameters, buffers and checkpoint layout are those of the separate
+layers.
 Only the input's channels, length and rate are configurable (EncoderConfig);
 the other sizes are the constants below, with a half-second temporal kernel,
 and load_checkpoint refuses a header that stores other values. Checkpoints
@@ -155,14 +158,10 @@ class SafModel:
             raise ValidationError(f"expected input {expected}, got {x.data.shape}")
 
         p, bufs = self.params, self.buffers
-        h = ad.first_block(x, p["conv_temporal_w"], p["bn1_gamma"], p["bn1_beta"],
-                           p["conv_spatial_w"], bufs["bn1_mean"], bufs["bn1_var"],
-                           training)
-        h = ad.batch_norm(h, p["bn2_gamma"], p["bn2_beta"], bufs["bn2_mean"],
-                          bufs["bn2_var"], training)
-        h = ad.elu(h)
-        h = ad.avg_pool_time(h, POOL1)
-        h = ad.dropout(h, DROPOUT, rng, training)
+        h = ad.first_stage(x, p["conv_temporal_w"], p["bn1_gamma"], p["bn1_beta"],
+                           p["conv_spatial_w"], p["bn2_gamma"], p["bn2_beta"],
+                           (bufs["bn1_mean"], bufs["bn1_var"], bufs["bn2_mean"],
+                            bufs["bn2_var"]), POOL1, DROPOUT, rng, training)
         h = ad.depthwise_temporal_conv(h, p["conv_sep_depth_w"])
         h = ad.pointwise_conv(h, p["conv_sep_point_w"])
         h = ad.batch_norm(h, p["bn3_gamma"], p["bn3_beta"], bufs["bn3_mean"],

@@ -25,7 +25,7 @@ import numpy as np
 
 from .asr import AsrConfig, asr_apply, asr_fit, select_calibration
 from .datamodel import EpochSet, Manifest, Recording, split_dataset, write_epoch_dir
-from .dsp import PipelineConfig, filter_recording, slice_epochs
+from .dsp import PipelineConfig, filter_recording, slice_epochs, window_samples
 from .errors import ValidationError
 from .metrics import DEFAULT_BANDS
 
@@ -56,6 +56,7 @@ class SynthConfig:
             raise ValidationError("need at least one subject and one channel")
         if self.fs <= 0 or self.duration_s <= 0:
             raise ValidationError("fs and duration_s must be positive")
+        window_samples(self.duration_s, self.fs, "duration_s")
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if len(self.class_signature) != 2:
@@ -74,6 +75,10 @@ class SynthConfig:
             v = getattr(self, name)
             if not np.isfinite(v) or v < 0:
                 raise ValidationError(f"{name} must be finite and >= 0")
+        # the burst count is a Poisson draw of rate * duration / 60
+        if self.artifact_rate_per_min > 60.0 * self.fs:
+            raise ValidationError(f"artifact_rate_per_min {self.artifact_rate_per_min} "
+                                  f"is above one burst per sample ({60.0 * self.fs})")
 
 
 def _subject_draws(cfg: SynthConfig, subject: int):
@@ -122,7 +127,7 @@ def generate_subject_recording(cfg: SynthConfig, subject: int,
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, subject, y]))
     beta = cfg.subject_bias_strength
     c = cfg.channels
-    n = int(round(cfg.duration_s * cfg.fs))
+    n = window_samples(cfg.duration_s, cfg.fs, "duration_s")
     nyquist = cfg.fs / 2.0
 
     x = np.zeros((c, n))

@@ -343,88 +343,136 @@ def test_depthwise_temporal_conv_matches_reference(b, f, c, m, k):
         assert_matches(got, want)
 
 
-def chain_first_block(x, w, gamma, beta, spatial_w, running_mean, running_var,
-                      training):
-    """The three ops that first_block fuses, as the encoder once ran them."""
+def chain_first_stage(x, w, gamma1, beta1, spatial_w, gamma2, beta2, running,
+                      pool, p, rng, training):
+    """The seven ops that first_stage fuses, as the encoder once ran them."""
+    running_mean1, running_var1, running_mean2, running_var2 = running
     h = ad.temporal_conv(x, w)
-    h = ad.batch_norm(h, gamma, beta, running_mean, running_var, training)
-    return ad.depthwise_spatial_conv(h, spatial_w)
+    h = ad.batch_norm(h, gamma1, beta1, running_mean1, running_var1, training)
+    h = ad.depthwise_spatial_conv(h, spatial_w)
+    h = ad.batch_norm(h, gamma2, beta2, running_mean2, running_var2, training)
+    h = ad.elu(h)
+    h = ad.avg_pool_time(h, pool)
+    return ad.dropout(h, p, rng, training)
 
 
-def run_first_block(op, dtype, b, c, m, f, d, k, training, seed):
-    """Output, gradients of (w, gamma, beta, spatial_w) for a random output
-    gradient, and both running buffers after one call of op."""
+FIRST_STAGE_PARAMS = ["w", "bn1_gamma", "bn1_beta", "spatial_w", "bn2_gamma",
+                      "bn2_beta"]
+FIRST_STAGE_POOL = 4
+
+
+def run_first_stage(op, dtype, b, c, m, f, d, k, training, seed):
+    """Output, the gradients of FIRST_STAGE_PARAMS for a random output
+    gradient, the four running buffers after one call of op, and the next
+    draw of the dropout generator, as a name -> array dict."""
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((b, 1, c, m)) * 2.0 + 0.3
     arrays = [rng.standard_normal((f, k)), rng.standard_normal(f) + 1.5,
-              rng.standard_normal(f), rng.standard_normal((f, d, c))]
-    running_mean = rng.standard_normal(f) * 0.1
-    running_var = np.abs(rng.standard_normal(f)) + 0.5
-    g = rng.standard_normal((b, f * d, 1, m)).astype(dtype)
+              rng.standard_normal(f), rng.standard_normal((f, d, c)),
+              rng.standard_normal(f * d) + 1.5, rng.standard_normal(f * d)]
+    running = [rng.standard_normal(f) * 0.1, np.abs(rng.standard_normal(f)) + 0.5,
+               rng.standard_normal(f * d) * 0.1,
+               np.abs(rng.standard_normal(f * d)) + 0.5]
+    g = rng.standard_normal((b, f * d, 1, m // FIRST_STAGE_POOL)).astype(dtype)
     tensors = [Tensor(a.astype(dtype), requires_grad=True) for a in arrays]
-    running_mean, running_var = running_mean.astype(dtype), running_var.astype(dtype)
-    out = op(Tensor(x.astype(dtype)), *tensors, running_mean, running_var, training)
+    running = [r.astype(dtype) for r in running]
+    dropout_rng = np.random.default_rng(seed + 1)
+    out = op(Tensor(x.astype(dtype)), *tensors, running, FIRST_STAGE_POOL, 0.25,
+             dropout_rng, training)
     weighted_sum(out, g).backward()
-    return [out.data, *(t.grad for t in tensors), running_mean, running_var]
+    names = ["out", *FIRST_STAGE_PARAMS, "bn1_mean", "bn1_var", "bn2_mean",
+             "bn2_var", "next_draw"]
+    values = [out.data, *(t.grad for t in tensors), *running,
+              dropout_rng.random(3)]
+    return dict(zip(names, values))
 
 
 FIRST_BLOCK_SHAPES = [  # (B, C, M, F, D, K)
     (32, 6, 256, 8, 2, 64),  # the encoder's training shape
-    (3, 4, 37, 3, 2, 7),     # odd K, M off the block size
+    (3, 4, 37, 3, 2, 7),     # odd K, M off the block size and the pool
     (2, 3, 40, 2, 1, 8),     # even K, M off the block size, D = 1
-    (2, 3, 10, 2, 2, 16),    # K > M
+    (2, 3, 10, 2, 2, 16),    # K > M, M off the pool
     (1, 5, 33, 4, 2, 6),     # B = 1
     (1, 2, 12, 3, 1, 5),     # B = 1, D = 1
 ]
 
 
 class TestFirstBlock:
-    """first_block against the temporal_conv -> batch_norm ->
-    depthwise_spatial_conv chain it replaces in the encoder."""
+    """first_stage, the encoder's first block, against the temporal_conv ->
+    batch_norm -> depthwise_spatial_conv -> batch_norm -> elu ->
+    avg_pool_time -> dropout chain it replaces in the encoder."""
 
     @pytest.mark.parametrize("training", [True, False])
     @pytest.mark.parametrize("shape", FIRST_BLOCK_SHAPES)
     def test_matches_chain_float64(self, shape, training):
         seed = sum(shape)
-        got = run_first_block(ad.first_block, np.float64, *shape, training, seed)
-        want = run_first_block(chain_first_block, np.float64, *shape, training, seed)
-        for g, w in zip(got, want):
-            assert_matches(g, w)
+        got = run_first_stage(ad.first_stage, np.float64, *shape, training, seed)
+        want = run_first_stage(chain_first_stage, np.float64, *shape, training, seed)
+        for name in want:
+            assert_matches(got[name], want[name])
 
     @pytest.mark.parametrize("training", [True, False])
     @pytest.mark.parametrize("shape", FIRST_BLOCK_SHAPES[:3])
     def test_matches_chain_float32(self, shape, training):
+        """Each array within 1e-5 of its largest value. In training, bn2
+        removes bn1's shift and all of bn1's scale but a BN_EPS part, so
+        bn1's gamma and beta gradients are near-zero differences of terms as
+        large as bn2's: they are held to 1e-5 of bn2's gradients."""
         seed = sum(shape)
-        got = run_first_block(ad.first_block, np.float32, *shape, training, seed)
-        want = run_first_block(chain_first_block, np.float32, *shape, training, seed)
-        for g, w in zip(got, want):
-            assert g.dtype == np.float32
-            assert np.max(np.abs(g - w)) <= 1e-5 * np.max(np.abs(w))
+        got = run_first_stage(ad.first_stage, np.float32, *shape, training, seed)
+        want = run_first_stage(chain_first_stage, np.float32, *shape, training, seed)
+        bn2_scale = max(np.max(np.abs(want[name])) for name in ("bn2_gamma", "bn2_beta"))
+        for name in want:
+            scale = np.max(np.abs(want[name]))
+            if training and name in ("bn1_gamma", "bn1_beta"):
+                scale = bn2_scale
+            assert got[name].dtype == want[name].dtype
+            assert np.max(np.abs(got[name] - want[name])) <= 1e-5 * scale, name
 
     @pytest.mark.parametrize("training", [True, False])
     def test_gradient(self, training):
         rng = np.random.default_rng(21)
         x = Tensor(rng.standard_normal((3, 1, 4, 11)))
 
-        def build(w, gamma, beta, spatial_w):
-            return ad.first_block(x, w, gamma, beta, spatial_w, np.full(2, 0.2),
-                                  np.full(2, 1.3), training)
+        def build(w, gamma1, beta1, spatial_w, gamma2, beta2):
+            running = (np.full(2, 0.2), np.full(2, 1.3), np.full(4, -0.1),
+                       np.full(4, 0.8))
+            return ad.first_stage(x, w, gamma1, beta1, spatial_w, gamma2, beta2,
+                                  running, 2, 0.25, np.random.default_rng(5),
+                                  training)
 
         check_op(build, rng.standard_normal((2, 4)), rng.standard_normal(2) + 1.5,
-                 rng.standard_normal(2), rng.standard_normal((2, 2, 4)))
+                 rng.standard_normal(2), rng.standard_normal((2, 2, 4)),
+                 rng.standard_normal(4) + 1.5, rng.standard_normal(4))
+
+    def test_beta1_gradient_is_zero_in_training(self):
+        """bn2 removes any per-channel shift of bn1's output."""
+        got = run_first_stage(ad.first_stage, np.float64, *FIRST_BLOCK_SHAPES[1],
+                              True, 5)
+        assert np.all(got["bn1_beta"] == 0.0)
+
+    @staticmethod
+    def call(x_shape=(2, 1, 3, 8), spatial_shape=(2, 1, 3), pool=4, p=0.25,
+             requires_grad=False):
+        ones = [np.ones(2), np.ones(2), np.ones(2), np.ones(2)]
+        return ad.first_stage(t64(np.zeros(x_shape), requires_grad=requires_grad),
+                              t64(np.ones((2, 3))), t64(np.ones(2)),
+                              t64(np.zeros(2)), t64(np.ones(spatial_shape)),
+                              t64(np.ones(2)), t64(np.zeros(2)), ones, pool, p,
+                              np.random.default_rng(0), True)
 
     def test_rejects_input_that_needs_a_gradient(self):
         with pytest.raises(ValidationError):
-            ad.first_block(t64(np.zeros((2, 1, 3, 8))), t64(np.ones((2, 3))),
-                           t64(np.ones(2)), t64(np.zeros(2)), t64(np.ones((2, 1, 3))),
-                           np.zeros(2), np.ones(2), training=True)
+            self.call(requires_grad=True)
 
     def test_rejects_mismatched_spatial_kernel(self):
         with pytest.raises(ValidationError):
-            ad.first_block(t64(np.zeros((2, 1, 3, 8)), requires_grad=False),
-                           t64(np.ones((2, 3))), t64(np.ones(2)), t64(np.zeros(2)),
-                           t64(np.ones((2, 1, 4))), np.zeros(2), np.ones(2),
-                           training=True)
+            self.call(spatial_shape=(2, 1, 4))
+
+    @pytest.mark.parametrize("pool, p", [(9, 0.25), (4, 1.0), (4, -0.1)])
+    def test_rejects_pool_or_dropout_out_of_range(self, pool, p):
+        with pytest.raises(ValidationError):
+            self.call(pool=pool, p=p)
 
 
 class TestPoolDropoutLinear:

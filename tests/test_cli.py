@@ -313,6 +313,26 @@ class TestExitCodes:
         assert message in err
         assert not os.path.exists(tmp_path / "d")
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("duration_s = 30", "duration_s = 1e-300", "less than one sample"),
+        ("duration_s = 30", "duration_s = 0.05", "too short to filter"),
+        ("artifact_rate_per_min = 1.0", "artifact_rate_per_min = 1e308",
+         "above one burst per sample"),
+        ("epoch_seconds = 2.0", "epoch_seconds = 1e308", "more samples than an int64"),
+        ("notch_hz = 60", "notch_hz = 1e-300", "notch frequency"),
+        ("band_lo_hz = 1.0", "band_lo_hz = 1e-300", "band_lo")])
+    def test_value_its_consumer_cannot_compute_is_validation_error(
+            self, tmp_path, old, new, message, capsys):
+        """Finite values that pass the schema but that the FFT, the Poisson
+        draw, the sample count or the IIR filters cannot work with."""
+        path = write_config(tmp_path / "c.ini", BASE_CONFIG.replace(old, new))
+        code = main(["synth", "--config", path, "--out", str(tmp_path / "d")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert message in err
+        assert not os.path.exists(tmp_path / "d")
+
     @pytest.mark.parametrize("command, text", [
         ("preprocess", "[pipeline]\nepoch_seconds = nan\n"),
         ("synth", "[synth]\nfs = nan\n")])
@@ -402,6 +422,34 @@ class TestPreprocessCommand:
         _, epoch_set = load_manifest(os.path.join(out, "manifest.csv"))
         assert len(epoch_set.epochs) == 6
         assert np.all(np.isfinite(epoch_set.epochs[0].x))
+
+    def test_calibration_on_the_input_is_filtered_once(self, tmp_path, monkeypatch):
+        """--asr-calib naming the --in file reuses its filtered recording and
+        writes the bytes of a run calibrated on a copy at another path."""
+        config = write_config(tmp_path / "c.ini")
+        rec_path = self.make_recording(str(tmp_path / "raw.safr"))
+        copy_path = tmp_path / "copy.safr"
+        copy_path.write_bytes(read_bytes(rec_path))
+        calls = []
+
+        def counting(rec, cfg, *args):
+            calls.append(rec.samples)
+            return dsp.filter_recording(rec, cfg, *args)
+
+        monkeypatch.setattr("safnet.cli.filter_recording", counting)
+        outputs = {}
+        for name, calib in (("same", rec_path), ("copy", str(copy_path))):
+            calls.clear()
+            out = tmp_path / name
+            code = main(["preprocess", "--config", config, "--in", rec_path,
+                         "--subject", "s00", "--class", "0", "--out", str(out),
+                         "--asr-calib", calib])
+            assert code == 0
+            outputs[name] = (len(calls), {f: (out / f).read_bytes()
+                                          for f in sorted(os.listdir(out))})
+        assert outputs["same"][0] == 1 and outputs["copy"][0] == 2
+        assert outputs["same"][1] == outputs["copy"][1]
+        assert "manifest.csv" in outputs["same"][1]
 
     @pytest.mark.parametrize("subject", ["a,b", "a\nb", "a\rb"])
     def test_unwritable_subject_is_validation_error(self, tmp_path, subject, capsys):

@@ -39,6 +39,17 @@ class TestPipelineConfig:
         with pytest.raises(ConfigError):
             PipelineConfig(notch_hz=(300.0,))
 
+    @pytest.mark.parametrize("kwargs", [{"notch_hz": (1e-4,)}, {"band_lo_hz": 1e-4}])
+    def test_filter_frequency_below_the_floor_rejected(self, kwargs):
+        """MIN_FILTER_RATIO of 512 Hz is 5.12e-4 Hz."""
+        with pytest.raises(ConfigError):
+            PipelineConfig(**kwargs)
+
+    @pytest.mark.parametrize("seconds", [1e-4, 1e17, 1e308])
+    def test_epoch_without_a_countable_sample_count_rejected(self, seconds):
+        with pytest.raises(ValidationError, match="epoch_seconds"):
+            PipelineConfig(epoch_seconds=seconds)
+
 
 class TestResample:
     def test_dc_preserved(self):
@@ -158,6 +169,14 @@ class TestNotch:
     def test_zero_in_zero_out(self):
         out = notch(make_rec(np.zeros(2048), 512.0), self.cfg)
         assert np.all(out.data == 0.0)
+
+    @pytest.mark.parametrize("filt, pad", [(bandpass, 15), (notch, 9)])
+    def test_recording_shorter_than_the_edge_padding_rejected(self, filt, pad):
+        """Three times the taps of two band-pass sections or one notch."""
+        cfg = PipelineConfig(target_rate_hz=256.0, band_hi_hz=100.0, notch_hz=(60.0,))
+        with pytest.raises(ValidationError, match="too short to filter"):
+            filt(make_rec(np.ones((2, pad)), 256.0), cfg)
+        assert filt(make_rec(np.ones((2, pad + 1)), 256.0), cfg).samples == pad + 1
 
 
 class TestSliceEpochs:

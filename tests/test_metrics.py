@@ -95,6 +95,15 @@ class TestConfusion:
         with pytest.raises(ValidationError):
             confusion([0, 2], [0, 1])
 
+    @pytest.mark.parametrize("y_true, y_pred", [
+        ([[0, 1], [1, 0]], [[0, 1], [1, 0]]),  # 2-D
+        (1, 1),                                 # 0-D
+        ([0, 1], [[0, 1]]),                     # one side 2-D
+    ])
+    def test_labels_that_are_not_1d_rejected(self, y_true, y_pred):
+        with pytest.raises(ValidationError, match="1-D"):
+            confusion(y_true, y_pred)
+
     def test_negative_counts_rejected(self):
         with pytest.raises(ValidationError):
             macro_metrics(np.array([[1, -1], [0, 0]]))

@@ -15,6 +15,7 @@ from safnet import model as model_module
 from safnet.autodiff import Tensor
 from safnet.errors import FormatError, ValidationError
 from safnet.model import EncoderConfig, SafModel, load_checkpoint, save_checkpoint
+from safnet.train import AdamState, LossWeights, adam_step, compute_losses
 
 
 def small_model(dtype=np.float32, k=3, seed=0):
@@ -188,6 +189,54 @@ class TestCheckpoint:
         t2, d2 = back.forward(x)
         assert np.array_equal(t1.data, t2.data)
         assert np.array_equal(d1.data, d2.data)
+
+    # small_model's tensors as the checkpoint stores them: parameters, then
+    # the batch-norm running buffers, each (name, shape), in file order
+    PINNED_LAYOUT = [
+        ("conv_temporal_w", (8, 16)), ("bn1_gamma", (8,)), ("bn1_beta", (8,)),
+        ("conv_spatial_w", (8, 2, 4)), ("bn2_gamma", (16,)), ("bn2_beta", (16,)),
+        ("conv_sep_depth_w", (16, 16)), ("conv_sep_point_w", (16, 16)),
+        ("bn3_gamma", (16,)), ("bn3_beta", (16,)), ("task_w", (32, 2)),
+        ("task_b", (2,)), ("dom1_w", (32, 64)), ("dom1_b", (64,)),
+        ("dom2_w", (64, 3)), ("dom2_b", (3,)),
+        ("bn1_mean", (8,)), ("bn1_var", (8,)), ("bn2_mean", (16,)),
+        ("bn2_var", (16,)), ("bn3_mean", (16,)), ("bn3_var", (16,)),
+    ]
+
+    @staticmethod
+    def stored_layout(path):
+        """(name, shape) of every tensor in a checkpoint file, in order."""
+        with open(path, "rb") as fh:
+            blob = fh.read()
+        pos = 8 + struct.calcsize(model_module._HEADER)
+        layout = []
+        while pos < len(blob) - 4:
+            (size,) = struct.unpack_from("<I", blob, pos)
+            name = blob[pos + 4:pos + 4 + size].decode("utf-8")
+            pos += 4 + size
+            (ndim,) = struct.unpack_from("<I", blob, pos)
+            shape = struct.unpack_from(f"<{ndim}I", blob, pos + 4)
+            pos += 4 + 4 * ndim + 4 * math.prod(shape)
+            layout.append((name, shape))
+        return layout
+
+    def test_layout_after_a_training_step(self, tmp_path):
+        """One training step through the fused first stage leaves the
+        checkpoint layout as it was, and predictions survive the round trip."""
+        model = small_model(k=3, seed=2)
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((8, 1, 4, 64)).astype(np.float32)
+        *_, total = compute_losses(x, rng.integers(0, 2, 8), rng.integers(0, 3, 8),
+                                   model, LossWeights(lambda_mi=1.0, lambda_grl=1.0),
+                                   mode="train", rng=np.random.default_rng(4))
+        total.backward()
+        adam_step(model.params, AdamState(model.params), 1e-3)
+        assert not np.array_equal(model.buffers["bn2_mean"], np.zeros(16))
+        before = model.predict(x)
+        path = str(tmp_path / "m.safm")
+        save_checkpoint(model, path)
+        assert self.stored_layout(path) == self.PINNED_LAYOUT
+        assert np.array_equal(load_checkpoint(path).predict(x), before)
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "x.safm"
