@@ -26,10 +26,18 @@ Adam's decay rates and epsilon (BETA1, BETA2, ADAM_EPS) and the plateau
 schedule's improvement margin, decay factor and floor (IMPROVEMENT_EPS,
 LR_FACTOR, LR_FLOOR) are constants; TrainConfig holds the learning rate,
 batch size, epoch bounds, patience, plateau window, seed and swap setting.
+
+The grid search trains its cells independently, each seeded from its grid
+position. With jobs > 1 it runs them on a process pool whose initializer
+hands every worker the train and validation epochs once and pins the
+worker's OpenBLAS to one thread; the cell tasks then carry only lambdas,
+configs and seeds. The serial path runs the same cell function on the same
+epochs, held in the module only while the search runs.
 """
 
 from __future__ import annotations
 
+import ctypes
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -364,9 +372,51 @@ def make_lambda_grid(lo: float = 0.001, hi: float = 10.0, n: int = 10) -> list[f
     return [float(v) for v in np.linspace(lo, hi, n)]
 
 
+# (train_data, val_data) of the grid search this process is running cells
+# for: a pool worker's initializer sets it once, the serial path for the
+# length of the search
+_grid_data = None
+
+
+def _openblas_fns(name: str) -> list:
+    """The OpenBLAS function `name` ("set_num_threads", "get_num_threads")
+    of each OpenBLAS library loaded in this process; empty where none is."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split()[-1] for line in fh
+                            if "openblas" in line.lower() and "/" in line})
+    except OSError:
+        return []
+    fns = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"),
+                               ("openblas", "")):
+            fn = getattr(lib, f"{prefix}_{name}{suffix}", None)
+            if fn is not None:
+                setter = name.startswith("set")
+                fn.argtypes = [ctypes.c_int] if setter else []
+                fn.restype = None if setter else ctypes.c_int
+                fns.append(fn)
+                break
+    return fns
+
+
+def _init_grid_worker(train_data, val_data) -> None:
+    """Pool initializer: keep the epochs for every cell the worker runs, and
+    give its BLAS one thread, so jobs workers keep to jobs CPUs."""
+    global _grid_data
+    _grid_data = (train_data, val_data)
+    for set_threads in _openblas_fns("set_num_threads"):
+        set_threads(1)
+
+
 def _grid_cell(args):
-    (i, j, lam_mi, lam_grl, train_epochs, val_epochs, enc_cfg, cell_cfg,
-     num_domains, model_seed) = args
+    i, j, lam_mi, lam_grl, enc_cfg, cell_cfg, num_domains, model_seed = args
+    train_epochs, val_epochs = _grid_data
     model = SafModel(enc_cfg, num_domains=num_domains, seed=model_seed)
     _, log = fit(train_epochs, val_epochs, model, cell_cfg,
                  LossWeights(lambda_mi=lam_mi, lambda_grl=lam_grl))
@@ -381,9 +431,15 @@ def grid_search(train_data, val_data, enc_cfg: EncoderConfig, cfg: TrainConfig,
     ties prefer smaller lambda_grl, then smaller lambda_mi.
 
     Returns (best LossWeights, rows of (lambda_mi, lambda_grl, val_macro_acc)
-    ordered by (lambda_mi, lambda_grl)). Cells are independent; jobs > 1
-    runs them in separate processes, each cell seeded from (cfg.seed, i, j).
+    ordered by (lambda_mi, lambda_grl)). Each cell is seeded from
+    (cfg.seed, i, j), so the rows are the same for every jobs >= 1. jobs > 1
+    runs the cells on min(jobs, cells) worker processes; each worker gets
+    the epochs once, when it starts, and runs its BLAS on one thread, and a
+    cell task carries only the cell's lambdas, configs and seeds.
     """
+    global _grid_data
+    if jobs < 1:
+        raise ValidationError(f"jobs must be >= 1, got {jobs}")
     grid_mi = make_lambda_grid(n=n_mi)
     grid_grl = make_lambda_grid(n=n_grl)
     num_domains = len({ep.s for ep in train_data})
@@ -395,14 +451,20 @@ def grid_search(train_data, val_data, enc_cfg: EncoderConfig, cfg: TrainConfig,
             cell_cfg = replace(cfg, max_epochs=budget_epochs,
                                min_epochs=min(cfg.min_epochs, budget_epochs),
                                seed=int(state[0]))
-            tasks.append((i, j, lam_mi, lam_grl, train_data, val_data,
-                          enc_cfg, cell_cfg, num_domains, int(state[1])))
+            tasks.append((i, j, lam_mi, lam_grl, enc_cfg, cell_cfg,
+                          num_domains, int(state[1])))
 
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks)),
+                                 initializer=_init_grid_worker,
+                                 initargs=(train_data, val_data)) as pool:
             results = list(pool.map(_grid_cell, tasks))
     else:
-        results = [_grid_cell(t) for t in tasks]
+        _grid_data = (train_data, val_data)
+        try:
+            results = [_grid_cell(t) for t in tasks]
+        finally:
+            _grid_data = None
 
     acc = {(i, j): v for i, j, v in results}
     rows = [(lam_mi, lam_grl, acc[(i, j)])

@@ -581,7 +581,7 @@ class TestCriterion8Loso:
         grid_cfg = TrainConfig(batch_size=32, min_epochs=10, max_epochs=25,
                                patience=5, seed=0, swap=SwapConfig(p=0.5))
         best, _ = grid_search(tr, va, enc, grid_cfg, n_mi=5, n_grl=5,
-                              budget_epochs=8)
+                              budget_epochs=8, jobs=2)
 
         results = {"baseline": [], "isbcs": [], "dal": [], "combined": []}
         for seed in range(5):

@@ -605,6 +605,18 @@ class TestGridCommand:
         assert main(args + ["--out", parallel, "--jobs", "2"]) == 0
         assert read_bytes(serial) == read_bytes(parallel)
 
+    def test_zero_jobs_is_validation_error(self, dataset, tmp_path, capsys):
+        config, out = dataset
+        grid_path = str(tmp_path / "grid.csv")
+        code = main(["grid", "--config", config,
+                     "--manifest", os.path.join(out, "manifest.csv"),
+                     "--out", grid_path, "--n-mi", "2", "--n-grl", "2",
+                     "--budget", "1", "--jobs", "0"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "jobs" in err
+        assert not os.path.exists(grid_path)
+
 
 class TestAnalyzeCommand:
     def test_writes_all_outputs(self, dataset, tmp_path):

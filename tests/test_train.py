@@ -1,4 +1,6 @@
+import gc
 import math
+import pickle
 import re
 from fractions import Fraction
 
@@ -490,6 +492,42 @@ class TestLambdaGrid:
             make_lambda_grid(n=1)
 
 
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor in grid_search: records how the pool
+    is built and the pickled size of each task, and starts no process."""
+
+    last = None
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.max_workers = max_workers
+        self.initializer = initializer
+        self.initargs = initargs
+        self.task_bytes = []
+        _RecordingPool.last = self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        assert fn is train_module._grid_cell
+        results = []
+        for k, task in enumerate(tasks):
+            self.task_bytes.append(len(pickle.dumps(task)))
+            results.append((task[0], task[1], k / 4))
+        return results
+
+
+def _blas_threads():
+    return max(get() for get in train_module._openblas_fns("get_num_threads"))
+
+
+def _blas_threads_cell(args):
+    return args[0], args[1], float(_blas_threads())
+
+
 class TestGridSearch:
     def test_tie_selects_smallest_lambdas(self):
         # constant inputs: every cell evaluates to the same accuracy
@@ -518,10 +556,67 @@ class TestGridSearch:
         cfg = quick_cfg(max_epochs=1)
         best1, rows1 = grid_search(train, val, TINY, cfg, n_mi=2, n_grl=2,
                                    budget_epochs=1, jobs=1)
-        best2, rows2 = grid_search(train, val, TINY, cfg, n_mi=2, n_grl=2,
-                                   budget_epochs=1, jobs=2)
-        assert rows1 == rows2
-        assert best1 == best2
+        # jobs = 3 leaves one of the 2 x 2 cells to a worker's second task
+        for jobs in (2, 3):
+            best, rows = grid_search(train, val, TINY, cfg, n_mi=2, n_grl=2,
+                                     budget_epochs=1, jobs=jobs)
+            assert rows == rows1
+            assert best == best1
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_rejected(self, jobs):
+        with pytest.raises(ValidationError, match="jobs"):
+            grid_search(make_epochs(1), make_epochs(1), TINY, quick_cfg(),
+                        n_mi=2, n_grl=2, budget_epochs=1, jobs=jobs)
+
+    @pytest.mark.parametrize("jobs, workers", [(2, 2), (4, 4), (64, 4)])
+    def test_pool_gets_epochs_once_and_small_tasks(self, monkeypatch, jobs,
+                                                   workers):
+        train, val = make_epochs(8, seed=1), make_epochs(4, seed=2)
+        monkeypatch.setattr(train_module, "ProcessPoolExecutor", _RecordingPool)
+        _, rows = grid_search(train, val, TINY, quick_cfg(), n_mi=2, n_grl=2,
+                              budget_epochs=1, jobs=jobs)
+        pool = _RecordingPool.last
+        assert pool.max_workers == workers
+        assert pool.initializer is train_module._init_grid_worker
+        assert pool.initargs[0] is train and pool.initargs[1] is val
+        assert len(pool.task_bytes) == 4 and max(pool.task_bytes) < 1000
+        assert [acc for _, _, acc in rows] == [0.0, 0.25, 0.5, 0.75]
+
+    def test_serial_search_leaves_no_epochs_in_module(self, monkeypatch):
+        train, val = make_epochs(2, seed=1), make_epochs(1, seed=2)
+        held = vars(train_module)
+
+        def assert_released():
+            for ref in gc.get_referrers(train, val):
+                assert ref is not held
+                assert not any(ref is v for v in held.values())
+
+        grid_search(train, val, TINY, quick_cfg(max_epochs=1), n_mi=2,
+                    n_grl=2, budget_epochs=1)
+        assert_released()
+
+        def failing_fit(*args, **kwargs):
+            raise RuntimeError("cell failed")
+
+        monkeypatch.setattr(train_module, "fit", failing_fit)
+        with pytest.raises(RuntimeError, match="cell failed"):
+            grid_search(train, val, TINY, quick_cfg(max_epochs=1), n_mi=2,
+                        n_grl=2, budget_epochs=1)
+        assert_released()
+
+    def test_workers_run_one_blas_thread(self, monkeypatch):
+        if not train_module._openblas_fns("get_num_threads"):
+            pytest.skip("no OpenBLAS library loaded")
+        before = _blas_threads()
+        # the pool pickles _grid_cell by name; forked workers resolve it to
+        # this stand-in, which reports the worker's BLAS thread count
+        monkeypatch.setattr(train_module, "_grid_cell", _blas_threads_cell)
+        _, rows = grid_search(make_epochs(1), make_epochs(1), TINY,
+                              quick_cfg(), n_mi=2, n_grl=2, budget_epochs=1,
+                              jobs=2)
+        assert [acc for _, _, acc in rows] == [1.0] * 4
+        assert _blas_threads() == before
 
     def test_grid_table_csv(self, tmp_path):
         rows = [(0.001, 0.001, 0.5), (0.001, 10.0, 0.75)]
