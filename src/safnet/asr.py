@@ -12,8 +12,8 @@ Gaussian fit used by some toolboxes; deterministic and adequate here.
 Calibration keeps the CALIB_WINDOW_S windows whose every channel has a
 robust z-score of its RMS in [CALIB_Z_LO, CALIB_Z_HI], and falls back to
 the whole recording when fewer than MIN_CALIB_WINDOWS survive. Fit and
-apply work on PROC_WINDOW_S windows. Only the rejection cutoff and the
-processing-window overlap are configurable (AsrConfig).
+apply work on PROC_WINDOW_S windows, overlapping by PROC_OVERLAP in apply.
+Only the rejection cutoff, finite and positive, is configurable (AsrConfig).
 
 Apply works on all windows at once: one np.matmul on a sliding-window view
 gives the covariance of every full window (the few short windows at the end
@@ -44,18 +44,17 @@ CALIB_Z_LO = -3.5
 CALIB_Z_HI = 5.5
 MIN_CALIB_WINDOWS = 30
 PROC_WINDOW_S = 0.5
+PROC_OVERLAP = 0.5
 
 
 @dataclass(frozen=True)
 class AsrConfig:
     cutoff_k: float = 20.0
-    proc_overlap: float = 0.5
 
     def __post_init__(self):
-        if self.cutoff_k <= 0:
-            raise ValidationError("cutoff_k must be positive")
-        if not (0 <= self.proc_overlap < 1):
-            raise ValidationError("proc_overlap must be in [0, 1)")
+        if not (np.isfinite(self.cutoff_k) and self.cutoff_k > 0):
+            raise ValidationError(f"cutoff_k must be finite and positive, "
+                                  f"got {self.cutoff_k}")
 
 
 @dataclass(frozen=True)
@@ -165,14 +164,14 @@ def _overlap_add(frames: np.ndarray, hop: int, n: int) -> np.ndarray:
     return out.reshape(out.shape[:-2] + (-1,))[..., :n]
 
 
-def asr_apply(rec: Recording, model: AsrModel, cfg: AsrConfig) -> Recording:
+def asr_apply(rec: Recording, model: AsrModel) -> Recording:
     """Sliding-window subspace reconstruction with raised-cosine blending."""
     if rec.channels != model.channels:
         raise ValidationError(
             f"recording has {rec.channels} channels, model expects {model.channels}"
         )
     width = window_samples(PROC_WINDOW_S, rec.sample_rate_hz, "processing window")
-    hop = max(1, int(round(width * (1.0 - cfg.proc_overlap))))
+    hop = max(1, int(round(width * (1.0 - PROC_OVERLAP))))
     n = rec.samples
     x = rec.data
     mixing = model.mixing_M

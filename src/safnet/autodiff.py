@@ -196,13 +196,11 @@ def reshape(x: Tensor, shape) -> Tensor:
                  lambda g: (g.reshape(x.data.shape),))
 
 
-def tensor_sum(x: Tensor, axis=None, keepdims=False) -> Tensor:
-    data = x.data.sum(axis=axis, keepdims=keepdims)
+def tensor_sum(x: Tensor, axis=None) -> Tensor:
+    data = x.data.sum(axis=axis)
 
     def grad_fn(g):
-        if axis is None:
-            return (np.broadcast_to(g, x.data.shape).astype(x.data.dtype, copy=True),)
-        gg = g if keepdims else np.expand_dims(g, axis)
+        gg = g if axis is None else np.expand_dims(g, axis)
         return (np.broadcast_to(gg, x.data.shape).astype(x.data.dtype, copy=True),)
 
     return _node(data, (x,), grad_fn)

@@ -158,8 +158,8 @@ def _encoder_config(epochs) -> EncoderConfig:
 
 def _cmd_synth(args) -> int:
     cfg = load_cli_config(args.config)
-    _, manifest = generate_dataset(cfg.synth, args.out,
-                                   pipeline_cfg=cfg.pipeline, asr_cfg=cfg.asr)
+    manifest = generate_dataset(cfg.synth, args.out, pipeline_cfg=cfg.pipeline,
+                                asr_cfg=cfg.asr)
     _note(f"wrote {len(manifest.rows)} epochs and manifest.csv to {args.out}")
     return 0
 
@@ -172,8 +172,7 @@ def _cmd_preprocess(args) -> int:
         # a class-0 recording is its own calibration: filter it once
         calib = (rec if os.path.samefile(args.asr_calib, args.input) else
                  filter_recording(read_recording(args.asr_calib), cfg.pipeline))
-        rec = asr_apply(rec, asr_fit(select_calibration(calib, cfg.asr), cfg.asr),
-                        cfg.asr)
+        rec = asr_apply(rec, asr_fit(select_calibration(calib, cfg.asr), cfg.asr))
     epochs = slice_epochs(rec, cfg.pipeline, args.label, args.subject)
     write_epoch_dir(EpochSet(epochs=epochs), args.out)
     _note(f"wrote {len(epochs)} epochs to {args.out}")

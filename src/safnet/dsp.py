@@ -8,7 +8,8 @@ PipelineConfig holds the band edges, notch frequencies, target rate and
 epoch length, each bounded by what its consumer can compute: filter
 frequencies of at least MIN_FILTER_RATIO times the rate, and an epoch of at
 least one sample and at most an int64 of them. The filters refuse a
-recording no longer than their edge padding.
+recording no longer than their edge padding. filter_recording is the one
+filter chain; preprocess_pipeline adds artifact removal and slicing.
 """
 
 from __future__ import annotations
@@ -148,36 +149,21 @@ def slice_epochs(rec: Recording, cfg: PipelineConfig, y: int, s: str) -> list[Ep
     ]
 
 
-def _unhooked(name: str, rec: Recording) -> Recording:
-    return rec
-
-
-def filter_recording(rec: Recording, cfg: PipelineConfig,
-                     stage_hook=None) -> Recording:
+def filter_recording(rec: Recording, cfg: PipelineConfig) -> Recording:
     """Resample (if needed) -> bandpass -> notch: the filter chain ahead of
-    artifact removal, shared by preprocessing and ASR calibration. stage_hook
-    is as in preprocess_pipeline."""
-    hook = stage_hook or _unhooked
+    artifact removal, shared by preprocessing and ASR calibration."""
     if rec.sample_rate_hz != cfg.target_rate_hz:
         rec = resample(rec, cfg.target_rate_hz)
-    rec = hook("resample", rec)
-    rec = hook("bandpass", bandpass(rec, cfg))
-    return hook("notch", notch(rec, cfg))
+    return notch(bandpass(rec, cfg), cfg)
 
 
 def preprocess_pipeline(rec: Recording, cfg: PipelineConfig, asr_model=None,
-                        y: int = 0, s: str = "", asr_config=None,
-                        stage_hook=None) -> list[Epoch]:
-    """filter_recording -> ASR (if model) -> slice.
-
-    stage_hook(name, rec) -> Recording, when given, is called after each
-    stage and may substitute the intermediate recording; tests use it to
-    verify stage ordering.
-    """
-    hook = stage_hook or _unhooked
-    rec = filter_recording(rec, cfg, hook)
+                        y: int = 0, s: str = "", asr_config=None) -> list[Epoch]:
+    """filter_recording -> ASR (if model) -> slice. asr_config is unused;
+    the parameter stays for existing callers."""
+    rec = filter_recording(rec, cfg)
     if asr_model is not None:
-        from .asr import AsrConfig, asr_apply
+        from .asr import asr_apply
 
-        rec = hook("asr", asr_apply(rec, asr_model, asr_config or AsrConfig()))
+        rec = asr_apply(rec, asr_model)
     return slice_epochs(rec, cfg, y, s)

@@ -3,7 +3,8 @@
 Within each class group of a batch, samples are randomly paired and each
 pair exchanges a Bernoulli-selected subset of channels, full time series,
 both directions. Each row keeps the label and subject identity of the
-sample it was built on, so callers read both from the input batch.
+sample it was built on, so callers read both from the input batch. Each
+pair gets one SwapRecord; a sample without a partner gets none.
 """
 
 from __future__ import annotations
@@ -48,8 +49,7 @@ def isbcs_augment_batch(batch: list[Epoch], cfg: SwapConfig,
                         rng: np.random.Generator) -> tuple[np.ndarray, list[SwapRecord]]:
     """Swap Bernoulli(p)-masked channels between randomly paired same-class
     epochs. Returns the augmented batch as one (B, C, M) float32 array, row i
-    built on batch[i], and one SwapRecord per pair, then one per leftover
-    singleton.
+    built on batch[i], and one SwapRecord per pair.
 
     The masks of all P pairs come from a single (P, C) draw, which consumes
     rng exactly as P consecutive draws of C values.
@@ -69,9 +69,5 @@ def isbcs_augment_batch(batch: list[Epoch], cfg: SwapConfig,
     a, b = ends[k, 0], ends[k, 1]
     x[a, ch], x[b, ch] = x[b, ch], x[a, ch]
 
-    records = [SwapRecord(pair=pair, swapped_channels=mask)
+    return x, [SwapRecord(pair=pair, swapped_channels=mask)
                for pair, mask in zip(pairs, masks)]
-    paired = set(ends.ravel().tolist())
-    records.extend(SwapRecord(pair=(i, i), swapped_channels=np.zeros(c, dtype=bool))
-                   for i in range(len(batch)) if i not in paired)
-    return x, records

@@ -13,9 +13,11 @@ channel of every epoch in one call along the last axis, and ``band_power``
 integrates all the spectra at once into one array with bands on its last
 axis, so ``log_band_power_features`` costs two numpy-level calls however
 many epochs it gets instead of one Welch and one band loop per channel per
-epoch. ``silhouette`` takes its pairwise distances from ``cdist`` and every
-point's per-cluster distance sums from a single product with a one-hot
-membership matrix, with no n x n x d temporary.
+epoch; the Welch window and overlap are constants. ``iqr_row_mask`` takes
+every column's quartiles from one percentile call. ``silhouette`` takes its
+pairwise distances from ``cdist`` and every point's per-cluster distance
+sums from a single product with a one-hot membership matrix, with no
+n x n x d temporary.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ DEFAULT_BANDS = (
     ("Beta", 13.0, 30.0),
     ("Gamma", 30.0, 100.0),
 )
+WELCH_WINDOW_S = 2.0
+WELCH_OVERLAP = 0.5
 
 
 @dataclass(frozen=True)
@@ -94,21 +98,20 @@ def macro_metrics(counts) -> tuple[float, float, float, float]:
     return macro_recall, float(precision.mean()), macro_recall, float(f1.mean())
 
 
-def welch_psd(x, fs: float, window_s: float = 2.0,
-              overlap: float = 0.5) -> tuple[np.ndarray, np.ndarray]:
+def welch_psd(x, fs: float) -> tuple[np.ndarray, np.ndarray]:
     """One-sided power spectral density along the last axis of an (..., M)
-    array, Hann-windowed averaged periodograms. Returns (freqs, psd) with
-    psd shaped (..., F)."""
+    array, Hann-windowed averaged periodograms of WELCH_WINDOW_S windows that
+    overlap by WELCH_OVERLAP. Returns (freqs, psd), psd shaped (..., F)."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim < 1:
         raise ValidationError("expected a series, got a scalar")
-    nperseg = int(round(window_s * fs))
+    nperseg = int(round(WELCH_WINDOW_S * fs))
     if x.shape[-1] < nperseg:
         raise ValidationError(
             f"series of {x.shape[-1]} samples shorter than one {nperseg}-sample window"
         )
     freqs, psd = sp_signal.welch(x, fs=fs, window="hann", nperseg=nperseg,
-                                 noverlap=int(round(nperseg * overlap)),
+                                 noverlap=int(round(nperseg * WELCH_OVERLAP)),
                                  scaling="density", axis=-1)
     return freqs, psd
 
@@ -224,15 +227,10 @@ def iqr_row_mask(features) -> np.ndarray:
         raise ValidationError("feature matrix must be 2-D")
     if features.shape[0] < 4:
         raise ValidationError("need at least four rows")
-    mask = np.ones(features.shape[0], dtype=bool)
-    for col in features.T:
-        q1, q3 = np.percentile(col, [25.0, 75.0])
-        iqr = q3 - q1
-        if iqr == 0.0:
-            mask &= col == q1
-        else:
-            mask &= (col > q1 - 1.5 * iqr) & (col < q3 + 1.5 * iqr)
-    return mask
+    q1, q3 = np.percentile(features, [25.0, 75.0], axis=0)
+    iqr = q3 - q1
+    inside = (features > q1 - 1.5 * iqr) & (features < q3 + 1.5 * iqr)
+    return np.where(iqr == 0.0, features == q1, inside).all(axis=1)
 
 
 def clip_bands(bands: BandDefinition, max_hz: float) -> BandDefinition:
@@ -248,9 +246,8 @@ def clip_bands(bands: BandDefinition, max_hz: float) -> BandDefinition:
     return BandDefinition(bands=tuple(kept))
 
 
-def log_band_power_features(arrays, fs: float, bands: BandDefinition | None = None,
-                            window_s: float = 2.0,
-                            overlap: float = 0.5) -> np.ndarray:
+def log_band_power_features(arrays, fs: float,
+                            bands: BandDefinition | None = None) -> np.ndarray:
     """Row of log band powers, per channel, for each (C, M) array.
 
     arrays is a sequence of equally shaped (C, M) arrays or one (N, C, M)
@@ -265,7 +262,7 @@ def log_band_power_features(arrays, fs: float, bands: BandDefinition | None = No
         raise ValidationError(f"samples differ in shape: {exc}") from exc
     if x.ndim != 3:
         raise ValidationError("each sample must be a (channels, samples) array")
-    freqs, psd = welch_psd(x, fs, window_s=window_s, overlap=overlap)
+    freqs, psd = welch_psd(x, fs)
     powers = band_power(freqs, psd, bands).reshape(x.shape[0], -1)
     return np.log(np.maximum(powers, np.finfo(np.float64).tiny))
 

@@ -5,7 +5,8 @@ convolution learns frequency-selective filters, a depthwise spatial
 convolution collapses the electrode axis, and a separable convolution
 mixes the resulting feature maps. The task head is a single linear layer;
 the domain head reads the features through a gradient reversal layer so
-that the encoder is trained to make subjects indistinguishable.
+that the encoder is trained to make subjects indistinguishable. Only
+training runs the domain head; predict skips it.
 
 The first block (temporal conv, batch norm, depthwise spatial conv, batch
 norm, ELU, average pool, dropout) runs as one op, autodiff.first_stage.
@@ -181,16 +182,11 @@ class SafModel:
         domain = ad.linear(hidden, p["dom2_w"], p["dom2_b"])
         return task, domain
 
-    def forward(self, x):
-        """Both heads' logits in eval mode. The reversal layer is the identity
-        forward, so its coefficient (0 here) shapes only gradients, which
-        training takes from train.compute_losses."""
-        return self.heads_forward(self.encoder_forward(x), 0.0)
-
     def predict(self, x) -> np.ndarray:
-        """Class labels for a (B,1,C,M) batch, eval mode."""
+        """Class labels for a (B,1,C,M) batch: encoder and task head, eval mode."""
+        p = self.params
         with ad.no_grad():
-            task, _ = self.forward(x)
+            task = ad.linear(self.encoder_forward(x), p["task_w"], p["task_b"])
         return np.argmax(task.data, axis=1)
 
 

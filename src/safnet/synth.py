@@ -14,7 +14,8 @@ The bands are metrics.DEFAULT_BANDS. Subject-level draws (G_j, band tilt,
 line-noise gain and phase) are fixed per (seed, subject); cell-level noise
 and artifact schedules are fixed per (seed, subject, class). Everything is
 bit-reproducible. generate_dataset splits the epochs in
-datamodel.SPLIT_RATIOS and writes them with datamodel.write_epoch_dir.
+datamodel.SPLIT_RATIOS, writes them with datamodel.write_epoch_dir and
+returns only the manifest.
 """
 
 from __future__ import annotations
@@ -165,31 +166,24 @@ def generate_subject_recording(cfg: SynthConfig, subject: int,
 
 def generate_dataset(cfg: SynthConfig, out_dir: str,
                      pipeline_cfg: PipelineConfig | None = None,
-                     asr_cfg: AsrConfig | None = None,
-                     ) -> tuple[dict[tuple[int, int], Recording], Manifest]:
+                     asr_cfg: AsrConfig | None = None) -> Manifest:
     """Generate all subjects x {0,1} cells, preprocess them (filter once,
     then artifact removal calibrated per subject on the filtered class-0
     recording), slice into epochs, and write NDF files plus a
-    stratified-split manifest into out_dir. A config that yields no epochs
-    is refused before out_dir is created.
-
-    Returns the raw recordings keyed by (subject, class) and the manifest.
+    stratified-split manifest into out_dir, and return the manifest. A
+    config that yields no epochs is refused before out_dir is created.
     """
     pipeline_cfg = pipeline_cfg or PipelineConfig()
     asr_cfg = asr_cfg or AsrConfig()
 
-    recordings: dict[tuple[int, int], Recording] = {}
     epochs = []
     for j in range(cfg.subjects):
-        subject_name = f"s{j:02d}"
-        filtered = []
-        for y in (0, 1):
-            recordings[(j, y)] = generate_subject_recording(cfg, j, y)
-            filtered.append(filter_recording(recordings[(j, y)], pipeline_cfg))
+        filtered = [filter_recording(generate_subject_recording(cfg, j, y),
+                                     pipeline_cfg) for y in (0, 1)]
         asr_model = asr_fit(select_calibration(filtered[0], asr_cfg), asr_cfg)
         for y, rec in enumerate(filtered):
-            epochs += slice_epochs(asr_apply(rec, asr_model, asr_cfg),
-                                   pipeline_cfg, y, subject_name)
+            epochs += slice_epochs(asr_apply(rec, asr_model), pipeline_cfg, y,
+                                   f"s{j:02d}")
 
     epoch_set = split_dataset(EpochSet(epochs=epochs), seed=cfg.seed)
-    return recordings, write_epoch_dir(epoch_set, out_dir)
+    return write_epoch_dir(epoch_set, out_dir)

@@ -27,12 +27,13 @@ schedule's improvement margin, decay factor and floor (IMPROVEMENT_EPS,
 LR_FACTOR, LR_FLOOR) are constants; TrainConfig holds the learning rate,
 batch size, epoch bounds, patience, plateau window, seed and swap setting.
 
-The grid search trains its cells independently, each seeded from its grid
-position. With jobs > 1 it runs them on a process pool whose initializer
-hands every worker the train and validation epochs once and pins the
-worker's OpenBLAS to one thread; the cell tasks then carry only lambdas,
-configs and seeds. The serial path runs the same cell function on the same
-epochs, held in the module only while the search runs.
+The grid search spans LAMBDA_MIN to LAMBDA_MAX on both axes and trains its
+cells independently, each seeded from its grid position. With jobs > 1 it
+runs them on a process pool whose initializer hands every worker the train
+and validation epochs once and pins the worker's OpenBLAS to one thread;
+the cell tasks then carry only lambdas, configs and seeds. The serial path
+runs the same cell function on the same epochs, held in the module only
+while the search runs.
 """
 
 from __future__ import annotations
@@ -65,6 +66,8 @@ ADAM_EPS = 1e-8
 IMPROVEMENT_EPS = 0.001
 LR_FACTOR = 0.5
 LR_FLOOR = 1e-6
+LAMBDA_MIN = 0.001
+LAMBDA_MAX = 10.0
 
 
 @dataclass(frozen=True)
@@ -93,8 +96,8 @@ class TrainConfig:
     swap: SwapConfig = field(default_factory=SwapConfig)
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ValidationError("lr must be positive")
+        if not (np.isfinite(self.lr) and self.lr > 0):
+            raise ValidationError(f"lr must be finite and positive, got {self.lr}")
         if self.batch_size < 1:
             raise ValidationError("batch_size must be >= 1")
         if self.min_epochs < 1 or self.max_epochs < self.min_epochs:
@@ -363,13 +366,11 @@ def fit(train_data, val_data, model: SafModel, cfg: TrainConfig,
     return model, log
 
 
-def make_lambda_grid(lo: float = 0.001, hi: float = 10.0, n: int = 10) -> list[float]:
-    """n uniformly spaced values including both endpoints."""
+def make_lambda_grid(n: int = 10) -> list[float]:
+    """n uniformly spaced values from LAMBDA_MIN to LAMBDA_MAX inclusive."""
     if n < 2:
         raise ValidationError(f"grid needs at least 2 points, got {n}")
-    if not lo < hi:
-        raise ValidationError("grid lower bound must be below upper bound")
-    return [float(v) for v in np.linspace(lo, hi, n)]
+    return [float(v) for v in np.linspace(LAMBDA_MIN, LAMBDA_MAX, n)]
 
 
 # (train_data, val_data) of the grid search this process is running cells
@@ -440,6 +441,8 @@ def grid_search(train_data, val_data, enc_cfg: EncoderConfig, cfg: TrainConfig,
     global _grid_data
     if jobs < 1:
         raise ValidationError(f"jobs must be >= 1, got {jobs}")
+    if budget_epochs < 1:
+        raise ValidationError(f"budget_epochs must be >= 1, got {budget_epochs}")
     grid_mi = make_lambda_grid(n=n_mi)
     grid_grl = make_lambda_grid(n=n_grl)
     num_domains = len({ep.s for ep in train_data})

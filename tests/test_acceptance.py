@@ -148,9 +148,9 @@ class TestCriterion2Asr:
         no_reject = AsrModel(mixing_M=model.mixing_M,
                              threshold_T=model.threshold_T * 1e6)
         identity_err = float(np.max(np.abs(
-            asr_apply(dirty, no_reject, cfg).data - dirty.data)))
+            asr_apply(dirty, no_reject).data - dirty.data)))
 
-        out = asr_apply(dirty, model, cfg)
+        out = asr_apply(dirty, model)
         rms_in = _rms(dirty.data[burst_ch, lo:hi])
         rms_out = _rms(out.data[burst_ch, lo:hi])
         attenuation = 1.0 - rms_out / rms_in
@@ -457,8 +457,8 @@ class TestCriterion6LambdaGrid:
         return out
 
     def test_criterion_6_lambda_grid(self):
-        grid10 = make_lambda_grid(0.001, 10.0, 10)
-        grid25 = make_lambda_grid(0.001, 10.0, 25)
+        grid10 = make_lambda_grid(n=10)
+        grid25 = make_lambda_grid(n=25)
         # the float grid must agree with the exact rational grid
         lo, hi = Fraction(1, 1000), Fraction(10)
         drift10 = max(abs(v - float(lo + i * (hi - lo) / 9))

@@ -3,9 +3,11 @@ import pytest
 
 from safnet.asr import (
     PINV_RCOND,
+    PROC_OVERLAP,
     PROC_WINDOW_S,
     AsrConfig,
     AsrModel,
+    _overlap_add,
     asr_apply,
     asr_fit,
     select_calibration,
@@ -23,11 +25,11 @@ def noise_rec(c, seconds, fs, seed, mix=None):
     return Recording(data=data, sample_rate_hz=float(fs))
 
 
-def loop_asr_apply(rec, model, cfg):
+def loop_asr_apply(rec, model):
     """The one-window-at-a-time loop the batched asr_apply replaced. Returns
     the cleaned data and the number of windows that rejected a component."""
     width = int(round(PROC_WINDOW_S * rec.sample_rate_hz))
-    hop = max(1, int(round(width * (1.0 - cfg.proc_overlap))))
+    hop = max(1, int(round(width * (1.0 - PROC_OVERLAP))))
     n = rec.samples
     taper = 0.5 - 0.5 * np.cos(2.0 * np.pi * (np.arange(width) + 0.5) / width)
     out = np.zeros_like(rec.data, dtype=np.float64)
@@ -53,6 +55,15 @@ def loop_asr_apply(rec, model, cfg):
         norm[start:stop] += w
     out /= norm
     return out, rejecting
+
+
+class TestAsrConfig:
+    @pytest.mark.parametrize("cutoff_k", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    def test_cutoff_that_is_not_finite_and_positive_rejected(self, cutoff_k):
+        """Refused when built, not later in asr_fit as non-finite thresholds."""
+        with pytest.raises(ValidationError, match="cutoff_k must be finite and "
+                                                  "positive"):
+            AsrConfig(cutoff_k=cutoff_k)
 
 
 class TestSelectCalibration:
@@ -134,7 +145,7 @@ class TestAsrApply:
 
     def test_clean_data_near_identity(self):
         calib, model = self.fit_on_noise()
-        out = asr_apply(calib, model, self.cfg)
+        out = asr_apply(calib, model)
         rel = np.sqrt(np.mean((out.data - calib.data) ** 2) / np.mean(calib.data**2))
         assert rel < 0.01
 
@@ -142,7 +153,7 @@ class TestAsrApply:
         calib, model = self.fit_on_noise(seed=2)
         huge = AsrModel(mixing_M=model.mixing_M,
                         threshold_T=model.threshold_T * 1e6)
-        out = asr_apply(calib, huge, self.cfg)
+        out = asr_apply(calib, huge)
         assert np.max(np.abs(out.data - calib.data)) < 1e-9
 
     def burst_setup(self, seed=4):
@@ -158,7 +169,7 @@ class TestAsrApply:
 
     def test_burst_attenuated_and_clean_preserved(self):
         dirty, clean, model, (lo, hi), burst_ch = self.burst_setup()
-        out = asr_apply(dirty, model, self.cfg)
+        out = asr_apply(dirty, model)
         rms_in = np.sqrt(np.mean(dirty.data[burst_ch, lo:hi] ** 2))
         rms_out = np.sqrt(np.mean(out.data[burst_ch, lo:hi] ** 2))
         assert rms_out <= 0.1 * rms_in
@@ -173,8 +184,8 @@ class TestAsrApply:
 
     def test_idempotent_on_reconstructed_signal(self):
         dirty, _, model, _, _ = self.burst_setup(seed=6)
-        once = asr_apply(dirty, model, self.cfg)
-        twice = asr_apply(once, model, self.cfg)
+        once = asr_apply(dirty, model)
+        twice = asr_apply(once, model)
         r1 = np.sqrt(np.mean(once.data**2))
         r2 = np.sqrt(np.mean(twice.data**2))
         assert abs(r2 - r1) / r1 < 0.01
@@ -192,24 +203,23 @@ class TestAsrApply:
         calib_p = Recording(data=calib.data[perm], sample_rate_hz=128.0)
         rec_p = Recording(data=rec.data[perm], sample_rate_hz=128.0)
 
-        out = asr_apply(rec, asr_fit(calib, self.cfg), self.cfg)
-        out_p = asr_apply(rec_p, asr_fit(calib_p, self.cfg), self.cfg)
+        out = asr_apply(rec, asr_fit(calib, self.cfg))
+        out_p = asr_apply(rec_p, asr_fit(calib_p, self.cfg))
         assert np.allclose(out_p.data, out.data[perm], atol=1e-6)
 
     def test_channel_mismatch_rejected(self):
         _, model = self.fit_on_noise(c=4)
         with pytest.raises(ValidationError):
-            asr_apply(noise_rec(5, 2, 256, 1), model, self.cfg)
+            asr_apply(noise_rec(5, 2, 256, 1), model)
 
 
 class TestBatchedApply:
     """asr_apply against the per-window loop it replaced."""
 
     @staticmethod
-    def setup(seconds, overlap, seed, artifacts):
+    def setup(seconds, seed, artifacts):
         fs = 128.0
-        cfg = AsrConfig(proc_overlap=overlap)
-        model = asr_fit(noise_rec(6, 60, fs, seed), cfg)
+        model = asr_fit(noise_rec(6, 60, fs, seed), AsrConfig())
         data = noise_rec(6, seconds, fs, seed + 1).data
         if artifacts:
             rng = np.random.default_rng(seed + 2)
@@ -218,33 +228,43 @@ class TestBatchedApply:
             for start in [*range(200, data.shape[1] - 100, 1000), data.shape[1] - 40]:
                 data[[1, 4], start:start + 48] += 30.0 * rng.standard_normal(
                     (2, data[:, start:start + 48].shape[1]))
-        return Recording(data=data, sample_rate_hz=fs), model, cfg
+        return Recording(data=data, sample_rate_hz=fs), model
 
     @pytest.mark.parametrize("artifacts", [False, True])
     def test_bit_identical_at_default_config(self, artifacts):
-        rec, model, cfg = self.setup(120, AsrConfig().proc_overlap, 30, artifacts)
-        expected, rejecting = loop_asr_apply(rec, model, cfg)
+        rec, model = self.setup(120, 30, artifacts)
+        expected, rejecting = loop_asr_apply(rec, model)
         assert (rejecting > 0) == artifacts
-        got = asr_apply(rec, model, cfg).data
+        got = asr_apply(rec, model).data
         assert got.dtype == expected.dtype and got.shape == expected.shape
         assert got.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("overlap", [0.0, 0.25, 0.75])
     @pytest.mark.parametrize("seconds", [20, 20.3])  # 20.3 s is not a whole hop
     def test_matches_loop_at_other_overlaps(self, overlap, seconds):
-        """At 0.75 every sample sums four windows, so this also checks that
-        the blend adds them in window order."""
-        rec, model, cfg = self.setup(seconds, overlap, 40, True)
-        expected, rejecting = loop_asr_apply(rec, model, cfg)
-        assert rejecting > 0
-        got = asr_apply(rec, model, cfg).data
-        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
+        """The blend against adding the windows one after the other, at the
+        hops of other overlaps. At 0.75 every sample sums four windows, so
+        this checks that the blend adds them in window order."""
+        fs, width = 128.0, int(round(PROC_WINDOW_S * 128.0))
+        n = int(round(seconds * fs))
+        hop = max(1, int(round(width * (1.0 - overlap))))
+        x = np.random.default_rng(40).standard_normal((6, n))
+        taper = 0.5 - 0.5 * np.cos(2.0 * np.pi * (np.arange(width) + 0.5) / width)
+        starts = range(0, n, hop)
+        frames = np.zeros((len(starts), 6, width))
+        expected = np.zeros((6, n))
+        for k, start in enumerate(starts):
+            xw = x[:, start:start + width] * taper[:n - start]
+            frames[k, :, :xw.shape[1]] = xw
+            expected[:, start:start + width] += xw
+        got = _overlap_add(frames, hop, n)
+        assert got.shape == expected.shape
         assert got.tobytes() == expected.tobytes()
 
     def test_recording_shorter_than_a_window(self):
-        rec, model, cfg = self.setup(0.3, 0.5, 50, False)  # 38 samples, width 64
-        expected, _ = loop_asr_apply(rec, model, cfg)
-        np.testing.assert_allclose(asr_apply(rec, model, cfg).data, expected,
+        rec, model = self.setup(0.3, 50, False)  # 38 samples, width 64
+        expected, _ = loop_asr_apply(rec, model)
+        np.testing.assert_allclose(asr_apply(rec, model).data, expected,
                                    rtol=1e-12, atol=1e-12)
 
 

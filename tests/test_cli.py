@@ -1,13 +1,19 @@
 """Tests for the command-line interface: config parsing, subcommands,
 exit codes and byte-identical reruns."""
 
+import contextlib
+import io
 import os
 import re
 import subprocess
 import sys
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import safnet
 from safnet import asr, dsp, train
@@ -174,7 +180,7 @@ KEY_KINDS = {
 REMOVED_KEYS = {
     "pipeline": {"notch_q": 30.0, "butter_order": 4},
     "asr": {"calib_window_s": 1.0, "calib_z_lo": -3.5, "calib_z_hi": 5.5,
-            "min_calib_windows": 30, "proc_window_s": 0.5},
+            "min_calib_windows": 30, "proc_window_s": 0.5, "proc_overlap": 0.5},
     "train": {"improvement_eps": 0.001, "lr_factor": 0.5, "lr_floor": 1e-6,
               "beta1": 0.9, "beta2": 0.999, "adam_eps": 1e-8},
 }
@@ -193,7 +199,7 @@ class TestIniSchema:
     def test_key_sets_derived_from_the_dataclasses(self):
         assert {s: sorted(keys) for s, keys in INI_SCHEMA.items()} == {
             s: sorted(kinds) for s, kinds in CURRENT_KEY_KINDS.items()}
-        assert [len(keys) for keys in INI_SCHEMA.values()] == [5, 2, 1, 7, 11]
+        assert [len(keys) for keys in INI_SCHEMA.values()] == [5, 1, 1, 7, 11]
 
     @pytest.mark.parametrize("section, key, value", REMOVED)
     def test_removed_key_is_a_constant_of_its_value(self, section, key, value):
@@ -605,6 +611,19 @@ class TestGridCommand:
         assert main(args + ["--out", parallel, "--jobs", "2"]) == 0
         assert read_bytes(serial) == read_bytes(parallel)
 
+    def test_zero_budget_is_validation_error(self, dataset, tmp_path, capsys):
+        """Named as the budget, not as the epoch bounds of a cell's config."""
+        config, out = dataset
+        grid_path = str(tmp_path / "grid.csv")
+        code = main(["grid", "--config", config,
+                     "--manifest", os.path.join(out, "manifest.csv"),
+                     "--out", grid_path, "--n-mi", "2", "--n-grl", "2",
+                     "--budget", "0"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "budget_epochs must be >= 1" in err
+        assert not os.path.exists(grid_path)
+
     def test_zero_jobs_is_validation_error(self, dataset, tmp_path, capsys):
         config, out = dataset
         grid_path = str(tmp_path / "grid.csv")
@@ -700,3 +719,92 @@ class TestAnalyzeCommand:
         code = main(["analyze", "--manifest", os.path.join(out, "manifest.csv"),
                      "--out", str(tmp_path / "a")])
         assert code == 1
+
+
+# A config small enough for about 0.1 s per fuzz case in process; the 2 s
+# epochs are long enough for analyze's Welch windows.
+FUZZ_BASE = {
+    "synth": {"subjects": "2", "channels": "2", "fs": "64", "duration_s": "12",
+              "seed": "3"},
+    "pipeline": {"band_lo_hz": "1.0", "band_hi_hz": "30.0", "notch_hz": "20",
+                 "target_rate_hz": "64.0", "epoch_seconds": "2.0"},
+    "train": {"max_epochs": "1", "min_epochs": "1", "batch_size": "8"},
+}
+# Edge values of each INI value kind. Large ints are left out: a large
+# channel or subject count allocates without bound before anything fails.
+EDGE_VALUES = {float: ["0", "-1", "1e-300", "1e308"], int: ["-1", "0", "1"],
+               tuple: [""]}
+SCHEMA_KEYS = [(section, key) for section, keys in INI_SCHEMA.items()
+               for key in keys]
+
+
+def fuzz_config(edits):
+    """FUZZ_BASE with each (section, key, value) of edits set, as INI text."""
+    sections = {section: dict(keys) for section, keys in FUZZ_BASE.items()}
+    for section, key, value in edits:
+        sections.setdefault(section, {})[key] = value
+    return "".join(f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                   for section, keys in sections.items())
+
+
+def run_fuzz_case(root, edits):
+    """Run preprocess, then synth, train, eval and analyze while each exits 0,
+    on one fuzzed config, in a new directory under root and with root as the
+    working directory. Every exit is 0, 1 or 2, exit 1 prints `error:`, and
+    nothing but the case's directory appears in root."""
+    before = set(os.listdir(root))
+    case = tempfile.mkdtemp(dir=root)
+    config = write_config(os.path.join(case, "c.ini"), fuzz_config(edits))
+    raw = os.path.join(case, "raw.safr")
+    write_recording(Recording(data=np.random.default_rng(0).standard_normal((2, 768)),
+                              sample_rate_hz=64.0), raw)
+    data = os.path.join(case, "data")
+    manifest = os.path.join(data, "manifest.csv")
+    model = os.path.join(case, "model.safm")
+    pipeline = [
+        ["synth", "--config", config, "--out", data],
+        ["train", "--config", config, "--manifest", manifest, "--out", model,
+         "--lambda-mi", "1", "--lambda-grl", "1"],
+        ["eval", "--model", model, "--manifest", manifest,
+         "--out", os.path.join(case, "eval.csv")],
+        ["analyze", "--manifest", manifest, "--out", os.path.join(case, "an")]]
+    preprocess = ["preprocess", "--config", config, "--in", raw, "--subject",
+                  "s00", "--class", "0", "--out", os.path.join(case, "pre"),
+                  "--asr-calib", raw]
+    cwd = os.getcwd()
+    os.chdir(root)
+    try:
+        for argv in [preprocess] + pipeline:
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                code = main(argv)
+            assert code in (0, 1, 2), (argv[0], edits, code)
+            if code == 1:
+                assert err.getvalue().startswith("error: "), (
+                    argv[0], edits, err.getvalue())
+            if code != 0 and argv[0] != "preprocess":
+                break
+    finally:
+        os.chdir(cwd)
+    assert set(os.listdir(root)) == before | {os.path.basename(case)}
+
+
+@st.composite
+def fuzz_edits(draw):
+    keys = draw(st.lists(st.sampled_from(SCHEMA_KEYS), min_size=1, max_size=2,
+                         unique=True))
+    out = []
+    for section, key in keys:
+        kind = KEY_KINDS[section][key]
+        out.append((section, key, draw(st.sampled_from(EDGE_VALUES[kind]))))
+    return out
+
+
+class TestFuzz:
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(fuzz_edits())
+    def test_edge_values_exit_cleanly(self, tmp_path_factory, edits):
+        """One or two INI keys at edge values: every subcommand exits 0, 1
+        or 2 without a traceback, and writes only under its directory."""
+        run_fuzz_case(str(tmp_path_factory.mktemp("fuzz")), edits)

@@ -211,22 +211,29 @@ class TestPipeline:
         assert len(eps) == 1
         assert eps[0].x.shape == (2, 3072)
 
-    def test_notch_follows_bandpass(self):
+    def test_notch_follows_bandpass(self, monkeypatch):
+        """A 60 Hz tone added to the band-pass output is gone after the
+        pipeline, so the notch runs on it."""
         rng = np.random.default_rng(4)
         n = int(12.0 * 512)
         rec = make_rec(rng.standard_normal(n), 512.0)
         t = np.arange(n) / 512.0
         seen = []
 
-        def hook(name, r):
-            seen.append(name)
-            if name == "bandpass":
-                return Recording(data=r.data + np.sin(2 * np.pi * 60.0 * t),
-                                 sample_rate_hz=r.sample_rate_hz,
-                                 channel_names=r.channel_names)
-            return r
+        def tone_after_bandpass(r, cfg):
+            seen.append("bandpass")
+            out = bandpass(r, cfg)
+            return Recording(data=out.data + np.sin(2 * np.pi * 60.0 * t),
+                             sample_rate_hz=out.sample_rate_hz,
+                             channel_names=out.channel_names)
 
-        eps = preprocess_pipeline(rec, PipelineConfig(), y=0, s="a", stage_hook=hook)
-        assert seen == ["resample", "bandpass", "notch"]
+        def recorded_notch(r, cfg):
+            seen.append("notch")
+            return notch(r, cfg)
+
+        monkeypatch.setattr("safnet.dsp.bandpass", tone_after_bandpass)
+        monkeypatch.setattr("safnet.dsp.notch", recorded_notch)
+        eps = preprocess_pipeline(rec, PipelineConfig(), y=0, s="a")
+        assert seen == ["bandpass", "notch"]
         residual = tone_amplitude(np.concatenate([ep.x[0] for ep in eps]), 512.0, 60.0)
         assert residual < 10 ** (-30.0 / 20.0)

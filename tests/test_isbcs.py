@@ -74,9 +74,8 @@ class TestAugment:
         batch = [make_epoch(c=c, m=4, y=0, seed=i) for i in range(2 * n_pairs)]
         _, records = isbcs_augment_batch(batch, SwapConfig(p=0.5),
                                          np.random.default_rng(6))
-        pair_records = [r for r in records if r.pair[0] != r.pair[1]]
-        assert len(pair_records) == n_pairs
-        frac = np.mean([r.swapped_channels.mean() for r in pair_records])
+        assert len(records) == n_pairs
+        frac = np.mean([r.swapped_channels.mean() for r in records])
         assert 0.49 <= frac <= 0.51
 
     def test_label_multiset_preserved(self):
@@ -125,14 +124,14 @@ class TestAugment:
             isbcs_augment_batch(batch, SwapConfig(), np.random.default_rng(0))
 
     def test_singleton_stratum_record(self):
+        """The one class-1 sample has no partner: it keeps its channels and
+        gets no record; the class-0 pair gets the only one."""
         batch = [make_epoch(y=0, seed=1), make_epoch(y=0, seed=2),
                  make_epoch(y=1, seed=3)]
         x, records = isbcs_augment_batch(batch, SwapConfig(p=1.0),
                                          np.random.default_rng(11))
-        singles = [r for r in records if r.pair[0] == r.pair[1]]
-        assert len(singles) == 1
-        assert singles[0].pair == (2, 2)
-        assert not singles[0].swapped_channels.any()
+        assert [sorted(r.pair) for r in records] == [[0, 1]]
+        assert records[0].swapped_channels.all()
         assert np.array_equal(x[2], batch[2].x)
 
     def test_bad_probability(self):
@@ -144,18 +143,13 @@ def reference_augment(batch, p, rng):
     """Per-pair swap: one mask draw of C values and one exchange per pair."""
     c = batch[0].channels
     xs = [ep.x.copy() for ep in batch]
-    records, paired = [], set()
+    records = []
     for a, b in pair_by_class([ep.y for ep in batch], rng):
         mask = rng.random(c) < p
         xa = xs[a][mask].copy()
         xs[a][mask] = xs[b][mask]
         xs[b][mask] = xa
         records.append(SwapRecord(pair=(a, b), swapped_channels=mask))
-        paired.update((a, b))
-    for i in range(len(batch)):
-        if i not in paired:
-            records.append(SwapRecord(pair=(i, i),
-                                      swapped_channels=np.zeros(c, dtype=bool)))
     return np.stack(xs), records
 
 

@@ -3,6 +3,7 @@ import pytest
 from scipy import signal as sp_signal
 from scipy import stats as sp_stats
 
+from safnet import metrics
 from safnet.errors import ConfigError, ValidationError
 from safnet.metrics import (
     BandDefinition,
@@ -215,7 +216,9 @@ class TestBandPower:
 
 
 class TestBatchedFeatures:
-    """log_band_power_features against the per-channel loop it replaced."""
+    """log_band_power_features against the per-channel loop it replaced. The
+    Welch window and overlap are module constants; the cases at other
+    values set them for the length of the test."""
 
     @pytest.mark.parametrize("n, m, window_s, overlap", [
         (1, 256, 2.0, 0.5),     # one epoch, exactly one window
@@ -224,14 +227,16 @@ class TestBatchedFeatures:
         (20, 384, 1.0, 0.5),
     ])
     @pytest.mark.parametrize("as_list", [False, True])
-    def test_matches_per_channel_loop(self, n, m, window_s, overlap, as_list):
+    def test_matches_per_channel_loop(self, n, m, window_s, overlap, as_list,
+                                      monkeypatch):
+        monkeypatch.setattr(metrics, "WELCH_WINDOW_S", window_s)
+        monkeypatch.setattr(metrics, "WELCH_OVERLAP", overlap)
         fs = 128.0
         rng = np.random.default_rng(n * m)
         x = rng.standard_normal((n, 3, m)).astype(np.float32)
         x[:, 1] += np.sin(2 * np.pi * 10.0 * np.arange(m) / fs)
         bands = clip_bands(BandDefinition(), fs / 2.0)  # Gamma ends at Nyquist
-        got = log_band_power_features(list(x) if as_list else x, fs, bands,
-                                      window_s=window_s, overlap=overlap)
+        got = log_band_power_features(list(x) if as_list else x, fs, bands)
         expected = loop_log_band_power_features(x, fs, bands, window_s, overlap)
         assert got.shape == (n, 3 * len(bands.bands))
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
@@ -241,7 +246,7 @@ class TestBatchedFeatures:
         x = np.random.default_rng(3).standard_normal((4, 2, 300))
         bands = BandDefinition(bands=(("a", 0.0, 1.0), ("b", 1.3, 7.77),
                                       ("c", 20.0, 50.0)))
-        got = log_band_power_features(x, fs, bands, window_s=2.0)
+        got = log_band_power_features(x, fs, bands)
         expected = loop_log_band_power_features(x, fs, bands)
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
 
@@ -479,6 +484,32 @@ class TestIqrFilter:
             values = rng.uniform(0, 1, 200)
             rates.append(len(self.kept(values)) / 200)
         assert np.mean(rates) >= 0.95
+
+    @pytest.mark.parametrize("seed, kind", [(0, "normal"), (1, "zero_iqr"),
+                                            (2, "rounded"), (3, "outliers")])
+    def test_matches_per_column_loop(self, seed, kind):
+        """The mask against the per-column loop it replaced, on matrices with
+        zero-IQR, rounded and outlier-heavy columns."""
+        rng = np.random.default_rng(seed)
+        for _ in range(100):
+            n, d = int(rng.integers(4, 40)), int(rng.integers(1, 8))
+            features = rng.standard_normal((n, d)) * rng.uniform(0.1, 100.0)
+            if kind == "zero_iqr":
+                features[:, :d // 2 + 1] = 3.0
+                features[0, 0] = 4.0
+            elif kind == "rounded":
+                features = np.round(features * 0.2)
+            elif kind == "outliers":
+                features[rng.integers(0, n, 3)] *= 1000.0
+            expected = np.ones(n, dtype=bool)
+            for col in features.T:
+                q1, q3 = np.percentile(col, [25.0, 75.0])
+                iqr = q3 - q1
+                if iqr == 0.0:
+                    expected &= col == q1
+                else:
+                    expected &= (col > q1 - 1.5 * iqr) & (col < q3 + 1.5 * iqr)
+            assert np.array_equal(iqr_row_mask(features), expected)
 
     def test_too_few_values(self):
         with pytest.raises(ValidationError):

@@ -39,20 +39,41 @@ class TestArchitectureArithmetic:
             EncoderConfig(C=4, M=16, fs=32.0)
 
 
+def both_heads(model, x):
+    """Task and domain logits in eval mode."""
+    return model.heads_forward(model.encoder_forward(x), 0.0)
+
+
 class TestForward:
+    def test_predict_skips_domain_head(self, monkeypatch):
+        """predict runs only the encoder and the task head: NaN domain-head
+        weights leave its labels as they were, and it never calls
+        heads_forward."""
+        model = small_model()
+        x = np.random.default_rng(4).standard_normal((9, 1, 4, 64)).astype(np.float32)
+        expected = np.argmax(both_heads(model, x)[0].data, axis=1)
+        for name in ("dom1_w", "dom1_b", "dom2_w", "dom2_b"):
+            model.params[name].data[...] = np.nan
+
+        def no_heads(*args):
+            raise AssertionError("predict ran the domain head")
+
+        monkeypatch.setattr(SafModel, "heads_forward", no_heads)
+        assert np.array_equal(model.predict(x), expected)
+
     def test_eval_deterministic(self):
         model = small_model()
         x = np.random.default_rng(0).standard_normal((5, 1, 4, 64)).astype(np.float32)
-        t1, d1 = model.forward(x)
-        t2, d2 = model.forward(x)
+        t1, d1 = both_heads(model, x)
+        t2, d2 = both_heads(model, x)
         assert np.array_equal(t1.data, t2.data)
         assert np.array_equal(d1.data, d2.data)
 
     def test_batch_size_invariance(self):
         model = small_model()
         x = np.random.default_rng(1).standard_normal((5, 1, 4, 64)).astype(np.float32)
-        batched, _ = model.forward(x)
-        single, _ = model.forward(x[:1])
+        batched, _ = both_heads(model, x)
+        single, _ = both_heads(model, x[:1])
         assert np.max(np.abs(batched.data[0] - single.data[0])) < 1e-5
 
     def test_zero_heads_give_zero_logits(self):
@@ -60,20 +81,20 @@ class TestForward:
         for name in ("task_w", "task_b", "dom1_w", "dom1_b", "dom2_w", "dom2_b"):
             model.params[name].data = np.zeros_like(model.params[name].data)
         x = np.random.default_rng(2).standard_normal((3, 1, 4, 64)).astype(np.float32)
-        task, dom = model.forward(x)
+        task, dom = both_heads(model, x)
         assert np.all(task.data == 0.0)
         assert np.all(dom.data == 0.0)
 
     def test_domain_logits_shape(self):
         model = small_model(k=5)
         x = np.random.default_rng(3).standard_normal((7, 1, 4, 64)).astype(np.float32)
-        _, dom = model.forward(x)
+        _, dom = both_heads(model, x)
         assert dom.data.shape == (7, 5)
 
     def test_shape_mismatch_rejected(self):
         model = small_model()
         with pytest.raises(ValidationError):
-            model.forward(np.zeros((2, 1, 5, 64), dtype=np.float32))
+            both_heads(model, np.zeros((2, 1, 5, 64), dtype=np.float32))
 
     def test_train_mode_needs_rng(self):
         model = small_model()
@@ -185,8 +206,8 @@ class TestCheckpoint:
             assert np.array_equal(back.params[name].data, model.params[name].data)
         for name in model.buffers:
             assert np.array_equal(back.buffers[name], model.buffers[name])
-        t1, d1 = model.forward(x)
-        t2, d2 = back.forward(x)
+        t1, d1 = both_heads(model, x)
+        t2, d2 = both_heads(back, x)
         assert np.array_equal(t1.data, t2.data)
         assert np.array_equal(d1.data, d2.data)
 

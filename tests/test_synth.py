@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import signal as sp_signal
 
 from safnet.datamodel import load_manifest
 from safnet.dsp import PipelineConfig
@@ -31,7 +32,11 @@ def band_features(rec, window_s=2.0):
         feats = []
         for ch in range(rec.channels):
             seg = rec.data[ch, k * m:(k + 1) * m]
-            freqs, psd = welch_psd(seg, rec.sample_rate_hz, window_s=1.0)
+            nperseg = int(round(rec.sample_rate_hz))  # 1 s Welch windows
+            freqs, psd = sp_signal.welch(seg, fs=rec.sample_rate_hz, window="hann",
+                                         nperseg=nperseg,
+                                         noverlap=int(round(nperseg * 0.5)),
+                                         scaling="density")
             bands = BandDefinition(bands=(("Delta", 1.0, 4.0),
                                           ("Theta", 4.0, 8.0),
                                           ("Alpha", 8.0, 13.0),
@@ -128,7 +133,7 @@ class TestGenerateRecording:
     def test_line_noise_peak_at_60hz(self):
         cfg = quiet_cfg(line_noise_amp=5.0, duration_s=60.0)
         rec = generate_subject_recording(cfg, 0, 0)
-        freqs, psd = welch_psd(rec.data[0], cfg.fs, window_s=2.0)
+        freqs, psd = welch_psd(rec.data[0], cfg.fs)
         at_60 = psd[np.argmin(np.abs(freqs - 60.0))]
         at_50 = psd[np.argmin(np.abs(freqs - 50.0))]
         assert at_60 > 20.0 * at_50
@@ -155,12 +160,11 @@ class TestGenerateDataset:
         cfg = SynthConfig(subjects=2, channels=3, fs=256.0, duration_s=30.0,
                           seed=3, **kw)
         out = str(tmp_path / name)
-        recordings, manifest = generate_dataset(cfg, out, pipeline_cfg=self.PIPE)
-        return cfg, out, recordings, manifest
+        manifest = generate_dataset(cfg, out, pipeline_cfg=self.PIPE)
+        return cfg, out, manifest
 
     def test_counts_and_split(self, tmp_path):
-        cfg, out, recordings, manifest = self.make(tmp_path)
-        assert len(recordings) == 4
+        cfg, out, manifest = self.make(tmp_path)
         assert len(manifest.rows) == 4 * 15  # 30 s / 2 s epochs per cell
         _, epoch_set = load_manifest(out + "/manifest.csv")
         counts = {tag: epoch_set.split.count(tag)
@@ -168,7 +172,7 @@ class TestGenerateDataset:
         assert counts == {"train": 48, "val": 4, "test": 8}
 
     def test_epochs_readable_and_consistent(self, tmp_path):
-        cfg, out, _, manifest = self.make(tmp_path)
+        cfg, out, manifest = self.make(tmp_path)
         _, epoch_set = load_manifest(out + "/manifest.csv")
         assert epoch_set.subjects == ["s00", "s01"]
         ys = {ep.y for ep in epoch_set.epochs}
@@ -178,8 +182,8 @@ class TestGenerateDataset:
         assert ep.sample_rate_hz == 256.0
 
     def test_dataset_deterministic(self, tmp_path):
-        _, out_a, _, manifest_a = self.make(tmp_path, name="a")
-        _, out_b, _, manifest_b = self.make(tmp_path, name="b")
+        _, out_a, manifest_a = self.make(tmp_path, name="a")
+        _, out_b, manifest_b = self.make(tmp_path, name="b")
         assert manifest_a.rows == manifest_b.rows
         fname = manifest_a.rows[0][0]
         blob_a = open(f"{out_a}/{fname}", "rb").read()
@@ -187,7 +191,7 @@ class TestGenerateDataset:
         assert blob_a == blob_b
 
     def test_split_stratified_per_cell(self, tmp_path):
-        cfg, out, _, manifest = self.make(tmp_path)
+        cfg, out, manifest = self.make(tmp_path)
         per_cell = {}
         for fname, subject, y, split in manifest.rows:
             per_cell.setdefault((subject, y), []).append(split)

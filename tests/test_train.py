@@ -81,6 +81,13 @@ class TestTrainConfig:
         with pytest.raises(ValidationError):
             TrainConfig(min_epochs=50, max_epochs=10)
 
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), float("-inf"),
+                                    0.0, -1.0])
+    def test_lr_that_is_not_finite_and_positive_rejected(self, lr):
+        """Refused when built, not later in fit as a diverged step."""
+        with pytest.raises(ValidationError, match="lr must be finite and positive"):
+            TrainConfig(lr=lr)
+
 
 class TestComputeLosses:
     def test_uniform_task_logits_give_ln2(self):
@@ -456,6 +463,7 @@ class TestFit:
 class TestLambdaGrid:
     def test_two_point_grid_is_endpoints(self):
         assert make_lambda_grid(n=2) == [0.001, 10.0]
+        assert (train_module.LAMBDA_MIN, train_module.LAMBDA_MAX) == (0.001, 10.0)
 
     @staticmethod
     def exact_value(i, n):
@@ -568,6 +576,15 @@ class TestGridSearch:
         with pytest.raises(ValidationError, match="jobs"):
             grid_search(make_epochs(1), make_epochs(1), TINY, quick_cfg(),
                         n_mi=2, n_grl=2, budget_epochs=1, jobs=jobs)
+
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_budget_below_one_rejected(self, budget):
+        """Named as the budget, not as the epoch bounds of the cell config
+        it would build."""
+        with pytest.raises(ValidationError, match=f"budget_epochs must be >= 1, "
+                                                  f"got {budget}"):
+            grid_search(make_epochs(1), make_epochs(1), TINY, quick_cfg(),
+                        n_mi=2, n_grl=2, budget_epochs=budget)
 
     @pytest.mark.parametrize("jobs, workers", [(2, 2), (4, 4), (64, 4)])
     def test_pool_gets_epochs_once_and_small_tasks(self, monkeypatch, jobs,
