@@ -9,15 +9,17 @@ power, coefficient of variation, one-way ANOVA F, silhouette, and IQR
 outlier filtering.
 
 The feature path works on whole arrays: ``welch_psd`` transforms every
-channel of every epoch in one call along the last axis, and ``band_power``
-integrates all the spectra at once into one array with bands on its last
-axis, so ``log_band_power_features`` costs two numpy-level calls however
-many epochs it gets instead of one Welch and one band loop per channel per
-epoch; the Welch window and overlap are constants. ``iqr_row_mask`` takes
-every column's quartiles from one percentile call. ``silhouette`` takes its
-pairwise distances from ``cdist`` and every point's per-cluster distance
-sums from a single product with a one-hot membership matrix, with no
-n x n x d temporary.
+channel of every epoch it is given in one call along the last axis, and
+``band_power`` integrates all those spectra at once into one array with
+bands on its last axis. ``log_band_power_features`` hands them blocks of
+at most FEATURE_BLOCK_VALUES float64 input values (one epoch, if an epoch
+is larger), so it costs two numpy-level calls per block rather than one
+Welch and one band loop per channel per epoch, and its temporaries stay
+the size of one block however many epochs it gets. The Welch window and
+overlap are constants. ``iqr_row_mask`` takes every column's quartiles
+from one percentile call. ``silhouette`` takes its pairwise distances from
+``cdist`` and every point's per-cluster distance sums from a single product
+with a one-hot membership matrix, with no n x n x d temporary.
 """
 
 from __future__ import annotations
@@ -39,6 +41,8 @@ DEFAULT_BANDS = (
 )
 WELCH_WINDOW_S = 2.0
 WELCH_OVERLAP = 0.5
+# float64 input values per Welch block of log_band_power_features (512 KiB)
+FEATURE_BLOCK_VALUES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -254,17 +258,37 @@ def log_band_power_features(arrays, fs: float,
     array. Returns shape (N, n_bands * C), features ordered channel-major
     (all bands of channel 0, then channel 1, ...). Powers are floored at the
     smallest positive float before the log.
+
+    The epochs go through Welch in blocks of max(1, FEATURE_BLOCK_VALUES //
+    (C * M)), each stacked to float64 on its own, so the temporaries are
+    those of one block, not of all N epochs: beyond the output, about 7
+    float64 copies of a block (3.7 MB traced at 6 x 256 samples an epoch).
+    Every step works one row at a time, so the rows are bit for bit those
+    of one call over all epochs.
     """
     bands = bands if bands is not None else BandDefinition()
-    try:
-        x = np.asarray(arrays, dtype=np.float64)
-    except ValueError as exc:
-        raise ValidationError(f"samples differ in shape: {exc}") from exc
-    if x.ndim != 3:
+    n = len(arrays)
+    if n == 0:
         raise ValidationError("each sample must be a (channels, samples) array")
-    freqs, psd = welch_psd(x, fs)
-    powers = band_power(freqs, psd, bands).reshape(x.shape[0], -1)
-    return np.log(np.maximum(powers, np.finfo(np.float64).tiny))
+    per_block = max(1, FEATURE_BLOCK_VALUES // max(1, np.size(arrays[0])))
+    for start in range(0, n, per_block):
+        try:
+            x = np.asarray(arrays[start:start + per_block], dtype=np.float64)
+        except ValueError as exc:
+            raise ValidationError(f"samples differ in shape: {exc}") from exc
+        if x.ndim != 3:
+            raise ValidationError("each sample must be a (channels, samples) array")
+        if start == 0:
+            shape = x.shape[1:]
+            out = np.empty((n, len(bands.bands) * shape[0]))
+        elif x.shape[1:] != shape:
+            raise ValidationError(f"samples differ in shape: {x.shape[1:]} "
+                                  f"from epoch {start} on, {shape} before")
+        freqs, psd = welch_psd(x, fs)
+        powers = band_power(freqs, psd, bands).reshape(x.shape[0], -1)
+        np.log(np.maximum(powers, np.finfo(np.float64).tiny),
+               out=out[start:start + x.shape[0]])
+    return out
 
 
 def standardize_features(features) -> np.ndarray:

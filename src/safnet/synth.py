@@ -34,6 +34,25 @@ LINE_FREQ_HZ = 60.0
 BURST_SECONDS = 0.5
 TILT_SCALE = 0.2
 
+# Amplitude bounds. `safnet synth` stores recordings as float32 epochs (whose
+# largest value is 3.4e38), and each burst's RMS squares float64 samples, so
+# each term of a recording is kept under 1e30 for normal draws within 8
+# sigma (a larger one has probability 1e-15), with the other keys at their
+# defaults:
+# - the band tilt exp(beta * TILT_SCALE * t) stays under 1e30 while
+#   beta <= ln(1e30) / (8 * TILT_SCALE) = 43.2;
+# - the 60 Hz term is line_noise_amp times a per-subject gain below 1.5,
+#   under 1e30 up to 6.7e29;
+# - a burst adds artifact_gain * rms * envelope * z to its channel, which
+#   raises the channel's RMS by a factor of about artifact_gain *
+#   sqrt(3/8 * BURST_SECONDS / duration_s) (3/8 is the envelope's mean
+#   square); at 1e6 and the default 60 s, seven bursts on one channel stay
+#   under 1e38. How many land on one channel grows with
+#   artifact_rate_per_min, which these bounds do not cover.
+SUBJECT_BIAS_MAX = 40.0
+LINE_NOISE_AMP_MAX = 1e29
+ARTIFACT_GAIN_MAX = 1e6
+
 DEFAULT_CLASS_SIGNATURE = ((1.0, 1.0, 1.0, 1.0, 1.0),
                            (2.0, 1.0, 1.0, 1.0, 1.0))
 
@@ -71,11 +90,15 @@ class SynthConfig:
                 if not np.isfinite(a) or a < 0:
                     raise ValidationError("band amplitudes must be finite "
                                           "and >= 0")
-        for name in ("subject_bias_strength", "line_noise_amp",
-                     "artifact_rate_per_min", "artifact_gain"):
+        for name, most in (("subject_bias_strength", SUBJECT_BIAS_MAX),
+                           ("line_noise_amp", LINE_NOISE_AMP_MAX),
+                           ("artifact_rate_per_min", np.inf),
+                           ("artifact_gain", ARTIFACT_GAIN_MAX)):
             v = getattr(self, name)
             if not np.isfinite(v) or v < 0:
                 raise ValidationError(f"{name} must be finite and >= 0")
+            if v > most:
+                raise ValidationError(f"{name} must be <= {most:g}, got {v!r}")
         # the burst count is a Poisson draw of rate * duration / 60
         if self.artifact_rate_per_min > 60.0 * self.fs:
             raise ValidationError(f"artifact_rate_per_min {self.artifact_rate_per_min} "

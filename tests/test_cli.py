@@ -326,11 +326,17 @@ class TestExitCodes:
          "above one burst per sample"),
         ("epoch_seconds = 2.0", "epoch_seconds = 1e308", "more samples than an int64"),
         ("notch_hz = 60", "notch_hz = 1e-300", "notch frequency"),
-        ("band_lo_hz = 1.0", "band_lo_hz = 1e-300", "band_lo")])
+        ("band_lo_hz = 1.0", "band_lo_hz = 1e-300", "band_lo"),
+        ("line_noise_amp = 0.5", "line_noise_amp = 1e308", "line_noise_amp must be <="),
+        ("line_noise_amp = 0.5", "line_noise_amp = 0.5\nsubject_bias_strength = 1e308",
+         "subject_bias_strength must be <="),
+        ("line_noise_amp = 0.5", "line_noise_amp = 0.5\nartifact_gain = 1e308",
+         "artifact_gain must be <=")])
     def test_value_its_consumer_cannot_compute_is_validation_error(
             self, tmp_path, old, new, message, capsys):
         """Finite values that pass the schema but that the FFT, the Poisson
-        draw, the sample count or the IIR filters cannot work with."""
+        draw, the sample count, the IIR filters or the float32 epochs of the
+        synthetic recordings cannot work with."""
         path = write_config(tmp_path / "c.ini", BASE_CONFIG.replace(old, new))
         code = main(["synth", "--config", path, "--out", str(tmp_path / "d")])
         err = capsys.readouterr().err

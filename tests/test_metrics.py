@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import signal as sp_signal
@@ -267,6 +269,67 @@ class TestBatchedFeatures:
             log_band_power_features([np.zeros((2, 512)), np.zeros((2, 600))], 128.0)
         with pytest.raises(ValidationError):
             log_band_power_features([np.zeros((2, 512)), np.zeros((3, 512))], 128.0)
+
+    # the blocked path at C = 2, M = 256: b epochs go through Welch at a time
+    FS, C, M = 128.0, 2, 256
+
+    def per_block(self):
+        return max(1, metrics.FEATURE_BLOCK_VALUES // (self.C * self.M))
+
+    def bands(self):
+        return clip_bands(BandDefinition(), self.FS / 2.0)
+
+    def epochs(self, n):
+        rng = np.random.default_rng(n)
+        return rng.standard_normal((n, self.C, self.M)).astype(np.float32)
+
+    @pytest.mark.parametrize("blocks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (2, 3)],
+                             ids=["1", "b-1", "b", "b+1", "2b+3"])
+    def test_blocks_match_one_welch_bytes(self, blocks, extra):
+        """Every step works one row at a time, so blocks change no bit."""
+        n = blocks * self.per_block() + extra
+        x = self.epochs(n)
+        bands = self.bands()
+        whole = np.asarray(x, dtype=np.float64)
+        freqs, psd = welch_psd(whole, self.FS)
+        powers = band_power(freqs, psd, bands).reshape(n, -1)
+        expected = np.log(np.maximum(powers, np.finfo(np.float64).tiny))
+        for arrays in (x, list(x)):
+            got = log_band_power_features(arrays, self.FS, bands)
+            assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n_extra, odd_shape", [
+        (1, (2, 300)),      # the second block is the odd epoch alone
+        (1, (3, 256)),      # the same with another channel count
+        (2, (2, 300)),      # the odd epoch opens a two-epoch second block
+    ], ids=["alone-samples", "alone-channels", "shared-samples"])
+    def test_ragged_epoch_in_second_block_rejected(self, n_extra, odd_shape):
+        b = self.per_block()
+        arrays = list(self.epochs(b + n_extra))
+        arrays[b] = np.zeros(odd_shape, dtype=np.float32)
+        with pytest.raises(ValidationError, match="differ in shape"):
+            log_band_power_features(arrays, self.FS, self.bands())
+
+    @pytest.mark.parametrize("arrays", [[], np.zeros((0, 2, 256))],
+                             ids=["list", "array"])
+    def test_empty_input_rejected(self, arrays):
+        with pytest.raises(ValidationError):
+            log_band_power_features(arrays, self.FS, self.bands())
+
+    def test_memory_bounded_by_the_block(self):
+        """The traced peak beyond the output does not grow with N: at 8b
+        epochs it is within 1.25x the peak at 2b plus the larger output."""
+        b = self.per_block()
+        peaks = {}
+        for n in (2 * b, 8 * b):
+            x = self.epochs(n)
+            tracemalloc.start()
+            try:
+                out = log_band_power_features(x, self.FS, self.bands())
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[8 * b] <= 1.25 * peaks[2 * b] + out.nbytes
 
     def test_one_channel_series_rejected(self):
         with pytest.raises(ValidationError):

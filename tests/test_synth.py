@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy import signal as sp_signal
 
+from safnet import synth
 from safnet.datamodel import load_manifest
 from safnet.dsp import PipelineConfig
 from safnet.errors import ValidationError
@@ -63,6 +66,27 @@ class TestConfig:
     def test_zero_subjects_rejected(self):
         with pytest.raises(ValidationError):
             SynthConfig(subjects=0)
+
+    AMPLITUDE_BOUNDS = [("subject_bias_strength", synth.SUBJECT_BIAS_MAX),
+                        ("line_noise_amp", synth.LINE_NOISE_AMP_MAX),
+                        ("artifact_gain", synth.ARTIFACT_GAIN_MAX)]
+
+    @pytest.mark.parametrize("name, most", AMPLITUDE_BOUNDS)
+    def test_amplitude_above_its_bound_names_the_key(self, name, most):
+        with pytest.raises(ValidationError, match=f"{name} must be <="):
+            SynthConfig(**{name: np.nextafter(most, np.inf)})
+
+    @pytest.mark.parametrize("name, most", AMPLITUDE_BOUNDS)
+    def test_largest_amplitude_generates_finite_recordings(self, name, most):
+        """Each key at its bound, the others at their defaults: every cell
+        is finite and fits float32 epochs, with no overflow warning."""
+        cfg = SynthConfig(**{name: most})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for j in range(cfg.subjects):
+                for y in (0, 1):
+                    data = generate_subject_recording(cfg, j, y).data
+                    assert np.all(np.isfinite(data.astype(np.float32)))
 
 
 class TestGenerateRecording:
