@@ -17,7 +17,7 @@ import configparser
 import math
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import get_type_hints
 
 import numpy as np
@@ -181,19 +181,12 @@ def _cmd_preprocess(args) -> int:
 
 def _cmd_train(args) -> int:
     cfg = load_cli_config(args.config)
-    train_cfg = cfg.train
-    if args.baseline:
-        weights = LossWeights()
-        train_cfg = replace(train_cfg,
-                            swap=replace(train_cfg.swap, p=0.0))
-    else:
-        weights = LossWeights(lambda_mi=args.lambda_mi,
-                              lambda_grl=args.lambda_grl)
+    weights = LossWeights(lambda_mi=args.lambda_mi, lambda_grl=args.lambda_grl)
     train_eps, val_eps = _split_epochs(args.manifest, "train", "val")
     num_domains = len({ep.s for ep in train_eps})
     model = SafModel(_encoder_config(train_eps), num_domains=num_domains,
-                     seed=train_cfg.seed)
-    model, log = fit(train_eps, val_eps, model, train_cfg, weights)
+                     seed=cfg.train.seed)
+    model, log = fit(train_eps, val_eps, model, cfg.train, weights)
     save_checkpoint(model, args.out)
     if args.log:
         write_train_log(log, args.log)
@@ -308,8 +301,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda-grl", type=float, default=0.0)
     p.add_argument("--out", required=True)
     p.add_argument("--log", default=None)
-    p.add_argument("--baseline", action="store_true",
-                   help="force swap probability 0 and both lambdas 0")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("grid", help="lambda grid search")

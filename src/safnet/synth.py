@@ -13,9 +13,9 @@ statistically identical up to line noise and artifacts.
 The bands are metrics.DEFAULT_BANDS. Subject-level draws (G_j, band tilt,
 line-noise gain and phase) are fixed per (seed, subject); cell-level noise
 and artifact schedules are fixed per (seed, subject, class). Everything is
-bit-reproducible. generate_dataset splits the epochs in
-datamodel.SPLIT_RATIOS, writes them with datamodel.write_epoch_dir and
-returns only the manifest.
+bit-reproducible. generate_epochs preprocesses every cell into epochs in
+memory; generate_dataset splits those in datamodel.SPLIT_RATIOS, writes
+them with datamodel.write_epoch_dir and returns only the manifest.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asr import AsrConfig, asr_apply, asr_fit, select_calibration
-from .datamodel import EpochSet, Manifest, Recording, split_dataset, write_epoch_dir
+from .datamodel import Epoch, EpochSet, Manifest, Recording, split_dataset, write_epoch_dir
 from .dsp import PipelineConfig, filter_recording, slice_epochs, window_samples
 from .errors import ValidationError
 from .metrics import DEFAULT_BANDS
@@ -43,6 +43,9 @@ TILT_SCALE = 0.2
 #   beta <= ln(1e30) / (8 * TILT_SCALE) = 43.2;
 # - the 60 Hz term is line_noise_amp times a per-subject gain below 1.5,
 #   under 1e30 up to 6.7e29;
+# - a band term is class_signature[y][b] * exp(beta * TILT_SCALE * t) times
+#   unit-variance noise; at the default beta = 1 the tilt is below
+#   exp(8 * TILT_SCALE) = 4.95, so the term stays under 1e30 up to 2.0e29;
 # - a burst adds artifact_gain * rms * envelope * z to its channel, which
 #   raises the channel's RMS by a factor of about artifact_gain *
 #   sqrt(3/8 * BURST_SECONDS / duration_s) (3/8 is the envelope's mean
@@ -51,6 +54,7 @@ TILT_SCALE = 0.2
 #   artifact_rate_per_min, which these bounds do not cover.
 SUBJECT_BIAS_MAX = 40.0
 LINE_NOISE_AMP_MAX = 1e29
+CLASS_SIGNATURE_MAX = 1e29
 ARTIFACT_GAIN_MAX = 1e6
 
 DEFAULT_CLASS_SIGNATURE = ((1.0, 1.0, 1.0, 1.0, 1.0),
@@ -82,14 +86,16 @@ class SynthConfig:
         if len(self.class_signature) != 2:
             raise ValidationError("class_signature needs exactly two classes")
         n_bands = len(DEFAULT_BANDS)
-        for sig in self.class_signature:
+        for y, sig in enumerate(self.class_signature):
             if len(sig) != n_bands:
                 raise ValidationError(
                     f"each class signature needs {n_bands} band amplitudes")
-            for a in sig:
-                if not np.isfinite(a) or a < 0:
-                    raise ValidationError("band amplitudes must be finite "
-                                          "and >= 0")
+            if not all(np.isfinite(a) and a >= 0 for a in sig):
+                raise ValidationError("band amplitudes must be finite and >= 0")
+            if max(sig) > CLASS_SIGNATURE_MAX:
+                raise ValidationError(
+                    f"class_signature[{y}] amplitudes must be <= "
+                    f"{CLASS_SIGNATURE_MAX:g}, got {max(sig)!r}")
         for name, most in (("subject_bias_strength", SUBJECT_BIAS_MAX),
                            ("line_noise_amp", LINE_NOISE_AMP_MAX),
                            ("artifact_rate_per_min", np.inf),
@@ -187,18 +193,12 @@ def generate_subject_recording(cfg: SynthConfig, subject: int,
     return Recording(data=x, sample_rate_hz=cfg.fs)
 
 
-def generate_dataset(cfg: SynthConfig, out_dir: str,
-                     pipeline_cfg: PipelineConfig | None = None,
-                     asr_cfg: AsrConfig | None = None) -> Manifest:
-    """Generate all subjects x {0,1} cells, preprocess them (filter once,
-    then artifact removal calibrated per subject on the filtered class-0
-    recording), slice into epochs, and write NDF files plus a
-    stratified-split manifest into out_dir, and return the manifest. A
-    config that yields no epochs is refused before out_dir is created.
-    """
-    pipeline_cfg = pipeline_cfg or PipelineConfig()
-    asr_cfg = asr_cfg or AsrConfig()
-
+def generate_epochs(cfg: SynthConfig, pipeline_cfg: PipelineConfig,
+                    asr_cfg: AsrConfig) -> list[Epoch]:
+    """All subjects x {0,1} cells, preprocessed and sliced into epochs,
+    subject by subject with class 0 first. Each recording is filtered once;
+    ASR is fit per subject on the clean windows of the filtered class-0
+    recording and cleans both of the subject's recordings."""
     epochs = []
     for j in range(cfg.subjects):
         filtered = [filter_recording(generate_subject_recording(cfg, j, y),
@@ -207,6 +207,14 @@ def generate_dataset(cfg: SynthConfig, out_dir: str,
         for y, rec in enumerate(filtered):
             epochs += slice_epochs(asr_apply(rec, asr_model), pipeline_cfg, y,
                                    f"s{j:02d}")
+    return epochs
 
+
+def generate_dataset(cfg: SynthConfig, out_dir: str, pipeline_cfg: PipelineConfig,
+                     asr_cfg: AsrConfig) -> Manifest:
+    """Write generate_epochs' epochs as NDF files plus a stratified-split
+    manifest into out_dir, and return the manifest. A config that yields no
+    epochs is refused before out_dir is created."""
+    epochs = generate_epochs(cfg, pipeline_cfg, asr_cfg)
     epoch_set = split_dataset(EpochSet(epochs=epochs), seed=cfg.seed)
     return write_epoch_dir(epoch_set, out_dir)

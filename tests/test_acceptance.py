@@ -29,13 +29,7 @@ from safnet.asr import AsrConfig, AsrModel, asr_apply, asr_fit, select_calibrati
 from safnet.autodiff import Tensor
 from safnet.cli import main
 from safnet.datamodel import Recording, write_recording
-from safnet.dsp import (
-    PipelineConfig,
-    bandpass,
-    filter_recording,
-    notch,
-    preprocess_pipeline,
-)
+from safnet.dsp import PipelineConfig, bandpass, notch
 from safnet.isbcs import SwapConfig, isbcs_augment_batch
 from safnet.metrics import (
     BandDefinition,
@@ -47,7 +41,7 @@ from safnet.metrics import (
     silhouette,
 )
 from safnet.model import EncoderConfig, SafModel
-from safnet.synth import SynthConfig, generate_subject_recording
+from safnet.synth import SynthConfig, generate_epochs
 from safnet.train import (
     LossWeights,
     TrainConfig,
@@ -498,17 +492,7 @@ def benchmark_epochs(gen_seed, bias_strength):
         class_signature=((1.0,) * 5, (1.7, 1.7, 1.7, 1.0, 1.0)),
         subject_bias_strength=bias_strength, line_noise_amp=0.5,
         artifact_rate_per_min=1.0, artifact_gain=6.0, seed=gen_seed)
-    epochs = []
-    for j in range(cfg.subjects):
-        rec0 = generate_subject_recording(cfg, j, 0)
-        calib = filter_recording(rec0, BENCH_PIPE)
-        asr_model = asr_fit(select_calibration(calib, BENCH_ASR), BENCH_ASR)
-        for y in range(2):
-            rec = rec0 if y == 0 else generate_subject_recording(cfg, j, y)
-            epochs.extend(preprocess_pipeline(
-                rec, BENCH_PIPE, asr_model=asr_model, y=y, s=f"s{j:02d}",
-                asr_config=BENCH_ASR))
-    return epochs
+    return generate_epochs(cfg, BENCH_PIPE, BENCH_ASR)
 
 
 def loso_split(epochs, held_out, seed):

@@ -331,7 +331,10 @@ class TestExitCodes:
         ("line_noise_amp = 0.5", "line_noise_amp = 0.5\nsubject_bias_strength = 1e308",
          "subject_bias_strength must be <="),
         ("line_noise_amp = 0.5", "line_noise_amp = 0.5\nartifact_gain = 1e308",
-         "artifact_gain must be <=")])
+         "artifact_gain must be <="),
+        ("line_noise_amp = 0.5", "line_noise_amp = 0.5\n"
+         "class_signature_0 = 1e308, 1, 1, 1, 1\nclass_signature_1 = 2, 1, 1, 1, 1",
+         "class_signature[0] amplitudes must be <=")])
     def test_value_its_consumer_cannot_compute_is_validation_error(
             self, tmp_path, old, new, message, capsys):
         """Finite values that pass the schema but that the FFT, the Poisson
@@ -518,21 +521,6 @@ class TestTrainAndEvalCommands:
             lines = fh.read().splitlines()
         assert lines[0] == "epoch,l_task,l_domain,l_mi,l_total,lr,val_macro_acc"
         assert 1 <= len(lines) - 1 <= 3
-
-    def test_baseline_flag_matches_explicit_zero_config(self, dataset, tmp_path):
-        config, out = dataset
-        manifest = os.path.join(out, "manifest.csv")
-        base_model = str(tmp_path / "base.safm")
-        code = main(["train", "--config", config, "--manifest", manifest,
-                     "--out", base_model, "--baseline"])
-        assert code == 0
-        zero_config = write_config(tmp_path / "zero.ini",
-                                   BASE_CONFIG.replace("p = 0.5", "p = 0.0"))
-        zero_model = str(tmp_path / "zero.safm")
-        code = main(["train", "--config", zero_config, "--manifest", manifest,
-                     "--out", zero_model])
-        assert code == 0
-        assert read_bytes(base_model) == read_bytes(zero_model)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverged_model_is_validation_error(self, dataset, tmp_path, capsys):

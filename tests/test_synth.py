@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 from scipy import signal as sp_signal
 
 from safnet import synth
-from safnet.datamodel import load_manifest
+from safnet.asr import AsrConfig
+from safnet.datamodel import EpochSet, load_manifest, split_dataset
 from safnet.dsp import PipelineConfig
 from safnet.errors import ValidationError
 from safnet.metrics import (
@@ -69,18 +71,31 @@ class TestConfig:
 
     AMPLITUDE_BOUNDS = [("subject_bias_strength", synth.SUBJECT_BIAS_MAX),
                         ("line_noise_amp", synth.LINE_NOISE_AMP_MAX),
-                        ("artifact_gain", synth.ARTIFACT_GAIN_MAX)]
+                        ("artifact_gain", synth.ARTIFACT_GAIN_MAX),
+                        ("class_signature[0]", synth.CLASS_SIGNATURE_MAX),
+                        ("class_signature[1]", synth.CLASS_SIGNATURE_MAX)]
+
+    @staticmethod
+    def with_amplitude(name, value):
+        """The defaults with key `name`, or every band of class signature
+        `name`, at value."""
+        if not name.startswith("class_signature"):
+            return SynthConfig(**{name: value})
+        sig = list(synth.DEFAULT_CLASS_SIGNATURE)
+        sig[int(name[-2])] = (value,) * len(sig[0])
+        return SynthConfig(class_signature=tuple(sig))
 
     @pytest.mark.parametrize("name, most", AMPLITUDE_BOUNDS)
     def test_amplitude_above_its_bound_names_the_key(self, name, most):
-        with pytest.raises(ValidationError, match=f"{name} must be <="):
-            SynthConfig(**{name: np.nextafter(most, np.inf)})
+        with pytest.raises(ValidationError, match=f"{re.escape(name)}.* must be <="):
+            self.with_amplitude(name, np.nextafter(most, np.inf))
 
     @pytest.mark.parametrize("name, most", AMPLITUDE_BOUNDS)
     def test_largest_amplitude_generates_finite_recordings(self, name, most):
-        """Each key at its bound, the others at their defaults: every cell
-        is finite and fits float32 epochs, with no overflow warning."""
-        cfg = SynthConfig(**{name: most})
+        """Each amplitude at its bound, the other keys at their defaults:
+        every cell is finite and fits float32 epochs, with no overflow
+        warning."""
+        cfg = self.with_amplitude(name, most)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for j in range(cfg.subjects):
@@ -184,8 +199,19 @@ class TestGenerateDataset:
         cfg = SynthConfig(subjects=2, channels=3, fs=256.0, duration_s=30.0,
                           seed=3, **kw)
         out = str(tmp_path / name)
-        manifest = generate_dataset(cfg, out, pipeline_cfg=self.PIPE)
+        manifest = generate_dataset(cfg, out, self.PIPE, AsrConfig())
         return cfg, out, manifest
+
+    def test_writes_generate_epochs_in_order(self, tmp_path):
+        """The files and manifest hold generate_epochs' epochs in its order,
+        byte for byte, tagged as split_dataset tags them."""
+        cfg, out, _ = self.make(tmp_path)
+        _, written = load_manifest(out + "/manifest.csv")
+        epochs = synth.generate_epochs(cfg, self.PIPE, AsrConfig())
+        assert ([(ep.x.tobytes(), ep.y, ep.s) for ep in written.epochs]
+                == [(ep.x.tobytes(), ep.y, ep.s) for ep in epochs])
+        assert written.split == split_dataset(EpochSet(epochs=epochs),
+                                              seed=cfg.seed).split
 
     def test_counts_and_split(self, tmp_path):
         cfg, out, manifest = self.make(tmp_path)
