@@ -22,13 +22,14 @@ strides is one element and the other spans at least a row.
   speed, and no (..., M, K) im2col buffer is built: for a 256-epoch
   prediction batch it would take about 100 MB.
 - first_stage is the encoder's first block as one op: temporal conv, batch
-  norm, depthwise spatial conv, batch norm, ELU, average pool and dropout.
-  The spatial mix goes first, so the K-tap convolution runs on B*F*D rows
-  instead of B*F*C; the first batch norm's statistics come from float64
-  window moments of the input and the second's from the convolution's
-  output, both batch norms fold into one per-channel scale and shift, and
-  the rest runs in the (F*D,B,M) layout of that output. Only the pooled
-  output is transposed to (B,F*D,1,M/pool); no (B,F,C,M) or (B,F*D,1,M)
+  norm, depthwise spatial conv, batch norm, ELU, average pool and dropout,
+  on (B,C,M) epochs, with a gradient graph only in training. The spatial
+  mix goes first, so the K-tap convolution runs on B*F*D rows instead of
+  B*F*C; the first batch norm's statistics come from float64 window
+  moments of the input and the second's from the convolution's output,
+  both batch norms fold into one per-channel scale and shift, and the rest
+  runs in the (F*D,B,M) layout of that output. Only the pooled output is
+  transposed to (B,F*D,1,M/pool); no (B,F,C,M) or (B,F*D,1,M)
   intermediate is built. The backward is closed form and writes the
   second batch norm's input gradient straight into the zero-padded blocks
   the Toeplitz gradients read. The seven ops remain ops of their own, and
@@ -505,8 +506,8 @@ def _dropout_mask(rng: np.random.Generator, shape, p: float, dtype) -> np.ndarra
 def first_stage(x: Tensor, w: Tensor, gamma1: Tensor, beta1: Tensor,
                 spatial_w: Tensor, gamma2: Tensor, beta2: Tensor, running,
                 pool: int, p: float, rng, training: bool) -> Tensor:
-    """The encoder's first stage as one op, (B,1,C,M) -> (B,F*D,1,M//pool):
-    temporal_conv(x, w), batch_norm(gamma1, beta1),
+    """The encoder's first stage as one op, (B,C,M) -> (B,F*D,1,M//pool):
+    temporal_conv(x[:, None], w), batch_norm(gamma1, beta1),
     depthwise_spatial_conv(spatial_w), batch_norm(gamma2, beta2), elu,
     avg_pool_time(pool) and dropout(p, rng). running holds the two batch
     norms' (mean, var, mean, var) buffers.
@@ -524,19 +525,22 @@ def first_stage(x: Tensor, w: Tensor, gamma1: Tensor, beta1: Tensor,
     the dropout mask run on the result in the (F*D,B,M) layout; only the
     pooled output is transposed. The mask is the one dropout draws.
 
-    The backward is closed form. The gradient g_t of ELU's input t comes
-    from the pooled gradient and ELU's derivative, and its per-channel sums
-    R1 = sum g_t and R2 = sum g_t z give bn2's gamma and beta gradients.
-    bn2's input gradient goes straight into the zero-padded blocks the
-    Toeplitz gradients read. In training mode bn2 removes any per-channel
-    shift of h, so beta1's gradient is exactly zero, and a_f reaches the
-    output only through bn2's BN_EPS: dL/da_f = sum_d gamma2 BN_EPS R2 /
-    sigma2^3. x is data: it may not require a gradient."""
+    Only training builds a graph; eval mode wanting one is refused outside
+    no_grad. The backward is closed form. The gradient g_t of ELU's input t
+    comes from the pooled gradient and ELU's derivative, and its per-channel
+    sums R1 = sum g_t and R2 = sum g_t z give bn2's gamma and beta
+    gradients. bn2's input gradient goes straight into the zero-padded
+    blocks the Toeplitz gradients read. bn2 removes any per-channel shift
+    of h, so beta1 gets no gradient (None), and a_f reaches the output only
+    through BN_EPS: dL/da_f = sum_d gamma2 BN_EPS R2 / sigma2^3. x is data."""
     if _wants_grad(x):
         raise ValidationError("first_stage does not differentiate its input")
-    if x.data.ndim != 4 or x.data.shape[1] != 1:
-        raise ValidationError(f"first_stage expects (B,1,C,M), got {x.data.shape}")
-    b, _, c, m = x.data.shape
+    params = (w, gamma1, beta1, spatial_w, gamma2, beta2)
+    if not training and _grad_enabled and any(_wants_grad(t) for t in params):
+        raise ValidationError("first_stage builds a graph only in training; use no_grad")
+    if x.data.ndim != 3:
+        raise ValidationError(f"first_stage expects (B,C,M), got {x.data.shape}")
+    b, c, m = x.data.shape
     f, k = w.data.shape
     fw, d, cw = spatial_w.data.shape
     if fw != f or cw != c:
@@ -552,7 +556,7 @@ def first_stage(x: Tensor, w: Tensor, gamma1: Tensor, beta1: Tensor,
     fd = f * d
     left = _same_pad(k)[0]
     q = -(-m // k)
-    xb = _blocks(x.data[:, 0].transpose(1, 0, 2), k, left)  # (C,B,Q+1,K)
+    xb = _blocks(x.data.transpose(1, 0, 2), k, left)  # (C,B,Q+1,K)
     ub = np.matmul(spatial_w.data.reshape(fd, c), xb.reshape(c, -1))
     ub = ub.reshape(f, d, b, q + 1, k)  # u, padded as xb is
     fwd, adj = _bands(w.data)
@@ -563,7 +567,7 @@ def first_stage(x: Tensor, w: Tensor, gamma1: Tensor, beta1: Tensor,
     w64 = w.data.astype(np.float64)
     n1 = b * c * m
     if training:
-        mean, gram = _window_moments(x.data[:, 0].reshape(b * c, m), k, left)
+        mean, gram = _window_moments(x.data.reshape(b * c, m), k, left)
         mu1 = w64 @ mean
         rw = w64 @ gram
         # rounding can leave E[h^2] - mu^2 a hair below zero
@@ -624,36 +628,24 @@ def first_stage(x: Tensor, w: Tensor, gamma1: Tensor, beta1: Tensor,
         alpha = g2 / sigma2
         gb = np.zeros((f, d, b, q + 1, k), dtype=dtype)
         gh = gb.reshape(fd, b, (q + 1) * k)[..., :m]  # bn2's input gradient
-        if training:
-            np.multiply(z, (-alpha * u * u * r2 / n2).astype(dtype)[:, None, None],
-                        out=gh)
-            gt *= alpha.astype(dtype)[:, None, None]
-            gh += gt
-            gh -= (alpha * r1 / n2).astype(dtype)[:, None, None]
-            gsum = np.zeros((f, d))  # sum of gh, and sum of gh v below
-            ga = alpha * BN_EPS * r2 / (sigma2 * sigma2)
-        else:
-            np.multiply(gt, alpha.astype(dtype)[:, None, None], out=gh)
-            gsum = (alpha * r1).reshape(f, d)
-            ga = alpha * r2
-        ga = ga.reshape(f, d).sum(axis=1)
-        gc = np.einsum("fd,fd->f", ssum, gsum)
-        gscale = ga - mu1 * gc
+        np.multiply(z, (-alpha * u * u * r2 / n2).astype(dtype)[:, None, None],
+                    out=gh)
+        gt *= alpha.astype(dtype)[:, None, None]
+        gh += gt
+        gh -= (alpha * r1 / n2).astype(dtype)[:, None, None]
+        ga = (alpha * BN_EPS * r2 / (sigma2 * sigma2)).reshape(f, d).sum(axis=1)
+        gvar = -0.5 * istd1 ** 3 * gamma64 * ga
         gw = a[:, None] * _toeplitz_weight_grad(ub, gb)
-        if training:
-            gvar = -0.5 * istd1 ** 3 * gamma64 * gscale
-            gmu = -a * gc - 2.0 * mu1 * gvar
-            gw += gmu[:, None] * mean + (2.0 / n1) * gvar[:, None] * rw
+        gmu = -2.0 * mu1 * gvar
+        gw += gmu[:, None] * mean + (2.0 / n1) * gvar[:, None] * rw
         gub = _toeplitz_input_grad(gb, adj)
         gsw = np.matmul(gub.reshape(fd, -1), xb.reshape(c, -1).T).reshape(f, d, c)
-        gsw = gsw * a[:, None, None] + (shift[:, None] * gsum)[:, :, None]
         return (None, gw.astype(w.data.dtype),
-                (istd1 * gscale).astype(gamma1.data.dtype),
-                gc.astype(beta1.data.dtype), gsw.astype(spatial_w.data.dtype),
-                (u * r2 + offset * r1).astype(gamma2.data.dtype),
-                r1.astype(beta2.data.dtype))
+                (istd1 * ga).astype(gamma1.data.dtype), None,
+                (gsw * a[:, None, None]).astype(spatial_w.data.dtype),
+                (u * r2).astype(gamma2.data.dtype), r1.astype(beta2.data.dtype))
 
-    return _node(data, (x, w, gamma1, beta1, spatial_w, gamma2, beta2), grad_fn)
+    return _node(data, (x, *params), grad_fn)
 
 
 def avg_pool_time(x: Tensor, pool: int) -> Tensor:

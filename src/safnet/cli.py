@@ -24,6 +24,7 @@ import numpy as np
 
 from .asr import AsrConfig, asr_apply, asr_fit, select_calibration
 from .datamodel import (
+    SPLIT_TOKENS,
     EpochSet,
     check_manifest_field,
     load_manifest,
@@ -316,8 +317,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a checkpoint on one split")
     p.add_argument("--model", required=True)
     p.add_argument("--manifest", required=True)
-    p.add_argument("--split", default="test",
-                   choices=("train", "val", "test", "none"))
+    p.add_argument("--split", default="test", choices=SPLIT_TOKENS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_eval)
 

@@ -1,10 +1,10 @@
-"""Channel-swap augmentation between same-class samples.
+"""Inter-Subject Balanced Channel Swap (ISBCS) between same-class samples.
 
-Within each class group of a batch, samples are randomly paired and each
-pair exchanges a Bernoulli-selected subset of channels, full time series,
-both directions. Each row keeps the label and subject identity of the
-sample it was built on, so callers read both from the input batch. Each
-pair gets one SwapRecord; a sample without a partner gets none.
+Within each class group of a batch, samples are paired at random, whatever
+their subject (a pair may share one), and each pair exchanges a
+Bernoulli-selected subset of channels, full time series, both directions.
+Each row keeps the label and subject of the sample it was built on, so
+callers read both from the input batch. One SwapRecord per pair.
 """
 
 from __future__ import annotations

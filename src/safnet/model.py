@@ -8,16 +8,13 @@ the domain head reads the features through a gradient reversal layer so
 that the encoder is trained to make subjects indistinguishable. Only
 training runs the domain head; predict skips it.
 
-The first block (temporal conv, batch norm, depthwise spatial conv, batch
-norm, ELU, average pool, dropout) runs as one op, autodiff.first_stage.
-With the first batch norm's statistics fixed the convolutions and batch
-norm are linear and batch norm is constant over electrodes and time, so
-the spatial mix is applied first and the temporal convolution runs on
-F1*D rows per epoch instead of F1*C. The first batch norm's statistics
-come from float64 moments of the input windows and the second's from the
-convolution's output; in eval mode the two fold into one scale and shift.
-The parameters, buffers and checkpoint layout are those of the separate
-layers.
+The encoder reads (B,C,M) batches of epochs and builds a gradient graph
+only in training: eval mode runs under autodiff.no_grad, as predict does.
+Its first block (temporal conv, batch norm, depthwise spatial conv, batch
+norm, ELU, average pool, dropout) runs as one op, autodiff.first_stage,
+which applies the spatial mix first, so the temporal convolution runs on
+F1*D rows per epoch instead of F1*C. The parameters, buffers and
+checkpoint layout are those of the separate layers.
 Only the input's channels, length and rate are configurable (EncoderConfig);
 the other sizes are the constants below, with a half-second temporal kernel,
 and load_checkpoint refuses a header that stores other values. Checkpoints
@@ -144,7 +141,7 @@ class SafModel:
             p.zero_grad()
 
     def encoder_forward(self, x, mode: str = "eval", rng=None) -> Tensor:
-        """(B,1,C,M) -> (B, feature_dim). Train mode draws dropout masks from
+        """(B,C,M) -> (B, feature_dim). Train mode draws dropout masks from
         rng and updates batch-norm running statistics."""
         if mode not in ("train", "eval"):
             raise ValidationError(f"mode must be train or eval, got {mode!r}")
@@ -154,7 +151,7 @@ class SafModel:
         if not isinstance(x, Tensor):
             x = Tensor(np.asarray(x, dtype=self.dtype))
         b = x.data.shape[0]
-        expected = (b, 1, self.cfg.C, self.cfg.M)
+        expected = (b, self.cfg.C, self.cfg.M)
         if x.data.shape != expected:
             raise ValidationError(f"expected input {expected}, got {x.data.shape}")
 
@@ -183,7 +180,7 @@ class SafModel:
         return task, domain
 
     def predict(self, x) -> np.ndarray:
-        """Class labels for a (B,1,C,M) batch: encoder and task head, eval mode."""
+        """Class labels for a (B,C,M) batch: encoder and task head, eval mode."""
         p = self.params
         with ad.no_grad():
             task = ad.linear(self.encoder_forward(x), p["task_w"], p["task_b"])

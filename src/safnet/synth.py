@@ -46,16 +46,19 @@ TILT_SCALE = 0.2
 # - a band term is class_signature[y][b] * exp(beta * TILT_SCALE * t) times
 #   unit-variance noise; at the default beta = 1 the tilt is below
 #   exp(8 * TILT_SCALE) = 4.95, so the term stays under 1e30 up to 2.0e29;
-# - a burst adds artifact_gain * rms * envelope * z to its channel, which
-#   raises the channel's RMS by a factor of about artifact_gain *
-#   sqrt(3/8 * BURST_SECONDS / duration_s) (3/8 is the envelope's mean
-#   square); at 1e6 and the default 60 s, seven bursts on one channel stay
-#   under 1e38. How many land on one channel grows with
-#   artifact_rate_per_min, which these bounds do not cover.
+# - a burst scales its channel's RMS by about sqrt(1 + artifact_gain^2 * 3/8
+#   * min(1, BURST_SECONDS / duration_s)) (3/8: the envelope's mean square),
+#   and the artifact_rate_per_min * duration_s / 60 / channels bursts
+#   expected on a channel compound to under BURST_GROWTH_MAX: 6.3 bursts at
+#   artifact_gain 1e6 and 60 s, 757 at the default gain.
+# RECORDING_SAMPLES_MAX bounds a recording before it is allocated; the
+# generator peaks at about 33 bytes a sample.
 SUBJECT_BIAS_MAX = 40.0
 LINE_NOISE_AMP_MAX = 1e29
 CLASS_SIGNATURE_MAX = 1e29
 ARTIFACT_GAIN_MAX = 1e6
+BURST_GROWTH_MAX = 1e30
+RECORDING_SAMPLES_MAX = 10_000_000
 
 DEFAULT_CLASS_SIGNATURE = ((1.0, 1.0, 1.0, 1.0, 1.0),
                            (2.0, 1.0, 1.0, 1.0, 1.0))
@@ -80,7 +83,10 @@ class SynthConfig:
             raise ValidationError("need at least one subject and one channel")
         if self.fs <= 0 or self.duration_s <= 0:
             raise ValidationError("fs and duration_s must be positive")
-        window_samples(self.duration_s, self.fs, "duration_s")
+        n = window_samples(self.duration_s, self.fs, "duration_s")
+        if self.channels * n > RECORDING_SAMPLES_MAX:
+            raise ValidationError(f"{self.channels} x {n} samples (fs x duration_s) "
+                                  f"is above {RECORDING_SAMPLES_MAX:g} a recording")
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if len(self.class_signature) != 2:
@@ -109,6 +115,13 @@ class SynthConfig:
         if self.artifact_rate_per_min > 60.0 * self.fs:
             raise ValidationError(f"artifact_rate_per_min {self.artifact_rate_per_min} "
                                   f"is above one burst per sample ({60.0 * self.fs})")
+        growth = 0.5 * np.log1p(self.artifact_gain ** 2 * 0.375
+                                * min(1.0, BURST_SECONDS / self.duration_s))
+        per_channel = self.artifact_rate_per_min * self.duration_s / 60.0 / self.channels
+        if per_channel * growth > np.log(BURST_GROWTH_MAX):
+            raise ValidationError(f"artifact_rate_per_min {self.artifact_rate_per_min} "
+                                  f"compounds {per_channel:.4g} bursts a channel "
+                                  f"past {BURST_GROWTH_MAX:g}")
 
 
 def _subject_draws(cfg: SynthConfig, subject: int):

@@ -22,6 +22,9 @@ pushed to *maximize* domain-posterior entropy (an uninformative subject
 posterior, i.e. low mutual information between features and subject)
 while the head stays confident.
 
+The encoder reads (B, C, M) batches, as ISBCS returns them, and builds
+gradients only in training (compute_losses); evaluation runs predict.
+
 Adam's decay rates and epsilon (BETA1, BETA2, ADAM_EPS) and the plateau
 schedule's improvement margin, decay factor and floor (IMPROVEMENT_EPS,
 LR_FACTOR, LR_FLOOR) are constants; TrainConfig holds the learning rate,
@@ -136,25 +139,21 @@ def write_train_log(log: TrainLog, path: str) -> None:
     write_csv(path, TRAIN_LOG_HEADER, rows)
 
 
-def compute_losses(x, y, subject_index, model: SafModel, weights: LossWeights,
-                   mode: str = "train", rng=None):
-    """Forward pass and the three loss terms on one batch.
+def compute_losses(x, y, subject_index, model: SafModel, weights: LossWeights, rng):
+    """Training-mode forward pass and the three loss terms on one batch.
 
-    x is (B, C, M) or (B, 1, C, M); y are class labels; subject_index are
-    integer domain targets below model.num_domains. Returns scalar tensors
-    (l_task, l_domain, l_mi, l_total); call .backward() on l_total to
-    populate parameter gradients.
+    x is (B, C, M); y are class labels; subject_index are integer domain
+    targets below model.num_domains; rng draws the dropout masks. Returns
+    scalar tensors (l_task, l_domain, l_mi, l_total); call .backward() on
+    l_total to populate parameter gradients.
     """
-    x = np.asarray(x)
-    if x.ndim == 3:
-        x = x[:, None, :, :]
     s = np.asarray(subject_index, dtype=np.int64)
     if s.size and (s.min() < 0 or s.max() >= model.num_domains):
         raise ValidationError(
             f"subject indices must be in [0, {model.num_domains}), "
             f"got range [{s.min()}, {s.max()}]")
 
-    z = model.encoder_forward(x, mode=mode, rng=rng)
+    z = model.encoder_forward(x, mode="train", rng=rng)
     task_logits, domain_logits = model.heads_forward(
         z, lambda_grl=weights.lambda_grl)
     l_task = ad.softmax_cross_entropy(task_logits, np.asarray(y))
@@ -241,7 +240,7 @@ def eval_confusion(model: SafModel, epochs: list[Epoch]) -> np.ndarray:
     preds = []
     for start in range(0, len(epochs), EVAL_BATCH):
         x = np.stack([ep.x for ep in epochs[start:start + EVAL_BATCH]])
-        preds.extend(model.predict(x[:, None]).tolist())
+        preds.extend(model.predict(x).tolist())
     return confusion([ep.y for ep in epochs], preds)
 
 
@@ -321,8 +320,7 @@ def fit(train_data, val_data, model: SafModel, cfg: TrainConfig,
                                        swap_rng)
             model.zero_grad()
             l_task, l_domain, l_mi, l_total = compute_losses(
-                x, labels[idx], domains[idx], model, weights, mode="train",
-                rng=dropout_rng)
+                x, labels[idx], domains[idx], model, weights, dropout_rng)
             losses = np.array([float(l_task.data), float(l_domain.data),
                                float(l_mi.data), float(l_total.data)])
             if not np.isfinite(losses).all():
@@ -366,7 +364,7 @@ def fit(train_data, val_data, model: SafModel, cfg: TrainConfig,
     return model, log
 
 
-def make_lambda_grid(n: int = 10) -> list[float]:
+def make_lambda_grid(n: int) -> list[float]:
     """n uniformly spaced values from LAMBDA_MIN to LAMBDA_MAX inclusive."""
     if n < 2:
         raise ValidationError(f"grid needs at least 2 points, got {n}")
@@ -425,8 +423,7 @@ def _grid_cell(args):
 
 
 def grid_search(train_data, val_data, enc_cfg: EncoderConfig, cfg: TrainConfig,
-                n_mi: int = 25, n_grl: int = 10, budget_epochs: int = 40,
-                jobs: int = 1):
+                n_mi: int, n_grl: int, budget_epochs: int, jobs: int = 1):
     """Train one model per (lambda_mi, lambda_grl) grid cell under a reduced
     epoch budget and pick the cell with the best validation macro-accuracy;
     ties prefer smaller lambda_grl, then smaller lambda_mi.

@@ -262,7 +262,9 @@ class TestCriterion3Autodiff:
         # full model, every parameter, sampled entries
         model = SafModel(EncoderConfig(C=4, M=64, fs=32.0), num_domains=3,
                          seed=0, dtype=np.float64)
-        x = rng.standard_normal((3, 1, 4, 64))
+        # drawn with the filter axis the encoder once read, so every later
+        # draw of rng is unchanged
+        x = rng.standard_normal((3, 1, 4, 64))[:, 0]
         y, s = np.array([0, 1, 0]), np.array([0, 2, 1])
         model.zero_grad()
         _true_gradient_loss(model, x, y, s).backward()
@@ -272,7 +274,8 @@ class TestCriterion3Autodiff:
             numeric, _ = numeric_gradient(
                 lambda: _true_gradient_loss(model, x, y, s).item(), p.data,
                 indices=idx)
-            err = max_relative_error(p.grad.reshape(-1)[idx], numeric)
+            grad = np.zeros_like(p.data) if p.grad is None else p.grad  # as Adam
+            err = max_relative_error(grad.reshape(-1)[idx], numeric)
             if err > worst_param_err:
                 worst_param, worst_param_err = name, err
 

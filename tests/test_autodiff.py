@@ -19,7 +19,8 @@ def weighted_sum(out: Tensor, weights: np.ndarray) -> Tensor:
 
 
 def check_op(build, *arrays, seed=0):
-    """build(*tensors) -> output tensor; FD-checks every input array."""
+    """build(*tensors) -> output tensor; FD-checks every input array (a None
+    gradient as zeros, as adam_step reads it)."""
     rng = np.random.default_rng(seed)
     tensors = [t64(a) for a in arrays]
     out = build(*tensors)
@@ -32,7 +33,8 @@ def check_op(build, *arrays, seed=0):
             fresh = [t64(x.data) for x in tensors]
             return weighted_sum(build(*fresh), weights).item()
         numeric, idx = numeric_gradient(loss_fn, tensor.data)
-        err = max_relative_error(tensor.grad.reshape(-1)[idx], numeric)
+        grad = np.zeros_like(tensor.data) if tensor.grad is None else tensor.grad
+        err = max_relative_error(grad.reshape(-1)[idx], numeric)
         assert err < TOL, f"gradient mismatch {err:.2e}"
 
 
@@ -345,9 +347,10 @@ def test_depthwise_temporal_conv_matches_reference(b, f, c, m, k):
 
 def chain_first_stage(x, w, gamma1, beta1, spatial_w, gamma2, beta2, running,
                       pool, p, rng, training):
-    """The seven ops that first_stage fuses, as the encoder once ran them."""
+    """The seven ops that first_stage fuses, as the encoder once ran them on
+    (B,1,C,M) batches."""
     running_mean1, running_var1, running_mean2, running_var2 = running
-    h = ad.temporal_conv(x, w)
+    h = ad.temporal_conv(Tensor(x.data[:, None]), w)
     h = ad.batch_norm(h, gamma1, beta1, running_mean1, running_var1, training)
     h = ad.depthwise_spatial_conv(h, spatial_w)
     h = ad.batch_norm(h, gamma2, beta2, running_mean2, running_var2, training)
@@ -362,11 +365,13 @@ FIRST_STAGE_POOL = 4
 
 
 def run_first_stage(op, dtype, b, c, m, f, d, k, training, seed):
-    """Output, the gradients of FIRST_STAGE_PARAMS for a random output
-    gradient, the four running buffers after one call of op, and the next
-    draw of the dropout generator, as a name -> array dict."""
+    """Output, the four running buffers after one call of op, the next draw
+    of the dropout generator and, in training, the gradients of
+    FIRST_STAGE_PARAMS for a random output gradient (a None gradient as
+    zeros, as adam_step reads it), as a name -> array dict. Eval mode runs
+    under no_grad."""
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((b, 1, c, m)) * 2.0 + 0.3
+    x = rng.standard_normal((b, c, m)) * 2.0 + 0.3
     arrays = [rng.standard_normal((f, k)), rng.standard_normal(f) + 1.5,
               rng.standard_normal(f), rng.standard_normal((f, d, c)),
               rng.standard_normal(f * d) + 1.5, rng.standard_normal(f * d)]
@@ -377,14 +382,20 @@ def run_first_stage(op, dtype, b, c, m, f, d, k, training, seed):
     tensors = [Tensor(a.astype(dtype), requires_grad=True) for a in arrays]
     running = [r.astype(dtype) for r in running]
     dropout_rng = np.random.default_rng(seed + 1)
-    out = op(Tensor(x.astype(dtype)), *tensors, running, FIRST_STAGE_POOL, 0.25,
-             dropout_rng, training)
-    weighted_sum(out, g).backward()
-    names = ["out", *FIRST_STAGE_PARAMS, "bn1_mean", "bn1_var", "bn2_mean",
-             "bn2_var", "next_draw"]
-    values = [out.data, *(t.grad for t in tensors), *running,
-              dropout_rng.random(3)]
-    return dict(zip(names, values))
+    args = (Tensor(x.astype(dtype)), *tensors, running, FIRST_STAGE_POOL, 0.25,
+            dropout_rng, training)
+    if training:
+        out = op(*args)
+        weighted_sum(out, g).backward()
+    else:
+        with ad.no_grad():
+            out = op(*args)
+    got = dict(zip(["out", "bn1_mean", "bn1_var", "bn2_mean", "bn2_var",
+                    "next_draw"], [out.data, *running, dropout_rng.random(3)]))
+    if training:
+        got |= {name: np.zeros_like(t.data) if t.grad is None else t.grad
+                for name, t in zip(FIRST_STAGE_PARAMS, tensors)}
+    return got
 
 
 FIRST_BLOCK_SHAPES = [  # (B, C, M, F, D, K)
@@ -421,49 +432,69 @@ class TestFirstBlock:
         seed = sum(shape)
         got = run_first_stage(ad.first_stage, np.float32, *shape, training, seed)
         want = run_first_stage(chain_first_stage, np.float32, *shape, training, seed)
-        bn2_scale = max(np.max(np.abs(want[name])) for name in ("bn2_gamma", "bn2_beta"))
         for name in want:
             scale = np.max(np.abs(want[name]))
-            if training and name in ("bn1_gamma", "bn1_beta"):
-                scale = bn2_scale
+            if name in ("bn1_gamma", "bn1_beta"):
+                scale = max(np.max(np.abs(want[n])) for n in ("bn2_gamma", "bn2_beta"))
             assert got[name].dtype == want[name].dtype
             assert np.max(np.abs(got[name] - want[name])) <= 1e-5 * scale, name
 
-    @pytest.mark.parametrize("training", [True, False])
-    def test_gradient(self, training):
+    def test_gradient(self):
         rng = np.random.default_rng(21)
-        x = Tensor(rng.standard_normal((3, 1, 4, 11)))
+        x = Tensor(rng.standard_normal((3, 4, 11)))
 
         def build(w, gamma1, beta1, spatial_w, gamma2, beta2):
             running = (np.full(2, 0.2), np.full(2, 1.3), np.full(4, -0.1),
                        np.full(4, 0.8))
             return ad.first_stage(x, w, gamma1, beta1, spatial_w, gamma2, beta2,
                                   running, 2, 0.25, np.random.default_rng(5),
-                                  training)
+                                  True)
 
         check_op(build, rng.standard_normal((2, 4)), rng.standard_normal(2) + 1.5,
                  rng.standard_normal(2), rng.standard_normal((2, 2, 4)),
                  rng.standard_normal(4) + 1.5, rng.standard_normal(4))
 
     def test_beta1_gradient_is_zero_in_training(self):
-        """bn2 removes any per-channel shift of bn1's output."""
-        got = run_first_stage(ad.first_stage, np.float64, *FIRST_BLOCK_SHAPES[1],
-                              True, 5)
-        assert np.all(got["bn1_beta"] == 0.0)
+        """bn2 removes any per-channel shift of bn1's output, so beta1's
+        gradient is None, which adam_step reads as zero; the other
+        parameters get theirs."""
+        rng = np.random.default_rng(5)
+        x = Tensor(rng.standard_normal((3, 4, 37)))
+        params = [t64(rng.standard_normal(shape) + 1.5) for shape in
+                  [(3, 7), 3, 3, (3, 2, 4), 6, 6]]
+        running = [np.zeros(3), np.ones(3), np.zeros(6), np.ones(6)]
+        out = ad.first_stage(x, *params, running, FIRST_STAGE_POOL, 0.25,
+                             np.random.default_rng(6), True)
+        ad.tensor_sum(out).backward()
+        assert params[2].grad is None
+        assert all(t.grad is not None for i, t in enumerate(params) if i != 2)
 
     @staticmethod
-    def call(x_shape=(2, 1, 3, 8), spatial_shape=(2, 1, 3), pool=4, p=0.25,
-             requires_grad=False):
+    def call(x_shape=(2, 3, 8), spatial_shape=(2, 1, 3), pool=4, p=0.25,
+             requires_grad=False, training=True):
         ones = [np.ones(2), np.ones(2), np.ones(2), np.ones(2)]
         return ad.first_stage(t64(np.zeros(x_shape), requires_grad=requires_grad),
                               t64(np.ones((2, 3))), t64(np.ones(2)),
                               t64(np.zeros(2)), t64(np.ones(spatial_shape)),
                               t64(np.ones(2)), t64(np.zeros(2)), ones, pool, p,
-                              np.random.default_rng(0), True)
+                              np.random.default_rng(0), training)
 
     def test_rejects_input_that_needs_a_gradient(self):
         with pytest.raises(ValidationError):
             self.call(requires_grad=True)
+
+    def test_eval_mode_builds_no_graph(self):
+        """An eval-mode call whose parameters want a gradient is refused
+        outside no_grad and runs, without a graph, inside it."""
+        with pytest.raises(ValidationError, match="only in training"):
+            self.call(training=False)
+        with ad.no_grad():
+            out = self.call(training=False)
+        assert out._grad_fn is None and out.data.shape == (2, 2, 1, 2)
+
+    def test_rejects_a_batch_with_a_filter_axis(self):
+        with pytest.raises(ValidationError, match=r"\(B,C,M\), got \(2, 1, 3, 8\)"):
+            self.call(x_shape=(2, 1, 3, 8))
 
     def test_rejects_mismatched_spatial_kernel(self):
         with pytest.raises(ValidationError):

@@ -324,6 +324,10 @@ class TestExitCodes:
         ("duration_s = 30", "duration_s = 0.05", "too short to filter"),
         ("artifact_rate_per_min = 1.0", "artifact_rate_per_min = 1e308",
          "above one burst per sample"),
+        ("artifact_rate_per_min = 1.0", "artifact_rate_per_min = 15360",
+         "artifact_rate_per_min 15360.0 compounds 2560 bursts"),
+        ("fs = 256\nduration_s = 30", "fs = 1e308\nduration_s = 1e-300",
+         "(fs x duration_s) is above"),
         ("epoch_seconds = 2.0", "epoch_seconds = 1e308", "more samples than an int64"),
         ("notch_hz = 60", "notch_hz = 1e-300", "notch frequency"),
         ("band_lo_hz = 1.0", "band_lo_hz = 1e-300", "band_lo"),
@@ -338,8 +342,8 @@ class TestExitCodes:
     def test_value_its_consumer_cannot_compute_is_validation_error(
             self, tmp_path, old, new, message, capsys):
         """Finite values that pass the schema but that the FFT, the Poisson
-        draw, the sample count, the IIR filters or the float32 epochs of the
-        synthetic recordings cannot work with."""
+        draw, the sample count, the IIR filters, the memory or the float32
+        epochs of the synthetic recordings cannot work with."""
         path = write_config(tmp_path / "c.ini", BASE_CONFIG.replace(old, new))
         code = main(["synth", "--config", path, "--out", str(tmp_path / "d")])
         err = capsys.readouterr().err
@@ -551,7 +555,7 @@ class TestTrainAndEvalCommands:
         model = load_checkpoint(model_path)
         _, epoch_set = load_manifest(manifest)
         test_eps = epoch_set.subset("test")
-        x = np.stack([ep.x for ep in test_eps])[:, None, :, :]
+        x = np.stack([ep.x for ep in test_eps])
         preds = model.predict(x)
         expected = macro_metrics(confusion([ep.y for ep in test_eps], preds))
         names = ("macro_accuracy", "macro_precision", "macro_recall",

@@ -40,8 +40,9 @@ class TestArchitectureArithmetic:
 
 
 def both_heads(model, x):
-    """Task and domain logits in eval mode."""
-    return model.heads_forward(model.encoder_forward(x), 0.0)
+    """Task and domain logits in eval mode, which runs under no_grad."""
+    with ad.no_grad():
+        return model.heads_forward(model.encoder_forward(x), 0.0)
 
 
 class TestForward:
@@ -50,7 +51,7 @@ class TestForward:
         weights leave its labels as they were, and it never calls
         heads_forward."""
         model = small_model()
-        x = np.random.default_rng(4).standard_normal((9, 1, 4, 64)).astype(np.float32)
+        x = np.random.default_rng(4).standard_normal((9, 4, 64)).astype(np.float32)
         expected = np.argmax(both_heads(model, x)[0].data, axis=1)
         for name in ("dom1_w", "dom1_b", "dom2_w", "dom2_b"):
             model.params[name].data[...] = np.nan
@@ -63,7 +64,7 @@ class TestForward:
 
     def test_eval_deterministic(self):
         model = small_model()
-        x = np.random.default_rng(0).standard_normal((5, 1, 4, 64)).astype(np.float32)
+        x = np.random.default_rng(0).standard_normal((5, 4, 64)).astype(np.float32)
         t1, d1 = both_heads(model, x)
         t2, d2 = both_heads(model, x)
         assert np.array_equal(t1.data, t2.data)
@@ -71,7 +72,7 @@ class TestForward:
 
     def test_batch_size_invariance(self):
         model = small_model()
-        x = np.random.default_rng(1).standard_normal((5, 1, 4, 64)).astype(np.float32)
+        x = np.random.default_rng(1).standard_normal((5, 4, 64)).astype(np.float32)
         batched, _ = both_heads(model, x)
         single, _ = both_heads(model, x[:1])
         assert np.max(np.abs(batched.data[0] - single.data[0])) < 1e-5
@@ -80,26 +81,32 @@ class TestForward:
         model = small_model()
         for name in ("task_w", "task_b", "dom1_w", "dom1_b", "dom2_w", "dom2_b"):
             model.params[name].data = np.zeros_like(model.params[name].data)
-        x = np.random.default_rng(2).standard_normal((3, 1, 4, 64)).astype(np.float32)
+        x = np.random.default_rng(2).standard_normal((3, 4, 64)).astype(np.float32)
         task, dom = both_heads(model, x)
         assert np.all(task.data == 0.0)
         assert np.all(dom.data == 0.0)
 
     def test_domain_logits_shape(self):
         model = small_model(k=5)
-        x = np.random.default_rng(3).standard_normal((7, 1, 4, 64)).astype(np.float32)
+        x = np.random.default_rng(3).standard_normal((7, 4, 64)).astype(np.float32)
         _, dom = both_heads(model, x)
         assert dom.data.shape == (7, 5)
 
     def test_shape_mismatch_rejected(self):
         model = small_model()
         with pytest.raises(ValidationError):
-            both_heads(model, np.zeros((2, 1, 5, 64), dtype=np.float32))
+            both_heads(model, np.zeros((2, 5, 64), dtype=np.float32))
+
+    def test_batch_with_a_filter_axis_rejected(self):
+        """The encoder reads (B,C,M); a (B,1,C,M) batch is refused by shape."""
+        model = small_model()
+        with pytest.raises(ValidationError, match=r"got \(2, 1, 4, 64\)"):
+            both_heads(model, np.zeros((2, 1, 4, 64), dtype=np.float32))
 
     def test_train_mode_needs_rng(self):
         model = small_model()
         with pytest.raises(ValidationError):
-            model.encoder_forward(np.zeros((2, 1, 4, 64), dtype=np.float32),
+            model.encoder_forward(np.zeros((2, 4, 64), dtype=np.float32),
                                 mode="train")
 
     def test_init_seeded(self):
@@ -134,7 +141,7 @@ class TestFullModelGradients:
     def test_sampled_parameters_match_finite_differences(self):
         model = small_model(dtype=np.float64)
         rng = np.random.default_rng(9)
-        x = rng.standard_normal((3, 1, 4, 64))
+        x = rng.standard_normal((3, 4, 64))
         y = np.array([0, 1, 0])
         s = np.array([0, 2, 1])
 
@@ -146,17 +153,19 @@ class TestFullModelGradients:
             numeric, _ = numeric_gradient(
                 lambda: true_gradient_loss(model, x, y, s).item(), p.data,
                 indices=idx)
-            err = max_relative_error(p.grad.reshape(-1)[idx], numeric)
+            grad = np.zeros_like(p.data) if p.grad is None else p.grad
+            err = max_relative_error(grad.reshape(-1)[idx], numeric)
             assert err < 1e-3, (name, err)
 
     def test_domain_gradient_sign_flips_through_grl(self):
         model = small_model(dtype=np.float64)
         rng = np.random.default_rng(10)
-        x = rng.standard_normal((4, 1, 4, 64))
+        x = rng.standard_normal((4, 4, 64))
         s = np.array([0, 1, 2, 0])
 
         def domain_loss(use_grl):
-            z = model.encoder_forward(Tensor(x), mode="eval")
+            z = model.encoder_forward(Tensor(x), mode="train",
+                                      rng=np.random.default_rng(12))
             zd = ad.grl(z, 1.0) if use_grl else z
             hidden = ad.elu(ad.linear(zd, model.params["dom1_w"], model.params["dom1_b"]))
             dom = ad.linear(hidden, model.params["dom2_w"], model.params["dom2_b"])
@@ -174,10 +183,11 @@ class TestFullModelGradients:
     def test_lambda_zero_blocks_domain_gradient_into_encoder(self):
         model = small_model(dtype=np.float64)
         rng = np.random.default_rng(11)
-        x = rng.standard_normal((3, 1, 4, 64))
+        x = rng.standard_normal((3, 4, 64))
         s = np.array([0, 1, 2])
         model.zero_grad()
-        z = model.encoder_forward(Tensor(x), mode="eval")
+        z = model.encoder_forward(Tensor(x), mode="train",
+                                  rng=np.random.default_rng(12))
         _, dom = model.heads_forward(z, 0.0)
         ad.softmax_cross_entropy(dom, s).backward()
         assert np.all(model.params["conv_temporal_w"].grad == 0.0)
@@ -195,7 +205,7 @@ class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         model = small_model(k=4, seed=5)
         # push the running stats away from their init values
-        x = np.random.default_rng(6).standard_normal((8, 1, 4, 64)).astype(np.float32)
+        x = np.random.default_rng(6).standard_normal((8, 4, 64)).astype(np.float32)
         model.encoder_forward(x, mode="train", rng=np.random.default_rng(0))
         path = str(tmp_path / "m.safm")
         save_checkpoint(model, path)
@@ -246,10 +256,10 @@ class TestCheckpoint:
         checkpoint layout as it was, and predictions survive the round trip."""
         model = small_model(k=3, seed=2)
         rng = np.random.default_rng(3)
-        x = rng.standard_normal((8, 1, 4, 64)).astype(np.float32)
+        x = rng.standard_normal((8, 4, 64)).astype(np.float32)
         *_, total = compute_losses(x, rng.integers(0, 2, 8), rng.integers(0, 3, 8),
                                    model, LossWeights(lambda_mi=1.0, lambda_grl=1.0),
-                                   mode="train", rng=np.random.default_rng(4))
+                                   np.random.default_rng(4))
         total.backward()
         adam_step(model.params, AdamState(model.params), 1e-3)
         assert not np.array_equal(model.buffers["bn2_mean"], np.zeros(16))

@@ -103,6 +103,36 @@ class TestConfig:
                     data = generate_subject_recording(cfg, j, y).data
                     assert np.all(np.isfinite(data.astype(np.float32)))
 
+    def test_recording_above_the_size_bound_names_fs_and_duration(self):
+        """1e308 Hz over 1e-300 s is 1e8 samples a channel: refused before the
+        generator allocates them."""
+        with pytest.raises(ValidationError, match=r"\(fs x duration_s\) is above"):
+            SynthConfig(subjects=2, channels=2, fs=1e308, duration_s=1e-300)
+
+    @staticmethod
+    def with_rate(rate):
+        return SynthConfig(subjects=2, channels=3, fs=256.0, duration_s=30.0,
+                           artifact_rate_per_min=rate)
+
+    def test_largest_burst_rate_generates_finite_recordings(self):
+        """At the largest rate the config accepts (found by bisection), every
+        cell is finite and fits float32 epochs, with no overflow warning."""
+        lo, hi = 0.0, 15360.0
+        for _ in range(60):
+            mid = (lo + hi) / 2
+            try:
+                self.with_rate(mid)
+                lo = mid
+            except ValidationError:
+                hi = mid
+        cfg = self.with_rate(lo)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for j in range(cfg.subjects):
+                for y in (0, 1):
+                    data = generate_subject_recording(cfg, j, y).data
+                    assert np.all(np.isfinite(data.astype(np.float32)))
+
 
 class TestGenerateRecording:
     def test_deterministic(self):

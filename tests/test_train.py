@@ -89,6 +89,11 @@ class TestTrainConfig:
             TrainConfig(lr=lr)
 
 
+def train_rng():
+    """A fresh dropout generator: calls given one each draw the same masks."""
+    return np.random.default_rng(7)
+
+
 class TestComputeLosses:
     def test_uniform_task_logits_give_ln2(self):
         model = tiny_model()
@@ -96,8 +101,7 @@ class TestComputeLosses:
         model.params["task_b"].data[...] = 0.0
         epochs = make_epochs(4)
         x, y, s = batch_arrays(epochs)
-        l_task, _, _, _ = compute_losses(x, y, s, model, LossWeights(),
-                                         mode="eval")
+        l_task, _, _, _ = compute_losses(x, y, s, model, LossWeights(), train_rng())
         assert float(l_task.data) == pytest.approx(math.log(2), rel=1e-6)
 
     def test_uniform_domain_posterior_gives_ln3(self):
@@ -107,7 +111,7 @@ class TestComputeLosses:
         epochs = make_epochs(2, subjects=("s0", "s1", "s2"))
         x, y, s = batch_arrays(epochs)
         _, l_domain, l_mi, _ = compute_losses(x, y, s, model, LossWeights(),
-                                              mode="eval")
+                                              train_rng())
         assert float(l_mi.data) == pytest.approx(math.log(3), rel=1e-6)
         assert float(l_domain.data) == pytest.approx(math.log(3), rel=1e-6)
 
@@ -116,7 +120,7 @@ class TestComputeLosses:
         epochs = make_epochs(4)
         x, y, s = batch_arrays(epochs)
         l_task, _, _, l_total = compute_losses(x, y, s, model, LossWeights(),
-                                               mode="eval")
+                                               train_rng())
         assert float(l_total.data) == float(l_task.data)
 
     def test_total_is_weighted_sum(self):
@@ -125,7 +129,7 @@ class TestComputeLosses:
         x, y, s = batch_arrays(epochs)
         w = LossWeights(lambda_mi=0.5, lambda_grl=2.0)
         l_task, l_domain, l_mi, l_total = compute_losses(
-            x, y, s, model, w, mode="eval")
+            x, y, s, model, w, train_rng())
         expected = float(l_task.data) + 0.5 * float(l_mi.data) \
             + 2.0 * float(l_domain.data)
         assert float(l_total.data) == pytest.approx(expected, rel=1e-6)
@@ -135,14 +139,12 @@ class TestComputeLosses:
         x, y, s = batch_arrays(epochs)
 
         model = tiny_model()
-        _, _, _, l_total = compute_losses(x, y, s, model, LossWeights(),
-                                          mode="eval")
+        _, _, _, l_total = compute_losses(x, y, s, model, LossWeights(), train_rng())
         l_total.backward()
         full = model.params["conv_temporal_w"].grad.copy()
 
         ref = tiny_model()
-        l_task, _, _, _ = compute_losses(x, y, s, ref, LossWeights(),
-                                         mode="eval")
+        l_task, _, _, _ = compute_losses(x, y, s, ref, LossWeights(), train_rng())
         l_task.backward()
         assert np.array_equal(full, ref.params["conv_temporal_w"].grad)
 
@@ -150,8 +152,7 @@ class TestComputeLosses:
         model = tiny_model()
         epochs = make_epochs(4)
         x, y, s = batch_arrays(epochs)
-        _, _, _, l_total = compute_losses(x, y, s, model, LossWeights(),
-                                          mode="eval")
+        _, _, _, l_total = compute_losses(x, y, s, model, LossWeights(), train_rng())
         l_total.backward()
         assert np.any(model.params["dom2_w"].grad != 0.0)
 
@@ -162,7 +163,7 @@ class TestComputeLosses:
         for lam in (1.0, 2.5):
             model = tiny_model()
             _, l_domain, _, _ = compute_losses(
-                x, y, s, model, LossWeights(lambda_grl=lam), mode="eval")
+                x, y, s, model, LossWeights(lambda_grl=lam), train_rng())
             l_domain.backward()
             grads[lam] = model.params["conv_temporal_w"].grad.copy()
         assert np.allclose(grads[2.5], 2.5 * grads[1.0], rtol=1e-4, atol=1e-9)
@@ -176,13 +177,13 @@ class TestComputeLosses:
         x, y, s = batch_arrays(epochs)
         model = tiny_model()
         w = LossWeights(lambda_mi=1.0, lambda_grl=1.0)
-        _, _, l_mi, _ = compute_losses(x, y, s, model, w, mode="eval")
+        _, _, l_mi, _ = compute_losses(x, y, s, model, w, train_rng())
         l_mi.backward()
         routed = model.params["conv_temporal_w"].grad.copy()
 
         literal = tiny_model()
         p = literal.params
-        z = literal.encoder_forward(x[:, None], mode="eval")
+        z = literal.encoder_forward(x, mode="train", rng=train_rng())
         hidden = ad.elu(ad.linear(z, p["dom1_w"], p["dom1_b"]))
         ad.entropy_of_softmax(ad.linear(hidden, p["dom2_w"], p["dom2_b"])).backward()
         assert np.allclose(routed, -p["conv_temporal_w"].grad, rtol=1e-4, atol=1e-9)
@@ -193,8 +194,7 @@ class TestComputeLosses:
         epochs = make_epochs(2)
         x, y, _ = batch_arrays(epochs)
         with pytest.raises(ValidationError):
-            compute_losses(x, y, np.full(len(y), 2), model, LossWeights(),
-                           mode="eval")
+            compute_losses(x, y, np.full(len(y), 2), model, LossWeights(), train_rng())
 
 
 class TestAdam:
@@ -359,7 +359,7 @@ class TestFit:
             order = shuffle_rng.permutation(len(train))
             for start in range(0, len(train), cfg.batch_size):
                 batch = [train[i] for i in order[start:start + cfg.batch_size]]
-                x = np.stack([ep.x for ep in batch])[:, None, :, :]
+                x = np.stack([ep.x for ep in batch])
                 y = np.array([ep.y for ep in batch])
                 ref.zero_grad()
                 z = ref.encoder_forward(x, mode="train", rng=dropout_rng)
