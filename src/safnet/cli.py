@@ -151,6 +151,15 @@ def _split_epochs(manifest_path: str, *tags: str):
     return out if len(out) > 1 else out[0]
 
 
+def _make_parents(*paths) -> None:
+    """Create the directory each output path names, if any. Commands call
+    this once their work has succeeded, so a refused run writes nothing."""
+    for path in paths:
+        parent = os.path.dirname(path or "")
+        if parent:
+            os.makedirs(parent, exist_ok=True)
+
+
 def _encoder_config(epochs) -> EncoderConfig:
     first = epochs[0]
     return EncoderConfig(C=first.channels, M=first.samples,
@@ -188,6 +197,7 @@ def _cmd_train(args) -> int:
     model = SafModel(_encoder_config(train_eps), num_domains=num_domains,
                      seed=cfg.train.seed)
     model, log = fit(train_eps, val_eps, model, cfg.train, weights)
+    _make_parents(args.out, args.log)
     save_checkpoint(model, args.out)
     if args.log:
         write_train_log(log, args.log)
@@ -203,6 +213,7 @@ def _cmd_grid(args) -> int:
     best, rows = grid_search(train_eps, val_eps, _encoder_config(train_eps),
                              cfg.train, n_mi=args.n_mi, n_grl=args.n_grl,
                              budget_epochs=args.budget, jobs=args.jobs)
+    _make_parents(args.out)
     write_grid_table(rows, args.out)
     _note(f"best lambda_mi={format_float(best.lambda_mi)} "
           f"lambda_grl={format_float(best.lambda_grl)}")
@@ -213,6 +224,7 @@ def _cmd_eval(args) -> int:
     model = load_checkpoint(args.model)
     epochs = _split_epochs(args.manifest, args.split)
     acc, prec, rec, f1 = macro_metrics(eval_confusion(model, epochs))
+    _make_parents(args.out)
     write_csv(args.out, ["metric", "value"],
               [("macro_accuracy", acc), ("macro_precision", prec),
                ("macro_recall", rec), ("macro_f1", f1)])

@@ -150,10 +150,11 @@ class SafModel:
             raise ValidationError("train mode needs an rng for dropout")
         if not isinstance(x, Tensor):
             x = Tensor(np.asarray(x, dtype=self.dtype))
-        b = x.data.shape[0]
-        expected = (b, self.cfg.C, self.cfg.M)
-        if x.data.shape != expected:
-            raise ValidationError(f"expected input {expected}, got {x.data.shape}")
+        shape = x.data.shape
+        if len(shape) != 3 or shape[0] < 1 or shape[1:] != (self.cfg.C, self.cfg.M):
+            raise ValidationError(f"expected input (B >= 1, {self.cfg.C}, "
+                                  f"{self.cfg.M}), got {shape}")
+        b = shape[0]
 
         p, bufs = self.params, self.buffers
         h = ad.first_stage(x, p["conv_temporal_w"], p["bn1_gamma"], p["bn1_beta"],

@@ -3,12 +3,13 @@
 Each (subject, class) cell is a sum of band-limited Gaussian noise
 components (one per frequency band, unit variance in expectation per
 channel) weighted by a per-class amplitude signature, passed through a
-subject-specific channel
-mixing matrix I + beta*G_j, plus a subject-specific 60 Hz sinusoid and
-Poisson-scheduled 0.5 s artifact bursts. The subject-bias dial beta
-scales both the mixing perturbation and a per-subject multiplicative
-band tilt exp(beta * 0.2 * t_jb), so beta = 0 makes all subjects
-statistically identical up to line noise and artifacts.
+subject-specific channel mixing matrix I + beta*G_j, plus a
+subject-specific 60 Hz sinusoid and Poisson-scheduled 0.5 s artifact
+bursts. The bands are disjoint runs of frequency bins, so a recording's
+band components fill one spectrum and take one inverse FFT, before the
+mixing. The subject-bias dial beta scales both the mixing perturbation and
+a per-subject multiplicative band tilt exp(beta * 0.2 * t_jb), so beta = 0
+makes all subjects statistically identical up to line noise and artifacts.
 
 The bands are metrics.DEFAULT_BANDS. Subject-level draws (G_j, band tilt,
 line-noise gain and phase) are fixed per (seed, subject); cell-level noise
@@ -52,7 +53,8 @@ TILT_SCALE = 0.2
 #   expected on a channel compound to under BURST_GROWTH_MAX: 6.3 bursts at
 #   artifact_gain 1e6 and 60 s, 757 at the default gain.
 # RECORDING_SAMPLES_MAX bounds a recording before it is allocated; the
-# generator peaks at about 33 bytes a sample.
+# generator peaks at about 33 bytes a sample at six channels and 40 at one
+# (tracemalloc, 1e6 samples).
 SUBJECT_BIAS_MAX = 40.0
 LINE_NOISE_AMP_MAX = 1e29
 CLASS_SIGNATURE_MAX = 1e29
@@ -134,27 +136,39 @@ def _subject_draws(cfg: SynthConfig, subject: int):
     return mixing_noise, band_tilt, line_gain, line_phase
 
 
-def _band_limited_noise(rng, channels: int, n: int, fs: float,
-                        lo: float, hi: float) -> np.ndarray | None:
-    """White noise restricted to [lo, hi) Hz, unit variance in expectation.
+def _band_noise(cfg: SynthConfig, rng, y: int, band_tilt, n: int) -> np.ndarray:
+    """Class y's band components of one recording, summed: (channels, n).
 
-    Normalization uses the retained spectral energy fraction rather than
-    the realized RMS: pinning each recording to its sample RMS would make
-    every subject's mean band power identical by construction and bias
-    between-subject statistics low.
+    Each band is white noise kept to its bins [lo, hi) and divided by the
+    square root of the spectral energy fraction those bins retain, so it has
+    unit variance in expectation. Normalizing by the retained fraction rather
+    than the realized RMS matters: pinning each recording to its sample RMS
+    would make every subject's mean band power identical by construction and
+    bias between-subject statistics low. The bands are disjoint runs of bins,
+    so they share one spectrum and one inverse FFT.
     """
-    spectrum = np.fft.rfft(rng.standard_normal((channels, n)), axis=1)
-    freqs = np.fft.rfftfreq(n, d=1.0 / fs)
-    mask = (freqs >= lo) & (freqs < hi)
+    c = cfg.channels
+    beta = cfg.subject_bias_strength
+    freqs = np.fft.rfftfreq(n, d=1.0 / cfg.fs)
     bin_weight = np.full(freqs.shape, 2.0)
     bin_weight[0] = 1.0
     if n % 2 == 0:
         bin_weight[-1] = 1.0
-    energy_fraction = bin_weight[mask].sum() / n
-    if energy_fraction == 0.0:
-        return None
-    spectrum[:, ~mask] = 0.0
-    return np.fft.irfft(spectrum, n=n, axis=1) / np.sqrt(energy_fraction)
+    spectrum = np.zeros((c, freqs.size), dtype=complex)
+    for b, (_, lo, hi) in enumerate(DEFAULT_BANDS):
+        hi_eff = min(hi, cfg.fs / 2.0)
+        if lo >= hi_eff:
+            continue
+        # drawn before the energy check: a band with no bins still uses up
+        # its draw, which keeps every later draw in place
+        noise = np.fft.rfft(rng.standard_normal((c, n)), axis=1)
+        start, stop = np.searchsorted(freqs, (lo, hi_eff))
+        energy_fraction = bin_weight[start:stop].sum() / n
+        if energy_fraction == 0.0:
+            continue
+        amp = cfg.class_signature[y][b] * np.exp(beta * TILT_SCALE * band_tilt[b])
+        spectrum[:, start:stop] = noise[:, start:stop] * (amp / np.sqrt(energy_fraction))
+    return np.fft.irfft(spectrum, n=n, axis=1)
 
 
 def generate_subject_recording(cfg: SynthConfig, subject: int,
@@ -171,20 +185,7 @@ def generate_subject_recording(cfg: SynthConfig, subject: int,
     beta = cfg.subject_bias_strength
     c = cfg.channels
     n = window_samples(cfg.duration_s, cfg.fs, "duration_s")
-    nyquist = cfg.fs / 2.0
-
-    x = np.zeros((c, n))
-    for b, (_, lo, hi) in enumerate(DEFAULT_BANDS):
-        hi_eff = min(hi, nyquist)
-        if lo >= hi_eff:
-            continue
-        component = _band_limited_noise(rng, c, n, cfg.fs, lo, hi_eff)
-        if component is None:
-            continue
-        amp = cfg.class_signature[y][b] * np.exp(beta * TILT_SCALE * band_tilt[b])
-        x += amp * component
-
-    x = (np.eye(c) + beta * mixing_noise) @ x
+    x = (np.eye(c) + beta * mixing_noise) @ _band_noise(cfg, rng, y, band_tilt, n)
 
     if cfg.line_noise_amp > 0:
         t = np.arange(n) / cfg.fs

@@ -635,6 +635,47 @@ class TestGridCommand:
         assert not os.path.exists(grid_path)
 
 
+class TestOutputDirectories:
+    def test_quick_start_writes_into_a_fresh_run_directory(self, dataset, tmp_path,
+                                                           monkeypatch):
+        """train, eval and grid create the directories their --out and --log
+        name, as README's quick start expects of run/."""
+        config, out = dataset
+        manifest = os.path.join(out, "manifest.csv")
+        monkeypatch.chdir(tmp_path)
+        assert main(["train", "--config", config, "--manifest", manifest,
+                     "--out", "run/model.safm", "--log", "run/log/train.csv"]) == 0
+        assert main(["eval", "--model", "run/model.safm", "--manifest", manifest,
+                     "--split", "test", "--out", "run/eval/metrics.csv"]) == 0
+        assert main(["grid", "--config", config, "--manifest", manifest,
+                     "--out", "run/grid/grid.csv", "--n-mi", "2", "--n-grl", "2",
+                     "--budget", "1"]) == 0
+        assert sorted(os.listdir("run")) == ["eval", "grid", "log", "model.safm"]
+        for path in ("run/log/train.csv", "run/eval/metrics.csv", "run/grid/grid.csv"):
+            assert os.path.isfile(path)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_refused_run_creates_no_directory(self, dataset, tmp_path, monkeypatch):
+        """A diverged train, an eval of an empty split and a grid with no
+        budget each exit 1 before creating run/."""
+        config, out = dataset
+        manifest = os.path.join(out, "manifest.csv")
+        model_path = str(tmp_path / "model.safm")
+        assert main(["train", "--config", config, "--manifest", manifest,
+                     "--out", model_path]) == 0
+        diverging = write_config(tmp_path / "c.ini",
+                                 BASE_CONFIG.replace("seed = 1", "seed = 1\nlr = 1e30"))
+        monkeypatch.chdir(tmp_path)
+        assert main(["train", "--config", diverging, "--manifest", manifest,
+                     "--out", "run/model.safm", "--log", "run/train.csv"]) == 1
+        assert main(["eval", "--model", model_path, "--manifest", manifest,
+                     "--split", "none", "--out", "run/metrics.csv"]) == 1
+        assert main(["grid", "--config", config, "--manifest", manifest,
+                     "--out", "run/grid.csv", "--n-mi", "2", "--n-grl", "2",
+                     "--budget", "0"]) == 1
+        assert not os.path.exists("run")
+
+
 class TestAnalyzeCommand:
     def test_writes_all_outputs(self, dataset, tmp_path):
         _, out = dataset

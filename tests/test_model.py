@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import struct
 import tempfile
 import zlib
@@ -102,6 +103,18 @@ class TestForward:
         model = small_model()
         with pytest.raises(ValidationError, match=r"got \(2, 1, 4, 64\)"):
             both_heads(model, np.zeros((2, 1, 4, 64), dtype=np.float32))
+
+    @pytest.mark.parametrize("shape", [(0, 4, 64), (), (64,), (4, 64)],
+                             ids=["empty", "0-d", "1-d", "2-d"])
+    def test_predict_refuses_a_shape_that_is_not_a_batch(self, shape):
+        """An empty batch or an input with fewer than three axes is refused,
+        naming its shape, before anything indexes it."""
+        model = small_model()
+        x = np.zeros(shape, dtype=np.float32)
+        with pytest.raises(ValidationError, match=re.escape(f"got {shape}")):
+            model.predict(x)
+        with pytest.raises(ValidationError, match=re.escape(f"got {shape}")):
+            model.encoder_forward(x)
 
     def test_train_mode_needs_rng(self):
         model = small_model()

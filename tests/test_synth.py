@@ -1,16 +1,20 @@
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import signal as sp_signal
 
 from safnet import synth
 from safnet.asr import AsrConfig
 from safnet.datamodel import EpochSet, load_manifest, split_dataset
-from safnet.dsp import PipelineConfig
+from safnet.dsp import PipelineConfig, window_samples
 from safnet.errors import ValidationError
 from safnet.metrics import (
+    DEFAULT_BANDS,
     BandDefinition,
     band_power,
     f_statistic,
@@ -27,6 +31,62 @@ def quiet_cfg(**kw):
                 artifact_rate_per_min=0.0, seed=0)
     base.update(kw)
     return SynthConfig(**base)
+
+
+def per_band_recording(cfg, subject, y):
+    """generate_subject_recording as it was written band by band: each band
+    is its own rfft, masked and inverted on its own, and added into x."""
+    mixing_noise, band_tilt, line_gain, line_phase = synth._subject_draws(cfg, subject)
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, subject, y]))
+    beta = cfg.subject_bias_strength
+    c = cfg.channels
+    n = window_samples(cfg.duration_s, cfg.fs, "duration_s")
+    x = np.zeros((c, n))
+    for b, (_, lo, hi) in enumerate(DEFAULT_BANDS):
+        hi = min(hi, cfg.fs / 2.0)
+        if lo >= hi:
+            continue
+        spectrum = np.fft.rfft(rng.standard_normal((c, n)), axis=1)
+        freqs = np.fft.rfftfreq(n, d=1.0 / cfg.fs)
+        mask = (freqs >= lo) & (freqs < hi)
+        bin_weight = np.full(freqs.shape, 2.0)
+        bin_weight[0] = 1.0
+        if n % 2 == 0:
+            bin_weight[-1] = 1.0
+        energy_fraction = bin_weight[mask].sum() / n
+        if energy_fraction == 0.0:
+            continue
+        spectrum[:, ~mask] = 0.0
+        amp = cfg.class_signature[y][b] * np.exp(beta * synth.TILT_SCALE * band_tilt[b])
+        x += amp * np.fft.irfft(spectrum, n=n, axis=1) / np.sqrt(energy_fraction)
+    x = (np.eye(c) + beta * mixing_noise) @ x
+    if cfg.line_noise_amp > 0:
+        t = np.arange(n) / cfg.fs
+        x += cfg.line_noise_amp * line_gain * np.sin(
+            2.0 * np.pi * synth.LINE_FREQ_HZ * t + line_phase)
+    width = int(round(synth.BURST_SECONDS * cfg.fs))
+    if cfg.artifact_rate_per_min > 0 and n > width:
+        count = rng.poisson(cfg.artifact_rate_per_min * cfg.duration_s / 60.0)
+        envelope = 0.5 - 0.5 * np.cos(2.0 * np.pi * (np.arange(width) + 0.5) / width)
+        for _ in range(count):
+            ch = int(rng.integers(0, c))
+            start = int(rng.integers(0, n - width + 1))
+            rms = np.sqrt(np.mean(np.square(x[ch])))
+            x[ch, start:start + width] += (
+                cfg.artifact_gain * rms * envelope * rng.standard_normal(width))
+    return x
+
+
+def assert_matches_per_band(cfg):
+    """Every cell equals per_band_recording to rtol 1e-12 of the cell's
+    largest value (a sample near zero carries the rounding of its larger
+    terms)."""
+    for j in range(cfg.subjects):
+        for y in (0, 1):
+            ref = per_band_recording(cfg, j, y)
+            data = generate_subject_recording(cfg, j, y).data
+            np.testing.assert_allclose(data, ref, rtol=1e-12,
+                                       atol=1e-12 * np.abs(ref).max())
 
 
 def band_features(rec, window_s=2.0):
@@ -219,6 +279,48 @@ class TestGenerateRecording:
         a = generate_subject_recording(cfg, 0, 0)
         b = generate_subject_recording(cfg, 0, 0)
         assert np.array_equal(a.data, b.data)
+
+
+class TestOneSpectrum:
+    """All bands share one spectrum and one inverse FFT; the recording is the
+    per-band algorithm's up to rounding."""
+
+    @pytest.mark.parametrize("kw", [
+        dict(fs=64.0),                      # Gamma clipped at Nyquist (32 Hz)
+        dict(fs=6.0),                       # Theta to Gamma skipped
+        dict(fs=128.0, duration_s=0.25),    # 4 Hz bins: Delta has none
+        dict(fs=127.0, duration_s=3.0),     # odd n (381)
+        dict(artifact_rate_per_min=60.0),   # bursts on
+    ], ids=["nyquist-clipped", "skipped-bands", "band-without-bins", "odd-n",
+            "bursts"])
+    def test_matches_per_band_algorithm(self, kw):
+        base = dict(subjects=2, channels=3, fs=256.0, duration_s=10.0,
+                    subject_bias_strength=1.0, line_noise_amp=0.5,
+                    artifact_rate_per_min=0.0, seed=5)
+        assert_matches_per_band(SynthConfig(**{**base, **kw}))
+
+    @settings(max_examples=60, deadline=None)
+    @given(channels=st.integers(1, 3), fs=st.floats(1.0, 300.0),
+           samples=st.integers(1, 400), beta=st.floats(0.0, 2.0),
+           rate=st.sampled_from([0.0, 30.0]), seed=st.integers(0, 2 ** 16))
+    def test_small_configs_match_per_band_algorithm(self, channels, fs, samples,
+                                                    beta, rate, seed):
+        assert_matches_per_band(SynthConfig(
+            subjects=1, channels=channels, fs=fs, duration_s=samples / fs,
+            subject_bias_strength=beta, artifact_rate_per_min=rate, seed=seed))
+
+    def test_peak_memory_per_sample(self):
+        """One 1e6-sample recording peaks under 40 traced bytes a sample
+        (about 34 at four channels)."""
+        cfg = SynthConfig(subjects=1, channels=4, fs=250.0, duration_s=1000.0)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            generate_subject_recording(cfg, 0, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / 1e6 < 40.0
 
 
 class TestGenerateDataset:
