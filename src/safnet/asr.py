@@ -6,7 +6,7 @@ half-overlapping windows over the signal, rejects components whose window
 variance exceeds the threshold, reconstructs the window from the surviving
 subspace, and blends windows with a raised-cosine weight.
 
-Statistics are robust (median / 1.4826*MAD) rather than the truncated
+Statistics are robust (median / normal-scaled MAD) rather than the truncated
 Gaussian fit used by some toolboxes; deterministic and adequate here.
 
 Calibration keeps the CALIB_WINDOW_S windows whose every channel has a
@@ -82,19 +82,26 @@ class AsrModel:
         return self.mixing_M.shape[0]
 
 
-def _window_rms(data: np.ndarray, width: int) -> np.ndarray:
-    """(C, N) -> (C, N//width) RMS over consecutive non-overlapping windows."""
+def _windows(data: np.ndarray, width: int) -> np.ndarray:
+    """(C, N) -> (C, N//width, width) consecutive non-overlapping windows."""
     c, n = data.shape
-    nwin = n // width
-    trimmed = data[:, : nwin * width].reshape(c, nwin, width)
-    return np.sqrt(np.mean(trimmed**2, axis=2))
+    return data[:, : n // width * width].reshape(c, n // width, width)
+
+
+def _window_rms(windows: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.mean(windows**2, axis=2))
+
+
+def _robust_stats(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row median and normal-scaled MAD across columns, as (rows, 1) columns."""
+    med = np.median(values, axis=1, keepdims=True)
+    return med, 1.4826 * np.median(np.abs(values - med), axis=1, keepdims=True)
 
 
 def _robust_z(values: np.ndarray) -> np.ndarray:
     """Per-row robust z-scores across columns; zero-MAD rows map equal
     values to 0 and everything else to +/-inf."""
-    med = np.median(values, axis=1, keepdims=True)
-    scale = 1.4826 * np.median(np.abs(values - med), axis=1, keepdims=True)
+    med, scale = _robust_stats(values)
     with np.errstate(divide="ignore", invalid="ignore"):
         z = (values - med) / scale
     z = np.where(scale > 0, z, np.where(values == med, 0.0, np.inf * np.sign(values - med)))
@@ -112,14 +119,12 @@ def select_calibration(rec: Recording, cfg: AsrConfig) -> Recording:
     nwin = rec.samples // width
     if nwin < 1:
         raise ValidationError("recording shorter than one calibration window")
-    rms = _window_rms(rec.data, width)
-    z = _robust_z(rms)
+    windows = _windows(rec.data, width)
+    z = _robust_z(_window_rms(windows))
     clean = np.all((z >= CALIB_Z_LO) & (z <= CALIB_Z_HI), axis=0)
     if int(clean.sum()) < MIN_CALIB_WINDOWS:
         return rec
-    keep = np.concatenate(
-        [rec.data[:, i * width:(i + 1) * width] for i in np.flatnonzero(clean)], axis=1
-    )
+    keep = windows[:, clean].reshape(rec.channels, -1)
     return Recording(data=keep, sample_rate_hz=rec.sample_rate_hz,
                      channel_names=rec.channel_names)
 
@@ -139,11 +144,8 @@ def asr_fit(calib: Recording, cfg: AsrConfig) -> AsrModel:
         evals = np.maximum(evals, EIGVAL_CLAMP)
     mixing = (evecs * np.sqrt(evals)) @ evecs.T
 
-    projections = evecs.T @ x
-    rms = _window_rms(projections, width)
-    mu = np.median(rms, axis=1)
-    sigma = 1.4826 * np.median(np.abs(rms - mu[:, None]), axis=1)
-    threshold = (mu + cfg.cutoff_k * sigma)[:, None] * evecs.T
+    mu, sigma = _robust_stats(_window_rms(_windows(evecs.T @ x, width)))
+    threshold = (mu + cfg.cutoff_k * sigma) * evecs.T
     return AsrModel(mixing_M=mixing, threshold_T=threshold)
 
 

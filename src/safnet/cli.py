@@ -238,8 +238,7 @@ def _cmd_analyze(args) -> int:
     epochs = epoch_set.epochs
     if len(epochs) < 4:
         raise ValidationError("analysis needs at least four epochs")
-    subjects = epoch_set.subjects
-    if len(subjects) < 2:
+    if len(epoch_set.subjects) < 2:
         raise ValidationError("analysis needs at least two subjects")
 
     fs = epochs[0].sample_rate_hz
@@ -248,13 +247,18 @@ def _cmd_analyze(args) -> int:
     features = log_band_power_features([ep.x for ep in epochs], fs, bands)
     mask = iqr_row_mask(features)
     features = features[mask]
-    code = {s: i for i, s in enumerate(subjects)}
-    labels = np.array([code[ep.s] for ep in epochs])[mask]
-    present = np.unique(labels)
-    if present.size < 2:
+    # object dtype: a numpy string array would drop trailing NULs of an id
+    subjects, labels = np.unique(
+        np.array([ep.s for ep, kept in zip(epochs, mask) if kept], dtype=object),
+        return_inverse=True)
+    if subjects.size < 2:
         raise ValidationError("outlier filtering left fewer than two subjects")
-
-    os.makedirs(args.out, exist_ok=True)
+    counts = np.bincount(labels)
+    if counts.min() < 2:
+        s = int(np.argmin(counts))
+        raise ValidationError(
+            f"outlier filtering left subject {subjects[s]!r} with {counts[s]} "
+            f"epoch; the analysis needs at least two per subject")
 
     # per-subject mean band power (power units, averaged over epochs and
     # channels), then the across-subject coefficient of variation per band.
@@ -263,25 +267,25 @@ def _cmd_analyze(args) -> int:
     powers = np.exp(features).reshape(len(features), -1, n_bands)
     means = np.array([
         np.ascontiguousarray(powers[labels == s].T).reshape(n_bands, -1).mean(axis=1)
-        for s in present])
+        for s in range(subjects.size)])
     names = [name for name, _, _ in bands.bands]
+    cv = [(name, coefficient_of_variation(col)) for name, col in zip(names, means.T)]
+    standardized = standardize_features(features)
+    sil = silhouette(standardized, labels)
+    fstat = f_statistic(standardized, labels)
+
+    os.makedirs(args.out, exist_ok=True)
     write_csv(os.path.join(args.out, "psd_bands.csv"),
               ["subject", "band", "mean_power"],
-              [(subjects[s], name, value) for s, row in zip(present, means)
+              [(subject, name, value) for subject, row in zip(subjects, means)
                for name, value in zip(names, row)])
-    write_csv(os.path.join(args.out, "cv.csv"), ["band", "cv"],
-              [(name, coefficient_of_variation(col))
-               for name, col in zip(names, means.T)])
-
-    standardized = standardize_features(features)
-    with open(os.path.join(args.out, "silhouette.txt"), "w",
-              encoding="utf-8", newline="") as fh:
-        fh.write(format_float(silhouette(standardized, labels)) + "\n")
-    with open(os.path.join(args.out, "fstat.txt"), "w",
-              encoding="utf-8", newline="") as fh:
-        fh.write(format_float(f_statistic(standardized, labels)) + "\n")
+    write_csv(os.path.join(args.out, "cv.csv"), ["band", "cv"], cv)
+    for fname, value in (("silhouette.txt", sil), ("fstat.txt", fstat)):
+        with open(os.path.join(args.out, fname), "w", encoding="utf-8",
+                  newline="") as fh:
+            fh.write(format_float(value) + "\n")
     _note(f"analyzed {len(features)} of {len(epochs)} epochs "
-          f"({len(subjects)} subjects) into {args.out}")
+          f"({len(epoch_set.subjects)} subjects) into {args.out}")
     return 0
 
 

@@ -41,12 +41,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FormatError, ParseError, ValidationError
+from .textio import write_csv
 
 NDF_MAGIC = b"SAF1"
 NDF_VERSION = 1
 SAFR_MAGIC = b"SAFR"
 SAFR_VERSION = 1
 
+MANIFEST_HEADER = ["path", "subject", "class", "split"]
 SPLIT_TOKENS = ("train", "val", "test", "none")
 SPLIT_RATIOS = (0.8, 0.1, 0.1)  # train, val, test
 _MANIFEST_FORBIDDEN = (",", '"', "\n", "\r")
@@ -290,10 +292,7 @@ def write_manifest(manifest: Manifest, path: str) -> None:
     for row_path, subject, _, _ in manifest.rows:
         check_manifest_field(row_path, "path")
         check_manifest_field(subject)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("path,subject,class,split\n")
-        for row_path, subject, cls, split in manifest.rows:
-            fh.write(f"{row_path},{subject},{cls},{split}\n")
+    write_csv(path, MANIFEST_HEADER, manifest.rows)
 
 
 def write_epoch_dir(epoch_set: EpochSet, out_dir: str) -> Manifest:
@@ -332,7 +331,7 @@ def load_manifest(path: str) -> tuple[Manifest, EpochSet]:
             header = next(reader)
         except StopIteration:
             raise ParseError(f"{path}: empty manifest") from None
-        if header != ["path", "subject", "class", "split"]:
+        if header != MANIFEST_HEADER:
             raise ParseError(f"{path}: bad header {header!r}")
         rows: list[tuple[str, str, int, str]] = []
         for lineno, row in enumerate(reader, start=2):

@@ -1,5 +1,10 @@
 """Resampling, band-pass/notch filtering, and epoch slicing.
 
+Resampling is rational polyphase (scipy's resample_poly) through scipy's
+own anti-alias filter: a Kaiser-windowed FIR at 67 dB of stopband
+attenuation (RESAMPLE_ATTEN_DB), 20 * max(up, down) + 1 taps, cut off at
+1 / max(up, down) of the upsampled Nyquist rate.
+
 All filtering is zero-phase: scipy's second-order sections run forward and
 backward along time (sosfiltfilt), so passband features keep their timing.
 Filters run over the whole recording before slicing. The band-pass is a
@@ -24,7 +29,6 @@ from .datamodel import Epoch, Recording
 from .errors import ConfigError, ValidationError
 
 RESAMPLE_ATTEN_DB = 67.0
-RESAMPLE_TAPS_PER_PHASE = 20
 BUTTER_ORDER = 4
 NOTCH_Q = 30.0
 # Nearer 0 Hz than this fraction of the sample rate, a section's poles round
@@ -57,11 +61,9 @@ class PipelineConfig:
 
 
 def resample(rec: Recording, target_rate_hz: float) -> Recording:
-    """Rational polyphase resampling to target_rate_hz.
-
-    The anti-alias FIR is Kaiser-designed for >= 60 dB stopband at cutoff
-    min(pi/L, pi/M). Output length is floor(N * target / source).
-    """
+    """Rational polyphase resampling to target_rate_hz through scipy's
+    Kaiser-windowed anti-alias FIR at RESAMPLE_ATTEN_DB of stopband
+    attenuation. Output length is floor(N * target / source)."""
     if target_rate_hz <= 0:
         raise ValidationError("target rate must be positive")
     if target_rate_hz > rec.sample_rate_hz:
@@ -74,15 +76,10 @@ def resample(rec: Recording, target_rate_hz: float) -> Recording:
     ratio = (Fraction(target_rate_hz).limit_denominator(10**6)
              / Fraction(rec.sample_rate_hz).limit_denominator(10**6))
     up, down = ratio.numerator, ratio.denominator
-
-    cutoff = min(1.0 / up, 1.0 / down)  # normalized to upsampled Nyquist
-    numtaps = RESAMPLE_TAPS_PER_PHASE * max(up, down) + 1
-    beta = signal.kaiser_beta(RESAMPLE_ATTEN_DB)
-    fir = signal.firwin(numtaps, cutoff, window=("kaiser", beta))
-
     out_len = int(np.floor(rec.samples * target_rate_hz / rec.sample_rate_hz))
-    resampled = signal.resample_poly(rec.data, up, down, axis=-1, window=fir)
-    resampled = resampled[:, :out_len]
+    resampled = signal.resample_poly(
+        rec.data, up, down, axis=-1,
+        window=("kaiser", signal.kaiser_beta(RESAMPLE_ATTEN_DB)))[:, :out_len]
     return Recording(data=resampled, sample_rate_hz=float(target_rate_hz),
                      channel_names=rec.channel_names)
 

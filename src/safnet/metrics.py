@@ -178,7 +178,7 @@ def f_statistic(features, groups) -> float:
     members = [features[groups == g] for g in labels]
     for g, m in zip(labels, members):
         if m.shape[0] < 2:
-            raise ValidationError(f"group {g!r} has fewer than two samples")
+            raise ValidationError(f"group {g} has fewer than two samples")
 
     n_total = features.shape[0]
     grand = features.mean(axis=0)

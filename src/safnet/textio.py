@@ -16,10 +16,6 @@ def format_float(value: float) -> str:
 
 
 def format_value(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
     if isinstance(value, (float, np.floating)):
         return format_float(value)
     return str(value)

@@ -34,9 +34,9 @@ The grid search spans LAMBDA_MIN to LAMBDA_MAX on both axes and trains its
 cells independently, each seeded from its grid position. With jobs > 1 it
 runs them on a process pool whose initializer hands every worker the train
 and validation epochs once and pins the worker's OpenBLAS to one thread;
-the cell tasks then carry only lambdas, configs and seeds. The serial path
-runs the same cell function on the same epochs, held in the module only
-while the search runs.
+the cell tasks then carry only lambdas, configs and seeds. Only workers
+hold the epochs in the module; the serial path passes its own epochs to
+the same cell function.
 """
 
 from __future__ import annotations
@@ -232,11 +232,22 @@ def early_stop_check(history, cfg: TrainConfig) -> bool:
     return _tail_stagnation(history) >= cfg.patience
 
 
+def _check_rate(model: SafModel, epochs: list[Epoch]) -> None:
+    """Refuse epochs sampled at another rate than the model's. Rates are
+    compared at float32, the precision an NDF file stores."""
+    with np.errstate(over="ignore"):  # a rate beyond float32 casts to inf
+        for rate in {ep.sample_rate_hz for ep in epochs}:
+            if np.float32(rate) != np.float32(model.cfg.fs):
+                raise ValidationError(f"epochs are sampled at {rate} Hz but "
+                                      f"the model at {model.cfg.fs} Hz")
+
+
 def eval_confusion(model: SafModel, epochs: list[Epoch]) -> np.ndarray:
     """Task-head 2x2 confusion counts (rows true class, columns predicted)
     over the given epochs, eval mode."""
     if not epochs:
         raise ValidationError("cannot evaluate an empty epoch list")
+    _check_rate(model, epochs)
     preds = []
     for start in range(0, len(epochs), EVAL_BATCH):
         x = np.stack([ep.x for ep in epochs[start:start + EVAL_BATCH]])
@@ -276,10 +287,13 @@ def fit(train_data, val_data, model: SafModel, cfg: TrainConfig,
     A batch whose loss is not finite, or whose l_total exceeds
     DIVERGENCE_FACTOR * max(1, first step's l_total), stops training with a
     ValidationError that names its epoch and step, before that batch
-    updates the weights.
+    updates the weights. Epochs sampled at another rate than the model's
+    are refused before the first step.
     """
     if not train_data or not val_data:
         raise ValidationError("train and validation sets must be non-empty")
+    _check_rate(model, train_data)
+    _check_rate(model, val_data)
 
     subjects = sorted({ep.s for ep in train_data})
     subject_map = {s: i for i, s in enumerate(subjects)}
@@ -371,9 +385,8 @@ def make_lambda_grid(n: int) -> list[float]:
     return [float(v) for v in np.linspace(LAMBDA_MIN, LAMBDA_MAX, n)]
 
 
-# (train_data, val_data) of the grid search this process is running cells
-# for: a pool worker's initializer sets it once, the serial path for the
-# length of the search
+# (train_data, val_data) of the grid search a pool worker runs cells for,
+# set once by its initializer
 _grid_data = None
 
 
@@ -413,13 +426,17 @@ def _init_grid_worker(train_data, val_data) -> None:
         set_threads(1)
 
 
-def _grid_cell(args):
-    i, j, lam_mi, lam_grl, enc_cfg, cell_cfg, num_domains, model_seed = args
-    train_epochs, val_epochs = _grid_data
+def _fit_cell(task, train_epochs, val_epochs):
+    i, j, lam_mi, lam_grl, enc_cfg, cell_cfg, num_domains, model_seed = task
     model = SafModel(enc_cfg, num_domains=num_domains, seed=model_seed)
     _, log = fit(train_epochs, val_epochs, model, cell_cfg,
                  LossWeights(lambda_mi=lam_mi, lambda_grl=lam_grl))
     return i, j, max(log.val_accuracies)
+
+
+def _grid_cell(args):
+    """A pool worker's cell task, on the epochs its initializer kept."""
+    return _fit_cell(args, *_grid_data)
 
 
 def grid_search(train_data, val_data, enc_cfg: EncoderConfig, cfg: TrainConfig,
@@ -435,7 +452,6 @@ def grid_search(train_data, val_data, enc_cfg: EncoderConfig, cfg: TrainConfig,
     the epochs once, when it starts, and runs its BLAS on one thread, and a
     cell task carries only the cell's lambdas, configs and seeds.
     """
-    global _grid_data
     if jobs < 1:
         raise ValidationError(f"jobs must be >= 1, got {jobs}")
     if budget_epochs < 1:
@@ -460,11 +476,7 @@ def grid_search(train_data, val_data, enc_cfg: EncoderConfig, cfg: TrainConfig,
                                  initargs=(train_data, val_data)) as pool:
             results = list(pool.map(_grid_cell, tasks))
     else:
-        _grid_data = (train_data, val_data)
-        try:
-            results = [_grid_cell(t) for t in tasks]
-        finally:
-            _grid_data = None
+        results = [_fit_cell(t, train_data, val_data) for t in tasks]
 
     acc = {(i, j): v for i, j, v in results}
     rows = [(lam_mi, lam_grl, acc[(i, j)])

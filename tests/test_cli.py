@@ -35,7 +35,7 @@ from safnet.metrics import (
     log_band_power_features,
     macro_metrics,
 )
-from safnet.model import load_checkpoint
+from safnet.model import EncoderConfig, SafModel, load_checkpoint, save_checkpoint
 from safnet.textio import format_float
 
 BASE_CONFIG = """\
@@ -580,6 +580,26 @@ class TestTrainAndEvalCommands:
                      "--split", "none", "--out", str(tmp_path / "m.csv")])
         assert code == 1
 
+    def test_eval_at_another_rate_is_validation_error(self, tmp_path, capsys):
+        """A checkpoint for 128 Hz, 2 s epochs run on 256 Hz, 1 s epochs of
+        the same (C, M) exits 1, names both rates and writes nothing."""
+        model_path = str(tmp_path / "model.safm")
+        save_checkpoint(SafModel(EncoderConfig(C=2, M=256, fs=128.0),
+                                 num_domains=2, seed=0), model_path)
+        rng = np.random.default_rng(0)
+        epochs = [Epoch(x=rng.standard_normal((2, 256)).astype(np.float32),
+                        y=k % 2, s="s0", sample_rate_hz=256.0) for k in range(4)]
+        data = str(tmp_path / "data")
+        write_epoch_dir(EpochSet(epochs=epochs, split=["test"] * 4), data)
+        run_dir = tmp_path / "run"
+        code = main(["eval", "--model", model_path,
+                     "--manifest", os.path.join(data, "manifest.csv"),
+                     "--split", "test", "--out", str(run_dir / "m.csv")])
+        assert code == 1
+        assert ("sampled at 256.0 Hz but the model at 128.0 Hz"
+                in capsys.readouterr().err)
+        assert not run_dir.exists()
+
 
 class TestGridCommand:
     def test_writes_full_table(self, dataset, tmp_path):
@@ -748,6 +768,23 @@ class TestAnalyzeCommand:
             assert band == bands.bands[b][0]
             assert float(value) == pytest.approx(pair.std() / pair.mean(),
                                                  rel=1e-5)
+
+    def test_subject_left_with_one_epoch_writes_nothing(self, tmp_path, capsys):
+        """s0 has 20 epochs and s1 two, one of them 50x louder: the IQR fence
+        leaves s1 one epoch, too few for the F statistic. analyze exits 1,
+        names the subject and its count, and creates no output."""
+        fs, rng = 128.0, np.random.default_rng(0)
+        epochs = [Epoch(x=gain * rng.standard_normal((2, 512)).astype(np.float32),
+                        y=k % 2, s=s, sample_rate_hz=fs)
+                  for s, gains in (("s0", [1.0] * 20), ("s1", [1.0, 50.0]))
+                  for k, gain in enumerate(gains)]
+        data, adir = str(tmp_path / "data"), tmp_path / "analysis"
+        write_epoch_dir(EpochSet(epochs=epochs), data)
+        assert main(["analyze", "--manifest", os.path.join(data, "manifest.csv"),
+                     "--out", str(adir)]) == 1
+        assert ("outlier filtering left subject 's1' with 1 epoch"
+                in capsys.readouterr().err)
+        assert not adir.exists()
 
     def test_single_subject_is_validation_error(self, tmp_path):
         config = write_config(tmp_path / "c.ini")

@@ -276,6 +276,17 @@ class TestManifest:
             load_manifest(mpath)
 
 
+    def test_written_bytes(self, tmp_path):
+        """Exact header, one LF-terminated line a row, no quoting."""
+        mpath = tmp_path / "m.csv"
+        write_manifest(Manifest(rows=[("a b.ndf", "s 1", 0, "train"),
+                                      ("d/e.ndf", "s'2", np.int64(1), "none")]),
+                       str(mpath))
+        assert mpath.read_bytes() == (b"path,subject,class,split\n"
+                                      b"a b.ndf,s 1,0,train\n"
+                                      b"d/e.ndf,s'2,1,none\n")
+
+
 class TestManifestFields:
     @pytest.mark.parametrize("subject", ["a,b", "a\nb", "a\rb", '"a'])
     def test_unwritable_subject_rejected(self, tmp_path, subject):

@@ -1,5 +1,8 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from scipy import signal
 
 from safnet.datamodel import Recording
 from safnet.dsp import (
@@ -83,6 +86,23 @@ class TestResample:
     def test_identity_when_rates_match(self):
         rec = make_rec(np.arange(100.0), 512.0)
         assert resample(rec, 512.0) is rec
+
+    @pytest.mark.parametrize("source, target", [
+        (256.0, 128.0), (512.0, 128.0), (500.0, 128.0), (1000.0, 256.0),
+        (300.0, 128.0), (44100.0, 1000.0)])
+    def test_matches_hand_designed_filter(self, source, target):
+        """The anti-alias filter is the Kaiser FIR once designed here by hand:
+        20 taps a phase, cutoff min(1/up, 1/down) at 67 dB. The output must
+        match that design to the byte."""
+        ratio = Fraction(target) / Fraction(source)
+        up, down = ratio.numerator, ratio.denominator
+        fir = signal.firwin(20 * max(up, down) + 1, min(1.0 / up, 1.0 / down),
+                            window=("kaiser", signal.kaiser_beta(67.0)))
+        rec = make_rec(np.random.default_rng(0).standard_normal((3, 4410)), source)
+        expected = signal.resample_poly(rec.data, up, down, axis=-1, window=fir)
+        out = resample(rec, target)
+        assert out.data.tobytes() == expected[:, :out.samples].tobytes()
+        assert out.samples == int(4410 * target / source)
 
 
 class TestBandpass:

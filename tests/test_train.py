@@ -2,6 +2,7 @@ import gc
 import math
 import pickle
 import re
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -396,6 +397,20 @@ class TestFit:
         with pytest.raises(ValidationError):
             fit([], make_epochs(1), model, quick_cfg(), LossWeights())
 
+    def test_epochs_at_another_rate_rejected_before_the_first_step(
+            self, monkeypatch):
+        """Training or validation epochs at 32 Hz for a 16 Hz model (same
+        C and M) are refused, naming both rates, before any step runs."""
+        steps = []
+        monkeypatch.setattr(train_module, "adam_step",
+                            lambda *args: steps.append(args))
+        fast = [replace(ep, sample_rate_hz=32.0) for ep in make_epochs(2)]
+        for train, val in ((fast, make_epochs(1)), (make_epochs(2), fast)):
+            with pytest.raises(ValidationError, match=r"sampled at 32\.0 Hz "
+                                                      r"but the model at 16\.0 Hz"):
+                fit(train, val, tiny_model(), quick_cfg(), LossWeights())
+        assert steps == []
+
     def test_divergence_raises_before_validation(self, monkeypatch):
         """lr = 1e30 sends the weights to inf within a step or two; fit stops
         at the first batch whose loss is not finite, before any validation
@@ -458,6 +473,23 @@ class TestFit:
         assert lines[0] == "epoch,l_task,l_domain,l_mi,l_total,lr,val_macro_acc"
         assert lines[1].startswith("1,")
         assert len(lines) == 2 + len(log.records)  # header + rows + final LF
+
+
+class TestEvaluateRate:
+    def test_epochs_at_another_rate_rejected(self):
+        """A 16 Hz model refuses 32 Hz epochs of the same (C, M)."""
+        fast = [replace(ep, sample_rate_hz=32.0) for ep in make_epochs(1)]
+        with pytest.raises(ValidationError, match=r"sampled at 32\.0 Hz but "
+                                                  r"the model at 16\.0 Hz"):
+            evaluate_macro_accuracy(tiny_model(), fast)
+
+    def test_rates_compared_at_float32(self):
+        """NDF stores the rate as float32: a rate that rounds to the model's
+        there is the model's rate."""
+        near = 16.0 + 1e-7
+        assert near != 16.0 and np.float32(near) == np.float32(16.0)
+        epochs = [replace(ep, sample_rate_hz=near) for ep in make_epochs(1)]
+        assert 0.0 <= evaluate_macro_accuracy(tiny_model(), epochs) <= 1.0
 
 
 class TestLambdaGrid:
