@@ -30,9 +30,9 @@ strides is one element and the other spans at least a row.
   both batch norms fold into one per-channel scale and shift, and the rest
   runs in the (F*D,B,M) layout of that output. Only the pooled output is
   transposed to (B,F*D,1,M/pool); no (B,F,C,M) or (B,F*D,1,M)
-  intermediate is built. The backward is closed form and writes the
-  second batch norm's input gradient straight into the zero-padded blocks
-  the Toeplitz gradients read. The seven ops remain ops of their own, and
+  intermediate is built. The backward is closed form and copies the
+  second batch norm's input gradient once into the zero-padded blocks the
+  Toeplitz gradients read. The seven ops remain ops of their own, and
   temporal_conv is depthwise_temporal_conv on its input repeated over the
   filters.
 - depthwise_spatial_conv and pointwise_conv are single BLAS products.
@@ -52,7 +52,6 @@ from __future__ import annotations
 from contextlib import contextmanager
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import ValidationError
 
@@ -226,32 +225,46 @@ def _same_pad(kernel: int) -> tuple[int, int]:
     return left, kernel - 1 - left
 
 
-def _blocks(a: np.ndarray, k: int, left: int) -> np.ndarray:
+def _blocks(a: np.ndarray, k: int, left: int, dtype=None) -> np.ndarray:
     """Rows of a (..., M) zero-padded to (Q+1)K samples, Q = ceil(M/K), with
-    a[..., t] at sample left + t, as (..., Q+1, K) blocks. With left = 0 the
-    last block of every row is zero."""
+    a[..., t] at sample left + t, as (..., Q+1, K) blocks of a new array of
+    dtype (a's by default). a is written into it once, cast on the way, and
+    only the padding is zero-filled. With left = 0 the last block of every
+    row is zero."""
     m = a.shape[-1]
     q = -(-m // k)
-    out = np.zeros(a.shape[:-1] + ((q + 1) * k,), dtype=a.dtype)
+    out = np.empty(a.shape[:-1] + ((q + 1) * k,), dtype=a.dtype if dtype is None else dtype)
+    out[..., :left] = 0.0
     out[..., left:left + m] = a
+    out[..., left + m:] = 0.0
     return out.reshape(a.shape[:-1] + (q + 1, k))
 
 
-def _bands(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(F,K) kernels -> band matrices S and A, each (F,2K,K):
-    S[s,p] = w[s-p] and A[s,p] = w[K+p-s] where the index lies in [0,K),
-    zero elsewhere. [X[q] | X[q+1]] S is output block q of the correlation
-    and [G[q-1] | G[q]] A is block q of its input gradient. Both are
-    strided views of [0, w, 0], copied once."""
+def _view(a: np.ndarray, shape, strides, offset: int = 0) -> np.ndarray:
+    """Read-only view of the C-contiguous array a with the given shape and
+    byte strides, starting `offset` elements in; numpy checks that it stays
+    inside a. as_strided builds the same view at several times the cost,
+    which the encoder's Toeplitz products would pay some fifteen times a
+    training step."""
+    view = np.ndarray(shape, a.dtype, a, offset * a.itemsize, strides)
+    view.flags.writeable = False
+    return view
+
+
+def _band(w: np.ndarray, adjoint: bool = False) -> np.ndarray:
+    """(F,K) kernels -> band matrix (F,2K,K): S[s,p] = w[s-p], or with
+    adjoint A[s,p] = w[K+p-s], where the index lies in [0,K), zero
+    elsewhere. [X[q] | X[q+1]] S is output block q of the correlation and
+    [G[q-1] | G[q]] A is block q of its input gradient, so the forward
+    builds S and only the backward builds A. Each is a strided view of the
+    kernels between K zeros on either side, reversed for S, whose rows are
+    runs of consecutive samples, copied once."""
     f, k = w.shape
     wide = np.zeros((f, 3 * k), dtype=w.dtype)
-    wide[:, k:2 * k] = w
+    wide[:, k:2 * k] = w if adjoint else w[:, ::-1]
     fs, step = wide.strides
-    fwd = as_strided(wide[:, k:], shape=(f, 2 * k, k), strides=(fs, step, -step),
-                     writeable=False)
-    adj = as_strided(wide[:, 2 * k:], shape=(f, 2 * k, k), strides=(fs, -step, step),
-                     writeable=False)
-    return np.ascontiguousarray(fwd), np.ascontiguousarray(adj)
+    start = 2 * k if adjoint else 2 * k - 1
+    return np.ascontiguousarray(_view(wide, (f, 2 * k, k), (fs, -step, step), start))
 
 
 def _pairs(xb: np.ndarray) -> np.ndarray:
@@ -261,9 +274,8 @@ def _pairs(xb: np.ndarray) -> np.ndarray:
     k, q1 = xb.shape[-1], xb.shape[-2]
     xf = xb.reshape(xb.shape[0], -1, q1 * k)
     step = xf.itemsize
-    return as_strided(xf, shape=(xf.shape[0], q1 - 1, xf.shape[1], 2 * k),
-                      strides=(xf.strides[0], k * step, xf.strides[1], step),
-                      writeable=False)
+    return _view(xf, (xf.shape[0], q1 - 1, xf.shape[1], 2 * k),
+                 (xf.strides[0], k * step, xf.strides[1], step))
 
 
 def _toeplitz_conv(xb: np.ndarray, fwd: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -271,7 +283,7 @@ def _toeplitz_conv(xb: np.ndarray, fwd: np.ndarray, out: np.ndarray) -> np.ndarr
     row with the kernel of its group.
 
     xb (G,*R,Q+1,K) holds the blocks of G groups of rows (_blocks), fwd
-    (G,2K,K) the band S of each group's kernel (_bands). Output block q of
+    (G,2K,K) the band S of each group's kernel (_band). Output block q of
     a row is [X[q] | X[q+1]] S: one batched GEMM, written to out (G,Q,R,K),
     R the rows flattened; a transposed view of a (G,*R,Q,K) array keeps
     the output in time order.
@@ -294,8 +306,7 @@ def _diagonals(p: np.ndarray) -> np.ndarray:
     """(..., K, 2K) -> strided view (..., K, K) of p[..., a, a+i] at [a, i]."""
     k = p.shape[-2]
     rows, cols = p.strides[-2:]
-    return as_strided(p, shape=p.shape[:-1] + (k,),
-                      strides=p.strides[:-2] + (rows + cols, cols), writeable=False)
+    return _view(p, p.shape[:-1] + (k,), p.strides[:-2] + (rows + cols, cols))
 
 
 def _toeplitz_weight_grad(xb: np.ndarray, gb: np.ndarray) -> np.ndarray:
@@ -306,7 +317,7 @@ def _toeplitz_weight_grad(xb: np.ndarray, gb: np.ndarray) -> np.ndarray:
 
 def _toeplitz_input_grad(gb: np.ndarray, adj: np.ndarray) -> np.ndarray:
     """Gradient of the padded input blocks for output-gradient blocks gb
-    (F,*R,Q+1,K) and kernel bands adj (F,2K,K) (_bands): block q is
+    (F,*R,Q+1,K) and kernel bands adj (F,2K,K) (_band): block q is
     [G[q-1] | G[q]] A, one batched GEMM over the pairs of gb's blocks, and
     block 0, where G[-1] is zero, is G[0] times A's lower half. The last
     block of each row of gb must be zero (left = 0 in _blocks). Same shape
@@ -333,9 +344,8 @@ def depthwise_temporal_conv(x: Tensor, w: Tensor) -> Tensor:
     left = _same_pad(k)[0]
     q = -(-m // k)
     xb = _blocks(x.data.transpose(1, 0, 2, 3), k, left)  # (F,B,C,Q+1,K)
-    fwd, adj = _bands(w.data)
     out = np.empty((f, b, c, q, k), dtype=np.result_type(x.data, w.data))
-    _toeplitz_conv(xb, fwd, out.reshape(f, b * c, q, k).transpose(0, 2, 1, 3))
+    _toeplitz_conv(xb, _band(w.data), out.reshape(f, b * c, q, k).transpose(0, 2, 1, 3))
     data = np.ascontiguousarray(out.reshape(f, b, c, q * k)[..., :m].transpose(1, 0, 2, 3))
 
     def grad_fn(g):
@@ -343,7 +353,7 @@ def depthwise_temporal_conv(x: Tensor, w: Tensor) -> Tensor:
         gw = _toeplitz_weight_grad(xb, gb) if w.requires_grad else None
         gx = None
         if _wants_grad(x):
-            gxb = _toeplitz_input_grad(gb, adj)
+            gxb = _toeplitz_input_grad(gb, _band(w.data, adjoint=True))
             gx = np.ascontiguousarray(_unblock(gxb, left, m).transpose(1, 0, 2, 3))
         return (gx, gw)
 
@@ -461,24 +471,29 @@ def _window_moments(x: np.ndarray, k: int, left: int):
     products p[s, |i-j|] = sum over rows of x[s] x[s+|i-j|] over
     s in [o, o+M), o = min(i,j) - left. _block_products of x with itself
     gives p for every s, the window sums are differences of a running sum
-    over s, and a strided view lays gram[i, i+l] out from them."""
-    x = x.astype(np.float64)
+    over s, and a strided view lays gram[i, i+l] out from them. x is
+    written once, as float64, into the zero-padded blocks the product
+    reads, and the row sums of the mean read the same blocks."""
     rows, m = x.shape
     q = -(-m // k)
-    xb = _blocks(x, k, 0)[None]
-    lagprod = _diagonals(_block_products(xb, xb)[0])  # p[qK+a, l] at [q, a, l]
-    cum = np.zeros((q * k + 1, k))
-    np.cumsum(lagprod.reshape(q * k, k), axis=0, out=cum[1:])
-    o = np.arange(k) - left
+    xb = _blocks(x, k, 0, np.float64)
+    lagprod = _diagonals(_block_products(xb[None], xb[None])[0])  # p[qK+a, l] at [q, a, l]
+    cum = np.empty((q * k + 1, k))
+    cum[0] = 0.0
+    run = cum[1:]
+    run.reshape(q, k, k)[...] = lagprod
+    np.cumsum(run, axis=0, out=run)
+    o = np.arange(k) - left  # take(..., mode="clip") clamps s to the sums' range
     band = np.zeros((k, 2 * k))  # band[i, l] = gram[i, i+l]
-    band[:, :k] = cum[np.clip(o + m, 0, q * k)] - cum[np.clip(o, 0, q * k)]
-    step = band.itemsize
-    upper = as_strided(band, shape=(k, k), strides=((2 * k - 1) * step, step),
-                       writeable=False)  # band[i, j-i]; zero below the diagonal
+    np.subtract(cum.take(o + m, axis=0, mode="clip"), cum.take(o, axis=0, mode="clip"),
+                out=band[:, :k])
+    # band[i, j-i] at [i, j], zero below the diagonal: rows of 2K-1 of the flat band
+    upper = band.reshape(-1)[:k * (2 * k - 1)].reshape(k, 2 * k - 1)[:, :k]
     gram = upper + upper.T
     gram.flat[::k + 1] = band[:, 0]
-    total = np.concatenate([[0.0], np.cumsum(x.sum(axis=0))])
-    mean = (total[np.clip(o + m, 0, m)] - total[np.clip(o, 0, m)]) / (rows * m)
+    total = np.zeros(m + 1)
+    np.cumsum(xb.reshape(rows, -1)[:, :m].sum(axis=0), out=total[1:])
+    mean = (total.take(o + m, mode="clip") - total.take(o, mode="clip")) / (rows * m)
     return mean, gram
 
 
@@ -489,10 +504,13 @@ def _pool_mean(a: np.ndarray, pool: int) -> np.ndarray:
     reduction path."""
     n = a.shape[-1] // pool
     blocks = a[..., :n * pool].reshape(a.shape[:-1] + (n, pool))
-    out = blocks[..., 0].copy()
-    for i in range(1, pool):
+    scale = a.dtype.type(1.0 / pool)
+    if pool == 1:
+        return blocks[..., 0] * scale
+    out = blocks[..., 0] + blocks[..., 1]
+    for i in range(2, pool):
         out += blocks[..., i]
-    out *= a.dtype.type(1.0 / pool)
+    out *= scale
     return out
 
 
@@ -501,6 +519,26 @@ def _dropout_mask(rng: np.random.Generator, shape, p: float, dtype) -> np.ndarra
     mask = (rng.random(shape) >= p).astype(dtype)
     mask /= 1.0 - p
     return mask
+
+
+def _elu_pool_grad(g: np.ndarray, mask, neg: np.ndarray, pool: int) -> np.ndarray:
+    """first_stage's gradient of ELU's input, (F*D,B,M), from the gradient
+    g (B,F*D,1,M//pool) of its output: g times the dropout mask (None for
+    none) times 1/pool, times ELU's derivative neg + 1 in every sample of
+    its window, and 0 in the samples past the last whole window."""
+    fd, b, m = neg.shape
+    mp = m // pool
+    gs = np.empty((fd, b, mp), dtype=neg.dtype)
+    gp = g[:, :, 0].transpose(1, 0, 2)
+    if mask is not None:
+        gp = np.multiply(gp, mask[:, :, 0].transpose(1, 0, 2), out=gs)
+    np.multiply(gp, neg.dtype.type(1.0 / pool), out=gs)
+    gt = neg + 1.0
+    gt[..., mp * pool:] = 0.0
+    # one multiply, windows outermost, so that its inner loops run long
+    windows = gt[..., :mp * pool].reshape(fd, b, mp, pool).transpose(3, 0, 1, 2)
+    np.multiply(windows, gs, out=windows, order="C")
+    return gt
 
 
 def first_stage(x: Tensor, w: Tensor, gamma1: Tensor, beta1: Tensor,
@@ -525,12 +563,23 @@ def first_stage(x: Tensor, w: Tensor, gamma1: Tensor, beta1: Tensor,
     the dropout mask run on the result in the (F*D,B,M) layout; only the
     pooled output is transposed. The mask is the one dropout draws.
 
+    Where each buffer is built: training first takes the window moments,
+    which write x once, as float64, into their padded blocks while no other
+    buffer of the op is live. The forward then writes x into its own padded
+    blocks, builds the band S, and allocates u, v, ELU's input t and its
+    expm1 part, the pooled means and the output; eval scales v into t in
+    place, since no backward reads v. Only the backward builds the adjoint
+    band A. It builds g_t and bn2's input gradient as (F*D,B,M) arrays,
+    copies the latter into a new padded block buffer of which only the
+    padding is zero-filled, and frees both before the Toeplitz gradients
+    allocate theirs.
+
     Only training builds a graph; eval mode wanting one is refused outside
     no_grad. The backward is closed form. The gradient g_t of ELU's input t
     comes from the pooled gradient and ELU's derivative, and its per-channel
     sums R1 = sum g_t and R2 = sum g_t z give bn2's gamma and beta
-    gradients. bn2's input gradient goes straight into the zero-padded
-    blocks the Toeplitz gradients read. bn2 removes any per-channel shift
+    gradients. bn2's input gradient is copied into the zero-padded blocks
+    the Toeplitz gradients read. bn2 removes any per-channel shift
     of h, so beta1 gets no gradient (None), and a_f reaches the output only
     through BN_EPS: dL/da_f = sum_d gamma2 BN_EPS R2 / sigma2^3. x is data."""
     if _wants_grad(x):
@@ -556,18 +605,18 @@ def first_stage(x: Tensor, w: Tensor, gamma1: Tensor, beta1: Tensor,
     fd = f * d
     left = _same_pad(k)[0]
     q = -(-m // k)
+    w64 = w.data.astype(np.float64)
+    n1 = b * c * m
+    if training:  # first, while no other buffer of the op is live
+        mean, gram = _window_moments(x.data.reshape(b * c, m), k, left)
     xb = _blocks(x.data.transpose(1, 0, 2), k, left)  # (C,B,Q+1,K)
     ub = np.matmul(spatial_w.data.reshape(fd, c), xb.reshape(c, -1))
     ub = ub.reshape(f, d, b, q + 1, k)  # u, padded as xb is
-    fwd, adj = _bands(w.data)
     v = np.empty((fd, b, q, k), dtype=dtype)
-    _toeplitz_conv(ub, fwd, v.reshape(f, d * b, q, k).transpose(0, 2, 1, 3))
+    _toeplitz_conv(ub, _band(w.data), v.reshape(f, d * b, q, k).transpose(0, 2, 1, 3))
     v = np.ascontiguousarray(v.reshape(fd, b, q * k)[..., :m])
 
-    w64 = w.data.astype(np.float64)
-    n1 = b * c * m
     if training:
-        mean, gram = _window_moments(x.data.reshape(b * c, m), k, left)
         mu1 = w64 @ mean
         rw = w64 @ gram
         # rounding can leave E[h^2] - mu^2 a hair below zero
@@ -598,7 +647,8 @@ def first_stage(x: Tensor, w: Tensor, gamma1: Tensor, beta1: Tensor,
         offset = (cs - running_mean2) / sigma2
     u = a2 / sigma2  # bn2's normalised input is u z + offset
     g2 = gamma2.data.astype(np.float64)
-    t = z * (g2 * u).astype(dtype)[:, None, None]
+    t = np.multiply(z, (g2 * u).astype(dtype)[:, None, None],
+                    out=None if training else z)
     t += (g2 * offset + beta2.data).astype(dtype)[:, None, None]
     neg = np.minimum(t, 0.0)  # elu, as in elu()
     np.expm1(neg, out=neg)
@@ -613,32 +663,29 @@ def first_stage(x: Tensor, w: Tensor, gamma1: Tensor, beta1: Tensor,
         data[:, :, 0] = pooled.transpose(1, 0, 2)
 
     def grad_fn(g):
-        if mask is not None:
-            g = g * mask
-        gs = np.empty((fd, b, mp), dtype=dtype)
-        np.multiply(g[:, :, 0].transpose(1, 0, 2), dtype.type(1.0 / pool), out=gs)
-        gt = neg + 1.0
-        gt[..., mp * pool:] = 0.0
-        gblocks = gt[..., :mp * pool].reshape(fd, b, mp, pool)
-        for i in range(pool):
-            gblocks[..., i] *= gs
+        gt = _elu_pool_grad(g, mask, neg, pool)
         r1 = gt.reshape(fd, -1).sum(axis=1).astype(np.float64)
         r2 = np.einsum("jn,jn->j", gt.reshape(fd, -1), z.reshape(fd, -1))
         r2 = r2.astype(np.float64)
         alpha = g2 / sigma2
-        gb = np.zeros((f, d, b, q + 1, k), dtype=dtype)
-        gh = gb.reshape(fd, b, (q + 1) * k)[..., :m]  # bn2's input gradient
-        np.multiply(z, (-alpha * u * u * r2 / n2).astype(dtype)[:, None, None],
-                    out=gh)
+        # bn2's input gradient, built contiguously and copied once into the
+        # padded blocks the Toeplitz gradients read: its three passes cost
+        # more on the blocks' strided view than the copy does
+        gh = z * (-alpha * u * u * r2 / n2).astype(dtype)[:, None, None]
         gt *= alpha.astype(dtype)[:, None, None]
         gh += gt
         gh -= (alpha * r1 / n2).astype(dtype)[:, None, None]
+        gb = np.empty((f, d, b, q + 1, k), dtype=dtype)
+        rows = gb.reshape(fd, b, (q + 1) * k)
+        rows[..., :m] = gh
+        rows[..., m:] = 0.0
+        del gt, gh  # before the Toeplitz gradients' buffers are allocated
         ga = (alpha * BN_EPS * r2 / (sigma2 * sigma2)).reshape(f, d).sum(axis=1)
         gvar = -0.5 * istd1 ** 3 * gamma64 * ga
         gw = a[:, None] * _toeplitz_weight_grad(ub, gb)
         gmu = -2.0 * mu1 * gvar
         gw += gmu[:, None] * mean + (2.0 / n1) * gvar[:, None] * rw
-        gub = _toeplitz_input_grad(gb, adj)
+        gub = _toeplitz_input_grad(gb, _band(w.data, adjoint=True))
         gsw = np.matmul(gub.reshape(fd, -1), xb.reshape(c, -1).T).reshape(f, d, c)
         return (None, gw.astype(w.data.dtype),
                 (istd1 * ga).astype(gamma1.data.dtype), None,

@@ -36,6 +36,7 @@ import csv
 import math
 import os
 import struct
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,6 +53,7 @@ MANIFEST_HEADER = ["path", "subject", "class", "split"]
 SPLIT_TOKENS = ("train", "val", "test", "none")
 SPLIT_RATIOS = (0.8, 0.1, 0.1)  # train, val, test
 _MANIFEST_FORBIDDEN = (",", '"', "\n", "\r")
+NAME_MAX_BYTES = 255  # the usual file-name limit (NAME_MAX)
 
 
 @dataclass(frozen=True)
@@ -298,16 +300,31 @@ def write_manifest(manifest: Manifest, path: str) -> None:
 def write_epoch_dir(epoch_set: EpochSet, out_dir: str) -> Manifest:
     """Write each epoch as {subject}_c{class}_{k:04d}.ndf, k counting the
     epochs of its (subject, class) cell, then manifest.csv listing them with
-    their split tags, into out_dir. An empty set, or a subject id holding a
-    path separator (which would put its files outside out_dir), is refused
-    before out_dir is created."""
+    their split tags, into out_dir. An empty set, or a subject id that no
+    file name can hold, is refused before out_dir is created: one with a
+    path separator (which would put its files outside out_dir) or a NUL, one
+    that is not valid UTF-8, or one whose longest file name passes
+    NAME_MAX_BYTES bytes."""
     if not epoch_set.epochs:
         raise ValidationError("no epochs to write: every recording is shorter "
                               "than one epoch")
-    for subject in epoch_set.subjects:
-        if "/" in subject or "\\" in subject:
-            raise ValidationError(f"subject id {subject!r} holds a path "
-                                  f"separator, which a file name cannot")
+    cells = Counter((ep.s, ep.y) for ep in epoch_set.epochs)
+    for (subject, y), n in sorted(cells.items()):
+        for ch, what in (("/", "a path separator"), ("\\", "a path separator"),
+                         ("\0", "a NUL")):
+            if ch in subject:
+                raise ValidationError(f"subject id {subject!r} holds {what}, "
+                                      f"which a file name cannot")
+        try:  # NDF and the manifest store the id as UTF-8
+            longest = len(f"{subject}_c{y}_{n - 1:04d}.ndf".encode("utf-8"))
+        except UnicodeEncodeError:
+            raise ValidationError(f"subject id {subject!r} cannot be encoded "
+                                  f"as UTF-8") from None
+        if longest > NAME_MAX_BYTES:
+            raise ValidationError(
+                f"subject id {subject[:16]!r}... ({len(subject)} characters) gives "
+                f"file names of up to {longest} bytes, more than a file name's "
+                f"{NAME_MAX_BYTES}")
     os.makedirs(out_dir, exist_ok=True)
     counts: dict[tuple[str, int], int] = {}
     rows = []

@@ -18,8 +18,10 @@ Welch and one band loop per channel per epoch, and its temporaries stay
 the size of one block however many epochs it gets. The Welch window and
 overlap are constants. ``iqr_row_mask`` takes every column's quartiles
 from one percentile call. ``silhouette`` takes its pairwise distances from
-``cdist`` and every point's per-cluster distance sums from a single product
-with a one-hot membership matrix, with no n x n x d temporary.
+``cdist`` and every point's per-cluster distance sums from products with a
+one-hot membership matrix, in blocks of rows whose distances to all n
+points hold at most SILHOUETTE_BLOCK_VALUES values, so it builds neither
+the n x n distance matrix nor an n x n x d temporary.
 """
 
 from __future__ import annotations
@@ -43,6 +45,8 @@ WELCH_WINDOW_S = 2.0
 WELCH_OVERLAP = 0.5
 # float64 input values per Welch block of log_band_power_features (512 KiB)
 FEATURE_BLOCK_VALUES = 1 << 16
+# float64 distances per row block of silhouette (8 MiB)
+SILHOUETTE_BLOCK_VALUES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -198,7 +202,12 @@ def f_statistic(features, groups) -> float:
 
 
 def silhouette(features, labels) -> float:
-    """Mean silhouette with Euclidean distance; singleton clusters score 0."""
+    """Mean silhouette with Euclidean distance; singleton clusters score 0.
+    Each row's distance sums to the clusters come from a block of
+    max(1, SILHOUETTE_BLOCK_VALUES // n) rows: the block's distances to all
+    n rows times the (n, clusters) one-hot membership matrix. Up to 1,024
+    rows are one block; the sums of smaller blocks can differ in the last
+    bits, as BLAS may order a product's additions by its shape."""
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
     n = features.shape[0]
@@ -209,7 +218,11 @@ def silhouette(features, labels) -> float:
         raise ValidationError("need at least two clusters")
 
     members = (cluster[:, None] == np.arange(unique.size)).astype(np.float64)
-    sums = cdist(features, features) @ members  # (n, clusters) distance sums
+    sums = np.empty((n, unique.size))  # distance sums to every cluster
+    per_block = max(1, SILHOUETTE_BLOCK_VALUES // n)
+    for start in range(0, n, per_block):
+        block = slice(start, start + per_block)
+        np.matmul(cdist(features[block], features), members, out=sums[block])
     sizes = np.bincount(cluster)
     rows = np.arange(n)
     own = sizes[cluster] > 1

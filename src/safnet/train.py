@@ -166,33 +166,60 @@ def compute_losses(x, y, subject_index, model: SafModel, weights: LossWeights, r
 
 
 class AdamState:
-    """First/second moment estimates and the shared step counter."""
+    """First/second moment estimates and the shared step counter. m and v
+    are flat buffers, built here, holding every parameter's moments in the
+    order of params; slices maps each name to its part. The parameters must
+    share one dtype, the buffers'."""
 
     def __init__(self, params: dict[str, ad.Tensor]):
+        dtypes = sorted({str(p.data.dtype) for p in params.values()})
+        if len(dtypes) > 1:
+            raise ValidationError(f"Adam needs parameters of one dtype, got {dtypes}")
         self.t = 0
-        self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
-        self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
+        self.shapes = {k: p.data.shape for k, p in params.items()}
+        self.slices = {}
+        end = 0
+        for k, p in params.items():
+            self.slices[k] = slice(end, end + p.data.size)
+            end += p.data.size
+        dtype = dtypes[0] if dtypes else np.float64
+        self.m = np.zeros(end, dtype=dtype)
+        self.v = np.zeros(end, dtype=dtype)
 
 
 def adam_step(params: dict[str, ad.Tensor], state: AdamState, lr: float) -> None:
-    """One in-place Adam update; a parameter with grad None sees zero gradient."""
+    """One in-place Adam update of the parameters the state was built for; a
+    parameter with grad None sees zero gradient. The gradients are gathered
+    once into a flat buffer laid out as the state's m and v, the moment and
+    step arithmetic runs over whole buffers, and each parameter subtracts
+    its slice of the step in place."""
+    if params.keys() != state.slices.keys():
+        raise ValidationError(f"the optimizer state holds {sorted(state.slices)}, "
+                              f"not the parameters passed, {sorted(params)}")
+    g = np.zeros_like(state.m)
+    for name, p in params.items():
+        if p.data.shape != state.shapes[name] or p.data.dtype != state.m.dtype:
+            raise ValidationError(
+                f"{name} is {p.data.dtype} {p.data.shape}, the optimizer state "
+                f"{state.m.dtype} {state.shapes[name]}")
+        if p.grad is None:
+            continue
+        if p.grad.shape != p.data.shape or p.grad.dtype != p.data.dtype:
+            raise ValidationError(
+                f"gradient {p.grad.dtype} {p.grad.shape} does not match {name} "
+                f"{p.data.dtype} {p.data.shape}")
+        g[state.slices[name]] = p.grad.reshape(-1)
     state.t += 1
     bc1 = 1.0 - BETA1 ** state.t
     bc2 = 1.0 - BETA2 ** state.t
+    m, v = state.m, state.v
+    m *= BETA1
+    m += (1.0 - BETA1) * g
+    v *= BETA2
+    v += (1.0 - BETA2) * np.square(g)
+    step = lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
     for name, p in params.items():
-        if name not in state.m:
-            raise ValidationError(f"optimizer state missing parameter {name!r}")
-        g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        if g.shape != p.data.shape:
-            raise ValidationError(
-                f"gradient shape {g.shape} does not match {name} {p.data.shape}")
-        m = state.m[name]
-        v = state.v[name]
-        m *= BETA1
-        m += (1.0 - BETA1) * g
-        v *= BETA2
-        v += (1.0 - BETA2) * np.square(g)
-        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+        p.data -= step[state.slices[name]].reshape(p.data.shape)
 
 
 def _tail_stagnation(history) -> int:

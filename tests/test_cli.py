@@ -498,6 +498,27 @@ class TestPreprocessCommand:
         assert err.startswith("error: ") and "path separator" in err
         assert os.listdir(parent) == []
 
+    @pytest.mark.parametrize("subject, message", [
+        ("s" * 300, "up to 312 bytes"),
+        ("a\udc80", "cannot be encoded as UTF-8")])
+    def test_subject_no_file_name_can_hold_is_validation_error(
+            self, tmp_path, capsys, subject, message):
+        """300 characters make file names of 312 bytes, past the 255 a file
+        name may have; a stray byte 0x80 in the argument reaches Python as
+        a lone surrogate, which NDF's UTF-8 cannot hold. Either run exits 1
+        and creates no directory."""
+        config = write_config(tmp_path / "c.ini")
+        rec_path = self.make_recording(str(tmp_path / "raw.safr"))
+        parent = tmp_path / "out"
+        parent.mkdir()
+        code = main(["preprocess", "--config", config, "--in", rec_path,
+                     "--subject", subject, "--class", "0",
+                     "--out", str(parent / "d")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and message in err
+        assert os.listdir(parent) == []
+
     def test_truncated_recording_is_format_error(self, tmp_path, capsys):
         config = write_config(tmp_path / "c.ini")
         rec_path = tmp_path / "raw.safr"

@@ -18,6 +18,7 @@ from safnet.datamodel import (
     read_ndf,
     read_recording,
     split_dataset,
+    write_epoch_dir,
     write_manifest,
     write_ndf,
     write_recording,
@@ -309,6 +310,51 @@ class TestManifestFields:
             manifest, eset = load_manifest(mpath)
         assert manifest.rows == [("e.ndf", subject, 0, "none")]
         assert eset.epochs[0].s == subject
+
+
+class TestWriteEpochDir:
+    def test_nul_in_subject_refused_before_out_dir_is_created(self, tmp_path):
+        out = tmp_path / "out"
+        with pytest.raises(ValidationError, match="holds a NUL"):
+            write_epoch_dir(EpochSet(epochs=[make_epoch(s="a\x00")]), str(out))
+        assert not out.exists()
+
+    @pytest.mark.parametrize("subject", ["a\ud800", "a\udc80"])
+    def test_subject_that_is_not_utf8_refused_before_out_dir_is_created(
+            self, tmp_path, subject):
+        """A lone surrogate, such as the one Python decodes a stray byte of
+        a command-line argument to, cannot be written into NDF or the
+        manifest."""
+        out = tmp_path / "out"
+        with pytest.raises(ValidationError, match="cannot be encoded as UTF-8"):
+            write_epoch_dir(EpochSet(epochs=[make_epoch(s=subject)]), str(out))
+        assert not out.exists()
+
+    @pytest.mark.parametrize("subject, fits", [
+        ("s" * 243, True),   # s..s_c0_0000.ndf is 255 bytes
+        ("s" * 244, False),
+        ("\u00e9" * 121 + "s", True),  # two UTF-8 bytes a character
+        ("\u00e9" * 122, False)])
+    def test_subject_whose_file_names_pass_255_bytes_refused(self, tmp_path,
+                                                             subject, fits):
+        out = tmp_path / "out"
+        epoch_set = EpochSet(epochs=[make_epoch(s=subject)])
+        if fits:
+            write_epoch_dir(epoch_set, str(out))
+            assert len(os.fsencode(os.listdir(out)[0])) <= 255
+            return
+        with pytest.raises(ValidationError, match="more than a file name's 255"):
+            write_epoch_dir(epoch_set, str(out))
+        assert not out.exists()
+
+    def test_longest_name_counts_the_cell_index(self, tmp_path):
+        """10,001 epochs of one cell number their files up to 10000, five
+        digits, so the 243 characters that fit one epoch are one too many."""
+        epoch = make_epoch(s="s" * 243)
+        out = tmp_path / "out"
+        with pytest.raises(ValidationError, match="up to 256 bytes"):
+            write_epoch_dir(EpochSet(epochs=[epoch] * 10_001), str(out))
+        assert not out.exists()
 
 
 class TestSubjectIndex:

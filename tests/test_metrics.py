@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import signal as sp_signal
 from scipy import stats as sp_stats
+from scipy.spatial.distance import cdist
 
 from safnet import metrics
 from safnet.errors import ConfigError, ValidationError
@@ -448,6 +449,48 @@ class TestSilhouette:
         labels = np.array([0, 0, 1])
         assert silhouette(features, labels) == pytest.approx(
             brute_force_silhouette(features, labels), abs=1e-12)
+
+    def test_memory_grows_linearly_in_the_rows(self):
+        """4x the rows stay within 5x the traced peak: the distances live in
+        row blocks of SILHOUETTE_BLOCK_VALUES, not in an n x n matrix (8 MB
+        at 1,000 rows, 128 MB at 4,000)."""
+        rng = np.random.default_rng(16)
+        peaks = {}
+        for n in (1000, 4000):
+            features = rng.standard_normal((n, 8))
+            labels = np.arange(n) % 4
+            tracemalloc.start()
+            try:
+                silhouette(features, labels)
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[4000] <= 5 * peaks[1000]
+
+    def test_one_block_gives_the_unblocked_bytes(self):
+        """Up to 1,024 rows are one block, whose product is the one the
+        whole distance matrix went through."""
+        rng = np.random.default_rng(17)
+        for n in (480, 1024):
+            labels = np.arange(n) % 8
+            features = rng.standard_normal((n, 30)) + labels[:, None] * 0.05
+            members = (labels[:, None] == np.arange(8)).astype(np.float64)
+            sums = cdist(features, features) @ members
+            a = sums[np.arange(n), labels] / (n // 8 - 1)
+            means = sums / (n // 8)
+            means[np.arange(n), labels] = np.inf
+            b = means.min(axis=1)
+            want = float(((b - a) / np.maximum(a, b)).mean())
+            assert silhouette(features, labels) == want
+
+    @pytest.mark.parametrize("block_values", [1, 7 * 481])
+    def test_smaller_blocks_agree_to_rounding(self, monkeypatch, block_values):
+        rng = np.random.default_rng(17)
+        labels = np.arange(481) % 8
+        features = rng.standard_normal((481, 30)) + labels[:, None] * 0.05
+        want = silhouette(features, labels)
+        monkeypatch.setattr(metrics, "SILHOUETTE_BLOCK_VALUES", block_values)
+        assert silhouette(features, labels) == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_matches_brute_force_at_analysis_size(self):
         """480 epochs of 30 features over 8 subjects, the size the signal

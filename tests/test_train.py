@@ -462,6 +462,31 @@ class TestFit:
         assert log.stop_reason == "early_stop"
         assert len(log.records) < 50
 
+    def test_augments_and_steps_once_per_batch_through_the_module(self, monkeypatch):
+        """fit looks up train.isbcs_augment_batch and train.adam_step on every
+        step, as the benchmark's tracer relies on, and calls each once per
+        batch: 16 epochs in batches of 6 are 3 steps an epoch."""
+        calls = []
+        real_augment = train_module.isbcs_augment_batch
+        real_step = train_module.adam_step
+
+        def augment(batch, cfg, rng):
+            calls.append(("augment", len(batch)))
+            return real_augment(batch, cfg, rng)
+
+        def step(params, state, lr):
+            calls.append(("adam", None))
+            return real_step(params, state, lr)
+
+        monkeypatch.setattr(train_module, "isbcs_augment_batch", augment)
+        monkeypatch.setattr(train_module, "adam_step", step)
+        fit(make_epochs(4, seed=1), make_epochs(1, seed=2), tiny_model(seed=3),
+            quick_cfg(batch_size=6, max_epochs=2, swap=SwapConfig(p=0.5)),
+            LossWeights(lambda_mi=0.5, lambda_grl=1.0))
+        per_epoch = [("augment", 6), ("adam", None), ("augment", 6),
+                     ("adam", None), ("augment", 4), ("adam", None)]
+        assert calls == 2 * per_epoch
+
     def test_train_log_csv(self, tmp_path):
         train = make_epochs(3, seed=1)
         model = tiny_model(seed=3)
