@@ -29,7 +29,7 @@ to adding the windows one after the other, whatever the overlap.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -125,8 +125,7 @@ def select_calibration(rec: Recording, cfg: AsrConfig) -> Recording:
     if int(clean.sum()) < MIN_CALIB_WINDOWS:
         return rec
     keep = windows[:, clean].reshape(rec.channels, -1)
-    return Recording(data=keep, sample_rate_hz=rec.sample_rate_hz,
-                     channel_names=rec.channel_names)
+    return replace(rec, data=keep)
 
 
 def asr_fit(calib: Recording, cfg: AsrConfig) -> AsrModel:
@@ -207,5 +206,4 @@ def asr_apply(rec: Recording, model: AsrModel) -> Recording:
 
     out = (_overlap_add(frames, hop, n)
            / _overlap_add(np.broadcast_to(taper, (starts.size, width)), hop, n))
-    return Recording(data=out, sample_rate_hz=rec.sample_rate_hz,
-                     channel_names=rec.channel_names)
+    return replace(rec, data=out)

@@ -35,7 +35,9 @@ strides is one element and the other spans at least a row.
   Toeplitz gradients read. The seven ops remain ops of their own, and
   temporal_conv is depthwise_temporal_conv on its input repeated over the
   filters.
-- depthwise_spatial_conv and pointwise_conv are single BLAS products.
+- pointwise_conv is a single BLAS product. depthwise_spatial_conv, which
+  only first_stage's fused form runs in the encoder, is built from mul,
+  reshape and tensor_sum.
 - elu uses np.maximum and one multiply instead of np.where, and
   avg_pool_time adds the pool strided slices of a (..., n, pool) view
   instead of taking a mean over the trailing axis; both avoided forms run
@@ -370,23 +372,17 @@ def temporal_conv(x: Tensor, w: Tensor) -> Tensor:
 
 
 def depthwise_spatial_conv(x: Tensor, w: Tensor) -> Tensor:
-    """(B,F,C,M) with kernels (F,D,C); collapses the channel axis to 1."""
+    """(B,F,C,M) with kernels (F,D,C); collapses the channel axis to 1. The
+    input and the kernels broadcast to (B,F,D,C,M) through mul and are
+    summed over C, so the gradients come from mul, reshape and tensor_sum.
+    The encoder runs this op fused into first_stage, never on its own."""
     b, f, c, m = x.data.shape
     fw, d, cw = w.data.shape
     if fw != f or cw != c:
         raise ValidationError(f"kernel {w.data.shape} incompatible with input "
                               f"{x.data.shape}")
-    data = np.matmul(w.data, x.data).reshape(b, f * d, 1, m)  # (F,D,C)@(B,F,C,M)
-
-    def grad_fn(g):
-        g4 = g.reshape(b, f, d, m)
-        gw = None
-        if w.requires_grad:
-            gw = np.matmul(g4, x.data.transpose(0, 1, 3, 2)).sum(axis=0)
-        gx = np.matmul(w.data.transpose(0, 2, 1), g4) if _wants_grad(x) else None
-        return (gx, gw)
-
-    return _node(data, (x, w), grad_fn)
+    prod = mul(reshape(x, (b, f, 1, c, m)), reshape(w, (1, f, d, c, 1)))
+    return reshape(tensor_sum(prod, axis=3), (b, f * d, 1, m))
 
 
 def pointwise_conv(x: Tensor, w: Tensor) -> Tensor:

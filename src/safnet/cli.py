@@ -139,7 +139,8 @@ def _note(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _split_epochs(manifest_path: str, *tags: str):
+def _split_epochs(manifest_path: str, *tags: str) -> list[list]:
+    """One list of the manifest's epochs per tag; refuses an empty one."""
     _, epoch_set = load_manifest(manifest_path)
     out = []
     for tag in tags:
@@ -148,7 +149,7 @@ def _split_epochs(manifest_path: str, *tags: str):
             raise ValidationError(
                 f"{manifest_path}: no epochs tagged {tag!r}")
         out.append(eps)
-    return out if len(out) > 1 else out[0]
+    return out
 
 
 def _make_parents(*paths) -> None:
@@ -222,7 +223,7 @@ def _cmd_grid(args) -> int:
 
 def _cmd_eval(args) -> int:
     model = load_checkpoint(args.model)
-    epochs = _split_epochs(args.manifest, args.split)
+    (epochs,) = _split_epochs(args.manifest, args.split)
     acc, prec, rec, f1 = macro_metrics(eval_confusion(model, epochs))
     _make_parents(args.out)
     write_csv(args.out, ["metric", "value"],

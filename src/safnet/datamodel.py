@@ -36,7 +36,6 @@ import csv
 import math
 import os
 import struct
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -300,23 +299,31 @@ def write_manifest(manifest: Manifest, path: str) -> None:
 def write_epoch_dir(epoch_set: EpochSet, out_dir: str) -> Manifest:
     """Write each epoch as {subject}_c{class}_{k:04d}.ndf, k counting the
     epochs of its (subject, class) cell, then manifest.csv listing them with
-    their split tags, into out_dir. An empty set, or a subject id that no
-    file name can hold, is refused before out_dir is created: one with a
-    path separator (which would put its files outside out_dir) or a NUL, one
-    that is not valid UTF-8, or one whose longest file name passes
-    NAME_MAX_BYTES bytes."""
+    their split tags, into out_dir. Each manifest row, and so each file
+    name, is built once. An empty set, or a subject id that the manifest or
+    a file name cannot hold, is refused before out_dir is created: one with
+    a character check_manifest_field refuses, a path separator (which would
+    put its files outside out_dir) or a NUL, one that is not valid UTF-8,
+    or one whose cell's last, longest name passes NAME_MAX_BYTES bytes."""
     if not epoch_set.epochs:
         raise ValidationError("no epochs to write: every recording is shorter "
                               "than one epoch")
-    cells = Counter((ep.s, ep.y) for ep in epoch_set.epochs)
-    for (subject, y), n in sorted(cells.items()):
+    counts: dict[tuple[str, int], int] = {}
+    rows = []
+    for ep, split in zip(epoch_set.epochs, epoch_set.split):
+        k = counts.get((ep.s, ep.y), 0)
+        counts[(ep.s, ep.y)] = k + 1
+        rows.append((f"{ep.s}_c{ep.y}_{k:04d}.ndf", ep.s, ep.y, split))
+    last_names = {(subject, y): fname for fname, subject, y, _ in rows}
+    for (subject, _), fname in sorted(last_names.items()):
+        check_manifest_field(subject)
         for ch, what in (("/", "a path separator"), ("\\", "a path separator"),
                          ("\0", "a NUL")):
             if ch in subject:
                 raise ValidationError(f"subject id {subject!r} holds {what}, "
                                       f"which a file name cannot")
         try:  # NDF and the manifest store the id as UTF-8
-            longest = len(f"{subject}_c{y}_{n - 1:04d}.ndf".encode("utf-8"))
+            longest = len(fname.encode("utf-8"))
         except UnicodeEncodeError:
             raise ValidationError(f"subject id {subject!r} cannot be encoded "
                                   f"as UTF-8") from None
@@ -326,14 +333,8 @@ def write_epoch_dir(epoch_set: EpochSet, out_dir: str) -> Manifest:
                 f"file names of up to {longest} bytes, more than a file name's "
                 f"{NAME_MAX_BYTES}")
     os.makedirs(out_dir, exist_ok=True)
-    counts: dict[tuple[str, int], int] = {}
-    rows = []
-    for ep, split in zip(epoch_set.epochs, epoch_set.split):
-        k = counts.get((ep.s, ep.y), 0)
-        counts[(ep.s, ep.y)] = k + 1
-        fname = f"{ep.s}_c{ep.y}_{k:04d}.ndf"
+    for ep, (fname, *_) in zip(epoch_set.epochs, rows):
         write_ndf(ep, os.path.join(out_dir, fname))
-        rows.append((fname, ep.s, ep.y, split))
     manifest = Manifest(rows=rows, base_dir=out_dir)
     write_manifest(manifest, os.path.join(out_dir, "manifest.csv"))
     return manifest

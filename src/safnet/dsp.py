@@ -19,7 +19,7 @@ filter chain; preprocess_pipeline adds artifact removal and slicing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -80,8 +80,7 @@ def resample(rec: Recording, target_rate_hz: float) -> Recording:
     resampled = signal.resample_poly(
         rec.data, up, down, axis=-1,
         window=("kaiser", signal.kaiser_beta(RESAMPLE_ATTEN_DB)))[:, :out_len]
-    return Recording(data=resampled, sample_rate_hz=float(target_rate_hz),
-                     channel_names=rec.channel_names)
+    return replace(rec, data=resampled, sample_rate_hz=float(target_rate_hz))
 
 
 def bandpass(rec: Recording, cfg: PipelineConfig) -> Recording:
@@ -92,9 +91,7 @@ def bandpass(rec: Recording, cfg: PipelineConfig) -> Recording:
     # a band-pass designed at order n has order 2n
     sos = signal.butter(BUTTER_ORDER // 2, [cfg.band_lo_hz, cfg.band_hi_hz],
                         btype="bandpass", fs=cfg.target_rate_hz, output="sos")
-    return Recording(data=_zero_phase(sos, rec.data),
-                     sample_rate_hz=rec.sample_rate_hz,
-                     channel_names=rec.channel_names)
+    return replace(rec, data=_zero_phase(sos, rec.data))
 
 
 def notch(rec: Recording, cfg: PipelineConfig) -> Recording:
@@ -106,8 +103,7 @@ def notch(rec: Recording, cfg: PipelineConfig) -> Recording:
     for f in cfg.notch_hz:
         sos = np.concatenate(signal.iirnotch(f, NOTCH_Q, fs=cfg.target_rate_hz))
         data = _zero_phase(sos[None, :], data)
-    return Recording(data=data, sample_rate_hz=rec.sample_rate_hz,
-                     channel_names=rec.channel_names)
+    return replace(rec, data=data)
 
 
 def _zero_phase(sos: np.ndarray, data: np.ndarray) -> np.ndarray:

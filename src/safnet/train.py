@@ -44,7 +44,7 @@ from __future__ import annotations
 import ctypes
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -56,8 +56,6 @@ from .metrics import confusion, macro_metrics
 from .model import EncoderConfig, SafModel
 from .textio import write_csv
 
-TRAIN_LOG_HEADER = ["epoch", "l_task", "l_domain", "l_mi", "l_total", "lr",
-                    "val_macro_acc"]
 GRID_TABLE_HEADER = ["lambda_mi", "lambda_grl", "val_macro_acc"]
 EVAL_BATCH = 256
 # fit stops as diverged at a step whose l_total exceeds this factor times
@@ -134,9 +132,9 @@ class TrainLog:
 
 
 def write_train_log(log: TrainLog, path: str) -> None:
-    rows = [(r.epoch, r.l_task, r.l_domain, r.l_mi, r.l_total, r.lr,
-             r.val_macro_acc) for r in log.records]
-    write_csv(path, TRAIN_LOG_HEADER, rows)
+    """One CSV column per EpochRecord field, in field order."""
+    write_csv(path, [f.name for f in fields(EpochRecord)],
+              [astuple(r) for r in log.records])
 
 
 def compute_losses(x, y, subject_index, model: SafModel, weights: LossWeights, rng):
@@ -259,22 +257,30 @@ def early_stop_check(history, cfg: TrainConfig) -> bool:
     return _tail_stagnation(history) >= cfg.patience
 
 
-def _check_rate(model: SafModel, epochs: list[Epoch]) -> None:
-    """Refuse epochs sampled at another rate than the model's. Rates are
-    compared at float32, the precision an NDF file stores."""
+def _check_epochs(model: SafModel, epochs: list[Epoch], empty: str) -> None:
+    """The one check of an epoch list against the model, before any step or
+    prediction: refuses an empty list (with the message `empty`), and
+    epochs of another (channels, samples) than the model's (C, M) or
+    sampled at another rate. Rates are compared at float32, the precision
+    an NDF file stores."""
+    if not epochs:
+        raise ValidationError(empty)
+    cfg = model.cfg
     with np.errstate(over="ignore"):  # a rate beyond float32 casts to inf
-        for rate in {ep.sample_rate_hz for ep in epochs}:
-            if np.float32(rate) != np.float32(model.cfg.fs):
+        for shape, rate in {(ep.x.shape, ep.sample_rate_hz) for ep in epochs}:
+            if shape != (cfg.C, cfg.M):
+                raise ValidationError(
+                    f"epochs of {shape[0]} channels x {shape[1]} samples do not "
+                    f"fit the model's {cfg.C} x {cfg.M}")
+            if np.float32(rate) != np.float32(cfg.fs):
                 raise ValidationError(f"epochs are sampled at {rate} Hz but "
-                                      f"the model at {model.cfg.fs} Hz")
+                                      f"the model at {cfg.fs} Hz")
 
 
 def eval_confusion(model: SafModel, epochs: list[Epoch]) -> np.ndarray:
     """Task-head 2x2 confusion counts (rows true class, columns predicted)
     over the given epochs, eval mode."""
-    if not epochs:
-        raise ValidationError("cannot evaluate an empty epoch list")
-    _check_rate(model, epochs)
+    _check_epochs(model, epochs, "cannot evaluate an empty epoch list")
     preds = []
     for start in range(0, len(epochs), EVAL_BATCH):
         x = np.stack([ep.x for ep in epochs[start:start + EVAL_BATCH]])
@@ -314,13 +320,11 @@ def fit(train_data, val_data, model: SafModel, cfg: TrainConfig,
     A batch whose loss is not finite, or whose l_total exceeds
     DIVERGENCE_FACTOR * max(1, first step's l_total), stops training with a
     ValidationError that names its epoch and step, before that batch
-    updates the weights. Epochs sampled at another rate than the model's
-    are refused before the first step.
+    updates the weights. An empty set, and epochs of another shape or rate
+    than the model's, are refused before the first step.
     """
-    if not train_data or not val_data:
-        raise ValidationError("train and validation sets must be non-empty")
-    _check_rate(model, train_data)
-    _check_rate(model, val_data)
+    for epochs in (train_data, val_data):
+        _check_epochs(model, epochs, "train and validation sets must be non-empty")
 
     subjects = sorted({ep.s for ep in train_data})
     subject_map = {s: i for i, s in enumerate(subjects)}

@@ -3,27 +3,87 @@ before their buffers were reworked: first_stage with its _blocks, _bands,
 _window_moments and _pool_mean, depthwise_temporal_conv, and a
 per-parameter Adam. They run the same floating-point operations in the same
 order as the library's, with more passes, copies and temporaries, so the
-library must match them bit for bit (tests/test_same_bytes.py). Helpers
-the rework left as they were are imported from safnet.autodiff."""
+library must match them bit for bit (tests/test_same_bytes.py). Every
+helper that computes a float is copied here, as the library had it before
+the rework, so a change to the library's own helper cannot move the
+reference with it; only the graph plumbing (_node, _wants_grad, the no_grad
+flag) and the constants come from the library."""
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from safnet import autodiff as ad
-from safnet.autodiff import (
-    BN_EPS,
-    _dropout_mask,
-    _node,
-    _same_pad,
-    _toeplitz_conv,
-    _toeplitz_input_grad,
-    _toeplitz_weight_grad,
-    _unblock,
-    _update_running,
-    _wants_grad,
-)
+from safnet.autodiff import BN_EPS, BN_MOMENTUM, _node, _wants_grad
 from safnet.errors import ValidationError
 from safnet.train import ADAM_EPS, BETA1, BETA2
+
+
+def same_pad(kernel):
+    left = (kernel - 1) // 2
+    return left, kernel - 1 - left
+
+
+def pairs(xb):
+    """[X[q] | X[q+1]]: a strided view (G,Q,R,2K) of the blocks xb
+    (G,*R,Q+1,K), the rows flattened."""
+    k, q1 = xb.shape[-1], xb.shape[-2]
+    xf = xb.reshape(xb.shape[0], -1, q1 * k)
+    step = xf.itemsize
+    return as_strided(xf, shape=(xf.shape[0], q1 - 1, xf.shape[1], 2 * k),
+                      strides=(xf.strides[0], k * step, xf.strides[1], step),
+                      writeable=False)
+
+
+def toeplitz_conv(xb, fwd, out):
+    """Output block q of each padded row is [X[q] | X[q+1]] S."""
+    return np.matmul(pairs(xb), fwd[:, None], out=out)
+
+
+def block_products(xb, gb):
+    """P[f,q] = sum over rows of G[q]' [X[q] | X[q+1]], (F,Q,K,2K)."""
+    k, q1 = gb.shape[-1], gb.shape[-2]
+    gf = gb.reshape(gb.shape[0], -1, q1, k)
+    return np.matmul(gf[:, :, :-1].transpose(0, 2, 3, 1), pairs(xb))
+
+
+def diagonals(p):
+    """(..., K, 2K) -> strided view (..., K, K) of p[..., a, a+i] at [a, i]."""
+    k = p.shape[-2]
+    rows, cols = p.strides[-2:]
+    return as_strided(p, shape=p.shape[:-1] + (k,),
+                      strides=p.strides[:-2] + (rows + cols, cols), writeable=False)
+
+
+def toeplitz_weight_grad(xb, gb):
+    return diagonals(block_products(xb, gb)).sum(axis=(1, 2))
+
+
+def toeplitz_input_grad(gb, adj):
+    """Block q of the padded input's gradient is [G[q-1] | G[q]] A; block 0
+    is G[0] times A's lower half."""
+    f, k, q1 = gb.shape[0], gb.shape[-1], gb.shape[-2]
+    gxb = np.empty(gb.shape, dtype=np.result_type(gb, adj))
+    rows = gxb.reshape(f, -1, q1, k)
+    np.matmul(pairs(gb), adj[:, None], out=rows[:, :, 1:].transpose(0, 2, 1, 3))
+    np.matmul(gb.reshape(f, -1, q1, k)[:, :, 0], adj[:, k:], out=rows[:, :, 0])
+    return gxb
+
+
+def unblock(gxb, left, m):
+    return gxb.reshape(gxb.shape[:-2] + (-1,))[..., left:left + m]
+
+
+def update_running(running_mean, running_var, mu, var, n):
+    running_mean *= 1.0 - BN_MOMENTUM
+    running_mean += BN_MOMENTUM * mu
+    running_var *= 1.0 - BN_MOMENTUM
+    running_var += BN_MOMENTUM * (var * n / max(n - 1, 1))
+
+
+def dropout_mask(rng, shape, p, dtype):
+    mask = (rng.random(shape) >= p).astype(dtype)
+    mask /= 1.0 - p
+    return mask
 
 
 def blocks(a, k, left):
@@ -52,7 +112,7 @@ def window_moments(x, k, left):
     rows, m = x.shape
     q = -(-m // k)
     xb = blocks(x, k, 0)[None]
-    lagprod = ad._diagonals(ad._block_products(xb, xb)[0])
+    lagprod = diagonals(block_products(xb, xb)[0])
     cum = np.zeros((q * k + 1, k))
     np.cumsum(lagprod.reshape(q * k, k), axis=0, out=cum[1:])
     o = np.arange(k) - left
@@ -81,21 +141,21 @@ def pool_mean(a, pool):
 def depthwise_temporal_conv(x, w):
     b, f, c, m = x.data.shape
     k = w.data.shape[1]
-    left = _same_pad(k)[0]
+    left = same_pad(k)[0]
     q = -(-m // k)
     xb = blocks(x.data.transpose(1, 0, 2, 3), k, left)
     fwd, adj = bands(w.data)
     out = np.empty((f, b, c, q, k), dtype=np.result_type(x.data, w.data))
-    _toeplitz_conv(xb, fwd, out.reshape(f, b * c, q, k).transpose(0, 2, 1, 3))
+    toeplitz_conv(xb, fwd, out.reshape(f, b * c, q, k).transpose(0, 2, 1, 3))
     data = np.ascontiguousarray(out.reshape(f, b, c, q * k)[..., :m].transpose(1, 0, 2, 3))
 
     def grad_fn(g):
         gb = blocks(g.transpose(1, 0, 2, 3), k, 0)
-        gw = _toeplitz_weight_grad(xb, gb) if w.requires_grad else None
+        gw = toeplitz_weight_grad(xb, gb) if w.requires_grad else None
         gx = None
         if _wants_grad(x):
-            gxb = _toeplitz_input_grad(gb, adj)
-            gx = np.ascontiguousarray(_unblock(gxb, left, m).transpose(1, 0, 2, 3))
+            gxb = toeplitz_input_grad(gb, adj)
+            gx = np.ascontiguousarray(unblock(gxb, left, m).transpose(1, 0, 2, 3))
         return (gx, gw)
 
     return _node(data, (x, w), grad_fn)
@@ -113,14 +173,14 @@ def first_stage(x, w, gamma1, beta1, spatial_w, gamma2, beta2, running, pool, p,
     running_mean1, running_var1, running_mean2, running_var2 = running
     dtype = x.data.dtype
     fd = f * d
-    left = _same_pad(k)[0]
+    left = same_pad(k)[0]
     q = -(-m // k)
     xb = blocks(x.data.transpose(1, 0, 2), k, left)
     ub = np.matmul(spatial_w.data.reshape(fd, c), xb.reshape(c, -1))
     ub = ub.reshape(f, d, b, q + 1, k)
     fwd, adj = bands(w.data)
     v = np.empty((fd, b, q, k), dtype=dtype)
-    _toeplitz_conv(ub, fwd, v.reshape(f, d * b, q, k).transpose(0, 2, 1, 3))
+    toeplitz_conv(ub, fwd, v.reshape(f, d * b, q, k).transpose(0, 2, 1, 3))
     v = np.ascontiguousarray(v.reshape(fd, b, q * k)[..., :m])
 
     w64 = w.data.astype(np.float64)
@@ -130,7 +190,7 @@ def first_stage(x, w, gamma1, beta1, spatial_w, gamma2, beta2, running, pool, p,
         mu1 = w64 @ mean
         rw = w64 @ gram
         var1 = np.maximum(np.einsum("fk,fk->f", rw, w64) / n1 - mu1 * mu1, 0.0)
-        _update_running(running_mean1, running_var1, mu1, var1, n1)
+        update_running(running_mean1, running_var1, mu1, var1, n1)
     else:
         mu1 = running_mean1.astype(np.float64)
         var1 = running_var1.astype(np.float64)
@@ -148,7 +208,7 @@ def first_stage(x, w, gamma1, beta1, spatial_w, gamma2, beta2, running, pool, p,
         z -= mv[:, None, None]
         z2 = z.reshape(fd, -1)
         var2 = a2 * a2 * (np.einsum("jn,jn->j", z2, z2) / n2)
-        _update_running(running_mean2, running_var2, a2 * mv + cs, var2, n2)
+        update_running(running_mean2, running_var2, a2 * mv + cs, var2, n2)
         sigma2 = np.sqrt(var2 + BN_EPS)
         offset = np.zeros(fd)
     else:
@@ -165,7 +225,7 @@ def first_stage(x, w, gamma1, beta1, spatial_w, gamma2, beta2, running, pool, p,
     data = np.empty((b, fd, 1, mp), dtype=dtype)
     mask = None
     if training and p > 0.0:
-        mask = _dropout_mask(rng, data.shape, p, dtype)
+        mask = dropout_mask(rng, data.shape, p, dtype)
         np.multiply(pooled.transpose(1, 0, 2), mask[:, :, 0], out=data[:, :, 0])
     else:
         data[:, :, 0] = pooled.transpose(1, 0, 2)
@@ -193,10 +253,10 @@ def first_stage(x, w, gamma1, beta1, spatial_w, gamma2, beta2, running, pool, p,
         gh -= (alpha * r1 / n2).astype(dtype)[:, None, None]
         ga = (alpha * BN_EPS * r2 / (sigma2 * sigma2)).reshape(f, d).sum(axis=1)
         gvar = -0.5 * istd1 ** 3 * gamma64 * ga
-        gw = a[:, None] * _toeplitz_weight_grad(ub, gb)
+        gw = a[:, None] * toeplitz_weight_grad(ub, gb)
         gmu = -2.0 * mu1 * gvar
         gw += gmu[:, None] * mean + (2.0 / n1) * gvar[:, None] * rw
-        gub = _toeplitz_input_grad(gb, adj)
+        gub = toeplitz_input_grad(gb, adj)
         gsw = np.matmul(gub.reshape(fd, -1), xb.reshape(c, -1).T).reshape(f, d, c)
         return (None, gw.astype(w.data.dtype),
                 (istd1 * ga).astype(gamma1.data.dtype), None,

@@ -13,7 +13,13 @@ from safnet.asr import (
     select_calibration,
 )
 from safnet.datamodel import Recording
-from safnet.dsp import PipelineConfig, bandpass, notch, preprocess_pipeline
+from safnet.dsp import (
+    PipelineConfig,
+    bandpass,
+    notch,
+    preprocess_pipeline,
+    resample,
+)
 from safnet.errors import ValidationError
 
 
@@ -292,3 +298,23 @@ class TestPipelineIntegration:
         rms0 = np.sqrt(np.mean(cat0[[1, 4], lo:hi] ** 2))
         rms1 = np.sqrt(np.mean(cat1[[1, 4], lo:hi] ** 2))
         assert rms1 <= 0.1 * rms0
+
+    def test_channel_names_survive_every_derived_recording(self):
+        """resample, bandpass, notch, select_calibration and asr_apply each
+        return a recording with the input's channel names; resample alone
+        changes the rate."""
+        names = ("Fz", "Cé3", "Pz")
+        cfg, acfg = PipelineConfig(), AsrConfig()
+        rng = np.random.default_rng(22)
+        data = rng.standard_normal((3, int(60 * 1024.0)))
+        data[:, 1024:2048] *= 100.0  # one artifact window for calibration to drop
+        rec = Recording(data=data, sample_rate_hz=1024.0, channel_names=names)
+        steps = [resample(rec, cfg.target_rate_hz)]
+        steps.append(bandpass(steps[-1], cfg))
+        steps.append(notch(steps[-1], cfg))
+        calib = select_calibration(steps[-1], acfg)
+        assert calib.samples < steps[-1].samples
+        steps += [calib, asr_apply(steps[-1], asr_fit(calib, acfg))]
+        for out in steps:
+            assert out.channel_names == names
+            assert out.sample_rate_hz == cfg.target_rate_hz

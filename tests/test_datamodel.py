@@ -319,6 +319,27 @@ class TestWriteEpochDir:
             write_epoch_dir(EpochSet(epochs=[make_epoch(s="a\x00")]), str(out))
         assert not out.exists()
 
+    @pytest.mark.parametrize("subject", ["a,b", 'a"b', "a\rb", "a\nb"])
+    def test_subject_the_manifest_cannot_hold_refused_before_out_dir_is_created(
+            self, tmp_path, subject):
+        out = tmp_path / "out"
+        with pytest.raises(ValidationError, match="which a manifest cannot hold"):
+            write_epoch_dir(EpochSet(epochs=[make_epoch(s=subject)]), str(out))
+        assert not out.exists()
+
+    def test_manifest_rows_name_the_files_written(self, tmp_path):
+        """k counts each (subject, class) cell on its own, in epoch order."""
+        epochs = [make_epoch(s=s, y=y, seed=i) for i, (s, y) in
+                  enumerate([("b", 1), ("a", 0), ("b", 1), ("a", 1), ("a", 0)])]
+        manifest = write_epoch_dir(EpochSet(epochs=epochs), str(tmp_path))
+        assert [row[0] for row in manifest.rows] == [
+            "b_c1_0000.ndf", "a_c0_0000.ndf", "b_c1_0001.ndf", "a_c1_0000.ndf",
+            "a_c0_0001.ndf"]
+        assert sorted(os.listdir(tmp_path)) == sorted(
+            [row[0] for row in manifest.rows] + ["manifest.csv"])
+        for (fname, *_), ep in zip(manifest.rows, epochs):
+            assert np.array_equal(read_ndf(str(tmp_path / fname)).x, ep.x)
+
     @pytest.mark.parametrize("subject", ["a\ud800", "a\udc80"])
     def test_subject_that_is_not_utf8_refused_before_out_dir_is_created(
             self, tmp_path, subject):

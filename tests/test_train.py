@@ -411,6 +411,26 @@ class TestFit:
                 fit(train, val, tiny_model(), quick_cfg(), LossWeights())
         assert steps == []
 
+    @pytest.mark.parametrize("odd_set", ["train", "val"])
+    def test_epoch_of_another_shape_rejected_before_the_first_step(self, odd_set):
+        """One 2 x 40 epoch among 2 x 32 ones, in either set, is refused
+        before any batch updates the caller's model: every parameter and
+        buffer keeps its bytes."""
+        odd = Epoch(x=np.zeros((2, 40)), y=0, s="s0", sample_rate_hz=16.0)
+        train, val = make_epochs(16, seed=1), make_epochs(2, seed=2)
+        (train if odd_set == "train" else val).append(odd)
+        model = tiny_model(seed=3)
+        params = {k: p.data.copy() for k, p in model.params.items()}
+        buffers = {k: b.copy() for k, b in model.buffers.items()}
+        with pytest.raises(ValidationError) as refusal:
+            fit(train, val, model, quick_cfg(), LossWeights())
+        for k, p in model.params.items():
+            assert np.array_equal(p.data, params[k]), k
+        for k, b in model.buffers.items():
+            assert np.array_equal(b, buffers[k]), k
+        assert ("2 channels x 40 samples do not fit the model's 2 x 32"
+                in str(refusal.value))
+
     def test_divergence_raises_before_validation(self, monkeypatch):
         """lr = 1e30 sends the weights to inf within a step or two; fit stops
         at the first batch whose loss is not finite, before any validation
@@ -499,6 +519,17 @@ class TestFit:
         assert lines[1].startswith("1,")
         assert len(lines) == 2 + len(log.records)  # header + rows + final LF
 
+    def test_train_log_columns_follow_the_record_fields(self, tmp_path):
+        """The header bytes, and each row's values in the header's order."""
+        log = train_module.TrainLog(records=[train_module.EpochRecord(
+            epoch=1, l_task=0.5, l_domain=0.25, l_mi=0.125, l_total=1.0,
+            lr=0.001, val_macro_acc=0.75)])
+        path = tmp_path / "log.csv"
+        write_train_log(log, str(path))
+        assert path.read_bytes() == (
+            b"epoch,l_task,l_domain,l_mi,l_total,lr,val_macro_acc\n"
+            b"1,0.5,0.25,0.125,1,0.001,0.75\n")
+
 
 class TestEvaluateRate:
     def test_epochs_at_another_rate_rejected(self):
@@ -515,6 +546,22 @@ class TestEvaluateRate:
         assert near != 16.0 and np.float32(near) == np.float32(16.0)
         epochs = [replace(ep, sample_rate_hz=near) for ep in make_epochs(1)]
         assert 0.0 <= evaluate_macro_accuracy(tiny_model(), epochs) <= 1.0
+
+
+class TestEvaluateShape:
+    @pytest.mark.parametrize("shape", [(2, 40), (3, 32)])
+    def test_epoch_of_another_shape_rejected(self, shape):
+        """An epoch of another (channels, samples) than the model's, among
+        epochs that fit it, is a ValidationError, not numpy's stacking
+        error."""
+        odd = Epoch(x=np.zeros(shape), y=0, s="s0", sample_rate_hz=16.0)
+        with pytest.raises(ValidationError, match="do not fit the model's "
+                                                  "2 x 32"):
+            evaluate_macro_accuracy(tiny_model(), make_epochs(1) + [odd])
+
+    def test_empty_list_rejected(self):
+        with pytest.raises(ValidationError, match="empty epoch list"):
+            evaluate_macro_accuracy(tiny_model(), [])
 
 
 class TestLambdaGrid:
