@@ -25,8 +25,8 @@ strides is one element and the other spans at least a row.
   norm, depthwise spatial conv, batch norm, ELU, average pool and dropout,
   on (B,C,M) epochs, with a gradient graph only in training. The spatial
   mix goes first, so the K-tap convolution runs on B*F*D rows instead of
-  B*F*C; the first batch norm's statistics come from float64 window
-  moments of the input and the second's from the convolution's output,
+  B*F*C; the first batch norm's statistics come from window moments of
+  the input, in its dtype, and the second's from the convolution's output,
   both batch norms fold into one per-channel scale and shift, and the rest
   runs in the (F*D,B,M) layout of that output. Only the pooled output is
   transposed to (B,F*D,1,M/pool); no (B,F,C,M) or (B,F*D,1,M)
@@ -227,15 +227,14 @@ def _same_pad(kernel: int) -> tuple[int, int]:
     return left, kernel - 1 - left
 
 
-def _blocks(a: np.ndarray, k: int, left: int, dtype=None) -> np.ndarray:
+def _blocks(a: np.ndarray, k: int, left: int) -> np.ndarray:
     """Rows of a (..., M) zero-padded to (Q+1)K samples, Q = ceil(M/K), with
     a[..., t] at sample left + t, as (..., Q+1, K) blocks of a new array of
-    dtype (a's by default). a is written into it once, cast on the way, and
-    only the padding is zero-filled. With left = 0 the last block of every
-    row is zero."""
+    a's dtype. a is written into it once, and only the padding is
+    zero-filled. With left = 0 the last block of every row is zero."""
     m = a.shape[-1]
     q = -(-m // k)
-    out = np.empty(a.shape[:-1] + ((q + 1) * k,), dtype=a.dtype if dtype is None else dtype)
+    out = np.empty(a.shape[:-1] + ((q + 1) * k,), dtype=a.dtype)
     out[..., :left] = 0.0
     out[..., left:left + m] = a
     out[..., left + m:] = 0.0
@@ -458,7 +457,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
 
 
 def _window_moments(x: np.ndarray, k: int, left: int):
-    """Mean (K,) and Gram (K,K), in float64, of the K-sample windows
+    """Mean (K,) and Gram (K,K), in x's dtype, of the K-sample windows
     xp[t : t+K], t < M, of rows x (R,M) padded with `left` zeros in front:
     mean[i] = sum xp[t+i] / n and gram[i,j] = sum xp[t+i] xp[t+j] over rows
     and t, with n = R*M.
@@ -468,26 +467,28 @@ def _window_moments(x: np.ndarray, k: int, left: int):
     s in [o, o+M), o = min(i,j) - left. _block_products of x with itself
     gives p for every s, the window sums are differences of a running sum
     over s, and a strided view lays gram[i, i+l] out from them. x is
-    written once, as float64, into the zero-padded blocks the product
-    reads, and the row sums of the mean read the same blocks."""
+    written once into the zero-padded blocks the product reads, and the
+    row sums of the mean read the same blocks. Every pass runs in x's
+    dtype: a float32 batch is never copied to float64."""
     rows, m = x.shape
     q = -(-m // k)
-    xb = _blocks(x, k, 0, np.float64)
+    dtype = x.dtype
+    xb = _blocks(x, k, 0)
     lagprod = _diagonals(_block_products(xb[None], xb[None])[0])  # p[qK+a, l] at [q, a, l]
-    cum = np.empty((q * k + 1, k))
+    cum = np.empty((q * k + 1, k), dtype=dtype)
     cum[0] = 0.0
     run = cum[1:]
     run.reshape(q, k, k)[...] = lagprod
     np.cumsum(run, axis=0, out=run)
     o = np.arange(k) - left  # take(..., mode="clip") clamps s to the sums' range
-    band = np.zeros((k, 2 * k))  # band[i, l] = gram[i, i+l]
+    band = np.zeros((k, 2 * k), dtype=dtype)  # band[i, l] = gram[i, i+l]
     np.subtract(cum.take(o + m, axis=0, mode="clip"), cum.take(o, axis=0, mode="clip"),
                 out=band[:, :k])
     # band[i, j-i] at [i, j], zero below the diagonal: rows of 2K-1 of the flat band
     upper = band.reshape(-1)[:k * (2 * k - 1)].reshape(k, 2 * k - 1)[:, :k]
     gram = upper + upper.T
     gram.flat[::k + 1] = band[:, 0]
-    total = np.zeros(m + 1)
+    total = np.zeros(m + 1, dtype=dtype)
     np.cumsum(xb.reshape(rows, -1)[:, :m].sum(axis=0), out=total[1:])
     mean = (total.take(o + m, mode="clip") - total.take(o, mode="clip")) / (rows * m)
     return mean, gram
@@ -511,10 +512,11 @@ def _pool_mean(a: np.ndarray, pool: int) -> np.ndarray:
 
 
 def _dropout_mask(rng: np.random.Generator, shape, p: float, dtype) -> np.ndarray:
-    """The inverted-dropout mask: 0 with probability p, else 1/(1-p)."""
-    mask = (rng.random(shape) >= p).astype(dtype)
-    mask /= 1.0 - p
-    return mask
+    """The inverted-dropout mask: 0 with probability p, else 1/(1-p), in one
+    pass: 1/(1-p) is 1 divided by 1-p rounded to dtype, the value that
+    dividing each 1 of the mask by 1-p gives."""
+    dt = np.dtype(dtype).type
+    return np.multiply(rng.random(shape) >= p, dt(1) / dt(1.0 - p), dtype=dtype)
 
 
 def _elu_pool_grad(g: np.ndarray, mask, neg: np.ndarray, pool: int) -> np.ndarray:
@@ -552,17 +554,18 @@ def first_stage(x: Tensor, w: Tensor, gamma1: Tensor, beta1: Tensor,
     B*F*C, and bn1's output after the mix is h = a_f v + c_f S_fd, with
     a = gamma1/sigma1, c = beta1 - a mu1 and S_fd = sum_c W[f,d,c]. In
     training mode mu1 = w_f . mean and sigma1^2 = w_f' gram w_f / n1 - mu1^2
-    come from the float64 window moments of x (_window_moments,
-    n1 = B*C*M), and bn2's from v: mean a_f mean(v) + c_f S_fd, variance
-    a_f^2 var(v). Both batch norms fold into one scale and shift of
-    z = v - mean(v) (z = v with running statistics), and ELU, the pool and
-    the dropout mask run on the result in the (F*D,B,M) layout; only the
-    pooled output is transposed. The mask is the one dropout draws.
+    come from the window moments of x, in x's dtype (_window_moments,
+    n1 = B*C*M), through float64 products with w_f, and bn2's from v: mean
+    a_f mean(v) + c_f S_fd, variance a_f^2 var(v). Both batch norms fold
+    into one scale and shift of z = v - mean(v) (z = v with running
+    statistics), and ELU, the pool and the dropout mask run on the result
+    in the (F*D,B,M) layout; only the pooled output is transposed. The mask
+    is the one dropout draws.
 
     Where each buffer is built: training first takes the window moments,
-    which write x once, as float64, into their padded blocks while no other
-    buffer of the op is live. The forward then writes x into its own padded
-    blocks, builds the band S, and allocates u, v, ELU's input t and its
+    which write x once into their padded blocks while no other buffer of
+    the op is live. The forward then writes x into its own padded blocks,
+    builds the band S, and allocates u, v, ELU's input t and its
     expm1 part, the pooled means and the output; eval scales v into t in
     place, since no backward reads v. Only the backward builds the adjoint
     band A. It builds g_t and bn2's input gradient as (F*D,B,M) arrays,
@@ -702,10 +705,7 @@ def avg_pool_time(x: Tensor, pool: int) -> Tensor:
 
     def grad_fn(g):
         gx = np.zeros_like(x.data)
-        gblocks = gx[..., :n * pool].reshape(b, f, c, n, pool)
-        gs = g * scale
-        for i in range(pool):
-            gblocks[..., i] = gs
+        gx[..., :n * pool].reshape(b, f, c, n, pool)[...] = (g * scale)[..., None]
         return (gx,)
 
     return _node(data, (x,), grad_fn)

@@ -126,12 +126,19 @@ def load_cli_config(path: str) -> CliConfig:
     if sig0 is not None:
         synth_kwargs["class_signature"] = (sig0, sig1)
 
+    def build(section, cls, kwargs):
+        """cls(**kwargs), its refusal named by the file and the section."""
+        try:
+            return cls(**kwargs)
+        except SafError as exc:
+            raise ConfigError(f"{path} [{section}]: {exc}") from None
+
     return CliConfig(
-        pipeline=PipelineConfig(**values.get("pipeline", {})),
-        asr=AsrConfig(**values.get("asr", {})),
-        train=TrainConfig(swap=SwapConfig(**values.get("swap", {})),
-                          **values.get("train", {})),
-        synth=SynthConfig(**synth_kwargs),
+        pipeline=build("pipeline", PipelineConfig, values.get("pipeline", {})),
+        asr=build("asr", AsrConfig, values.get("asr", {})),
+        train=build("train", TrainConfig, dict(
+            values.get("train", {}), swap=build("swap", SwapConfig, values.get("swap", {})))),
+        synth=build("synth", SynthConfig, synth_kwargs),
     )
 
 

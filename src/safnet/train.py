@@ -100,11 +100,13 @@ class TrainConfig:
         if not (np.isfinite(self.lr) and self.lr > 0):
             raise ValidationError(f"lr must be finite and positive, got {self.lr}")
         if self.batch_size < 1:
-            raise ValidationError("batch_size must be >= 1")
+            raise ValidationError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.min_epochs < 1 or self.max_epochs < self.min_epochs:
-            raise ValidationError("need 1 <= min_epochs <= max_epochs")
-        if self.patience < 1 or self.plateau_window < 1:
-            raise ValidationError("patience and plateau_window must be >= 1")
+            raise ValidationError("need 1 <= min_epochs <= max_epochs, got "
+                                  f"min_epochs={self.min_epochs}, max_epochs={self.max_epochs}")
+        for name in ("patience", "plateau_window"):
+            if getattr(self, name) < 1:
+                raise ValidationError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
 

@@ -1,13 +1,15 @@
 """Reference implementations of the training step's kernels as they were
 before their buffers were reworked: first_stage with its _blocks, _bands,
-_window_moments and _pool_mean, depthwise_temporal_conv, and a
-per-parameter Adam. They run the same floating-point operations in the same
-order as the library's, with more passes, copies and temporaries, so the
-library must match them bit for bit (tests/test_same_bytes.py). Every
-helper that computes a float is copied here, as the library had it before
-the rework, so a change to the library's own helper cannot move the
-reference with it; only the graph plumbing (_node, _wants_grad, the no_grad
-flag) and the constants come from the library."""
+_window_moments, _pool_mean and _dropout_mask, depthwise_temporal_conv,
+avg_pool_time's backward, and a per-parameter Adam. They run the same
+floating-point operations in the same order as the library's, with more
+passes, copies and temporaries, so the library must match them bit for bit
+(tests/test_same_bytes.py). Every helper that computes a float is copied
+here, as the library had it before the rework, so a change to the
+library's own helper cannot move the reference with it; only the graph
+plumbing (_node, _wants_grad, the no_grad flag) and the constants come from
+the library. window_moments computes in its input's dtype, as the library's
+has since float32 steps stopped copying the batch to float64."""
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -86,6 +88,19 @@ def dropout_mask(rng, shape, p, dtype):
     return mask
 
 
+def avg_pool_grad(g, shape, pool):
+    """avg_pool_time's input gradient: g/pool in every slot of its window,
+    one strided assignment a slot, and 0 past the last whole window."""
+    b, f, c, m = shape
+    n = m // pool
+    gx = np.zeros(shape, dtype=g.dtype)
+    gblocks = gx[..., :n * pool].reshape(b, f, c, n, pool)
+    gs = g * g.dtype.type(1.0 / pool)
+    for i in range(pool):
+        gblocks[..., i] = gs
+    return gx
+
+
 def blocks(a, k, left):
     m = a.shape[-1]
     q = -(-m // k)
@@ -108,22 +123,22 @@ def bands(w):
 
 
 def window_moments(x, k, left):
-    x = x.astype(np.float64)
     rows, m = x.shape
     q = -(-m // k)
     xb = blocks(x, k, 0)[None]
     lagprod = diagonals(block_products(xb, xb)[0])
-    cum = np.zeros((q * k + 1, k))
+    cum = np.zeros((q * k + 1, k), dtype=x.dtype)
     np.cumsum(lagprod.reshape(q * k, k), axis=0, out=cum[1:])
     o = np.arange(k) - left
-    band = np.zeros((k, 2 * k))
+    band = np.zeros((k, 2 * k), dtype=x.dtype)
     band[:, :k] = cum[np.clip(o + m, 0, q * k)] - cum[np.clip(o, 0, q * k)]
     step = band.itemsize
     upper = as_strided(band, shape=(k, k), strides=((2 * k - 1) * step, step),
                        writeable=False)
     gram = upper + upper.T
     gram.flat[::k + 1] = band[:, 0]
-    total = np.concatenate([[0.0], np.cumsum(x.sum(axis=0))])
+    total = np.zeros(m + 1, dtype=x.dtype)
+    np.cumsum(x.sum(axis=0), out=total[1:])
     mean = (total[np.clip(o + m, 0, m)] - total[np.clip(o, 0, m)]) / (rows * m)
     return mean, gram
 

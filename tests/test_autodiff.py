@@ -506,6 +506,40 @@ class TestFirstBlock:
             self.call(pool=pool, p=p)
 
 
+class TestBn1StatisticsPrecision:
+    """bn1's statistics in a float32 training step come from float32 window
+    moments. They are read back from bn1's running buffers after one step
+    from zero (mean 0.1 mu1, variance 0.1 var1 n/(n-1)) and held within
+    1e-3 of a float64 oracle that convolves every padded window, at
+    criterion 8's shape (B 32, C 6, M 256, K 64) and with a DC offset of up
+    to 1000 noise SDs, where E[h^2] - mu^2 cancels most. The mean is held
+    to 1e-3 of the larger of |mu| and the filter output's SD, since with no
+    offset mu is near zero."""
+
+    @pytest.mark.parametrize("offset", [0.0, 10.0, 100.0, 1000.0])
+    def test_mean_and_variance_within_1e_3_of_float64(self, offset):
+        b, c, m, f, d, k = 32, 6, 256, 8, 2, 64
+        rng = np.random.default_rng(8)
+        x = (rng.standard_normal((b, c, m)) + offset).astype(np.float32)
+        w = rng.standard_normal((f, k)).astype(np.float32) / 8.0
+        params = [Tensor(a.astype(np.float32)) for a in
+                  (w, np.ones(f), np.zeros(f), rng.standard_normal((f, d, c)),
+                   np.ones(f * d), np.zeros(f * d))]
+        running = [np.zeros(f), np.zeros(f), np.zeros(f * d), np.zeros(f * d)]
+        ad.first_stage(Tensor(x), *params, running, FIRST_STAGE_POOL, 0.25,
+                       np.random.default_rng(0), True)
+        n = b * c * m
+        mu1 = running[0] / ad.BN_MOMENTUM
+        var1 = running[1] / ad.BN_MOMENTUM * (n - 1) / n
+
+        left = ad._same_pad(k)[0]
+        xp = np.pad(x.reshape(b * c, m).astype(np.float64), ((0, 0), (left, k - 1 - left)))
+        h = sliding_window_view(xp, k, axis=1) @ w.astype(np.float64).T  # (B*C, M, F)
+        mu, var = h.mean(axis=(0, 1)), h.var(axis=(0, 1))
+        assert np.all(np.abs(var1 - var) <= 1e-3 * var)
+        assert np.all(np.abs(mu1 - mu) <= 1e-3 * np.maximum(np.abs(mu), np.sqrt(var)))
+
+
 class TestPoolDropoutLinear:
     rng = np.random.default_rng(4)
 

@@ -146,6 +146,35 @@ class TestConfigParsing:
         with pytest.raises(SafError):
             load_cli_config(path)
 
+    @pytest.mark.parametrize("text, prefix, message", [
+        ("[train]\nmax_epochs = 4\n", "[train]",
+         "need 1 <= min_epochs <= max_epochs, got min_epochs=20, max_epochs=4"),
+        ("[train]\npatience = 0\n", "[train]", "patience must be >= 1, got 0"),
+        ("[swap]\np = 2\n", "[swap]", "swap probability must be in [0,1], got 2.0"),
+        ("[asr]\ncutoff_k = -1\n", "[asr]", "cutoff_k must be finite and positive"),
+        ("[pipeline]\nband_lo_hz = 50\nband_hi_hz = 10\n", "[pipeline]", "band_lo"),
+        ("[synth]\nsubjects = 0\n", "[synth]", "at least one subject")])
+    def test_config_object_refusal_names_file_and_section(self, tmp_path, text,
+                                                          prefix, message):
+        path = write_config(tmp_path / "c.ini", text)
+        with pytest.raises(ConfigError) as refusal:
+            load_cli_config(path)
+        assert str(refusal.value).startswith(f"{path} {prefix}: ")
+        assert message in str(refusal.value)
+
+    def test_refused_train_section_stops_synth_naming_it(self, tmp_path, capsys):
+        """Every command loads the whole config, so a [train] that only
+        lowers max_epochs below the default min_epochs stops synth too; the
+        message says where and which values."""
+        path = write_config(tmp_path / "c.ini", BASE_CONFIG.replace(
+            "max_epochs = 3\nmin_epochs = 1\n", "max_epochs = 4\n"))
+        code = main(["synth", "--config", path, "--out", str(tmp_path / "d")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {path} [train]: need 1 <= min_epochs <= max_epochs, got "
+            "min_epochs=20, max_epochs=4\n")
+        assert not os.path.exists(tmp_path / "d")
+
     def test_malformed_ini_rejected(self, tmp_path):
         path = write_config(tmp_path / "c.ini", "lr = 1 outside any section\n")
         with pytest.raises(ConfigError):

@@ -2,8 +2,8 @@
 which run the same floating-point operations with more passes, copies and
 temporaries: first_stage's output, its six gradients, the running buffers
 and the dropout generator's next draw in training and eval, the window
-moments, the bands, depthwise_temporal_conv, Adam over flat buffers, and
-whole fits."""
+moments, the bands, depthwise_temporal_conv, the dropout mask,
+avg_pool_time's backward, Adam over flat buffers, and whole fits."""
 
 import numpy as np
 import pytest
@@ -98,13 +98,45 @@ class TestFirstStage:
             run_first_stage(ref.first_stage, np.float32, shape, True, 5, backwards=2))
 
 
-@pytest.mark.parametrize("rows, m, k, left", [
+WINDOW_SHAPES = [
     (192, 256, 64, 31),  # criterion 8's shape
-    (12, 37, 7, 3), (6, 40, 8, 3), (6, 10, 16, 7), (1, 12, 5, 2), (4, 9, 1, 0)])
-def test_window_moments_same_bytes(rows, m, k, left):
-    x = np.random.default_rng(rows + m).standard_normal((rows, m)).astype(np.float32)
+    (12, 37, 7, 3), (6, 40, 8, 3), (6, 10, 16, 7), (1, 12, 5, 2), (4, 9, 1, 0)]
+
+
+def assert_window_moments_same_bytes(rows, m, k, left, dtype):
+    x = np.random.default_rng(rows + m).standard_normal((rows, m)).astype(dtype)
     for got, want in zip(ad._window_moments(x, k, left), ref.window_moments(x, k, left)):
-        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert got.dtype == want.dtype == dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("rows, m, k, left", WINDOW_SHAPES)
+def test_window_moments_same_bytes(rows, m, k, left):
+    assert_window_moments_same_bytes(rows, m, k, left, np.float32)
+
+
+@pytest.mark.parametrize("rows, m, k, left", WINDOW_SHAPES)
+def test_window_moments_same_bytes_float64(rows, m, k, left):
+    assert_window_moments_same_bytes(rows, m, k, left, np.float64)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("p", [0.1, 0.25, 0.3333, 0.5])
+def test_dropout_mask_same_bytes(p, dtype):
+    shape = (32, 16, 1, 64)
+    got = ad._dropout_mask(np.random.default_rng(3), shape, p, dtype)
+    want = ref.dropout_mask(np.random.default_rng(3), shape, p, dtype)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("pool, m", [(1, 16), (4, 64), (4, 67), (8, 64), (8, 69)])
+def test_avg_pool_time_backward_same_bytes(pool, m, dtype):
+    rng = np.random.default_rng(pool + m)
+    x = Tensor(rng.standard_normal((3, 2, 1, m)).astype(dtype), requires_grad=True)
+    g = rng.standard_normal((3, 2, 1, m // pool)).astype(dtype)
+    ad.tensor_sum(ad.mul(ad.avg_pool_time(x, pool), Tensor(g))).backward()
+    want = ref.avg_pool_grad(g, x.data.shape, pool)
+    assert x.grad.dtype == want.dtype and np.array_equal(x.grad, want)
 
 
 @pytest.mark.parametrize("dtype", DTYPES)

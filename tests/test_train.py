@@ -82,6 +82,19 @@ class TestTrainConfig:
         with pytest.raises(ValidationError):
             TrainConfig(min_epochs=50, max_epochs=10)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"max_epochs": 4}, "need 1 <= min_epochs <= max_epochs, got min_epochs=20, "
+                            "max_epochs=4"),
+        ({"min_epochs": 0}, "got min_epochs=0, max_epochs=200"),
+        ({"batch_size": 0}, "batch_size must be >= 1, got 0"),
+        ({"patience": -2}, "patience must be >= 1, got -2"),
+        ({"plateau_window": 0}, "plateau_window must be >= 1, got 0")])
+    def test_refusal_names_the_refused_values(self, kwargs, message):
+        """A config that sets only max_epochs = 4 is refused against the
+        default min_epochs of 20, so the message must say which values."""
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            TrainConfig(**kwargs)
+
     @pytest.mark.parametrize("lr", [float("nan"), float("inf"), float("-inf"),
                                     0.0, -1.0])
     def test_lr_that_is_not_finite_and_positive_rejected(self, lr):
@@ -148,6 +161,27 @@ class TestComputeLosses:
         l_task, _, _, _ = compute_losses(x, y, s, ref, LossWeights(), train_rng())
         l_task.backward()
         assert np.array_equal(full, ref.params["conv_temporal_w"].grad)
+
+    def test_float32_step_runs_no_float64_block_product(self, monkeypatch):
+        """Every block-product GEMM of a float32 step, bn1's window moments
+        included, reads float32 operands: none copies the batch to
+        float64."""
+        operands = []
+        block_products = ad._block_products
+
+        def spy(xb, gb):
+            operands.append((xb.dtype, gb.dtype))
+            return block_products(xb, gb)
+
+        monkeypatch.setattr(ad, "_block_products", spy)
+        model = tiny_model(num_domains=3)
+        x, y, s = batch_arrays(make_epochs(4, subjects=("s0", "s1", "s2")))
+        *_, l_total = compute_losses(x.astype(np.float32), y, s, model,
+                                     LossWeights(lambda_mi=1.0, lambda_grl=1.0),
+                                     train_rng())
+        l_total.backward()
+        assert len(operands) >= 2  # the window moments and the weight gradient
+        assert set(operands) == {(np.dtype(np.float32),) * 2}
 
     def test_domain_head_still_trains_at_zero_lambda(self):
         model = tiny_model()
