@@ -15,12 +15,18 @@ strides is one element and the other spans at least a row.
   the padded rows that BLAS reads as is. Output block q is
   [X[q] | X[q+1]] S and input-gradient block q is [G[q-1] | G[q]] A, with
   S and A (2K x K) band-Toeplitz matrices of the kernel, so each is one
-  batched GEMM written straight into a view of its result in time order.
-  The weight gradient sums G[q]' [X[q] | X[q+1]] over blocks, one batched
-  GEMM, and reads the result's diagonals through one strided view. The
-  bands do twice the multiply-adds of a direct convolution, but at BLAS
-  speed, and no (..., M, K) im2col buffer is built: for a 256-epoch
-  prediction batch it would take about 100 MB.
+  batched GEMM written straight into a view of its result in time order;
+  these bands do twice the multiply-adds of a direct convolution, but at
+  BLAS speed, and no (..., M, K) im2col buffer is built: for a 256-epoch
+  prediction batch it would take about 100 MB. The weight gradient and
+  the first batch norm's lag products multiply h-sample slices of g,
+  h = K/2 for even K and K for odd, by the (h+K)-sample windows at hop h
+  they read, one batched GEMM, and read the result's diagonals through
+  one strided view: 1.5 times the multiply-adds of a direct product
+  instead of 2. Each element is a dot over the rows, which the hop does
+  not touch, so the bytes are those of a hop of K. The forward and input
+  gradient stay at hop K: a shorter window drops zero terms from their
+  dots, and BLAS rounds a dot differently with its length at some K.
 - first_stage is the encoder's first block as one op: temporal conv, batch
   norm, depthwise spatial conv, batch norm, ELU, average pool and dropout,
   on (B,C,M) epochs, with a gradient graph only in training. The spatial
@@ -28,13 +34,22 @@ strides is one element and the other spans at least a row.
   B*F*C; the first batch norm's statistics come from window moments of
   the input, in its dtype, and the second's from the convolution's output,
   both batch norms fold into one per-channel scale and shift, and the rest
-  runs in the (F*D,B,M) layout of that output. Only the pooled output is
-  transposed to (B,F*D,1,M/pool); no (B,F,C,M) or (B,F*D,1,M)
-  intermediate is built. The backward is closed form and copies the
-  second batch norm's input gradient once into the zero-padded blocks the
-  Toeplitz gradients read. The seven ops remain ops of their own, and
-  temporal_conv is depthwise_temporal_conv on its input repeated over the
-  filters.
+  runs in the (F*D,B,M) layout of that output. The output is a
+  (B,F*D,1,M/pool) view of the pooled (F*D,B,M/pool) array; no (B,F,C,M)
+  or (B,F*D,1,M) intermediate is built. The backward is closed form and
+  copies the second batch norm's input gradient once into the zero-padded
+  blocks the Toeplitz gradients read.
+- second_stage is the encoder's second block as one op: depthwise temporal
+  conv, pointwise conv, batch norm, ELU, average pool, dropout and the
+  flatten, with a closed-form backward and a graph only in training. It
+  reads first_stage's output through its (F*D,B,M) transpose, which is
+  contiguous, and hands back its input gradient as a view in that order,
+  so neither op copies the other's array into another layout. The batch
+  norm's statistics run on the pointwise product's (B,O,M) array, as the
+  separate op's do.
+- The ops the two stages fuse remain ops of their own, the references the
+  stages are checked against, and temporal_conv is depthwise_temporal_conv
+  on its input repeated over the filters.
 - pointwise_conv is a single BLAS product. depthwise_spatial_conv, which
   only first_stage's fused form runs in the encoder, is built from mul,
   reshape and tensor_sum.
@@ -45,8 +60,8 @@ strides is one element and the other spans at least a row.
 - batch_norm works on a (B,F,N) view. It takes its statistics with einsum
   reductions, normalises the centred copy in place, and builds the input
   gradient in one buffer from the two reductions that give the gamma and
-  beta gradients. It and first_stage share BN_EPS and one running-statistics
-  update (BN_MOMENTUM, unbiased variance).
+  beta gradients. It and the two stages share BN_EPS and one
+  running-statistics update (BN_MOMENTUM, unbiased variance).
 """
 
 from __future__ import annotations
@@ -268,15 +283,17 @@ def _band(w: np.ndarray, adjoint: bool = False) -> np.ndarray:
     return np.ascontiguousarray(_view(wide, (f, 2 * k, k), (fs, -step, step), start))
 
 
-def _pairs(xb: np.ndarray) -> np.ndarray:
-    """[X[q] | X[q+1]] for the blocks xb (G,*R,Q+1,K) of G groups of rows,
-    as a strided view (G,Q,R,2K) with the rows flattened: each row of one
-    (G,Q) slice is 2K consecutive samples, so BLAS reads the slice as is."""
+def _windows(xb: np.ndarray, hop: int, count: int) -> np.ndarray:
+    """The (hop+K)-sample windows that start every `hop` samples of the
+    padded rows, blocks xb (G,*R,Q+1,K) of G groups of rows, as a strided
+    view (G,count,R,hop+K) with the rows flattened: each row of one (G,j)
+    slice is hop+K consecutive samples, so BLAS reads the slice as is. At
+    hop K, window q is [X[q] | X[q+1]]."""
     k, q1 = xb.shape[-1], xb.shape[-2]
     xf = xb.reshape(xb.shape[0], -1, q1 * k)
     step = xf.itemsize
-    return _view(xf, (xf.shape[0], q1 - 1, xf.shape[1], 2 * k),
-                 (xf.strides[0], k * step, xf.strides[1], step))
+    return _view(xf, (xf.shape[0], count, xf.shape[1], hop + k),
+                 (xf.strides[0], hop * step, xf.strides[1], step))
 
 
 def _toeplitz_conv(xb: np.ndarray, fwd: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -289,31 +306,32 @@ def _toeplitz_conv(xb: np.ndarray, fwd: np.ndarray, out: np.ndarray) -> np.ndarr
     R the rows flattened; a transposed view of a (G,*R,Q,K) array keeps
     the output in time order.
     """
-    return np.matmul(_pairs(xb), fwd[:, None], out=out)
+    k = xb.shape[-1]
+    return np.matmul(_windows(xb, k, xb.shape[-2] - 1), fwd[:, None], out=out)
 
 
-def _block_products(xb: np.ndarray, gb: np.ndarray) -> np.ndarray:
-    """P[f,q] = sum over rows of G[q]' [X[q] | X[q+1]], (F,Q,K,2K), for the
-    blocks xb (G,*R,Q+1,K) of a padded input and gb (F,*R,Q+1,K) of a
-    signal aligned with it (G is 1 or F). P[f,q][a, a+i] sums g[qK+a] times
-    xp[qK+a+i]. Each [X[q] | X[q+1]] is a strided view of a row's blocks
-    (_pairs), so this is one batched GEMM."""
+def _band_products(xb: np.ndarray, gb: np.ndarray) -> np.ndarray:
+    """p[f,t,i] = sum over rows of g[t] xp[t+i], t < QK, for the blocks xb
+    (G,*R,Q+1,K) of a padded input and gb (F,*R,Q+1,K) of a signal aligned
+    with it (G is 1 or F), as a strided view (F,QK/h,h,K) with t = jh + a
+    at [f,j,a,i]. The hop h is K/2 for even K and K for odd. Each h-sample
+    slice of g times the (h+K)-sample window it reads (_windows) is one
+    (h,h+K) tile of a batched GEMM, whose diagonals [a, a+i] the view
+    reads; every product element is one dot over the rows, as it is in a
+    tile at hop K, so the hop moves no bit."""
     k, q1 = gb.shape[-1], gb.shape[-2]
-    gf = gb.reshape(gb.shape[0], -1, q1, k)
-    return np.matmul(gf[:, :, :-1].transpose(0, 2, 3, 1), _pairs(xb))
-
-
-def _diagonals(p: np.ndarray) -> np.ndarray:
-    """(..., K, 2K) -> strided view (..., K, K) of p[..., a, a+i] at [a, i]."""
-    k = p.shape[-2]
+    h = k // 2 if k % 2 == 0 else k
+    n = (q1 - 1) * k // h
+    gf = gb.reshape(gb.shape[0], -1, q1 * k // h, h)
+    p = np.matmul(gf[:, :, :n].transpose(0, 2, 3, 1), _windows(xb, h, n))
     rows, cols = p.strides[-2:]
     return _view(p, p.shape[:-1] + (k,), p.strides[:-2] + (rows + cols, cols))
 
 
 def _toeplitz_weight_grad(xb: np.ndarray, gb: np.ndarray) -> np.ndarray:
     """gw[f,i] = sum over rows and t of g[t] xp[t+i] for the blocks xb of
-    the padded input and gb of the output gradient (_block_products)."""
-    return _diagonals(_block_products(xb, gb)).sum(axis=(1, 2))
+    the padded input and gb of the output gradient (_band_products)."""
+    return _band_products(xb, gb).sum(axis=(1, 2))
 
 
 def _toeplitz_input_grad(gb: np.ndarray, adj: np.ndarray) -> np.ndarray:
@@ -326,7 +344,8 @@ def _toeplitz_input_grad(gb: np.ndarray, adj: np.ndarray) -> np.ndarray:
     f, k, q1 = gb.shape[0], gb.shape[-1], gb.shape[-2]
     gxb = np.empty(gb.shape, dtype=np.result_type(gb, adj))
     rows = gxb.reshape(f, -1, q1, k)
-    np.matmul(_pairs(gb), adj[:, None], out=rows[:, :, 1:].transpose(0, 2, 1, 3))
+    np.matmul(_windows(gb, k, q1 - 1), adj[:, None],
+              out=rows[:, :, 1:].transpose(0, 2, 1, 3))
     np.matmul(gb.reshape(f, -1, q1, k)[:, :, 0], adj[:, k:], out=rows[:, :, 0])
     return gxb
 
@@ -464,7 +483,7 @@ def _window_moments(x: np.ndarray, k: int, left: int):
 
     Tap i reads x[o : o+M], o = i - left, so gram[i,j] sums the lag
     products p[s, |i-j|] = sum over rows of x[s] x[s+|i-j|] over
-    s in [o, o+M), o = min(i,j) - left. _block_products of x with itself
+    s in [o, o+M), o = min(i,j) - left. _band_products of x with itself
     gives p for every s, the window sums are differences of a running sum
     over s, and a strided view lays gram[i, i+l] out from them. x is
     written once into the zero-padded blocks the product reads, and the
@@ -474,11 +493,11 @@ def _window_moments(x: np.ndarray, k: int, left: int):
     q = -(-m // k)
     dtype = x.dtype
     xb = _blocks(x, k, 0)
-    lagprod = _diagonals(_block_products(xb[None], xb[None])[0])  # p[qK+a, l] at [q, a, l]
+    lagprod = _band_products(xb[None], xb[None])[0]  # p[jh+a, l] at [j, a, l]
     cum = np.empty((q * k + 1, k), dtype=dtype)
     cum[0] = 0.0
     run = cum[1:]
-    run.reshape(q, k, k)[...] = lagprod
+    run.reshape(lagprod.shape)[...] = lagprod
     np.cumsum(run, axis=0, out=run)
     o = np.arange(k) - left  # take(..., mode="clip") clamps s to the sums' range
     band = np.zeros((k, 2 * k), dtype=dtype)  # band[i, l] = gram[i, i+l]
@@ -520,21 +539,21 @@ def _dropout_mask(rng: np.random.Generator, shape, p: float, dtype) -> np.ndarra
 
 
 def _elu_pool_grad(g: np.ndarray, mask, neg: np.ndarray, pool: int) -> np.ndarray:
-    """first_stage's gradient of ELU's input, (F*D,B,M), from the gradient
-    g (B,F*D,1,M//pool) of its output: g times the dropout mask (None for
-    none) times 1/pool, times ELU's derivative neg + 1 in every sample of
-    its window, and 0 in the samples past the last whole window."""
-    fd, b, m = neg.shape
+    """The gradient of a fused stage's ELU input, neg's shape (I,J,M), from
+    the gradient g (I,J,M//pool) of its pooled output, in the same layout:
+    g times the dropout mask (None for none) times 1/pool, times ELU's
+    derivative neg + 1 in every sample of its window, and 0 in the samples
+    past the last whole window."""
+    i, j, m = neg.shape
     mp = m // pool
-    gs = np.empty((fd, b, mp), dtype=neg.dtype)
-    gp = g[:, :, 0].transpose(1, 0, 2)
+    gs = np.empty((i, j, mp), dtype=neg.dtype)
     if mask is not None:
-        gp = np.multiply(gp, mask[:, :, 0].transpose(1, 0, 2), out=gs)
-    np.multiply(gp, neg.dtype.type(1.0 / pool), out=gs)
+        g = np.multiply(g, mask, out=gs)
+    np.multiply(g, neg.dtype.type(1.0 / pool), out=gs)
     gt = neg + 1.0
     gt[..., mp * pool:] = 0.0
     # one multiply, windows outermost, so that its inner loops run long
-    windows = gt[..., :mp * pool].reshape(fd, b, mp, pool).transpose(3, 0, 1, 2)
+    windows = gt[..., :mp * pool].reshape(i, j, mp, pool).transpose(3, 0, 1, 2)
     np.multiply(windows, gs, out=windows, order="C")
     return gt
 
@@ -559,16 +578,19 @@ def first_stage(x: Tensor, w: Tensor, gamma1: Tensor, beta1: Tensor,
     a_f mean(v) + c_f S_fd, variance a_f^2 var(v). Both batch norms fold
     into one scale and shift of z = v - mean(v) (z = v with running
     statistics), and ELU, the pool and the dropout mask run on the result
-    in the (F*D,B,M) layout; only the pooled output is transposed. The mask
-    is the one dropout draws.
+    in the (F*D,B,M) layout. The mask is the one dropout draws, and the
+    output is a (B,F*D,1,M//pool) view of the pooled (F*D,B,M//pool) array,
+    the layout second_stage reads without a copy.
 
     Where each buffer is built: training first takes the window moments,
     which write x once into their padded blocks while no other buffer of
     the op is live. The forward then writes x into its own padded blocks,
     builds the band S, and allocates u, v, ELU's input t and its
-    expm1 part, the pooled means and the output; eval scales v into t in
-    place, since no backward reads v. Only the backward builds the adjoint
-    band A. It builds g_t and bn2's input gradient as (F*D,B,M) arrays,
+    expm1 part and the pooled means, which the mask scales in place; eval
+    scales v into t in place, since no backward reads v. Only the backward
+    builds the adjoint band A. It reads the output's gradient in any
+    layout, second_stage's (F*D,B,M) view included, builds g_t and bn2's
+    input gradient as (F*D,B,M) arrays,
     copies the latter into a new padded block buffer of which only the
     padding is zero-filled, and frees both before the Toeplitz gradients
     allocate theirs.
@@ -652,17 +674,14 @@ def first_stage(x: Tensor, w: Tensor, gamma1: Tensor, beta1: Tensor,
     neg = np.minimum(t, 0.0)  # elu, as in elu()
     np.expm1(neg, out=neg)
     e = np.maximum(t, neg, out=t)
-    pooled = _pool_mean(e, pool)
-    data = np.empty((b, fd, 1, mp), dtype=dtype)
+    pooled = _pool_mean(e, pool)  # (F*D,B,M//pool)
     mask = None
     if training and p > 0.0:
-        mask = _dropout_mask(rng, data.shape, p, dtype)
-        np.multiply(pooled.transpose(1, 0, 2), mask[:, :, 0], out=data[:, :, 0])
-    else:
-        data[:, :, 0] = pooled.transpose(1, 0, 2)
+        mask = _dropout_mask(rng, (b, fd, 1, mp), p, dtype)[:, :, 0].transpose(1, 0, 2)
+        pooled *= mask
 
     def grad_fn(g):
-        gt = _elu_pool_grad(g, mask, neg, pool)
+        gt = _elu_pool_grad(g[:, :, 0].transpose(1, 0, 2), mask, neg, pool)
         r1 = gt.reshape(fd, -1).sum(axis=1).astype(np.float64)
         r2 = np.einsum("jn,jn->j", gt.reshape(fd, -1), z.reshape(fd, -1))
         r2 = r2.astype(np.float64)
@@ -691,7 +710,97 @@ def first_stage(x: Tensor, w: Tensor, gamma1: Tensor, beta1: Tensor,
                 (gsw * a[:, None, None]).astype(spatial_w.data.dtype),
                 (u * r2).astype(gamma2.data.dtype), r1.astype(beta2.data.dtype))
 
-    return _node(data, (x, *params), grad_fn)
+    return _node(pooled.transpose(1, 0, 2)[:, :, None], (x, *params), grad_fn)
+
+
+def second_stage(x: Tensor, depth_w: Tensor, point_w: Tensor, gamma: Tensor,
+                 beta: Tensor, running, pool: int, p: float, rng,
+                 training: bool) -> Tensor:
+    """The encoder's second block as one op, (B,F,1,M) -> (B,O*(M//pool)):
+    depthwise_temporal_conv(depth_w), pointwise_conv(point_w),
+    batch_norm(gamma, beta) with running = (mean, var), elu,
+    avg_pool_time(pool), dropout(p, rng) and the flatten, with the same
+    floating-point operations in the same order.
+
+    The convolution reads x through its (F,B,M) transpose, which is
+    contiguous when x is first_stage's output, and leaves its output in
+    that layout; the pointwise product reads it as a (B,F,M) view, so the
+    batch norm's statistics, ELU, the pool and the mask, drawn as dropout
+    draws it, run on the product's (B,O,M) array. Only training builds a
+    graph; eval mode wanting one is refused outside no_grad. The backward
+    is closed form: the pooled gradient and ELU's derivative give bn3's
+    output gradient, bn3's input gradient is the batch_norm one, and the
+    pointwise product's input gradient is written straight into the
+    zero-padded blocks the Toeplitz gradients read. The input gradient is
+    a (B,F,1,M) view of the (F,B,M) rows those give, the layout
+    first_stage's backward reads."""
+    params = (depth_w, point_w, gamma, beta)
+    if not training and _grad_enabled and any(_wants_grad(t) for t in (x, *params)):
+        raise ValidationError("second_stage builds a graph only in training; use no_grad")
+    if x.data.ndim != 4 or x.data.shape[2] != 1:
+        raise ValidationError(f"second_stage expects (B,F,1,M), got {x.data.shape}")
+    b, f, _, m = x.data.shape
+    fw, k = depth_w.data.shape
+    o, fp = point_w.data.shape
+    if fw != f or fp != f:
+        raise ValidationError(f"kernels {depth_w.data.shape} and {point_w.data.shape} "
+                              f"incompatible with {f} input maps")
+    mp = m // pool
+    if mp < 1:
+        raise ValidationError(f"pool {pool} longer than time axis {m}")
+    if not (0.0 <= p < 1.0):
+        raise ValidationError(f"dropout probability must be in [0,1), got {p}")
+    running_mean, running_var = running
+    left = _same_pad(k)[0]
+    q = -(-m // k)
+    xb = _blocks(x.data.transpose(1, 0, 2, 3), k, left)  # (F,B,1,Q+1,K)
+    v = np.empty((f, b, q, k), dtype=np.result_type(x.data, depth_w.data))
+    _toeplitz_conv(xb, _band(depth_w.data), v.reshape(f, b, q, k).transpose(0, 2, 1, 3))
+    vt = v.reshape(f, b, q * k)[..., :m].transpose(1, 0, 2)  # (B,F,M)
+    xhat = np.matmul(point_w.data, vt)  # (B,O,M), centred and scaled in place
+    dtype = xhat.dtype
+    n = b * m
+    if training:
+        mu = np.einsum("bfn->f", xhat) / n
+        xhat -= mu[:, None]
+        var = np.einsum("bfn,bfn->f", xhat, xhat) / n
+        _update_running(running_mean, running_var, mu, var, n)
+    else:
+        xhat -= running_mean.astype(dtype)[:, None]
+        var = running_var.astype(dtype)
+    istd = 1.0 / np.sqrt(var + BN_EPS)
+    xhat *= istd[:, None]
+    t = np.multiply(xhat, gamma.data[:, None], out=None if training else xhat)
+    t += beta.data[:, None]
+    neg = np.minimum(t, 0.0)  # elu, as in elu()
+    np.expm1(neg, out=neg)
+    e = np.maximum(t, neg, out=t)
+    pooled = _pool_mean(e, pool)  # (B,O,M//pool)
+    mask = None
+    if training and p > 0.0:
+        mask = _dropout_mask(rng, pooled.shape, p, dtype)
+        pooled *= mask
+
+    def grad_fn(g):
+        gt = _elu_pool_grad(g.reshape(b, o, mp), mask, neg, pool)
+        gbeta = np.einsum("bfn->f", gt)
+        ggamma = np.einsum("bfn,bfn->f", gt, xhat)
+        gy = xhat * (-ggamma / n)[:, None]  # bn3's input gradient, as batch_norm's
+        gy += gt
+        gy -= (gbeta / n)[:, None]
+        gy *= (gamma.data * istd)[:, None]
+        gpoint = np.matmul(gy, vt.transpose(0, 2, 1)).sum(axis=0)
+        gb = np.empty((f, b, (q + 1) * k), dtype=dtype)
+        np.matmul(point_w.data.T, gy, out=gb[..., :m].transpose(1, 0, 2))
+        gb[..., m:] = 0.0
+        gb = gb.reshape(f, b, 1, q + 1, k)
+        gx = None
+        if _wants_grad(x):
+            gxb = _toeplitz_input_grad(gb, _band(depth_w.data, adjoint=True))
+            gx = _unblock(gxb, left, m).transpose(1, 0, 2, 3)
+        return (gx, _toeplitz_weight_grad(xb, gb), gpoint, ggamma, gbeta)
+
+    return _node(pooled.reshape(b, o * mp), (x, *params), grad_fn)
 
 
 def avg_pool_time(x: Tensor, pool: int) -> Tensor:

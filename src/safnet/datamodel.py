@@ -341,28 +341,34 @@ def write_epoch_dir(epoch_set: EpochSet, out_dir: str) -> Manifest:
 
 
 def load_manifest(path: str) -> tuple[Manifest, EpochSet]:
-    """Load a manifest CSV and every epoch it references, in row order."""
+    """Load a manifest CSV and every epoch it references, in row order. Every
+    row is checked before any epoch is read; a path holding a NUL, which no
+    file name can, is refused with the row's line."""
     base_dir = os.path.dirname(os.path.abspath(path))
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty manifest") from None
-        if header != MANIFEST_HEADER:
-            raise ParseError(f"{path}: bad header {header!r}")
-        rows: list[tuple[str, str, int, str]] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise ParseError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
-            p, subject, cls_s, split = row
-            if cls_s not in ("0", "1"):
-                raise ParseError(f"{path}:{lineno}: class must be 0 or 1, got {cls_s!r}")
-            if split not in SPLIT_TOKENS:
-                raise ParseError(f"{path}:{lineno}: unknown split {split!r}")
-            rows.append((p, subject, int(cls_s), split))
+            records = list(reader)
+        except csv.Error as exc:  # a field over csv's size limit; a NUL before 3.11
+            raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
+    if not records:
+        raise ParseError(f"{path}: empty manifest")
+    if records[0] != MANIFEST_HEADER:
+        raise ParseError(f"{path}: bad header {records[0]!r}")
+    rows: list[tuple[str, str, int, str]] = []
+    for lineno, row in enumerate(records[1:], start=2):
+        if not row:
+            continue
+        if len(row) != 4:
+            raise ParseError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
+        p, subject, cls_s, split = row
+        if "\0" in p:
+            raise ParseError(f"{path}:{lineno}: path {p!r} holds a NUL")
+        if cls_s not in ("0", "1"):
+            raise ParseError(f"{path}:{lineno}: class must be 0 or 1, got {cls_s!r}")
+        if split not in SPLIT_TOKENS:
+            raise ParseError(f"{path}:{lineno}: unknown split {split!r}")
+        rows.append((p, subject, int(cls_s), split))
 
     manifest = Manifest(rows=rows, base_dir=base_dir)
     epochs: list[Epoch] = []

@@ -13,8 +13,12 @@ only in training: eval mode runs under autodiff.no_grad, as predict does.
 Its first block (temporal conv, batch norm, depthwise spatial conv, batch
 norm, ELU, average pool, dropout) runs as one op, autodiff.first_stage,
 which applies the spatial mix first, so the temporal convolution runs on
-F1*D rows per epoch instead of F1*C. The parameters, buffers and
-checkpoint layout are those of the separate layers.
+F1*D rows per epoch instead of F1*C. Its second block (depthwise temporal
+conv, pointwise conv, batch norm, ELU, average pool, dropout, flatten)
+runs as another, autodiff.second_stage; the two hand each other their
+output and input gradient in first_stage's (F1*D, B, time) layout. The
+parameters, buffers and checkpoint layout are those of the separate
+layers.
 Only the input's channels, length and rate are configurable (EncoderConfig);
 the other sizes are the constants below, with a half-second temporal kernel,
 and load_checkpoint refuses a header that stores other values. Checkpoints
@@ -154,21 +158,16 @@ class SafModel:
         if len(shape) != 3 or shape[0] < 1 or shape[1:] != (self.cfg.C, self.cfg.M):
             raise ValidationError(f"expected input (B >= 1, {self.cfg.C}, "
                                   f"{self.cfg.M}), got {shape}")
-        b = shape[0]
 
         p, bufs = self.params, self.buffers
         h = ad.first_stage(x, p["conv_temporal_w"], p["bn1_gamma"], p["bn1_beta"],
                            p["conv_spatial_w"], p["bn2_gamma"], p["bn2_beta"],
                            (bufs["bn1_mean"], bufs["bn1_var"], bufs["bn2_mean"],
                             bufs["bn2_var"]), POOL1, DROPOUT, rng, training)
-        h = ad.depthwise_temporal_conv(h, p["conv_sep_depth_w"])
-        h = ad.pointwise_conv(h, p["conv_sep_point_w"])
-        h = ad.batch_norm(h, p["bn3_gamma"], p["bn3_beta"], bufs["bn3_mean"],
-                          bufs["bn3_var"], training)
-        h = ad.elu(h)
-        h = ad.avg_pool_time(h, POOL2)
-        h = ad.dropout(h, DROPOUT, rng, training)
-        return ad.reshape(h, (b, self.cfg.feature_dim))
+        return ad.second_stage(h, p["conv_sep_depth_w"], p["conv_sep_point_w"],
+                               p["bn3_gamma"], p["bn3_beta"],
+                               (bufs["bn3_mean"], bufs["bn3_var"]), POOL2, DROPOUT,
+                               rng, training)
 
     def heads_forward(self, z: Tensor, lambda_grl: float):
         """(task_logits, domain_logits); the domain head reads z through the

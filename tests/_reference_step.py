@@ -1,7 +1,9 @@
 """Reference implementations of the training step's kernels as they were
 before their buffers were reworked: first_stage with its _blocks, _bands,
-_window_moments, _pool_mean and _dropout_mask, depthwise_temporal_conv,
-avg_pool_time's backward, and a per-parameter Adam. They run the same
+_window_moments, _pool_mean and _dropout_mask, the Toeplitz products over
+pairs of K-sample blocks, the encoder's second block as the chain of
+separate ops it was (depthwise_temporal_conv, pointwise_conv, batch_norm,
+elu, avg_pool_time, dropout and the flatten), and a per-parameter Adam. They run the same
 floating-point operations in the same order as the library's, with more
 passes, copies and temporaries, so the library must match them bit for bit
 (tests/test_same_bytes.py). Every helper that computes a float is copied
@@ -174,6 +176,100 @@ def depthwise_temporal_conv(x, w):
         return (gx, gw)
 
     return _node(data, (x, w), grad_fn)
+
+
+def pointwise_conv(x, w):
+    b, f, c, m = x.data.shape
+    o = w.data.shape[0]
+    x3 = x.data.reshape(b, f, c * m)
+    data = np.matmul(w.data, x3).reshape(b, o, c, m)
+
+    def grad_fn(g):
+        g3 = g.reshape(b, o, c * m)
+        gw = None
+        if w.requires_grad:
+            gw = np.matmul(g3, x3.transpose(0, 2, 1)).sum(axis=0)
+        gx = np.matmul(w.data.T, g3).reshape(x.data.shape) if _wants_grad(x) else None
+        return (gx, gw)
+
+    return _node(data, (x, w), grad_fn)
+
+
+def batch_norm(x, gamma, beta, running_mean, running_var, training):
+    b, f = x.data.shape[:2]
+    x3 = x.data.reshape(b, f, -1)
+    n = b * x3.shape[2]
+    if training:
+        mu = np.einsum("bfn->f", x3) / n
+        xhat = x3 - mu[:, None]
+        var = np.einsum("bfn,bfn->f", xhat, xhat) / n
+        update_running(running_mean, running_var, mu, var, n)
+    else:
+        xhat = x3 - running_mean.astype(x.data.dtype)[:, None]
+        var = running_var.astype(x.data.dtype)
+    istd = 1.0 / np.sqrt(var + BN_EPS)
+    xhat *= istd[:, None]
+    data = xhat * gamma.data[:, None]
+    data += beta.data[:, None]
+    data = data.reshape(x.data.shape)
+
+    def grad_fn(g):
+        g3 = g.reshape(b, f, -1)
+        gbeta = np.einsum("bfn->f", g3)
+        ggamma = np.einsum("bfn,bfn->f", g3, xhat)
+        gx = None
+        if _wants_grad(x):
+            scale = (gamma.data * istd)[:, None]
+            if training:
+                gx = xhat * (-ggamma / n)[:, None]
+                gx += g3
+                gx -= (gbeta / n)[:, None]
+                gx *= scale
+            else:
+                gx = g3 * scale
+            gx = gx.reshape(x.data.shape)
+        return (gx, ggamma if gamma.requires_grad else None,
+                gbeta if beta.requires_grad else None)
+
+    return _node(data, (x, gamma, beta), grad_fn)
+
+
+def elu(x):
+    neg = np.expm1(np.minimum(x.data, 0.0))
+    data = np.maximum(x.data, neg)
+
+    def grad_fn(g):
+        gx = neg + 1.0
+        gx *= g
+        return (gx,)
+
+    return _node(data, (x,), grad_fn)
+
+
+def avg_pool_time(x, pool):
+    return _node(pool_mean(x.data, pool), (x,),
+                 lambda g: (avg_pool_grad(g, x.data.shape, pool),))
+
+
+def dropout(x, p, rng, training):
+    if not training or p == 0.0:
+        return x
+    mask = dropout_mask(rng, x.data.shape, p, x.data.dtype)
+    return _node(x.data * mask, (x,), lambda g: (g * mask,))
+
+
+def reshape(x, shape):
+    return _node(x.data.reshape(shape), (x,), lambda g: (g.reshape(x.data.shape),))
+
+
+def second_stage(x, depth_w, point_w, gamma, beta, running, pool, p, rng, training):
+    """The encoder's second block as the chain of ops it ran as."""
+    h = depthwise_temporal_conv(x, depth_w)
+    h = pointwise_conv(h, point_w)
+    h = batch_norm(h, gamma, beta, *running, training)
+    h = avg_pool_time(elu(h), pool)
+    h = dropout(h, p, rng, training)
+    return reshape(h, (x.data.shape[0], -1))
 
 
 def first_stage(x, w, gamma1, beta1, spatial_w, gamma2, beta2, running, pool, p,

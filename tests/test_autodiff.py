@@ -506,6 +506,49 @@ class TestFirstBlock:
             self.call(pool=pool, p=p)
 
 
+class TestSecondBlock:
+    """second_stage, the encoder's second block; tests/test_same_bytes.py
+    holds it to the bytes of the chain of ops it replaces."""
+
+    def test_gradient(self):
+        rng = np.random.default_rng(22)
+
+        def build(x, depth_w, point_w, gamma, beta):
+            return ad.second_stage(x, depth_w, point_w, gamma, beta,
+                                   (np.full(3, 0.1), np.full(3, 1.2)), 2, 0.25,
+                                   np.random.default_rng(7), True)
+
+        check_op(build, rng.standard_normal((3, 4, 1, 11)), rng.standard_normal((4, 4)),
+                 rng.standard_normal((3, 4)), rng.standard_normal(3) + 1.5,
+                 rng.standard_normal(3))
+
+    @staticmethod
+    def call(x_shape=(2, 3, 1, 8), depth_shape=(3, 4), point_shape=(2, 3), pool=4,
+             p=0.25, training=True):
+        return ad.second_stage(t64(np.zeros(x_shape)), t64(np.ones(depth_shape)),
+                               t64(np.ones(point_shape)), t64(np.ones(2)),
+                               t64(np.zeros(2)), [np.zeros(2), np.ones(2)], pool, p,
+                               np.random.default_rng(0), training)
+
+    def test_output_is_flat(self):
+        out = self.call()
+        assert out.data.shape == (2, 4) and out._grad_fn is not None
+
+    def test_eval_mode_builds_no_graph(self):
+        with pytest.raises(ValidationError, match="only in training"):
+            self.call(training=False)
+        with ad.no_grad():
+            out = self.call(training=False)
+        assert out._grad_fn is None and out.data.shape == (2, 4)
+
+    @pytest.mark.parametrize("kw", [{"x_shape": (2, 3, 2, 8)}, {"x_shape": (2, 3, 8)},
+                                    {"depth_shape": (2, 4)}, {"point_shape": (2, 4)},
+                                    {"pool": 9}, {"p": 1.0}, {"p": -0.1}])
+    def test_rejects_bad_shapes_pool_or_dropout(self, kw):
+        with pytest.raises(ValidationError):
+            self.call(**kw)
+
+
 class TestBn1StatisticsPrecision:
     """bn1's statistics in a float32 training step come from float32 window
     moments. They are read back from bn1's running buffers after one step

@@ -399,6 +399,42 @@ class TestExitCodes:
         assert run.stderr.startswith("error: ") and "Traceback" not in run.stderr
         assert "finite" in run.stderr
 
+    @staticmethod
+    def nul_manifest(tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"path,subject,class,split\na\x00b.ndf,s0,0,test\n")
+        return str(path)
+
+    def test_nul_in_manifest_path_exits_1_without_traceback(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(safnet.__file__)))
+        run = subprocess.run([sys.executable, "-m", "safnet.cli", "analyze",
+                              "--manifest", self.nul_manifest(tmp_path),
+                              "--out", str(tmp_path / "out")],
+                             capture_output=True, text=True, env=env, timeout=120)
+        assert run.returncode == 1
+        assert run.stderr.startswith("error: ") and "Traceback" not in run.stderr
+        assert "m.csv:2: path 'a\\x00b.ndf' holds a NUL" in run.stderr
+        assert not os.path.exists(tmp_path / "out")
+
+    @pytest.mark.parametrize("command", ["train", "grid", "eval", "analyze"])
+    def test_nul_in_manifest_path_refused_by_every_reader(self, tmp_path, command,
+                                                           capsys):
+        args = ["--manifest", self.nul_manifest(tmp_path), "--out",
+                str(tmp_path / "out" / "result")]
+        if command in ("train", "grid"):
+            args += ["--config", write_config(tmp_path / "c.ini")]
+        if command == "eval":
+            model = str(tmp_path / "model.safm")
+            save_checkpoint(SafModel(EncoderConfig(C=2, M=32, fs=8.0), num_domains=2),
+                            model)
+            args += ["--model", model]
+        code = main([command, *args])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "m.csv:2:" in err and "NUL" in err
+        assert not os.path.exists(tmp_path / "out")
+
     def test_missing_required_flag_is_usage_error(self):
         assert main(["train"]) == 1
 

@@ -23,6 +23,7 @@ from safnet.datamodel import (
     write_ndf,
     write_recording,
 )
+from safnet import datamodel
 from safnet.errors import FormatError, ParseError, ValidationError
 
 
@@ -253,6 +254,26 @@ class TestManifest:
         mpath = tmp_path / "m.csv"
         mpath.write_text("file,subj,cls,split\n")
         with pytest.raises(ParseError):
+            load_manifest(str(mpath))
+
+    def test_nul_in_path_refused_before_any_epoch_is_read(self, tmp_path, monkeypatch):
+        """open() would raise ValueError on the NUL; the row is refused as a
+        parse error naming its line, and no epoch is read, not even the
+        valid row's before it."""
+        mpath = write_set(tmp_path, [("a", 0, "train")])
+        with open(mpath, "a", encoding="utf-8") as fh:
+            fh.write("a\0b.ndf,a,0,test\n")
+        reads = []
+        monkeypatch.setattr(datamodel, "read_ndf", reads.append)
+        with pytest.raises(ParseError,
+                           match=r"manifest\.csv:3: path 'a\\x00b\.ndf' holds a NUL"):
+            load_manifest(mpath)
+        assert reads == []
+
+    def test_field_over_csv_limit_is_parse_error(self, tmp_path):
+        mpath = tmp_path / "m.csv"
+        mpath.write_text("path,subject,class,split\n" + "a" * 200_000 + ",s0,0,test\n")
+        with pytest.raises(ParseError, match=r"m\.csv:2: field larger than field limit"):
             load_manifest(str(mpath))
 
     def test_relative_paths_resolve_from_manifest_dir(self, tmp_path):

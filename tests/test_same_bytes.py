@@ -1,9 +1,11 @@
 """The training step writes the same bytes as _reference_step's kernels,
 which run the same floating-point operations with more passes, copies and
-temporaries: first_stage's output, its six gradients, the running buffers
-and the dropout generator's next draw in training and eval, the window
-moments, the bands, depthwise_temporal_conv, the dropout mask,
-avg_pool_time's backward, Adam over flat buffers, and whole fits."""
+temporaries: first_stage's and second_stage's outputs, their gradients,
+the running buffers and the dropout generator's next draw in training and
+eval, the window moments and the Toeplitz weight and input gradients at
+hop K/2 against pairs of K-sample blocks, the bands,
+depthwise_temporal_conv, the dropout mask, avg_pool_time's backward, Adam
+over flat buffers, and whole fits."""
 
 import numpy as np
 import pytest
@@ -98,9 +100,109 @@ class TestFirstStage:
             run_first_stage(ref.first_stage, np.float32, shape, True, 5, backwards=2))
 
 
+SECOND_STAGE_INPUTS = ["x", "depth_w", "point_w", "bn3_gamma", "bn3_beta"]
+SECOND_BLOCK_SHAPES = [  # (B, F, M, O, K, pool)
+    (32, 16, 64, 16, 16, 8),  # criterion 8's shape
+    (3, 4, 37, 5, 7, 8),      # odd K, M off the block size and the pool
+    (2, 3, 45, 2, 10, 4),     # even K, M off the block size and the pool
+    (2, 3, 10, 4, 16, 8),     # K > M
+    (1, 2, 12, 3, 5, 3),      # B = 1
+]
+
+
+def run_second_stage(op, dtype, shape, training, seed, p=0.25, backwards=1):
+    """Output, bn3's running buffers, the dropout generator's next draw and,
+    in training, the gradients of the input and the four parameters after
+    `backwards` backward passes of a random weighting of the output. The
+    input is a (B,F,1,M) view of (F,B,1,M) memory, as first_stage gives
+    it."""
+    b, f, m, o, k, pool = shape
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((f, b, 1, m)).transpose(1, 0, 2, 3) * 2.0 + 0.3
+    arrays = [x, rng.standard_normal((f, k)), rng.standard_normal((o, f)),
+              rng.standard_normal(o) + 1.5, rng.standard_normal(o)]
+    running = [rng.standard_normal(o) * 0.1, np.abs(rng.standard_normal(o)) + 0.5]
+    weights = rng.standard_normal((b, o * (m // pool))).astype(dtype)
+    tensors = [Tensor(a.astype(dtype), requires_grad=True) for a in arrays]
+    running = [r.astype(dtype) for r in running]
+    dropout_rng = np.random.default_rng(seed + 1)
+    args = (*tensors, running, pool, p, dropout_rng, training)
+    if training:
+        out = op(*args)
+        loss = ad.tensor_sum(ad.mul(out, Tensor(weights)))
+        for _ in range(backwards):
+            loss.backward()
+    else:
+        with ad.no_grad():
+            out = op(*args)
+    got = dict(zip(["out", "bn3_mean", "bn3_var", "next_draw"],
+                   [out.data, *running, dropout_rng.random(3)]))
+    if training:
+        got |= {name: t.grad for name, t in zip(SECOND_STAGE_INPUTS, tensors)}
+    return got
+
+
+class TestSecondStage:
+    """second_stage against the depthwise_temporal_conv -> pointwise_conv ->
+    batch_norm -> elu -> avg_pool_time -> dropout -> reshape chain it
+    replaces in the encoder."""
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("shape", SECOND_BLOCK_SHAPES)
+    def test_same_bytes(self, shape, training, dtype):
+        seed = sum(shape)
+        assert_same_bytes(
+            run_second_stage(ad.second_stage, dtype, shape, training, seed),
+            run_second_stage(ref.second_stage, dtype, shape, training, seed))
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("shape", SECOND_BLOCK_SHAPES[:3])
+    def test_same_bytes_without_dropout(self, shape, dtype):
+        assert_same_bytes(
+            run_second_stage(ad.second_stage, dtype, shape, True, 3, p=0.0),
+            run_second_stage(ref.second_stage, dtype, shape, True, 3, p=0.0))
+
+    def test_second_backward_accumulates_the_same_bytes(self):
+        shape = SECOND_BLOCK_SHAPES[1]
+        assert_same_bytes(
+            run_second_stage(ad.second_stage, np.float32, shape, True, 5, backwards=2),
+            run_second_stage(ref.second_stage, np.float32, shape, True, 5, backwards=2))
+
+
+TOEPLITZ_SHAPES = [  # (F, rows, M, K)
+    (16, 32, 64, 16),  # criterion 8's second block
+    (4, 24, 256, 64),  # criterion 8's first block, fewer rows
+    (3, 5, 37, 7),     # odd K, M off the block size
+    (2, 4, 45, 10),    # even K, M off the block size
+    (2, 3, 10, 16),    # K > M
+    (1, 4, 9, 1),      # K = 1
+]
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("f, rows, m, k", TOEPLITZ_SHAPES)
+def test_toeplitz_gradients_same_bytes(f, rows, m, k, dtype):
+    """The weight gradient of h-sample slices against their (h+K)-sample
+    windows, and the input gradient of those windows, match the products
+    over pairs of K-sample blocks."""
+    rng = np.random.default_rng(m + k)
+    x, g = (rng.standard_normal((f, rows, m)).astype(dtype) for _ in range(2))
+    w = rng.standard_normal((f, k)).astype(dtype)
+    left = ad._same_pad(k)[0]
+    xb, gb = ad._blocks(x, k, left), ad._blocks(g, k, 0)
+    got = {"gw": ad._toeplitz_weight_grad(xb, gb),
+           "gx": ad._toeplitz_input_grad(gb, ad._band(w, adjoint=True))}
+    xb, gb = ref.blocks(x, k, left), ref.blocks(g, k, 0)
+    want = {"gw": ref.toeplitz_weight_grad(xb, gb),
+            "gx": ref.toeplitz_input_grad(gb, ref.bands(w)[1])}
+    assert_same_bytes(got, want)
+
+
 WINDOW_SHAPES = [
     (192, 256, 64, 31),  # criterion 8's shape
-    (12, 37, 7, 3), (6, 40, 8, 3), (6, 10, 16, 7), (1, 12, 5, 2), (4, 9, 1, 0)]
+    (12, 37, 7, 3), (6, 40, 8, 3), (6, 10, 16, 7), (1, 12, 5, 2), (4, 9, 1, 0),
+    (5, 50, 12, 5)]  # even K, M off the block size
 
 
 def assert_window_moments_same_bytes(rows, m, k, left, dtype):
@@ -158,7 +260,7 @@ def test_pool_mean_same_bytes(pool, m):
 
 @pytest.mark.parametrize("dtype", DTYPES)
 @pytest.mark.parametrize("b, f, c, m, k", [(32, 16, 1, 64, 16), (3, 2, 3, 37, 7),
-                                           (2, 3, 1, 10, 16)])
+                                           (2, 3, 1, 10, 16), (2, 3, 2, 45, 10)])
 def test_depthwise_temporal_conv_same_bytes(b, f, c, m, k, dtype):
     rng = np.random.default_rng(b + m)
     arrays = [rng.standard_normal((b, f, c, m)), rng.standard_normal((f, k))]
@@ -231,27 +333,27 @@ class TestAdam:
             adam_step(params, state, lr=0.1)
 
 
-def test_fit_same_bytes_as_reference_kernels(monkeypatch):
-    """Two epochs of adversarial training with swaps on a 4-channel,
-    64-sample model: the parameters, running buffers and log match a run on
-    the reference first_stage, depthwise_temporal_conv and Adam."""
+def assert_fit_same_bytes(monkeypatch, c, m, fs, per_class):
+    """Two epochs of adversarial training with swaps on a c-channel,
+    m-sample model at rate fs: the parameters, running buffers and log
+    match a run on the reference first_stage, second block chain and
+    Adam."""
     rng = np.random.default_rng(0)
-    epochs = [Epoch(x=rng.standard_normal((4, 64)) + y, y=y, s=s,
-                                 sample_rate_hz=16.0)
-              for s in ("s0", "s1", "s2") for y in (0, 1) for _ in range(6)]
+    epochs = [Epoch(x=rng.standard_normal((c, m)) + y, y=y, s=s, sample_rate_hz=fs)
+              for s in ("s0", "s1", "s2") for y in (0, 1) for _ in range(per_class)]
     cfg = TrainConfig(batch_size=8, min_epochs=2, max_epochs=2, seed=4,
                       swap=SwapConfig(p=0.5))
     weights = LossWeights(lambda_mi=0.5, lambda_grl=1.0)
 
     def run():
-        model = SafModel(EncoderConfig(C=4, M=64, fs=16.0), num_domains=3, seed=2)
+        model = SafModel(EncoderConfig(C=c, M=m, fs=fs), num_domains=3, seed=2)
         _, log = fit(epochs, epochs[::4], model, cfg, weights)
         return model, log
 
     model, log = run()
     with monkeypatch.context() as patch:
         patch.setattr(ad, "first_stage", ref.first_stage)
-        patch.setattr(ad, "depthwise_temporal_conv", ref.depthwise_temporal_conv)
+        patch.setattr(ad, "second_stage", ref.second_stage)
         patch.setattr(train_module, "AdamState", ref.AdamState)
         patch.setattr(train_module, "adam_step", ref.adam_step)
         want, want_log = run()
@@ -260,3 +362,13 @@ def test_fit_same_bytes_as_reference_kernels(monkeypatch):
         assert np.array_equal(p.data, want.params[name].data), name
     for name, buf in model.buffers.items():
         assert np.array_equal(buf, want.buffers[name]), name
+
+
+def test_fit_same_bytes_as_reference_kernels(monkeypatch):
+    assert_fit_same_bytes(monkeypatch, c=4, m=64, fs=16.0, per_class=6)
+
+
+def test_fit_same_bytes_at_criterion_8_shape(monkeypatch):
+    """The encoder at criterion 8's shape: a 64-tap first kernel at hop 32
+    and a 64-sample second block."""
+    assert_fit_same_bytes(monkeypatch, c=6, m=256, fs=128.0, per_class=4)

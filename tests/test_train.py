@@ -163,17 +163,17 @@ class TestComputeLosses:
         assert np.array_equal(full, ref.params["conv_temporal_w"].grad)
 
     def test_float32_step_runs_no_float64_block_product(self, monkeypatch):
-        """Every block-product GEMM of a float32 step, bn1's window moments
+        """Every band-product GEMM of a float32 step, bn1's window moments
         included, reads float32 operands: none copies the batch to
         float64."""
         operands = []
-        block_products = ad._block_products
+        band_products = ad._band_products
 
         def spy(xb, gb):
             operands.append((xb.dtype, gb.dtype))
-            return block_products(xb, gb)
+            return band_products(xb, gb)
 
-        monkeypatch.setattr(ad, "_block_products", spy)
+        monkeypatch.setattr(ad, "_band_products", spy)
         model = tiny_model(num_domains=3)
         x, y, s = batch_arrays(make_epochs(4, subjects=("s0", "s1", "s2")))
         *_, l_total = compute_losses(x.astype(np.float32), y, s, model,
