@@ -27,6 +27,8 @@ strides is one element and the other spans at least a row.
   not touch, so the bytes are those of a hop of K. The forward and input
   gradient stay at hop K: a shorter window drops zero terms from their
   dots, and BLAS rounds a dot differently with its length at some K.
+  _toeplitz_conv, the one forward, builds S, allocates the output and
+  hands back its rows in time order.
 - first_stage is the encoder's first block as one op: temporal conv, batch
   norm, depthwise spatial conv, batch norm, ELU, average pool and dropout,
   on (B,C,M) epochs, with a gradient graph only in training. The spatial
@@ -44,12 +46,12 @@ strides is one element and the other spans at least a row.
   flatten, with a closed-form backward and a graph only in training. It
   reads first_stage's output through its (F*D,B,M) transpose, which is
   contiguous, and hands back its input gradient as a view in that order,
-  so neither op copies the other's array into another layout. The batch
-  norm's statistics run on the pointwise product's (B,O,M) array, as the
-  separate op's do.
-- The ops the two stages fuse remain ops of their own, the references the
-  stages are checked against, and temporal_conv is depthwise_temporal_conv
-  on its input repeated over the filters.
+  so neither op copies the other's array into another layout.
+- The ops the two stages fuse remain ops of their own, which the gradient
+  checks run and the benchmark's tracer times by name. They and the stages
+  run the same kernels: one implementation each of the Toeplitz forward,
+  batch norm, ELU, the pool means and the dropout mask. temporal_conv is
+  depthwise_temporal_conv on its input repeated over the filters.
 - pointwise_conv is a single BLAS product. depthwise_spatial_conv, which
   only first_stage's fused form runs in the encoder, is built from mul,
   reshape and tensor_sum.
@@ -57,11 +59,12 @@ strides is one element and the other spans at least a row.
   avg_pool_time adds the pool strided slices of a (..., n, pool) view
   instead of taking a mean over the trailing axis; both avoided forms run
   on numpy's slow paths, several times slower on the encoder's arrays.
-- batch_norm works on a (B,F,N) view. It takes its statistics with einsum
-  reductions, normalises the centred copy in place, and builds the input
-  gradient in one buffer from the two reductions that give the gamma and
-  beta gradients. It and the two stages share BN_EPS and one
-  running-statistics update (BN_MOMENTUM, unbiased variance).
+- _bn_normalize takes batch norm's statistics with einsum reductions and
+  normalises a (B,F,N) array in place; _bn_grad builds the input gradient
+  in one buffer from the two reductions that give the gamma and beta
+  gradients. batch_norm runs both on a copy of its input, second_stage on
+  its pointwise product, and they share BN_EPS and one running-statistics
+  update (BN_MOMENTUM, unbiased variance) with first_stage.
 """
 
 from __future__ import annotations
@@ -223,11 +226,17 @@ def tensor_sum(x: Tensor, axis=None) -> Tensor:
     return _node(data, (x,), grad_fn)
 
 
+def _elu(x: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
+    """ELU of x, written to out (a new array for None), and its expm1 part
+    neg: expm1(t) >= t, so the maximum picks x where x > 0 and expm1(x)
+    elsewhere; neg is exactly 0 where x > 0, so neg + 1 is the derivative."""
+    neg = np.minimum(x, 0.0)
+    np.expm1(neg, out=neg)
+    return np.maximum(x, neg, out=out), neg
+
+
 def elu(x: Tensor) -> Tensor:
-    # expm1(t) >= t, so the maximum picks x where x > 0 and expm1(x)
-    # elsewhere; neg is exactly 0 where x > 0, so neg + 1 is the derivative.
-    neg = np.expm1(np.minimum(x.data, 0.0))
-    data = np.maximum(x.data, neg)
+    data, neg = _elu(x.data)
 
     def grad_fn(g):
         gx = neg + 1.0
@@ -296,18 +305,20 @@ def _windows(xb: np.ndarray, hop: int, count: int) -> np.ndarray:
                  (xf.strides[0], hop * step, xf.strides[1], step))
 
 
-def _toeplitz_conv(xb: np.ndarray, fwd: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Blocked-Toeplitz correlation y[t] = sum_i w[i] xp[t+i] of each padded
-    row with the kernel of its group.
+def _toeplitz_conv(xb: np.ndarray, w: np.ndarray, m: int) -> np.ndarray:
+    """Blocked-Toeplitz correlation y[t] = sum_i w[i] xp[t+i], t < m, of
+    each padded row with the kernel of its group, as a (G,*R,m) view.
 
-    xb (G,*R,Q+1,K) holds the blocks of G groups of rows (_blocks), fwd
-    (G,2K,K) the band S of each group's kernel (_band). Output block q of
-    a row is [X[q] | X[q+1]] S: one batched GEMM, written to out (G,Q,R,K),
-    R the rows flattened; a transposed view of a (G,*R,Q,K) array keeps
-    the output in time order.
-    """
-    k = xb.shape[-1]
-    return np.matmul(_windows(xb, k, xb.shape[-2] - 1), fwd[:, None], out=out)
+    xb (G,*R,Q+1,K) holds the blocks of G groups of rows (_blocks), w (G,K)
+    the kernels, whose band S this builds (_band). Output block q of a row
+    is [X[q] | X[q+1]] S: one batched GEMM, written through a (G,Q,R,K)
+    transposed view of a new (G,*R,Q,K) array, R the rows flattened, so
+    the rows come out in time order and the view only trims them to m."""
+    g, q1, k = xb.shape[0], xb.shape[-2], xb.shape[-1]
+    out = np.empty(xb.shape[:-2] + (q1 - 1, k), dtype=np.result_type(xb, w))
+    np.matmul(_windows(xb, k, q1 - 1), _band(w)[:, None],
+              out=out.reshape(g, -1, q1 - 1, k).transpose(0, 2, 1, 3))
+    return out.reshape(xb.shape[:-2] + (-1,))[..., :m]
 
 
 def _band_products(xb: np.ndarray, gb: np.ndarray) -> np.ndarray:
@@ -357,16 +368,13 @@ def _unblock(gxb: np.ndarray, left: int, m: int) -> np.ndarray:
 
 def depthwise_temporal_conv(x: Tensor, w: Tensor) -> Tensor:
     """(B,F,C,M) with one kernel per filter (F,K), same padding on time."""
-    b, f, c, m = x.data.shape
+    _, f, _, m = x.data.shape
     fw, k = w.data.shape
     if fw != f:
         raise ValidationError(f"kernel count {fw} != filter count {f}")
     left = _same_pad(k)[0]
-    q = -(-m // k)
     xb = _blocks(x.data.transpose(1, 0, 2, 3), k, left)  # (F,B,C,Q+1,K)
-    out = np.empty((f, b, c, q, k), dtype=np.result_type(x.data, w.data))
-    _toeplitz_conv(xb, _band(w.data), out.reshape(f, b * c, q, k).transpose(0, 2, 1, 3))
-    data = np.ascontiguousarray(out.reshape(f, b, c, q * k)[..., :m].transpose(1, 0, 2, 3))
+    data = np.ascontiguousarray(_toeplitz_conv(xb, w.data, m).transpose(1, 0, 2, 3))
 
     def grad_fn(g):
         gb = _blocks(g.transpose(1, 0, 2, 3), k, 0)
@@ -433,44 +441,57 @@ def _update_running(running_mean, running_var, mu, var, n: int) -> None:
     running_var += BN_MOMENTUM * (var * n / max(n - 1, 1))
 
 
+def _bn_normalize(xhat: np.ndarray, running, training: bool) -> np.ndarray:
+    """Normalise axis 1 of the (B,F,N) array xhat in place; returns the (F,)
+    inverse standard deviations. Training folds the batch statistics into
+    running = (mean, var) in place; eval reads them from it."""
+    running_mean, running_var = running
+    n = xhat.shape[0] * xhat.shape[2]
+    if training:
+        mu = np.einsum("bfn->f", xhat) / n
+        xhat -= mu[:, None]
+        var = np.einsum("bfn,bfn->f", xhat, xhat) / n
+        _update_running(running_mean, running_var, mu, var, n)
+    else:
+        xhat -= running_mean.astype(xhat.dtype)[:, None]
+        var = running_var.astype(xhat.dtype)
+    istd = 1.0 / np.sqrt(var + BN_EPS)
+    xhat *= istd[:, None]
+    return istd
+
+
+def _bn_grad(g: np.ndarray, xhat: np.ndarray, scale: np.ndarray, training: bool):
+    """(gx, ggamma, gbeta) of a batch norm from the gradient g (B,F,N) of
+    its output, its normalised input xhat and scale = gamma * istd (F,);
+    in eval the statistics are constants."""
+    n = g.shape[0] * g.shape[2]
+    gbeta = np.einsum("bfn->f", g)
+    ggamma = np.einsum("bfn,bfn->f", g, xhat)
+    if training:
+        gx = xhat * (-ggamma / n)[:, None]
+        gx += g
+        gx -= (gbeta / n)[:, None]
+        gx *= scale[:, None]
+    else:
+        gx = g * scale[:, None]
+    return gx, ggamma, gbeta
+
+
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
                running_var: np.ndarray, training: bool) -> Tensor:
     """Normalizes axis 1 of a (B,F,C,M) tensor. Batch statistics in training
     mode (running buffers updated in place), running statistics otherwise."""
     b, f = x.data.shape[:2]
-    x3 = x.data.reshape(b, f, -1)
-    n = b * x3.shape[2]
-    if training:
-        mu = np.einsum("bfn->f", x3) / n
-        xhat = x3 - mu[:, None]
-        var = np.einsum("bfn,bfn->f", xhat, xhat) / n
-        _update_running(running_mean, running_var, mu, var, n)
-    else:
-        xhat = x3 - running_mean.astype(x.data.dtype)[:, None]
-        var = running_var.astype(x.data.dtype)
-    istd = 1.0 / np.sqrt(var + BN_EPS)
-    xhat *= istd[:, None]
+    xhat = x.data.reshape(b, f, -1).copy()
+    istd = _bn_normalize(xhat, (running_mean, running_var), training)
     data = xhat * gamma.data[:, None]
     data += beta.data[:, None]
     data = data.reshape(x.data.shape)
 
     def grad_fn(g):
-        g3 = g.reshape(b, f, -1)
-        gbeta = np.einsum("bfn->f", g3)
-        ggamma = np.einsum("bfn,bfn->f", g3, xhat)
-        gx = None
-        if _wants_grad(x):
-            scale = (gamma.data * istd)[:, None]
-            if training:
-                gx = xhat * (-ggamma / n)[:, None]
-                gx += g3
-                gx -= (gbeta / n)[:, None]
-                gx *= scale
-            else:
-                gx = g3 * scale
-            gx = gx.reshape(x.data.shape)
-        return (gx, ggamma if gamma.requires_grad else None,
-                gbeta if beta.requires_grad else None)
+        gx, ggamma, gbeta = _bn_grad(g.reshape(b, f, -1), xhat, gamma.data * istd,
+                                     training)
+        return (gx.reshape(x.data.shape), ggamma, gbeta)
 
     return _node(data, (x, gamma, beta), grad_fn)
 
@@ -558,6 +579,32 @@ def _elu_pool_grad(g: np.ndarray, mask, neg: np.ndarray, pool: int) -> np.ndarra
     return gt
 
 
+def _check_stage(name: str, training: bool, tensors, m: int, pool: int, p: float):
+    """A fused stage's refusals: eval mode wanting a graph of any of tensors
+    outside no_grad, a pool longer than the m-sample time axis and a
+    dropout probability outside [0,1)."""
+    if not training and _grad_enabled and any(_wants_grad(t) for t in tensors):
+        raise ValidationError(f"{name} builds a graph only in training; use no_grad")
+    if m // pool < 1:
+        raise ValidationError(f"pool {pool} longer than time axis {m}")
+    if not (0.0 <= p < 1.0):
+        raise ValidationError(f"dropout probability must be in [0,1), got {p}")
+
+
+def _pool_dropout(e: np.ndarray, pool: int, p: float, rng, training: bool,
+                  batch_axis: int):
+    """(pooled, mask) of a fused stage's 3-D ELU output e: the pool means
+    times the dropout mask (None outside training or at p = 0), drawn
+    batch-first, as dropout draws it, and laid out in e's layout."""
+    pooled = _pool_mean(e, pool)
+    mask = None
+    if training and p > 0.0:
+        shape = np.moveaxis(pooled, batch_axis, 0).shape
+        mask = np.moveaxis(_dropout_mask(rng, shape, p, e.dtype), 0, batch_axis)
+        pooled *= mask
+    return pooled, mask
+
+
 def first_stage(x: Tensor, w: Tensor, gamma1: Tensor, beta1: Tensor,
                 spatial_w: Tensor, gamma2: Tensor, beta2: Tensor, running,
                 pool: int, p: float, rng, training: bool) -> Tensor:
@@ -584,30 +631,29 @@ def first_stage(x: Tensor, w: Tensor, gamma1: Tensor, beta1: Tensor,
 
     Where each buffer is built: training first takes the window moments,
     which write x once into their padded blocks while no other buffer of
-    the op is live. The forward then writes x into its own padded blocks,
-    builds the band S, and allocates u, v, ELU's input t and its
-    expm1 part and the pooled means, which the mask scales in place; eval
-    scales v into t in place, since no backward reads v. Only the backward
-    builds the adjoint band A. It reads the output's gradient in any
-    layout, second_stage's (F*D,B,M) view included, builds g_t and bn2's
-    input gradient as (F*D,B,M) arrays,
-    copies the latter into a new padded block buffer of which only the
-    padding is zero-filled, and frees both before the Toeplitz gradients
-    allocate theirs.
+    the op is live. The forward then writes x into its own padded blocks
+    and allocates u, the convolution's output (_toeplitz_conv, which builds
+    the band S) and v, its trimmed copy, then ELU's input t and its expm1
+    part (_elu) and the pooled means, which the mask scales in place
+    (_pool_dropout); eval scales v into t in place, since no backward reads
+    v. Only the backward builds the adjoint band A. It reads the output's
+    gradient in any layout, second_stage's (F*D,B,M) view included, builds
+    g_t and bn2's input gradient as (F*D,B,M) arrays, copies the latter
+    into new padded blocks (_blocks), and frees both before the Toeplitz
+    gradients allocate theirs.
 
     Only training builds a graph; eval mode wanting one is refused outside
-    no_grad. The backward is closed form. The gradient g_t of ELU's input t
-    comes from the pooled gradient and ELU's derivative, and its per-channel
-    sums R1 = sum g_t and R2 = sum g_t z give bn2's gamma and beta
-    gradients. bn2's input gradient is copied into the zero-padded blocks
-    the Toeplitz gradients read. bn2 removes any per-channel shift
-    of h, so beta1 gets no gradient (None), and a_f reaches the output only
-    through BN_EPS: dL/da_f = sum_d gamma2 BN_EPS R2 / sigma2^3. x is data."""
+    no_grad (_check_stage). The backward is closed form. The gradient g_t
+    of ELU's input t comes from the pooled gradient and ELU's derivative,
+    and its per-channel sums R1 = sum g_t and R2 = sum g_t z give bn2's
+    gamma and beta gradients. bn2's input gradient is copied into the
+    zero-padded blocks the Toeplitz gradients read. bn2 removes any
+    per-channel shift of h, so beta1 gets no gradient (None), and a_f
+    reaches the output only through BN_EPS:
+    dL/da_f = sum_d gamma2 BN_EPS R2 / sigma2^3. x is data."""
     if _wants_grad(x):
         raise ValidationError("first_stage does not differentiate its input")
     params = (w, gamma1, beta1, spatial_w, gamma2, beta2)
-    if not training and _grad_enabled and any(_wants_grad(t) for t in params):
-        raise ValidationError("first_stage builds a graph only in training; use no_grad")
     if x.data.ndim != 3:
         raise ValidationError(f"first_stage expects (B,C,M), got {x.data.shape}")
     b, c, m = x.data.shape
@@ -616,26 +662,19 @@ def first_stage(x: Tensor, w: Tensor, gamma1: Tensor, beta1: Tensor,
     if fw != f or cw != c:
         raise ValidationError(f"spatial kernel {spatial_w.data.shape} incompatible "
                               f"with {f} filters over {c} channels")
-    mp = m // pool
-    if mp < 1:
-        raise ValidationError(f"pool {pool} longer than time axis {m}")
-    if not (0.0 <= p < 1.0):
-        raise ValidationError(f"dropout probability must be in [0,1), got {p}")
+    _check_stage("first_stage", training, params, m, pool, p)
     running_mean1, running_var1, running_mean2, running_var2 = running
     dtype = x.data.dtype
     fd = f * d
     left = _same_pad(k)[0]
-    q = -(-m // k)
     w64 = w.data.astype(np.float64)
     n1 = b * c * m
     if training:  # first, while no other buffer of the op is live
         mean, gram = _window_moments(x.data.reshape(b * c, m), k, left)
     xb = _blocks(x.data.transpose(1, 0, 2), k, left)  # (C,B,Q+1,K)
     ub = np.matmul(spatial_w.data.reshape(fd, c), xb.reshape(c, -1))
-    ub = ub.reshape(f, d, b, q + 1, k)  # u, padded as xb is
-    v = np.empty((fd, b, q, k), dtype=dtype)
-    _toeplitz_conv(ub, _band(w.data), v.reshape(f, d * b, q, k).transpose(0, 2, 1, 3))
-    v = np.ascontiguousarray(v.reshape(fd, b, q * k)[..., :m])
+    ub = ub.reshape((f, d) + xb.shape[1:])  # u, padded as xb is
+    v = np.ascontiguousarray(_toeplitz_conv(ub, w.data, m)).reshape(fd, b, m)
 
     if training:
         mu1 = w64 @ mean
@@ -671,14 +710,8 @@ def first_stage(x: Tensor, w: Tensor, gamma1: Tensor, beta1: Tensor,
     t = np.multiply(z, (g2 * u).astype(dtype)[:, None, None],
                     out=None if training else z)
     t += (g2 * offset + beta2.data).astype(dtype)[:, None, None]
-    neg = np.minimum(t, 0.0)  # elu, as in elu()
-    np.expm1(neg, out=neg)
-    e = np.maximum(t, neg, out=t)
-    pooled = _pool_mean(e, pool)  # (F*D,B,M//pool)
-    mask = None
-    if training and p > 0.0:
-        mask = _dropout_mask(rng, (b, fd, 1, mp), p, dtype)[:, :, 0].transpose(1, 0, 2)
-        pooled *= mask
+    e, neg = _elu(t, out=t)
+    pooled, mask = _pool_dropout(e, pool, p, rng, training, 1)  # (F*D,B,M//pool)
 
     def grad_fn(g):
         gt = _elu_pool_grad(g[:, :, 0].transpose(1, 0, 2), mask, neg, pool)
@@ -693,10 +726,7 @@ def first_stage(x: Tensor, w: Tensor, gamma1: Tensor, beta1: Tensor,
         gt *= alpha.astype(dtype)[:, None, None]
         gh += gt
         gh -= (alpha * r1 / n2).astype(dtype)[:, None, None]
-        gb = np.empty((f, d, b, q + 1, k), dtype=dtype)
-        rows = gb.reshape(fd, b, (q + 1) * k)
-        rows[..., :m] = gh
-        rows[..., m:] = 0.0
+        gb = _blocks(gh.reshape(f, d, b, m), k, 0)
         del gt, gh  # before the Toeplitz gradients' buffers are allocated
         ga = (alpha * BN_EPS * r2 / (sigma2 * sigma2)).reshape(f, d).sum(axis=1)
         gvar = -0.5 * istd1 ** 3 * gamma64 * ga
@@ -719,88 +749,56 @@ def second_stage(x: Tensor, depth_w: Tensor, point_w: Tensor, gamma: Tensor,
     """The encoder's second block as one op, (B,F,1,M) -> (B,O*(M//pool)):
     depthwise_temporal_conv(depth_w), pointwise_conv(point_w),
     batch_norm(gamma, beta) with running = (mean, var), elu,
-    avg_pool_time(pool), dropout(p, rng) and the flatten, with the same
-    floating-point operations in the same order.
+    avg_pool_time(pool), dropout(p, rng) and the flatten, running their
+    kernels, so with the same floating-point operations in the same order.
 
-    The convolution reads x through its (F,B,M) transpose, which is
-    contiguous when x is first_stage's output, and leaves its output in
-    that layout; the pointwise product reads it as a (B,F,M) view, so the
-    batch norm's statistics, ELU, the pool and the mask, drawn as dropout
-    draws it, run on the product's (B,O,M) array. Only training builds a
-    graph; eval mode wanting one is refused outside no_grad. The backward
-    is closed form: the pooled gradient and ELU's derivative give bn3's
-    output gradient, bn3's input gradient is the batch_norm one, and the
-    pointwise product's input gradient is written straight into the
-    zero-padded blocks the Toeplitz gradients read. The input gradient is
-    a (B,F,1,M) view of the (F,B,M) rows those give, the layout
-    first_stage's backward reads."""
+    The convolution (_toeplitz_conv) reads x through its (F,B,M) transpose,
+    which is contiguous when x is first_stage's output, and leaves its
+    output in that layout; the pointwise product reads it as a (B,F,M)
+    view, so the batch norm (_bn_normalize), ELU (_elu), the pool and the
+    mask, drawn as dropout draws it (_pool_dropout), run on the product's
+    (B,O,M) array. Only training builds a graph; eval mode wanting one is
+    refused outside no_grad (_check_stage). The backward is closed form:
+    the pooled gradient and ELU's derivative give bn3's output gradient,
+    _bn_grad its input gradient, and the pointwise product's input
+    gradient is written straight into the zero-padded blocks the Toeplitz
+    gradients read. The input gradient is a (B,F,1,M) view of the (F,B,M)
+    rows those give, the layout first_stage's backward reads."""
     params = (depth_w, point_w, gamma, beta)
-    if not training and _grad_enabled and any(_wants_grad(t) for t in (x, *params)):
-        raise ValidationError("second_stage builds a graph only in training; use no_grad")
     if x.data.ndim != 4 or x.data.shape[2] != 1:
         raise ValidationError(f"second_stage expects (B,F,1,M), got {x.data.shape}")
     b, f, _, m = x.data.shape
     fw, k = depth_w.data.shape
-    o, fp = point_w.data.shape
+    _, fp = point_w.data.shape
     if fw != f or fp != f:
         raise ValidationError(f"kernels {depth_w.data.shape} and {point_w.data.shape} "
                               f"incompatible with {f} input maps")
-    mp = m // pool
-    if mp < 1:
-        raise ValidationError(f"pool {pool} longer than time axis {m}")
-    if not (0.0 <= p < 1.0):
-        raise ValidationError(f"dropout probability must be in [0,1), got {p}")
-    running_mean, running_var = running
+    _check_stage("second_stage", training, (x, *params), m, pool, p)
     left = _same_pad(k)[0]
-    q = -(-m // k)
     xb = _blocks(x.data.transpose(1, 0, 2, 3), k, left)  # (F,B,1,Q+1,K)
-    v = np.empty((f, b, q, k), dtype=np.result_type(x.data, depth_w.data))
-    _toeplitz_conv(xb, _band(depth_w.data), v.reshape(f, b, q, k).transpose(0, 2, 1, 3))
-    vt = v.reshape(f, b, q * k)[..., :m].transpose(1, 0, 2)  # (B,F,M)
-    xhat = np.matmul(point_w.data, vt)  # (B,O,M), centred and scaled in place
-    dtype = xhat.dtype
-    n = b * m
-    if training:
-        mu = np.einsum("bfn->f", xhat) / n
-        xhat -= mu[:, None]
-        var = np.einsum("bfn,bfn->f", xhat, xhat) / n
-        _update_running(running_mean, running_var, mu, var, n)
-    else:
-        xhat -= running_mean.astype(dtype)[:, None]
-        var = running_var.astype(dtype)
-    istd = 1.0 / np.sqrt(var + BN_EPS)
-    xhat *= istd[:, None]
+    vt = _toeplitz_conv(xb, depth_w.data, m)[:, :, 0].transpose(1, 0, 2)  # (B,F,M)
+    xhat = np.matmul(point_w.data, vt)  # (B,O,M), normalised in place
+    istd = _bn_normalize(xhat, running, training)
     t = np.multiply(xhat, gamma.data[:, None], out=None if training else xhat)
     t += beta.data[:, None]
-    neg = np.minimum(t, 0.0)  # elu, as in elu()
-    np.expm1(neg, out=neg)
-    e = np.maximum(t, neg, out=t)
-    pooled = _pool_mean(e, pool)  # (B,O,M//pool)
-    mask = None
-    if training and p > 0.0:
-        mask = _dropout_mask(rng, pooled.shape, p, dtype)
-        pooled *= mask
+    e, neg = _elu(t, out=t)
+    pooled, mask = _pool_dropout(e, pool, p, rng, training, 0)  # (B,O,M//pool)
 
     def grad_fn(g):
-        gt = _elu_pool_grad(g.reshape(b, o, mp), mask, neg, pool)
-        gbeta = np.einsum("bfn->f", gt)
-        ggamma = np.einsum("bfn,bfn->f", gt, xhat)
-        gy = xhat * (-ggamma / n)[:, None]  # bn3's input gradient, as batch_norm's
-        gy += gt
-        gy -= (gbeta / n)[:, None]
-        gy *= (gamma.data * istd)[:, None]
+        gt = _elu_pool_grad(g.reshape(pooled.shape), mask, neg, pool)
+        gy, ggamma, gbeta = _bn_grad(gt, xhat, gamma.data * istd, True)
         gpoint = np.matmul(gy, vt.transpose(0, 2, 1)).sum(axis=0)
-        gb = np.empty((f, b, (q + 1) * k), dtype=dtype)
-        np.matmul(point_w.data.T, gy, out=gb[..., :m].transpose(1, 0, 2))
-        gb[..., m:] = 0.0
-        gb = gb.reshape(f, b, 1, q + 1, k)
+        gb = np.empty(xb.shape, dtype=xhat.dtype)
+        rows = gb.reshape(f, b, -1)
+        np.matmul(point_w.data.T, gy, out=rows[..., :m].transpose(1, 0, 2))
+        rows[..., m:] = 0.0
         gx = None
         if _wants_grad(x):
             gxb = _toeplitz_input_grad(gb, _band(depth_w.data, adjoint=True))
             gx = _unblock(gxb, left, m).transpose(1, 0, 2, 3)
         return (gx, _toeplitz_weight_grad(xb, gb), gpoint, ggamma, gbeta)
 
-    return _node(pooled.reshape(b, o * mp), (x, *params), grad_fn)
+    return _node(pooled.reshape(b, -1), (x, *params), grad_fn)
 
 
 def avg_pool_time(x: Tensor, pool: int) -> Tensor:

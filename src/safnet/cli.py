@@ -44,6 +44,7 @@ from .metrics import (
     macro_metrics,
     silhouette,
     standardize_features,
+    welch_top_hz,
 )
 from .model import EncoderConfig, SafModel, load_checkpoint, save_checkpoint
 from .synth import SynthConfig, generate_dataset
@@ -250,7 +251,7 @@ def _cmd_analyze(args) -> int:
         raise ValidationError("analysis needs at least two subjects")
 
     fs = epochs[0].sample_rate_hz
-    bands = clip_bands(BandDefinition(), fs / 2.0)
+    bands = clip_bands(BandDefinition(), welch_top_hz(fs))
     n_bands = len(bands.bands)
     features = log_band_power_features([ep.x for ep in epochs], fs, bands)
     mask = iqr_row_mask(features)

@@ -16,12 +16,13 @@ at most FEATURE_BLOCK_VALUES float64 input values (one epoch, if an epoch
 is larger), so it costs two numpy-level calls per block rather than one
 Welch and one band loop per channel per epoch, and its temporaries stay
 the size of one block however many epochs it gets. The Welch window and
-overlap are constants. ``iqr_row_mask`` takes every column's quartiles
-from one percentile call. ``silhouette`` takes its pairwise distances from
-``cdist`` and every point's per-cluster distance sums from products with a
-one-hot membership matrix, in blocks of rows whose distances to all n
-points hold at most SILHOUETTE_BLOCK_VALUES values, so it builds neither
-the n x n distance matrix nor an n x n x d temporary.
+overlap are constants, and ``welch_top_hz`` gives the top of the grid they
+make, where every band must end. ``iqr_row_mask`` takes every column's
+quartiles from one percentile call. ``silhouette`` takes its pairwise
+distances from ``cdist`` and every point's per-cluster distance sums from
+products with a one-hot membership matrix, in blocks of rows whose
+distances to all n points hold at most SILHOUETTE_BLOCK_VALUES values, so
+it builds neither the n x n distance matrix nor an n x n x d temporary.
 """
 
 from __future__ import annotations
@@ -106,6 +107,14 @@ def macro_metrics(counts) -> tuple[float, float, float, float]:
     return macro_recall, float(precision.mean()), macro_recall, float(f1.mean())
 
 
+def _welch_samples(fs: float) -> int:
+    """Samples in one Welch window at fs; a rate that leaves none is refused."""
+    nperseg = int(round(WELCH_WINDOW_S * fs))
+    if nperseg < 1:
+        raise ValidationError(f"sample rate {fs} Hz leaves the Welch window empty")
+    return nperseg
+
+
 def welch_psd(x, fs: float) -> tuple[np.ndarray, np.ndarray]:
     """One-sided power spectral density along the last axis of an (..., M)
     array, Hann-windowed averaged periodograms of WELCH_WINDOW_S windows that
@@ -113,7 +122,7 @@ def welch_psd(x, fs: float) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim < 1:
         raise ValidationError("expected a series, got a scalar")
-    nperseg = int(round(WELCH_WINDOW_S * fs))
+    nperseg = _welch_samples(fs)
     if x.shape[-1] < nperseg:
         raise ValidationError(
             f"series of {x.shape[-1]} samples shorter than one {nperseg}-sample window"
@@ -122,6 +131,15 @@ def welch_psd(x, fs: float) -> tuple[np.ndarray, np.ndarray]:
                                  noverlap=int(round(nperseg * WELCH_OVERLAP)),
                                  scaling="density", axis=-1)
     return freqs, psd
+
+
+def welch_top_hz(fs: float) -> float:
+    """The top frequency of welch_psd's grid at fs, where every band must
+    end: fs/2 only for a window of an even number of samples, and even then
+    it may lie an ulp below, so it is read off the grid of a window of
+    zeros."""
+    freqs, _ = welch_psd(np.zeros(_welch_samples(fs)), fs)
+    return float(freqs[-1])
 
 
 def _edge_value(freqs: np.ndarray, psd: np.ndarray, f: float) -> np.ndarray:

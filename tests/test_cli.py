@@ -872,6 +872,22 @@ class TestAnalyzeCommand:
                 in capsys.readouterr().err)
         assert not adir.exists()
 
+    @pytest.mark.parametrize("fs", [100.5, 8.8])
+    def test_non_integer_rate(self, fs, tmp_path):
+        """At 100.5 Hz the 201-sample Welch window has no bin at fs/2, and at
+        8.8 Hz, stored as float32, the top bin is an ulp below fs/2: the
+        top band ends at the grid's top bin, and all four files appear."""
+        rng = np.random.default_rng(0)
+        epochs = [Epoch(x=rng.standard_normal((2, round(2.5 * fs))).astype(np.float32),
+                        y=k % 2, s=s, sample_rate_hz=fs)
+                  for s in ("a", "b") for k in range(8)]
+        data, adir = str(tmp_path / "data"), tmp_path / "analysis"
+        write_epoch_dir(EpochSet(epochs=epochs), data)
+        assert main(["analyze", "--manifest", os.path.join(data, "manifest.csv"),
+                     "--out", str(adir)]) == 0
+        assert sorted(os.listdir(adir)) == ["cv.csv", "fstat.txt", "psd_bands.csv",
+                                            "silhouette.txt"]
+
     def test_single_subject_is_validation_error(self, tmp_path):
         config = write_config(tmp_path / "c.ini")
         rec = TestPreprocessCommand.make_recording(str(tmp_path / "raw.safr"))

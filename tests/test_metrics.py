@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import signal as sp_signal
 from scipy import stats as sp_stats
 from scipy.spatial.distance import cdist
@@ -20,6 +22,7 @@ from safnet.metrics import (
     macro_metrics,
     silhouette,
     welch_psd,
+    welch_top_hz,
 )
 
 
@@ -187,6 +190,36 @@ class TestWelchPsd:
     def test_too_short(self):
         with pytest.raises(ValidationError):
             welch_psd(np.zeros(100), 512.0)
+
+    def test_rate_too_low_for_a_window(self):
+        """At 0.2 Hz a 2 s window rounds to no sample at all."""
+        with pytest.raises(ValidationError, match="Welch window empty"):
+            welch_psd(np.zeros(4), 0.2)
+
+    @pytest.mark.parametrize("fs, top", [
+        (128.0, 64.0), (100.5, 50.0),
+        (float(np.float32(8.8)), np.nextafter(float(np.float32(8.8)) / 2, 0.0))])
+    def test_top_frequency_is_the_grid_top(self, fs, top):
+        """An odd window (201 samples at 100.5 Hz) has no bin at fs/2, and at
+        8.8 Hz stored as float32 the even window's top bin is an ulp below
+        fs/2."""
+        freqs, _ = welch_psd(np.zeros(int(4 * fs)), fs)
+        assert welch_top_hz(fs) == freqs[-1] == top
+
+
+class TestAnalysisBands:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.floats(8.0, 1024.0, exclude_max=True, width=32))
+    def test_clipped_bands_fit_the_grid(self, fs):
+        """The bands analyze uses at any float32 rate in [8, 1024) Hz lie
+        inside the Welch grid of 2.5 s epochs, so the features are computed
+        without a refusal."""
+        fs = float(fs)
+        bands = clip_bands(BandDefinition(), welch_top_hz(fs))
+        x = np.random.default_rng(0).standard_normal((1, 1, int(round(2.5 * fs))))
+        features = log_band_power_features(x, fs, bands)
+        assert features.shape == (1, len(bands.bands))
+        assert np.all(np.isfinite(features))
 
 
 class TestBandPower:
