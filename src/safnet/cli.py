@@ -102,6 +102,8 @@ def load_cli_config(path: str) -> CliConfig:
             parser.read_file(fh)
         except configparser.Error as exc:
             raise ConfigError(f"{path}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
     values: dict[str, dict] = {}
     for section in parser.sections():

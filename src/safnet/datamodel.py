@@ -351,6 +351,8 @@ def load_manifest(path: str) -> tuple[Manifest, EpochSet]:
             records = list(reader)
         except csv.Error as exc:  # a field over csv's size limit; a NUL before 3.11
             raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if not records:
         raise ParseError(f"{path}: empty manifest")
     if records[0] != MANIFEST_HEADER:

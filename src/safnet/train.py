@@ -31,17 +31,17 @@ LR_FACTOR, LR_FLOOR) are constants; TrainConfig holds the learning rate,
 batch size, epoch bounds, patience, plateau window, seed and swap setting.
 
 The grid search spans LAMBDA_MIN to LAMBDA_MAX on both axes and trains its
-cells independently, each seeded from its grid position. With jobs > 1 it
-runs them on a process pool whose initializer hands every worker the train
-and validation epochs once and pins the worker's OpenBLAS to one thread;
-the cell tasks then carry only lambdas, configs and seeds. Only workers
-hold the epochs in the module; the serial path passes its own epochs to
-the same cell function.
+cells independently, each seeded from its grid position. It runs them on a
+process pool, at jobs = 1 too, whose initializer hands every worker the
+train and validation epochs once and pins the worker's OpenBLAS to one
+thread; the cell tasks then carry only lambdas, configs and seeds. Only
+workers hold the epochs in the module.
 """
 
 from __future__ import annotations
 
 import ctypes
+import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, field, fields, replace
@@ -350,17 +350,14 @@ def fit(train_data, val_data, model: SafModel, cfg: TrainConfig,
     adam = AdamState(model.params)
     lr = cfg.lr
     log = TrainLog()
-    history: list[float] = []
     best_acc = -np.inf
     best_snap = _snapshot(model)
-    best_epoch = 0
     loss_limit = None
 
     n = len(train_data)
     for epoch in range(1, cfg.max_epochs + 1):
         order = shuffle_rng.permutation(n)
         sums = np.zeros(4)
-        seen = 0
         for step, start in enumerate(range(0, n, cfg.batch_size), start=1):
             idx = order[start:start + cfg.batch_size]
             x, _ = isbcs_augment_batch([train_data[i] for i in idx], cfg.swap,
@@ -383,13 +380,10 @@ def fit(train_data, val_data, model: SafModel, cfg: TrainConfig,
                     f"step's l_total) = {loss_limit:.3g}")
             l_total.backward()
             adam_step(model.params, adam, lr)
-            b = len(idx)
-            sums += b * losses
-            seen += b
+            sums += len(idx) * losses
 
         val_acc = evaluate_macro_accuracy(model, val_data)
-        history.append(val_acc)
-        means = sums / seen
+        means = sums / n
         log.records.append(EpochRecord(
             epoch=epoch, l_task=means[0], l_domain=means[1], l_mi=means[2],
             l_total=means[3], lr=lr, val_macro_acc=val_acc))
@@ -397,16 +391,15 @@ def fit(train_data, val_data, model: SafModel, cfg: TrainConfig,
         if val_acc > best_acc:
             best_acc = val_acc
             best_snap = _snapshot(model)
-            best_epoch = epoch
+            log.best_epoch = epoch
 
-        lr = scheduler_update(history, lr, cfg)
-        if early_stop_check(history, cfg):
+        lr = scheduler_update(log.val_accuracies, lr, cfg)
+        if early_stop_check(log.val_accuracies, cfg):
             log.stop_reason = "early_stop"
             break
     else:
         log.stop_reason = "max_epochs"
 
-    log.best_epoch = best_epoch
     _restore(model, best_snap)
     return model, log
 
@@ -459,17 +452,21 @@ def _init_grid_worker(train_data, val_data) -> None:
         set_threads(1)
 
 
-def _fit_cell(task, train_epochs, val_epochs):
+def _grid_cell(task):
+    """A pool worker's cell task, on the epochs its initializer kept."""
     i, j, lam_mi, lam_grl, enc_cfg, cell_cfg, num_domains, model_seed = task
     model = SafModel(enc_cfg, num_domains=num_domains, seed=model_seed)
-    _, log = fit(train_epochs, val_epochs, model, cell_cfg,
+    _, log = fit(*_grid_data, model, cell_cfg,
                  LossWeights(lambda_mi=lam_mi, lambda_grl=lam_grl))
     return i, j, max(log.val_accuracies)
 
 
-def _grid_cell(args):
-    """A pool worker's cell task, on the epochs its initializer kept."""
-    return _fit_cell(args, *_grid_data)
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set, or the machine's
+    count where the platform has no affinity call."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def grid_search(train_data, val_data, enc_cfg: EncoderConfig, cfg: TrainConfig,
@@ -480,10 +477,11 @@ def grid_search(train_data, val_data, enc_cfg: EncoderConfig, cfg: TrainConfig,
 
     Returns (best LossWeights, rows of (lambda_mi, lambda_grl, val_macro_acc)
     ordered by (lambda_mi, lambda_grl)). Each cell is seeded from
-    (cfg.seed, i, j), so the rows are the same for every jobs >= 1. jobs > 1
-    runs the cells on min(jobs, cells) worker processes; each worker gets
-    the epochs once, when it starts, and runs its BLAS on one thread, and a
-    cell task carries only the cell's lambdas, configs and seeds.
+    (cfg.seed, i, j), so the rows are the same for every jobs >= 1. The
+    cells run on min(jobs, cells, usable CPUs) worker processes, one at
+    jobs = 1; each worker gets the epochs once, when it starts, and runs its
+    BLAS on one thread, and a cell task carries only the cell's lambdas,
+    configs and seeds.
     """
     if jobs < 1:
         raise ValidationError(f"jobs must be >= 1, got {jobs}")
@@ -503,13 +501,10 @@ def grid_search(train_data, val_data, enc_cfg: EncoderConfig, cfg: TrainConfig,
             tasks.append((i, j, lam_mi, lam_grl, enc_cfg, cell_cfg,
                           num_domains, int(state[1])))
 
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks)),
-                                 initializer=_init_grid_worker,
-                                 initargs=(train_data, val_data)) as pool:
-            results = list(pool.map(_grid_cell, tasks))
-    else:
-        results = [_fit_cell(t, train_data, val_data) for t in tasks]
+    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks), _usable_cpus()),
+                             initializer=_init_grid_worker,
+                             initargs=(train_data, val_data)) as pool:
+        results = list(pool.map(_grid_cell, tasks))
 
     acc = {(i, j): v for i, j, v in results}
     rows = [(lam_mi, lam_grl, acc[(i, j)])

@@ -381,13 +381,20 @@ class TestExitCodes:
         assert message in err
         assert not os.path.exists(tmp_path / "d")
 
-    @pytest.mark.parametrize("command, text", [
-        ("preprocess", "[pipeline]\nepoch_seconds = nan\n"),
-        ("synth", "[synth]\nfs = nan\n")])
+    # ids name the command and the config text, not the expected message
+    @pytest.mark.parametrize("command, text, message", [
+        pytest.param(command, text, message, id=f"{command}-{text.decode('latin-1')}")
+        for command, text, message in (
+            ("preprocess", b"[pipeline]\nepoch_seconds = nan\n", "finite"),
+            ("synth", b"[synth]\nfs = nan\n", "finite"),
+            ("preprocess", b"[pipeline]\nepoch_seconds = \xff\n", "c.ini: not UTF-8"),
+            ("synth", b"[synth]\nfs = \xff\n", "c.ini: not UTF-8"))])
     def test_non_finite_value_exits_1_without_traceback(self, tmp_path, command,
-                                                        text):
-        config = write_config(tmp_path / "c.ini", text)
-        args = ["--config", config, "--out", str(tmp_path / "d")]
+                                                        text, message):
+        """A value that is not finite, and a config that is not UTF-8."""
+        config = tmp_path / "c.ini"
+        config.write_bytes(text)
+        args = ["--config", str(config), "--out", str(tmp_path / "d")]
         if command == "preprocess":
             rec = TestPreprocessCommand.make_recording(str(tmp_path / "raw.safr"))
             args += ["--in", rec, "--subject", "s00", "--class", "0"]
@@ -397,12 +404,13 @@ class TestExitCodes:
                              capture_output=True, text=True, env=env, timeout=120)
         assert run.returncode == 1
         assert run.stderr.startswith("error: ") and "Traceback" not in run.stderr
-        assert "finite" in run.stderr
+        assert message in run.stderr
+        assert not os.path.exists(tmp_path / "d")
 
     @staticmethod
-    def nul_manifest(tmp_path):
+    def nul_manifest(tmp_path, row=b"a\x00b.ndf,s0,0,test\n"):
         path = tmp_path / "m.csv"
-        path.write_bytes(b"path,subject,class,split\na\x00b.ndf,s0,0,test\n")
+        path.write_bytes(b"path,subject,class,split\n" + row)
         return str(path)
 
     def test_nul_in_manifest_path_exits_1_without_traceback(self, tmp_path):
@@ -417,10 +425,16 @@ class TestExitCodes:
         assert "m.csv:2: path 'a\\x00b.ndf' holds a NUL" in run.stderr
         assert not os.path.exists(tmp_path / "out")
 
-    @pytest.mark.parametrize("command", ["train", "grid", "eval", "analyze"])
+    # a NUL in a path, and (ids ending -not-utf8) a row that is not UTF-8
+    @pytest.mark.parametrize("command, row, message", [
+        pytest.param(command, row, message, id=command + suffix)
+        for suffix, row, message in (
+            ("", b"a\x00b.ndf,s0,0,test\n", "m.csv:2: path 'a\\x00b.ndf' holds a NUL"),
+            ("-not-utf8", b"a\xffb.ndf,s0,0,test\n", "m.csv: not UTF-8 text"))
+        for command in ("train", "grid", "eval", "analyze")])
     def test_nul_in_manifest_path_refused_by_every_reader(self, tmp_path, command,
-                                                           capsys):
-        args = ["--manifest", self.nul_manifest(tmp_path), "--out",
+                                                           row, message, capsys):
+        args = ["--manifest", self.nul_manifest(tmp_path, row), "--out",
                 str(tmp_path / "out" / "result")]
         if command in ("train", "grid"):
             args += ["--config", write_config(tmp_path / "c.ini")]
@@ -432,7 +446,7 @@ class TestExitCodes:
         code = main([command, *args])
         err = capsys.readouterr().err
         assert code == 1
-        assert err.startswith("error: ") and "m.csv:2:" in err and "NUL" in err
+        assert err.startswith("error: ") and message in err
         assert not os.path.exists(tmp_path / "out")
 
     def test_missing_required_flag_is_usage_error(self):

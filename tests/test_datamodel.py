@@ -256,6 +256,15 @@ class TestManifest:
         with pytest.raises(ParseError):
             load_manifest(str(mpath))
 
+    @pytest.mark.parametrize("text", [
+        b"pa\xffth,subject,class,split\n",
+        b"path,subject,class,split\nep\xff.ndf,s0,0,test\n"], ids=["header", "row"])
+    def test_not_utf8_is_parse_error(self, tmp_path, text):
+        mpath = tmp_path / "m.csv"
+        mpath.write_bytes(text)
+        with pytest.raises(ParseError, match=r"m\.csv: not UTF-8 text"):
+            load_manifest(str(mpath))
+
     def test_nul_in_path_refused_before_any_epoch_is_read(self, tmp_path, monkeypatch):
         """open() would raise ValueError on the NUL; the row is refused as a
         parse error naming its line, and no epoch is read, not even the

@@ -724,11 +724,17 @@ class TestGridSearch:
             grid_search(make_epochs(1), make_epochs(1), TINY, quick_cfg(),
                         n_mi=2, n_grl=2, budget_epochs=budget)
 
-    @pytest.mark.parametrize("jobs, workers", [(2, 2), (4, 4), (64, 4)])
+    # ids are jobs-workers; the last case has 3 usable CPUs, the others 64
+    @pytest.mark.parametrize("jobs, cpus, workers", [
+        (2, 64, 2), (4, 64, 4), (64, 64, 4), (1, 64, 1), (4, 3, 3)],
+        ids=["2-2", "4-4", "64-4", "1-1", "4-3"])
     def test_pool_gets_epochs_once_and_small_tasks(self, monkeypatch, jobs,
-                                                   workers):
+                                                   cpus, workers):
+        """Every search, jobs = 1 included, maps _grid_cell on a pool of
+        min(jobs, cells, usable CPUs) workers."""
         train, val = make_epochs(8, seed=1), make_epochs(4, seed=2)
         monkeypatch.setattr(train_module, "ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(train_module, "_usable_cpus", lambda: cpus)
         _, rows = grid_search(train, val, TINY, quick_cfg(), n_mi=2, n_grl=2,
                               budget_epochs=1, jobs=jobs)
         pool = _RecordingPool.last
@@ -738,7 +744,13 @@ class TestGridSearch:
         assert len(pool.task_bytes) == 4 and max(pool.task_bytes) < 1000
         assert [acc for _, _, acc in rows] == [0.0, 0.25, 0.5, 0.75]
 
-    def test_serial_search_leaves_no_epochs_in_module(self, monkeypatch):
+    @pytest.mark.parametrize("count, cpus", [(5, 5), (None, 1)])
+    def test_usable_cpus_without_affinity_call(self, monkeypatch, count, cpus):
+        monkeypatch.delattr(train_module.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(train_module.os, "cpu_count", lambda: count)
+        assert train_module._usable_cpus() == cpus
+
+    def test_search_leaves_no_epochs_in_module(self, monkeypatch):
         train, val = make_epochs(2, seed=1), make_epochs(1, seed=2)
         held = vars(train_module)
 
