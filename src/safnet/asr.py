@@ -17,13 +17,16 @@ Only the rejection cutoff, finite and positive, is configurable (AsrConfig).
 
 Apply works on all windows at once: one np.matmul on a sliding-window view
 gives the covariance of every full window (the few short windows at the end
-are done one by one), one stacked eigh decomposes them all, and every
-window's rejection limits come from one product. Only windows that reject
-a component run the pseudo-inverse reconstruction. The blend adds the
-weighted windows with one strided add per hop-sized segment of a window,
-ordered so that every sample still sums its windows in window order: float
-addition is not associative, and that order keeps the output bit-identical
-to adding the windows one after the other, whatever the overlap.
+are done one by one). A window rejects a component only when its covariance
+C is not below the thresholds' Gram matrix G = T^T T, and one batched
+product bounds that for every window (_certified); only the windows the
+bound cannot clear go through one stacked eigh, and their rejection limits
+come from one product. Only windows that reject a component run the
+pseudo-inverse reconstruction. The blend adds the weighted windows with one
+strided add per hop-sized segment of a window, ordered so that every sample
+still sums its windows in window order: float addition is not associative,
+and that order keeps the output bit-identical to adding the windows one
+after the other, whatever the overlap.
 """
 
 from __future__ import annotations
@@ -45,6 +48,8 @@ CALIB_Z_HI = 5.5
 MIN_CALIB_WINDOWS = 30
 PROC_WINDOW_S = 0.5
 PROC_OVERLAP = 0.5
+# The constant factor of the no-rejection certificate's margin (_certified).
+CERT_SAFETY = 16.0
 
 
 @dataclass(frozen=True)
@@ -165,6 +170,50 @@ def _overlap_add(frames: np.ndarray, hop: int, n: int) -> np.ndarray:
     return out.reshape(out.shape[:-2] + (-1,))[..., :n]
 
 
+def _certified(covs: np.ndarray, thresh: np.ndarray) -> np.ndarray:
+    """Mask of the (W, n, n) window covariances that provably reject no
+    component under the thresholds T = thresh: asr_apply need not
+    decompose them.
+
+    asr_apply rejects component j of a window when its eigenpair (l_j, v_j)
+    of C has l_j > |T v_j|^2. With G = T^T T and M = G^-1/2 C G^-1/2, the
+    largest eigenvalue of M is at most F = |M|_F, and F^2 = tr((C G^-1)^2),
+    one batched product and an einsum. F <= 1 - d gives C <= (1 - d) G, so
+    l_j = v_j^T C v_j <= (1 - d) |T v_j|^2 for every eigenpair: no rejection
+    in exact arithmetic. The margin d covers the rounding of both tests, to
+    first order in eps (float64's), with s_1 >= s_n the singular values of
+    T, k = s_1 / s_n >= 1 and |M| <= F <= 1:
+
+    - eigh is backward stable: its computed (l, v) have residual
+      |C v - l v| <= p(n) eps |C| and |v| within p(n) eps of 1, p(n) a modest
+      function of n. As |C| <= s_1^2 |M| and |T v|^2 >= s_n^2 |v|^2, the
+      computed l is at most |T v|^2 (1 - d + 3 p(n) eps k^2).
+    - The computed limit sum_i (T v)_i^2 is low by at most (2 n^1.5 k + n)
+      eps of |T v|^2: each (T v)_i is off by n eps (|T| |v|)_i, and
+      ||T| |v|| <= n^0.5 s_1 |v| while |T v| >= s_n |v|.
+    - The computed F^2 is low by at most a few n^3 eps k^3 of F^2: the LU
+      inverse of T is off by n eps k^2 relative to T^-1 once whitened, and
+      the product P = C G^-1, with |P|_F <= n^0.5 k |M|, is off by
+      n^2 eps k^2 |M| entrywise in norm, so sum_ij P_ij P_ji moves by
+      2 n^2.5 eps k^3 |M|^2, plus n^3 eps k^2 |M|^2 from adding n^2
+      products.
+
+    Each term is at most a few n^3 eps k^3, and d = CERT_SAFETY n^3 eps k^3
+    covers their sum. The bound is first order, so a T with d > 1/2 (k is
+    infinite for a singular T, such as a flat calibration channel's zero
+    threshold row) certifies no window, and every window is decomposed.
+    """
+    n = thresh.shape[0]
+    scale = CERT_SAFETY * n**3 * np.finfo(np.float64).eps
+    kappa = np.linalg.cond(thresh)
+    # compared before it is cubed, which could overflow
+    if not kappa <= (0.5 / scale) ** (1.0 / 3.0):
+        return np.zeros(len(covs), dtype=bool)
+    inv = np.linalg.inv(thresh)
+    p = (covs.reshape(-1, n) @ (inv @ inv.T)).reshape(covs.shape)
+    return np.einsum("wij,wji->w", p, p) <= (1.0 - scale * kappa**3) ** 2
+
+
 def asr_apply(rec: Recording, model: AsrModel) -> Recording:
     """Sliding-window subspace reconstruction with raised-cosine blending."""
     if rec.channels != model.channels:
@@ -188,7 +237,10 @@ def asr_apply(rec: Recording, model: AsrModel) -> Recording:
     covs = np.concatenate(
         [np.matmul(windows, windows.transpose(0, 2, 1)) / width]
         + [(xw @ xw.T / xw.shape[1])[None] for xw in tails])
-    evals, evecs = np.linalg.eigh(covs)
+    # eigh decomposes each matrix on its own, so a subset's pairs are the
+    # ones the whole stack would give
+    check = np.flatnonzero(~_certified(covs, thresh))
+    evals, evecs = np.linalg.eigh(covs[check])
     limits = np.sum((thresh @ evecs) ** 2, axis=1)
     rejected = evals > limits
 
@@ -197,11 +249,12 @@ def asr_apply(rec: Recording, model: AsrModel) -> Recording:
     frames[:full] = windows * taper
     for k, xw in enumerate(tails, start=full):
         frames[k, :, :xw.shape[1]] = xw * taper[:xw.shape[1]]
-    for k in np.flatnonzero(rejected.any(axis=1)):
+    for i in np.flatnonzero(rejected.any(axis=1)):
+        k = check[i]
         xw = x[:, starts[k]:starts[k] + width]
-        a = evecs[k].T @ mixing
-        a[rejected[k], :] = 0.0
-        recon = mixing @ np.linalg.pinv(a, rcond=PINV_RCOND) @ evecs[k].T
+        a = evecs[i].T @ mixing
+        a[rejected[i], :] = 0.0
+        recon = mixing @ np.linalg.pinv(a, rcond=PINV_RCOND) @ evecs[i].T
         frames[k, :, :xw.shape[1]] = (recon @ xw) * taper[:xw.shape[1]]
 
     out = (_overlap_add(frames, hop, n)

@@ -3,7 +3,12 @@
 Resampling is rational polyphase (scipy's resample_poly) through scipy's
 own anti-alias filter: a Kaiser-windowed FIR at 67 dB of stopband
 attenuation (RESAMPLE_ATTEN_DB), 20 * max(up, down) + 1 taps, cut off at
-1 / max(up, down) of the upsampled Nyquist rate.
+1 / max(up, down) of the upsampled Nyquist rate. A rate pair whose filter
+would pass MAX_RESAMPLE_TAPS is refused.
+
+The anti-alias FIR and the band-pass sections are each designed once per
+parameter set and kept in a memo of FILTER_MEMO_SIZE designs; the memo's
+arrays are read-only, and every call hands scipy a copy.
 
 All filtering is zero-phase: scipy's second-order sections run forward and
 backward along time (sosfiltfilt), so passband features keep their timing.
@@ -21,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 from scipy import signal
@@ -35,6 +41,11 @@ NOTCH_Q = 30.0
 # onto the unit circle and sosfiltfilt cannot solve for its initial state
 # (a 1e-8 Hz notch or band edge at 256 Hz raises LinAlgError).
 MIN_FILTER_RATIO = 1e-6
+# A near-miss rate such as 127.999 Hz from 256 Hz reduces to 127999/256000,
+# whose anti-alias FIR would have 5.12 M taps; resample refuses more than this.
+MAX_RESAMPLE_TAPS = 2**20
+# Distinct designs each filter memo keeps (a pipeline uses one or two).
+FILTER_MEMO_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -76,11 +87,38 @@ def resample(rec: Recording, target_rate_hz: float) -> Recording:
     ratio = (Fraction(target_rate_hz).limit_denominator(10**6)
              / Fraction(rec.sample_rate_hz).limit_denominator(10**6))
     up, down = ratio.numerator, ratio.denominator
+    taps = 20 * max(up, down) + 1
+    if taps > MAX_RESAMPLE_TAPS:
+        raise ValidationError(
+            f"resampling {rec.sample_rate_hz} Hz to {target_rate_hz} Hz reduces "
+            f"to {up}/{down}, whose anti-alias filter would have {taps} taps; "
+            f"at most {MAX_RESAMPLE_TAPS} are allowed")
+    # resample_poly casts the FIR it designs to floating-point data's dtype
+    dtype = rec.data.dtype if np.issubdtype(rec.data.dtype, np.inexact) else np.float64
     out_len = int(np.floor(rec.samples * target_rate_hz / rec.sample_rate_hz))
     resampled = signal.resample_poly(
         rec.data, up, down, axis=-1,
-        window=("kaiser", signal.kaiser_beta(RESAMPLE_ATTEN_DB)))[:, :out_len]
+        window=_antialias_fir(max(up, down)).astype(dtype))[:, :out_len]
     return replace(rec, data=resampled, sample_rate_hz=float(target_rate_hz))
+
+
+@lru_cache(maxsize=FILTER_MEMO_SIZE)
+def _antialias_fir(max_rate: int) -> np.ndarray:
+    """The Kaiser FIR resample_poly designs for max(up, down) = max_rate, read-only."""
+    fir = signal.firwin(20 * max_rate + 1, 1.0 / max_rate,
+                        window=("kaiser", signal.kaiser_beta(RESAMPLE_ATTEN_DB)))
+    fir.flags.writeable = False
+    return fir
+
+
+@lru_cache(maxsize=FILTER_MEMO_SIZE)
+def _bandpass_sos(lo_hz: float, hi_hz: float, rate_hz: float) -> np.ndarray:
+    """The Butterworth band-pass sections, read-only."""
+    # a band-pass designed at order n has order 2n
+    sos = signal.butter(BUTTER_ORDER // 2, [lo_hz, hi_hz], btype="bandpass",
+                        fs=rate_hz, output="sos")
+    sos.flags.writeable = False
+    return sos
 
 
 def bandpass(rec: Recording, cfg: PipelineConfig) -> Recording:
@@ -88,9 +126,8 @@ def bandpass(rec: Recording, cfg: PipelineConfig) -> Recording:
         raise ValidationError(
             f"bandpass expects {cfg.target_rate_hz} Hz input, got {rec.sample_rate_hz}"
         )
-    # a band-pass designed at order n has order 2n
-    sos = signal.butter(BUTTER_ORDER // 2, [cfg.band_lo_hz, cfg.band_hi_hz],
-                        btype="bandpass", fs=cfg.target_rate_hz, output="sos")
+    # sosfiltfilt refuses read-only sections
+    sos = _bandpass_sos(cfg.band_lo_hz, cfg.band_hi_hz, cfg.target_rate_hz).copy()
     return replace(rec, data=_zero_phase(sos, rec.data))
 
 

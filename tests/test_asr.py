@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from safnet.asr import (
+    CERT_SAFETY,
     PINV_RCOND,
     PROC_OVERLAP,
     PROC_WINDOW_S,
     AsrConfig,
     AsrModel,
+    _certified,
     _overlap_add,
     asr_apply,
     asr_fit,
@@ -16,6 +20,7 @@ from safnet.datamodel import Recording
 from safnet.dsp import (
     PipelineConfig,
     bandpass,
+    filter_recording,
     notch,
     preprocess_pipeline,
     resample,
@@ -29,6 +34,21 @@ def noise_rec(c, seconds, fs, seed, mix=None):
     if mix is not None:
         data = mix @ data
     return Recording(data=data, sample_rate_hz=float(fs))
+
+
+def loop_covariances(rec):
+    """Each processing window's covariance, one window at a time."""
+    width = int(round(PROC_WINDOW_S * rec.sample_rate_hz))
+    hop = max(1, int(round(width * (1.0 - PROC_OVERLAP))))
+    return np.stack([xw @ xw.T / xw.shape[1]
+                     for xw in (rec.data[:, start:start + width]
+                                for start in range(0, rec.samples, hop))])
+
+
+def eigh_rejects(covs, thresh):
+    """Per window, whether the full eigh test rejects any component."""
+    evals, evecs = np.linalg.eigh(covs)
+    return np.any(evals > np.sum((thresh @ evecs) ** 2, axis=1), axis=1)
 
 
 def loop_asr_apply(rec, model):
@@ -223,18 +243,29 @@ class TestBatchedApply:
     """asr_apply against the per-window loop it replaced."""
 
     @staticmethod
-    def setup(seconds, seed, artifacts):
+    def setup(seconds, seed, artifacts, channels=6):
         fs = 128.0
-        model = asr_fit(noise_rec(6, 60, fs, seed), AsrConfig())
-        data = noise_rec(6, seconds, fs, seed + 1).data
+        model = asr_fit(noise_rec(channels, 60, fs, seed), AsrConfig())
+        data = noise_rec(channels, seconds, fs, seed + 1).data
         if artifacts:
             rng = np.random.default_rng(seed + 2)
+            rows = [0] if channels == 1 else [1, 4]
             # bursts through the recording, the last one in the short windows
             # at its end
             for start in [*range(200, data.shape[1] - 100, 1000), data.shape[1] - 40]:
-                data[[1, 4], start:start + 48] += 30.0 * rng.standard_normal(
-                    (2, data[:, start:start + 48].shape[1]))
+                data[rows, start:start + 48] += 30.0 * rng.standard_normal(
+                    (len(rows), data[:, start:start + 48].shape[1]))
         return Recording(data=data, sample_rate_hz=fs), model
+
+    @staticmethod
+    def assert_matches_loop(rec, model):
+        """asr_apply's bytes are the loop's; returns how many windows the
+        certificate passed and how many rejected a component."""
+        expected, rejecting = loop_asr_apply(rec, model)
+        got = asr_apply(rec, model).data
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+        return int(_certified(loop_covariances(rec), model.threshold_T).sum()), rejecting
 
     @pytest.mark.parametrize("artifacts", [False, True])
     def test_bit_identical_at_default_config(self, artifacts):
@@ -267,11 +298,134 @@ class TestBatchedApply:
         assert got.shape == expected.shape
         assert got.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("channels", [1, 16])
+    def test_bit_identical_at_other_channel_counts(self, channels):
+        rec, model = self.setup(60, 31, True, channels=channels)
+        certified, rejecting = self.assert_matches_loop(rec, model)
+        assert certified > 0 and rejecting > 0
+
+    def test_filtered_recording_with_reversed_time_stride(self):
+        """filter_recording hands back sosfiltfilt's time-reversed view; the
+        covariances of its strided windows are the loop's."""
+        cfg = PipelineConfig(band_lo_hz=1.0, band_hi_hz=45.0, notch_hz=(60.0,),
+                             target_rate_hz=128.0, epoch_seconds=2.0)
+        calib = filter_recording(noise_rec(6, 60, 256.0, 60), cfg)
+        raw = noise_rec(6, 60, 256.0, 61).data
+        raw[[0, 3], 3000:3300] += 40.0 * np.random.default_rng(62).standard_normal((2, 300))
+        rec = filter_recording(Recording(data=raw, sample_rate_hz=256.0), cfg)
+        assert rec.data.strides[1] < 0
+        model = asr_fit(select_calibration(calib, AsrConfig()), AsrConfig())
+        certified, rejecting = self.assert_matches_loop(rec, model)
+        assert certified > 0 and rejecting > 0
+
+    def test_flat_calibration_channel_certifies_nothing(self):
+        """A flat calibration channel gives a zero threshold row: T is
+        singular, so every window goes through eigh."""
+        calib = noise_rec(6, 60, 128.0, 70)
+        calib.data[2] = 0.0
+        with pytest.warns(RuntimeWarning, match="rank-deficient"):
+            model = asr_fit(calib, AsrConfig())
+        rec, _ = self.setup(30, 71, True)
+        certified, rejecting = self.assert_matches_loop(rec, model)
+        assert certified == 0 and rejecting > 0
+
+    def test_windows_on_both_sides_of_the_certificate_edge(self):
+        """A tone along an eigenvector u of G = T^T T whose window variance
+        ramps from 0.98 to 1.02 of u's limit |T u|^2: the windows below the
+        limit pass the certificate by a hair, the ones above reject."""
+        fs = 128.0
+        model = asr_fit(noise_rec(6, 60, fs, 80), AsrConfig())
+        g, vecs = np.linalg.eigh(model.threshold_T.T @ model.threshold_T)
+        n = int(30 * fs)
+        t = np.arange(n) / fs
+        ratio = np.linspace(0.98, 1.02, n)
+        tone = np.sqrt(2.0 * g[2] * ratio) * np.sin(2.0 * np.pi * 8.0 * t)
+        data = (np.outer(vecs[:, 2], tone)
+                + 1e-4 * np.random.default_rng(81).standard_normal((6, n)))
+        rec = Recording(data=data, sample_rate_hz=fs)
+        covs = loop_covariances(rec)
+        passed = _certified(covs, model.threshold_T)
+        rejects = eigh_rejects(covs, model.threshold_T)
+        assert passed.sum() > 50 and rejects.sum() > 50
+        assert not np.any(passed & rejects)
+        # passed windows run right up to the first rejecting one
+        assert np.flatnonzero(passed).max() + 3 >= np.flatnonzero(rejects).min()
+        self.assert_matches_loop(rec, model)
+
     def test_recording_shorter_than_a_window(self):
         rec, model = self.setup(0.3, 50, False)  # 38 samples, width 64
         expected, _ = loop_asr_apply(rec, model)
         np.testing.assert_allclose(asr_apply(rec, model).data, expected,
                                    rtol=1e-12, atol=1e-12)
+
+
+def random_orthogonal(rng, n):
+    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    return q * np.sign(np.diag(r))
+
+
+class TestCertificate:
+    """A window _certified passes rejects no component under the full eigh
+    test."""
+
+    WINDOWS = 48
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+           log_kappa=st.floats(0.0, 2.5), log_scale=st.floats(-3.0, 3.0))
+    def test_passed_windows_reject_nothing(self, n, seed, log_kappa, log_scale):
+        """T = Q1 diag(s) Q2 with cond(T) up to 10^2.5. Half the windows are
+        A A^T of random rank scaled to a Frobenius bound F in [0.5, 1.5]; the
+        other half lie along an eigenvector u of G = T^T T, at a variance
+        within 1 % of u's limit, down to the margin itself and to a few ulps,
+        where a pass that should not be would reject."""
+        rng = np.random.default_rng(seed)
+        s = 10.0 ** rng.uniform(0.0, log_kappa, n)
+        s[0], s[-1] = 1.0, 10.0 ** log_kappa
+        thresh = (10.0 ** log_scale * random_orthogonal(rng, n) @ np.diag(s)
+                  @ random_orthogonal(rng, n))
+        kappa = np.linalg.cond(thresh)
+        delta = CERT_SAFETY * n**3 * np.finfo(np.float64).eps * kappa**3
+        assert delta < 1e-3
+
+        half = self.WINDOWS // 2
+        inv = np.linalg.inv(thresh)
+        bound = rng.uniform(0.5, 1.5, half)
+        covs = []
+        for f in bound:
+            a = rng.standard_normal((n, rng.integers(1, n + 2)))
+            c = a @ a.T
+            covs.append(c * f / np.linalg.norm(inv.T @ c @ inv))
+        g, vecs = np.linalg.eigh(thresh.T @ thresh)
+        eps = np.finfo(np.float64).eps
+        for k in range(half):
+            i = rng.integers(n)
+            if k % 2:
+                # offsets from the margin itself up to 1 %
+                offset = 10.0 ** rng.uniform(np.log10(delta), -2.0)
+                edge = 1.0 - offset * rng.uniform(-1.0, 3.0)
+            else:
+                # a few ulps from the limit, inside the margin, where only
+                # rounding decides the eigh test
+                edge = 1.0 + eps * rng.integers(-8, 9)
+            covs.append(edge * g[i] * np.outer(vecs[:, i], vecs[:, i]))
+        covs = np.stack(covs)
+
+        passed = _certified(covs, thresh)
+        assert not np.any(passed & eigh_rejects(covs, thresh))
+        assert passed[:half][bound <= 0.99].all()
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+           row=st.integers(0, 7))
+    def test_zero_threshold_row_passes_nothing(self, n, seed, row):
+        rng = np.random.default_rng(seed)
+        thresh = rng.standard_normal((n, n))
+        thresh[row % n] = 0.0
+        a = rng.standard_normal((self.WINDOWS, n, n))
+        covs = 1e-6 * a @ a.transpose(0, 2, 1)
+        covs[0] = 0.0
+        assert not _certified(covs, thresh).any()
 
 
 class TestPipelineIntegration:

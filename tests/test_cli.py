@@ -598,6 +598,22 @@ class TestPreprocessCommand:
         assert err.startswith("error: ") and message in err
         assert os.listdir(parent) == []
 
+    def test_near_miss_target_rate_is_validation_error(self, tmp_path, capsys):
+        """127.999 Hz from 256 Hz needs a 5.12 M-tap anti-alias filter:
+        refused, exit 1, nothing written."""
+        config = write_config(tmp_path / "c.ini", BASE_CONFIG
+                              .replace("band_hi_hz = 100.0", "band_hi_hz = 45.0")
+                              .replace("target_rate_hz = 256.0",
+                                       "target_rate_hz = 127.999"))
+        rec_path = self.make_recording(str(tmp_path / "raw.safr"))
+        out = tmp_path / "pre"
+        code = main(["preprocess", "--config", config, "--in", rec_path,
+                     "--subject", "s00", "--class", "0", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "127999/256000" in err
+        assert not out.exists()
+
     def test_truncated_recording_is_format_error(self, tmp_path, capsys):
         config = write_config(tmp_path / "c.ini")
         rec_path = tmp_path / "raw.safr"

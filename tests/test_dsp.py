@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from scipy import signal
 
+from safnet import dsp
 from safnet.datamodel import Recording
 from safnet.dsp import (
+    FILTER_MEMO_SIZE,
     PipelineConfig,
     bandpass,
     notch,
@@ -89,7 +91,7 @@ class TestResample:
 
     @pytest.mark.parametrize("source, target", [
         (256.0, 128.0), (512.0, 128.0), (500.0, 128.0), (1000.0, 256.0),
-        (300.0, 128.0), (44100.0, 1000.0)])
+        (300.0, 128.0), (44100.0, 1000.0), (1000.0, 512.0)])
     def test_matches_hand_designed_filter(self, source, target):
         """The anti-alias filter is the Kaiser FIR once designed here by hand:
         20 taps a phase, cutoff min(1/up, 1/down) at 67 dB. The output must
@@ -103,6 +105,67 @@ class TestResample:
         out = resample(rec, target)
         assert out.data.tobytes() == expected[:, :out.samples].tobytes()
         assert out.samples == int(4410 * target / source)
+
+
+    def test_float32_keeps_its_dtype_and_bytes(self):
+        """resample_poly casts the FIR it designs to float data's dtype; the
+        memo's float64 design is cast the same way."""
+        x = np.random.default_rng(1).standard_normal((3, 4410)).astype(np.float32)
+        out = resample(Recording(data=x, sample_rate_hz=500.0), 128.0)
+        expected = signal.resample_poly(x, 32, 125, axis=-1,
+                                        window=("kaiser", signal.kaiser_beta(67.0)))
+        assert out.data.dtype == np.float32
+        assert out.data.tobytes() == expected[:, :out.samples].tobytes()
+
+    def test_near_miss_rate_refused_before_its_filter_is_designed(self):
+        """127.999 / 256 reduces to 127999/256000: 5.12 M taps."""
+        designs = dsp._antialias_fir.cache_info().misses
+        with pytest.raises(ValidationError, match=r"256\.0 Hz to 127\.999 Hz reduces "
+                                                  r"to 127999/256000.*5120001 taps"):
+            resample(make_rec(np.zeros((6, 2560)), 256.0), 127.999)
+        assert dsp._antialias_fir.cache_info().misses == designs
+
+
+class TestFilterMemo:
+    cfg = PipelineConfig(band_lo_hz=2.5, band_hi_hz=40.0, notch_hz=(50.0,),
+                         target_rate_hz=128.0)
+
+    def filtered(self, rec):
+        return bandpass(resample(rec, self.cfg.target_rate_hz), self.cfg).data
+
+    def test_writing_into_a_handed_out_design_changes_no_later_result(self, monkeypatch):
+        """sosfiltfilt and resample_poly get designs they may write into;
+        spoiling them after each call leaves the next result as it was."""
+        rec = make_rec(np.random.default_rng(2).standard_normal((2, 3000)), 256.0)
+        first = self.filtered(rec)
+
+        def spoiling(fn, design):
+            def call(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                design(args, kwargs)[...] = np.nan
+                return out
+            return call
+
+        monkeypatch.setattr(signal, "sosfiltfilt",
+                            spoiling(signal.sosfiltfilt, lambda args, kwargs: args[0]))
+        monkeypatch.setattr(signal, "resample_poly",
+                            spoiling(signal.resample_poly, lambda args, kwargs: kwargs["window"]))
+        spoiled = self.filtered(rec)
+        monkeypatch.undo()
+        assert first.tobytes() == spoiled.tobytes() == self.filtered(rec).tobytes()
+
+    def test_memo_stays_within_its_bound(self):
+        rec = make_rec(np.random.default_rng(3).standard_normal((1, 1000)), 128.0)
+        for k in range(3 * FILTER_MEMO_SIZE):
+            bandpass(rec, PipelineConfig(band_lo_hz=1.0 + 0.1 * k, band_hi_hz=40.0,
+                                         notch_hz=(50.0,), target_rate_hz=128.0))
+            resample(make_rec(np.zeros(1000), 130.0 + k), 128.0)
+        assert dsp._bandpass_sos.cache_info().currsize == FILTER_MEMO_SIZE
+        assert dsp._antialias_fir.cache_info().currsize == FILTER_MEMO_SIZE
+
+    def test_memo_designs_are_read_only(self):
+        assert not dsp._bandpass_sos(1.0, 40.0, 128.0).flags.writeable
+        assert not dsp._antialias_fir(2).flags.writeable
 
 
 class TestBandpass:
