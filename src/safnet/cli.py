@@ -26,7 +26,7 @@ from .asr import AsrConfig, asr_apply, asr_fit, select_calibration
 from .datamodel import (
     SPLIT_TOKENS,
     EpochSet,
-    check_manifest_field,
+    check_subject_id,
     load_manifest,
     read_recording,
     write_epoch_dir,
@@ -186,7 +186,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_preprocess(args) -> int:
-    check_manifest_field(args.subject)
+    check_subject_id(args.subject)
     cfg = load_cli_config(args.config)
     rec = filter_recording(read_recording(args.input), cfg.pipeline)
     if args.asr_calib:

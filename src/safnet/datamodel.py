@@ -109,8 +109,10 @@ class Epoch:
             raise ValidationError(f"epoch data must be non-empty 2-D, got shape {x.shape}")
         if self.y not in (0, 1):
             raise ValidationError(f"class label must be 0 or 1, got {self.y}")
-        if not 0 < self.sample_rate_hz < np.inf:
-            raise ValidationError("sample rate must be positive")
+        with np.errstate(over="ignore"):
+            if not 0 < np.float32(self.sample_rate_hz) < np.inf:
+                raise ValidationError(f"sample rate {self.sample_rate_hz} Hz is not a "
+                                      f"positive finite float32, as NDF stores it")
         if not np.all(np.isfinite(x)):
             raise ValidationError("epoch contains non-finite values")
         object.__setattr__(self, "x", x)
@@ -289,6 +291,23 @@ def check_manifest_field(value: str, what: str = "subject id") -> None:
                                   f"manifest cannot hold")
 
 
+def check_subject_id(subject: str) -> None:
+    """Reject a subject id holding a character check_manifest_field refuses,
+    a path separator (its files would land outside their directory) or a
+    NUL, or one that NDF's and the manifest's UTF-8 cannot encode."""
+    check_manifest_field(subject)
+    for ch, what in (("/", "a path separator"), ("\\", "a path separator"),
+                     ("\0", "a NUL")):
+        if ch in subject:
+            raise ValidationError(f"subject id {subject!r} holds {what}, "
+                                  f"which a file name cannot")
+    try:
+        subject.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ValidationError(f"subject id {subject!r} cannot be encoded "
+                              f"as UTF-8") from None
+
+
 def write_manifest(manifest: Manifest, path: str) -> None:
     for row_path, subject, _, _ in manifest.rows:
         check_manifest_field(row_path, "path")
@@ -301,10 +320,9 @@ def write_epoch_dir(epoch_set: EpochSet, out_dir: str) -> Manifest:
     epochs of its (subject, class) cell, then manifest.csv listing them with
     their split tags, into out_dir. Each manifest row, and so each file
     name, is built once. An empty set, or a subject id that the manifest or
-    a file name cannot hold, is refused before out_dir is created: one with
-    a character check_manifest_field refuses, a path separator (which would
-    put its files outside out_dir) or a NUL, one that is not valid UTF-8,
-    or one whose cell's last, longest name passes NAME_MAX_BYTES bytes."""
+    a file name cannot hold, is refused before out_dir is created: one that
+    check_subject_id refuses, or one whose cell's last, longest name passes
+    NAME_MAX_BYTES bytes."""
     if not epoch_set.epochs:
         raise ValidationError("no epochs to write: every recording is shorter "
                               "than one epoch")
@@ -316,17 +334,8 @@ def write_epoch_dir(epoch_set: EpochSet, out_dir: str) -> Manifest:
         rows.append((f"{ep.s}_c{ep.y}_{k:04d}.ndf", ep.s, ep.y, split))
     last_names = {(subject, y): fname for fname, subject, y, _ in rows}
     for (subject, _), fname in sorted(last_names.items()):
-        check_manifest_field(subject)
-        for ch, what in (("/", "a path separator"), ("\\", "a path separator"),
-                         ("\0", "a NUL")):
-            if ch in subject:
-                raise ValidationError(f"subject id {subject!r} holds {what}, "
-                                      f"which a file name cannot")
-        try:  # NDF and the manifest store the id as UTF-8
-            longest = len(fname.encode("utf-8"))
-        except UnicodeEncodeError:
-            raise ValidationError(f"subject id {subject!r} cannot be encoded "
-                                  f"as UTF-8") from None
+        check_subject_id(subject)
+        longest = len(fname.encode("utf-8"))
         if longest > NAME_MAX_BYTES:
             raise ValidationError(
                 f"subject id {subject[:16]!r}... ({len(subject)} characters) gives "

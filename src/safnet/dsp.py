@@ -4,11 +4,11 @@ Resampling is rational polyphase (scipy's resample_poly) through scipy's
 own anti-alias filter: a Kaiser-windowed FIR at 67 dB of stopband
 attenuation (RESAMPLE_ATTEN_DB), 20 * max(up, down) + 1 taps, cut off at
 1 / max(up, down) of the upsampled Nyquist rate. A rate pair whose filter
-would pass MAX_RESAMPLE_TAPS is refused.
+would pass MAX_RESAMPLE_TAPS is refused before scipy designs it.
 
-The anti-alias FIR and the band-pass sections are each designed once per
-parameter set and kept in a memo of FILTER_MEMO_SIZE designs; the memo's
-arrays are read-only, and every call hands scipy a copy.
+The band-pass sections are designed once per parameter set and kept in a
+memo of FILTER_MEMO_SIZE designs; the memo's arrays are read-only, and every
+call hands scipy a copy.
 
 All filtering is zero-phase: scipy's second-order sections run forward and
 backward along time (sosfiltfilt), so passband features keep their timing.
@@ -44,7 +44,7 @@ MIN_FILTER_RATIO = 1e-6
 # A near-miss rate such as 127.999 Hz from 256 Hz reduces to 127999/256000,
 # whose anti-alias FIR would have 5.12 M taps; resample refuses more than this.
 MAX_RESAMPLE_TAPS = 2**20
-# Distinct designs each filter memo keeps (a pipeline uses one or two).
+# Distinct band-pass designs the memo keeps (a pipeline uses one).
 FILTER_MEMO_SIZE = 8
 
 
@@ -74,7 +74,8 @@ class PipelineConfig:
 def resample(rec: Recording, target_rate_hz: float) -> Recording:
     """Rational polyphase resampling to target_rate_hz through scipy's
     Kaiser-windowed anti-alias FIR at RESAMPLE_ATTEN_DB of stopband
-    attenuation. Output length is floor(N * target / source)."""
+    attenuation, which scipy designs and casts to float data's dtype. Output
+    length is floor(N * target / source)."""
     if target_rate_hz <= 0:
         raise ValidationError("target rate must be positive")
     if target_rate_hz > rec.sample_rate_hz:
@@ -93,22 +94,11 @@ def resample(rec: Recording, target_rate_hz: float) -> Recording:
             f"resampling {rec.sample_rate_hz} Hz to {target_rate_hz} Hz reduces "
             f"to {up}/{down}, whose anti-alias filter would have {taps} taps; "
             f"at most {MAX_RESAMPLE_TAPS} are allowed")
-    # resample_poly casts the FIR it designs to floating-point data's dtype
-    dtype = rec.data.dtype if np.issubdtype(rec.data.dtype, np.inexact) else np.float64
     out_len = int(np.floor(rec.samples * target_rate_hz / rec.sample_rate_hz))
     resampled = signal.resample_poly(
         rec.data, up, down, axis=-1,
-        window=_antialias_fir(max(up, down)).astype(dtype))[:, :out_len]
+        window=("kaiser", signal.kaiser_beta(RESAMPLE_ATTEN_DB)))[:, :out_len]
     return replace(rec, data=resampled, sample_rate_hz=float(target_rate_hz))
-
-
-@lru_cache(maxsize=FILTER_MEMO_SIZE)
-def _antialias_fir(max_rate: int) -> np.ndarray:
-    """The Kaiser FIR resample_poly designs for max(up, down) = max_rate, read-only."""
-    fir = signal.firwin(20 * max_rate + 1, 1.0 / max_rate,
-                        window=("kaiser", signal.kaiser_beta(RESAMPLE_ATTEN_DB)))
-    fir.flags.writeable = False
-    return fir
 
 
 @lru_cache(maxsize=FILTER_MEMO_SIZE)

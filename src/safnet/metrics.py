@@ -15,7 +15,8 @@ bands on its last axis. ``log_band_power_features`` hands them blocks of
 at most FEATURE_BLOCK_VALUES float64 input values (one epoch, if an epoch
 is larger), so it costs two numpy-level calls per block rather than one
 Welch and one band loop per channel per epoch, and its temporaries stay
-the size of one block however many epochs it gets. The Welch window and
+the size of one block however many epochs it gets; it checks every
+epoch's shape once, before the first block. The Welch window and
 overlap are constants, and ``welch_top_hz`` gives the top of the grid they
 make, where every band must end. ``iqr_row_mask`` takes every column's
 quartiles from one percentile call. ``silhouette`` takes its pairwise
@@ -220,7 +221,8 @@ def f_statistic(features, groups) -> float:
 
 
 def silhouette(features, labels) -> float:
-    """Mean silhouette with Euclidean distance; singleton clusters score 0.
+    """Mean silhouette with Euclidean distance; a point in a singleton
+    cluster, or whose own and nearest clusters lie on it (a = b = 0), scores 0.
     Each row's distance sums to the clusters come from a block of
     max(1, SILHOUETTE_BLOCK_VALUES // n) rows: the block's distances to all
     n rows times the (n, clusters) one-hot membership matrix. Up to 1,024
@@ -249,7 +251,7 @@ def silhouette(features, labels) -> float:
     means[rows, cluster] = np.inf
     b = means.min(axis=1)
     scores = np.zeros(n)
-    scores[own] = (b[own] - a[own]) / np.maximum(a[own], b[own])
+    scores[own] = _ratio(b[own] - a[own], np.maximum(a[own], b[own]))
     return float(scores.mean())
 
 
@@ -288,7 +290,8 @@ def log_band_power_features(arrays, fs: float,
     arrays is a sequence of equally shaped (C, M) arrays or one (N, C, M)
     array. Returns shape (N, n_bands * C), features ordered channel-major
     (all bands of channel 0, then channel 1, ...). Powers are floored at the
-    smallest positive float before the log.
+    smallest positive float before the log. An empty input, or samples not
+    all of one (C, M) shape, are refused before the first block.
 
     The epochs go through Welch in blocks of max(1, FEATURE_BLOCK_VALUES //
     (C * M)), each stacked to float64 on its own, so the temporaries are
@@ -298,23 +301,19 @@ def log_band_power_features(arrays, fs: float,
     of one call over all epochs.
     """
     bands = bands if bands is not None else BandDefinition()
-    n = len(arrays)
-    if n == 0:
+    try:
+        shapes = {np.shape(a) for a in arrays}
+    except ValueError as exc:  # a ragged nested sequence has no shape
+        raise ValidationError(f"samples differ in shape: {exc}") from exc
+    if not shapes or any(len(shape) != 2 for shape in shapes):
         raise ValidationError("each sample must be a (channels, samples) array")
-    per_block = max(1, FEATURE_BLOCK_VALUES // max(1, np.size(arrays[0])))
-    for start in range(0, n, per_block):
-        try:
-            x = np.asarray(arrays[start:start + per_block], dtype=np.float64)
-        except ValueError as exc:
-            raise ValidationError(f"samples differ in shape: {exc}") from exc
-        if x.ndim != 3:
-            raise ValidationError("each sample must be a (channels, samples) array")
-        if start == 0:
-            shape = x.shape[1:]
-            out = np.empty((n, len(bands.bands) * shape[0]))
-        elif x.shape[1:] != shape:
-            raise ValidationError(f"samples differ in shape: {x.shape[1:]} "
-                                  f"from epoch {start} on, {shape} before")
+    if len(shapes) > 1:
+        raise ValidationError(f"samples differ in shape: {sorted(shapes)}")
+    (channels, samples), = shapes
+    out = np.empty((len(arrays), len(bands.bands) * channels))
+    per_block = max(1, FEATURE_BLOCK_VALUES // max(1, channels * samples))
+    for start in range(0, len(arrays), per_block):
+        x = np.asarray(arrays[start:start + per_block], dtype=np.float64)
         freqs, psd = welch_psd(x, fs)
         powers = band_power(freqs, psd, bands).reshape(x.shape[0], -1)
         np.log(np.maximum(powers, np.finfo(np.float64).tiny),

@@ -577,6 +577,45 @@ class TestPreprocessCommand:
         assert err.startswith("error: ") and "path separator" in err
         assert os.listdir(parent) == []
 
+    def test_unwritable_subject_refused_before_the_recording_is_read(
+            self, tmp_path, monkeypatch, capsys):
+        """The subject id's characters are checked before any work: with the
+        filter chain made to fail, a/b still gets write_epoch_dir's refusal."""
+        def filtering(*args, **kwargs):
+            raise AssertionError("filter_recording called")
+
+        config = write_config(tmp_path / "c.ini")
+        rec_path = self.make_recording(str(tmp_path / "raw.safr"))
+        monkeypatch.setattr("safnet.cli.filter_recording", filtering)
+        out = tmp_path / "pre"
+        code = main(["preprocess", "--config", config, "--in", rec_path,
+                     "--subject", "a/b", "--class", "0", "--out", str(out)])
+        assert code == 1
+        assert ("subject id 'a/b' holds a path separator, which a file name "
+                "cannot" in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_rate_float32_cannot_hold_is_validation_error(self, tmp_path, capsys):
+        """At 1e39 Hz every filter and the epoch length are valid, but NDF
+        stores the rate as float32, where it overflows: exit 1, no --out."""
+        config = write_config(tmp_path / "c.ini", BASE_CONFIG.replace(
+            "band_lo_hz = 1.0", "band_lo_hz = 1e37").replace(
+            "band_hi_hz = 100.0", "band_hi_hz = 1e38").replace(
+            "notch_hz = 60", "notch_hz = 2e38").replace(
+            "target_rate_hz = 256.0", "target_rate_hz = 1e39").replace(
+            "epoch_seconds = 2.0", "epoch_seconds = 2.56e-37"))
+        rec_path = str(tmp_path / "raw.safr")
+        write_recording(Recording(
+            data=np.random.default_rng(0).standard_normal((2, 2048)),
+            sample_rate_hz=1e39), rec_path)
+        out = tmp_path / "pre"
+        code = main(["preprocess", "--config", config, "--in", rec_path,
+                     "--subject", "s00", "--class", "0", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "sample rate 1e+39 Hz" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("subject, message", [
         ("s" * 300, "up to 312 bytes"),
         ("a\udc80", "cannot be encoded as UTF-8")])
@@ -901,6 +940,18 @@ class TestAnalyzeCommand:
         assert ("outlier filtering left subject 's1' with 1 epoch"
                 in capsys.readouterr().err)
         assert not adir.exists()
+
+    def test_coincident_feature_rows_write_silhouette_zero(self, tmp_path):
+        """All-zero epochs give every kept row the same standardized
+        features, all 0: silhouette is 0, with no warning and no nan."""
+        epochs = [Epoch(x=np.zeros((2, 512), dtype=np.float32), y=k % 2, s=s,
+                        sample_rate_hz=128.0)
+                  for s in ("a", "b") for k in range(6)]
+        data, adir = str(tmp_path / "data"), tmp_path / "analysis"
+        write_epoch_dir(EpochSet(epochs=epochs), data)
+        assert main(["analyze", "--manifest", os.path.join(data, "manifest.csv"),
+                     "--out", str(adir)]) == 0
+        assert (adir / "silhouette.txt").read_text(encoding="utf-8") == "0\n"
 
     @pytest.mark.parametrize("fs", [100.5, 8.8])
     def test_non_integer_rate(self, fs, tmp_path):

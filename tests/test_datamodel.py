@@ -1,4 +1,5 @@
 import os
+import re
 import struct
 import tempfile
 
@@ -109,6 +110,20 @@ class TestNdf:
         path.write_bytes(bytes(blob))
         with pytest.raises(FormatError, match="sample rate"):
             read_ndf(str(path))
+
+    @pytest.mark.parametrize("fs", [1e39, 3.5e38, 1e-46])
+    def test_rate_float32_cannot_hold_refused(self, fs):
+        """NDF stores the rate as float32: 1e39 and 3.5e38 overflow it and
+        1e-46 rounds to 0, so write_ndf could not pack them or read_ndf
+        would refuse the file."""
+        with pytest.raises(ValidationError, match=re.escape(f"sample rate {fs} Hz")):
+            make_epoch(fs=fs)
+
+    def test_largest_float32_rate_round_trips(self, tmp_path):
+        fs = float(np.finfo(np.float32).max)
+        path = str(tmp_path / "e.ndf")
+        write_ndf(make_epoch(fs=fs), path)
+        assert read_ndf(path).sample_rate_hz == fs
 
     def test_subject_not_utf8(self, tmp_path):
         path = tmp_path / "e.ndf"

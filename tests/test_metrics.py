@@ -344,6 +344,18 @@ class TestBatchedFeatures:
         with pytest.raises(ValidationError, match="differ in shape"):
             log_band_power_features(arrays, self.FS, self.bands())
 
+    def test_odd_epoch_in_the_last_block_refused_before_any_welch(self, monkeypatch):
+        """Every epoch's shape is checked before the first block, so an odd
+        one in the last block is refused before Welch has run once."""
+        def welch(*args, **kwargs):
+            raise AssertionError("welch_psd called")
+
+        arrays = list(self.epochs(2 * self.per_block() + 1))
+        arrays[-1] = np.zeros((self.C, self.M + 1), dtype=np.float32)
+        monkeypatch.setattr(metrics, "welch_psd", welch)
+        with pytest.raises(ValidationError, match="differ in shape"):
+            log_band_power_features(arrays, self.FS, self.bands())
+
     @pytest.mark.parametrize("arrays", [[], np.zeros((0, 2, 256))],
                              ids=["list", "array"])
     def test_empty_input_rejected(self, arrays):
@@ -482,6 +494,13 @@ class TestSilhouette:
         labels = np.array([0, 0, 1])
         assert silhouette(features, labels) == pytest.approx(
             brute_force_silhouette(features, labels), abs=1e-12)
+
+    def test_coincident_points_score_zero(self):
+        """A point whose own and nearest clusters are both at distance 0 has
+        a = b = 0 and scores 0, as a singleton does; the others keep theirs."""
+        assert silhouette(np.zeros((6, 3)), np.array([0, 0, 0, 1, 1, 1])) == 0.0
+        features = np.array([[0.0], [0.0], [0.0], [0.0], [3.0], [3.0]])
+        assert silhouette(features, np.array([0, 0, 1, 1, 2, 2])) == pytest.approx(1 / 3)
 
     def test_memory_grows_linearly_in_the_rows(self):
         """4x the rows stay within 5x the traced peak: the distances live in
