@@ -18,6 +18,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
+from functools import cache
 from typing import get_type_hints
 
 import numpy as np
@@ -300,6 +301,7 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="safnet",
@@ -357,6 +359,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one safnet command; argv defaults to sys.argv[1:]. Returns the
+    exit code: 0 on success (and for --help), 1 for a usage, validation or
+    configuration error, 2 for an I/O error, each reported on standard
+    error. The argument parser is built on the first call, not at import,
+    and reused by every later call in the process: argparse only reads it
+    while parsing, and each call gets a fresh namespace."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

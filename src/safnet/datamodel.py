@@ -27,7 +27,9 @@ manifest's own directory.
 The NDF, SAFR and SAFM (safnet.model) readers parse through one
 ContainerReader, which names the file and the field in the FormatError of a
 truncated file. Any blob the readers cannot decode into a valid value,
-truncated or corrupted alike, raises FormatError.
+truncated or corrupted alike, raises FormatError. The NDF and SAFR writers
+build and check all of a file's bytes before they create it, so a refused
+write (ValidationError) leaves no file.
 """
 
 from __future__ import annotations
@@ -211,12 +213,40 @@ class ContainerReader:
                               f"{field}")
 
 
+def _utf8(text: str, what: str) -> bytes:
+    """text as UTF-8; a lone surrogate, which UTF-8 cannot encode, is a
+    ValidationError naming what the text is."""
+    try:
+        return text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ValidationError(f"{what} {text!r} cannot be encoded as "
+                              f"UTF-8") from None
+
+
+def _write_file(path: str, blob: bytes) -> None:
+    """Create or truncate path, with the mode open(path, "wb") gives it, and
+    write blob through the file descriptor, looping until the kernel has
+    taken every byte; the descriptor is closed on error too."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC
+                 | getattr(os, "O_BINARY", 0), 0o666)
+    try:
+        view = memoryview(blob)
+        while view:
+            view = view[os.write(fd, view):]
+    finally:
+        os.close(fd)
+
+
 def write_ndf(epoch: Epoch, path: str) -> None:
-    """Serialize one epoch to the binary NDF layout (see module docstring)."""
+    """Serialize one epoch to the binary NDF layout (see module docstring).
+    Refuses data that is not finite (Epoch checks it when built, but its
+    array can be written to later) and a subject id that UTF-8 cannot
+    encode. The header, subject and payload reach the file as one bytes
+    object."""
     x = epoch.x
     if not np.all(np.isfinite(x)):
         raise ValidationError("refusing to write non-finite epoch data")
-    sbytes = epoch.s.encode("utf-8")
+    sbytes = _utf8(epoch.s, "subject id")
     header = struct.pack(
         "<4sIIIfB I",
         NDF_MAGIC,
@@ -227,11 +257,8 @@ def write_ndf(epoch: Epoch, path: str) -> None:
         epoch.y,
         len(sbytes),
     )
-    payload = np.ascontiguousarray(x, dtype="<f4").tobytes()
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(sbytes)
-        fh.write(payload)
+    _write_file(path, b"".join(
+        (header, sbytes, np.ascontiguousarray(x, dtype="<f4"))))
 
 
 def read_ndf(path: str) -> Epoch:
@@ -253,16 +280,19 @@ def read_ndf(path: str) -> Epoch:
 
 
 def write_recording(rec: Recording, path: str) -> None:
-    """Serialize a continuous recording to the SAFR container."""
-    with open(path, "wb") as fh:
-        fh.write(SAFR_MAGIC)
-        fh.write(struct.pack("<IIQd", SAFR_VERSION, rec.channels, rec.samples,
-                             float(rec.sample_rate_hz)))
-        for name in rec.channel_names:
-            nbytes = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(nbytes)))
-            fh.write(nbytes)
-        fh.write(np.ascontiguousarray(rec.data, dtype="<f8").tobytes())
+    """Serialize a continuous recording to the SAFR container. Refuses data
+    that is not finite (Recording checks it when built, but its array can be
+    written to later), which read_recording would refuse, and a channel name
+    that UTF-8 cannot encode."""
+    if not np.all(np.isfinite(rec.data)):
+        raise ValidationError("refusing to write non-finite recording data")
+    parts = [SAFR_MAGIC, struct.pack("<IIQd", SAFR_VERSION, rec.channels,
+                                     rec.samples, float(rec.sample_rate_hz))]
+    for name in rec.channel_names:
+        nbytes = _utf8(name, "channel name")
+        parts += [struct.pack("<I", len(nbytes)), nbytes]
+    parts.append(np.ascontiguousarray(rec.data, dtype="<f8"))
+    _write_file(path, b"".join(parts))
 
 
 def read_recording(path: str) -> Recording:
@@ -301,11 +331,7 @@ def check_subject_id(subject: str) -> None:
         if ch in subject:
             raise ValidationError(f"subject id {subject!r} holds {what}, "
                                   f"which a file name cannot")
-    try:
-        subject.encode("utf-8")
-    except UnicodeEncodeError:
-        raise ValidationError(f"subject id {subject!r} cannot be encoded "
-                              f"as UTF-8") from None
+    _utf8(subject, "subject id")
 
 
 def write_manifest(manifest: Manifest, path: str) -> None:

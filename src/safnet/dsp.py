@@ -159,14 +159,19 @@ def window_samples(seconds: float, rate_hz: float, what: str) -> int:
 
 
 def slice_epochs(rec: Recording, cfg: PipelineConfig, y: int, s: str) -> list[Epoch]:
-    """Consecutive non-overlapping windows; trailing partial window discarded."""
+    """Consecutive non-overlapping windows; trailing partial window discarded.
+    The whole windows are cast to float32 in one assignment into a
+    (count, channels, samples) array of their own, so epoch i's x is its
+    contiguous row i, holding the bytes of
+    rec.data[:, i*m:(i+1)*m].astype(np.float32) and sharing no memory with
+    rec.data. Each Epoch runs all of its checks."""
     m = window_samples(cfg.epoch_seconds, rec.sample_rate_hz, "epoch_seconds")
     count = rec.samples // m
-    return [
-        Epoch(x=rec.data[:, i * m:(i + 1) * m], y=y, s=s,
-              sample_rate_hz=rec.sample_rate_hz)
-        for i in range(count)
-    ]
+    windows = np.empty((count, rec.channels, m), dtype=np.float32)
+    windows.transpose(1, 0, 2)[...] = rec.data[:, :count * m].reshape(
+        rec.channels, count, m)
+    return [Epoch(x=x, y=y, s=s, sample_rate_hz=rec.sample_rate_hz)
+            for x in windows]
 
 
 def filter_recording(rec: Recording, cfg: PipelineConfig) -> Recording:

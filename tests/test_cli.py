@@ -16,13 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import safnet
-from safnet import asr, dsp, train
+from safnet import asr, cli, dsp, train
 from safnet.cli import INI_SCHEMA, load_cli_config, main
 from safnet.datamodel import (
     Epoch,
     EpochSet,
     Recording,
     load_manifest,
+    read_recording,
     write_epoch_dir,
     write_recording,
 )
@@ -520,6 +521,51 @@ class TestPreprocessCommand:
         _, epoch_set = load_manifest(os.path.join(out, "manifest.csv"))
         assert len(epoch_set.epochs) == 6
         assert np.all(np.isfinite(epoch_set.epochs[0].x))
+
+    def test_repeated_calls_in_one_process_share_no_arguments(self, tmp_path):
+        """main builds its parser once a process. A calibrated run, then a
+        call argparse refuses, then the same run without --asr-calib: the
+        last writes the library's uncalibrated epochs."""
+        config = write_config(tmp_path / "c.ini")
+        rec_path = self.make_recording(str(tmp_path / "raw.safr"))
+        calib_path = str(tmp_path / "calib.safr")
+        quiet = read_recording(self.make_recording(calib_path, seed=8))
+        write_recording(Recording(data=0.05 * quiet.data,
+                                  sample_rate_hz=quiet.sample_rate_hz), calib_path)
+        args = ["preprocess", "--config", config, "--in", rec_path,
+                "--subject", "s00", "--class", "0"]
+        before = cli._build_parser.cache_info()
+        assert main(args + ["--out", str(tmp_path / "asr"),
+                            "--asr-calib", calib_path]) == 0
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert main(args[:-1] + ["2", "--out", str(tmp_path / "bad")]) == 1
+        assert main(args + ["--out", str(tmp_path / "plain")]) == 0
+        after = cli._build_parser.cache_info()
+        assert after.hits - before.hits >= 2 and after.currsize == 1
+
+        pipeline = load_cli_config(config).pipeline
+        expected = dsp.slice_epochs(
+            dsp.filter_recording(read_recording(rec_path), pipeline), pipeline,
+            0, "s00")
+        written = {}
+        for name in ("asr", "plain"):
+            _, epoch_set = load_manifest(str(tmp_path / name / "manifest.csv"))
+            written[name] = [ep.x for ep in epoch_set.epochs]
+        assert len(written["plain"]) == len(expected) == 6
+        assert all(np.array_equal(x, ep.x)
+                   for x, ep in zip(written["plain"], expected))
+        assert not all(np.array_equal(a, b)
+                       for a, b in zip(written["asr"], written["plain"]))
+        assert not (tmp_path / "bad").exists()
+
+    def test_import_builds_no_parser(self):
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(safnet.__file__)))
+        run = subprocess.run(
+            [sys.executable, "-c", "import safnet.cli as c; "
+             "print(c._build_parser.cache_info().currsize)"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert run.returncode == 0 and run.stdout == "0\n"
 
     def test_calibration_on_the_input_is_filtered_once(self, tmp_path, monkeypatch):
         """--asr-calib naming the --in file reuses its filtered recording and

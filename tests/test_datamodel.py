@@ -134,6 +134,63 @@ class TestNdf:
         with pytest.raises(FormatError, match="UTF-8"):
             read_ndf(str(path))
 
+    def test_subject_utf8_cannot_encode_refused_before_the_file_is_opened(
+            self, tmp_path):
+        path = tmp_path / "e.ndf"
+        with pytest.raises(ValidationError, match="cannot be encoded as UTF-8"):
+            write_ndf(make_epoch(s="a\udc80"), str(path))
+        assert not path.exists()
+
+    def test_bytes_are_header_subject_payload(self, tmp_path):
+        ep = make_epoch(c=3, m=5, y=1, s="s\u00e9", fs=250.0, seed=4)
+        path = tmp_path / "e.ndf"
+        write_ndf(ep, str(path))
+        sbytes = "s\u00e9".encode("utf-8")
+        assert path.read_bytes() == (
+            struct.pack("<4sIIIfBI", b"SAF1", 1, 3, 5, 250.0, 1, len(sbytes))
+            + sbytes + ep.x.astype("<f4").tobytes())
+
+    def test_short_writes_are_continued(self, tmp_path, monkeypatch):
+        """A write that takes fewer bytes than offered is resumed from the
+        first byte not taken, so the file gets every byte once."""
+        ep = make_epoch(c=2, m=9, s="short", seed=5)
+        whole = tmp_path / "whole.ndf"
+        write_ndf(ep, str(whole))
+        real_write, taken = os.write, []
+
+        def seven_at_most(fd, data):
+            taken.append(real_write(fd, bytes(data[:7])))
+            return taken[-1]
+
+        monkeypatch.setattr(os, "write", seven_at_most)
+        write_ndf(ep, str(tmp_path / "short.ndf"))
+        monkeypatch.undo()
+        assert (tmp_path / "short.ndf").read_bytes() == whole.read_bytes()
+        assert len(taken) == -(-whole.stat().st_size // 7)
+
+    def test_failed_write_closes_the_file(self, tmp_path, monkeypatch):
+        opened, closed = [], []
+        real_open, real_close = os.open, os.close
+
+        def open_(*args):
+            opened.append(real_open(*args))
+            return opened[-1]
+
+        def full(fd, data):
+            raise OSError(28, "No space left on device")
+
+        def close(fd):
+            closed.append(fd)
+            real_close(fd)
+
+        monkeypatch.setattr(os, "open", open_)
+        monkeypatch.setattr(os, "write", full)
+        monkeypatch.setattr(os, "close", close)
+        with pytest.raises(OSError, match="No space left"):
+            write_ndf(make_epoch(), str(tmp_path / "e.ndf"))
+        monkeypatch.undo()
+        assert len(opened) == 1 and closed == opened
+
 
 class TestSafr:
     def test_round_trip(self, tmp_path):
@@ -166,6 +223,85 @@ class TestSafr:
         path.write_bytes(blob)
         with pytest.raises(FormatError, match="UTF-8"):
             read_recording(str(path))
+
+    def test_bytes_are_header_names_payload(self, tmp_path):
+        data = np.random.default_rng(2).standard_normal((2, 3))
+        path = tmp_path / "r.safr"
+        write_recording(Recording(data=data, sample_rate_hz=250.0,
+                                  channel_names=("Fz", "C\u00e93")), str(path))
+        assert path.read_bytes() == (
+            b"SAFR" + struct.pack("<IIQd", 1, 2, 3, 250.0)
+            + struct.pack("<I", 2) + b"Fz" + struct.pack("<I", 4)
+            + "C\u00e93".encode("utf-8") + data.astype("<f8").tobytes())
+
+    def test_data_written_to_non_finite_refused_before_the_file_is_opened(
+            self, tmp_path):
+        """Recording checks its data when built; a later write into its
+        array would give a file read_recording refuses."""
+        rec = Recording(data=np.zeros((2, 100)), sample_rate_hz=10.0)
+        rec.data[0, 0] = np.nan
+        path = tmp_path / "r.safr"
+        with pytest.raises(ValidationError, match="non-finite"):
+            write_recording(rec, str(path))
+        assert not path.exists()
+
+    def test_channel_name_utf8_cannot_encode_refused_before_the_file_is_opened(
+            self, tmp_path):
+        rec = Recording(data=np.zeros((2, 4)), sample_rate_hz=10.0,
+                        channel_names=("Fz", "a\udc80"))
+        path = tmp_path / "r.safr"
+        with pytest.raises(ValidationError, match=re.escape(
+                "channel name " + repr("a\udc80"))):
+            write_recording(rec, str(path))
+        assert not path.exists()
+
+
+# every code point, surrogates included; the second branch draws them often
+_ANY_CHAR = st.characters(exclude_categories=())
+ANY_TEXT = (st.text(_ANY_CHAR, max_size=8)
+            | st.text(_ANY_CHAR | st.characters(categories=["Cs"]), max_size=8))
+
+
+def utf8_encodable(text):
+    return not any(0xD800 <= ord(ch) <= 0xDFFF for ch in text)
+
+
+class TestTextFields:
+    """An NDF subject id and SAFR channel names round-trip through their
+    writer and reader exactly when UTF-8 can encode them; otherwise the
+    writer refuses them with ValidationError and creates no file."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(ANY_TEXT)
+    def test_ndf_subject(self, subject):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "e.ndf")
+            try:
+                write_ndf(make_epoch(s=subject), path)
+            except ValidationError:
+                assert not utf8_encodable(subject)
+                assert os.listdir(tmp) == []
+                return
+            assert utf8_encodable(subject)
+            assert read_ndf(path).s == subject
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(ANY_TEXT, min_size=1, max_size=3))
+    def test_safr_channel_names(self, names):
+        rec = Recording(data=np.arange(4.0 * len(names)).reshape(len(names), 4),
+                        sample_rate_hz=10.0, channel_names=tuple(names))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "r.safr")
+            try:
+                write_recording(rec, path)
+            except ValidationError:
+                assert not all(map(utf8_encodable, names))
+                assert os.listdir(tmp) == []
+                return
+            assert all(map(utf8_encodable, names))
+            back = read_recording(path)
+        assert back.channel_names == rec.channel_names
+        assert np.array_equal(back.data, rec.data)
 
 
 NDF_BLOB = valid_blob(write_ndf, Epoch(

@@ -280,6 +280,29 @@ class TestSliceEpochs:
         concat = np.concatenate([ep.x for ep in eps], axis=1)
         assert np.array_equal(concat, rec.data[:, :2 * 3072].astype(np.float32))
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_each_epoch_holds_its_own_cast_window(self, dtype, order):
+        """Epoch i's bytes are those of its window cast on its own, in a
+        C-contiguous float32 array that shares no memory with the recording:
+        writing into rec.data afterwards changes no epoch."""
+        rng = np.random.default_rng(4)
+        data = np.asarray(rng.standard_normal((3, 4 * 3072 + 1000)) * 1e3,
+                          dtype=dtype, order=order)
+        rec = Recording(data=data, sample_rate_hz=512.0)
+        eps = slice_epochs(rec, self.cfg, 1, "a")
+        m = 3072
+        expected = [rec.data[:, i * m:(i + 1) * m].astype(np.float32)
+                    for i in range(4)]
+        assert len(eps) == 4
+        for ep, want in zip(eps, expected):
+            assert ep.x.dtype == np.float32 and ep.x.flags.c_contiguous
+            assert ep.x.tobytes() == want.tobytes()
+            assert not np.shares_memory(ep.x, rec.data)
+        rec.data[...] = 0.0
+        for ep, want in zip(eps, expected):
+            assert ep.x.tobytes() == want.tobytes()
+
 
 class TestPipeline:
     def test_six_seconds_one_epoch(self):
