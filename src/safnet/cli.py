@@ -28,9 +28,12 @@ from .datamodel import (
     SPLIT_TOKENS,
     EpochSet,
     check_subject_id,
+    format_float,
     load_manifest,
     read_recording,
+    write_csv,
     write_epoch_dir,
+    write_file,
 )
 from .dsp import PipelineConfig, filter_recording, slice_epochs
 from .errors import ConfigError, SafError, ValidationError
@@ -49,7 +52,6 @@ from .metrics import (
 )
 from .model import EncoderConfig, SafModel, load_checkpoint, save_checkpoint
 from .synth import SynthConfig, generate_dataset
-from .textio import format_float, write_csv
 from .train import (
     LossWeights,
     TrainConfig,
@@ -293,9 +295,7 @@ def _cmd_analyze(args) -> int:
                for name, value in zip(names, row)])
     write_csv(os.path.join(args.out, "cv.csv"), ["band", "cv"], cv)
     for fname, value in (("silhouette.txt", sil), ("fstat.txt", fstat)):
-        with open(os.path.join(args.out, fname), "w", encoding="utf-8",
-                  newline="") as fh:
-            fh.write(format_float(value) + "\n")
+        write_file(os.path.join(args.out, fname), f"{format_float(value)}\n".encode())
     _note(f"analyzed {len(features)} of {len(epochs)} epochs "
           f"({len(epoch_set.subjects)} subjects) into {args.out}")
     return 0

@@ -21,29 +21,31 @@ Raw recording container (SAFR), used by the CLI as pipeline input:
 
 Manifest: CSV with exact header "path,subject,class,split", UTF-8,
 LF line endings, no quoting, so no path or subject id may contain a
-comma, a double quote, CR or LF. Relative paths resolve against the
-manifest's own directory.
+comma, a double quote, CR, LF or NUL (Python 3.10's csv reads no NUL).
+Relative paths resolve against the manifest's own directory. Every CSV
+(write_csv) gives floats six significant digits, whatever the locale.
 
-The NDF, SAFR and SAFM (safnet.model) readers parse through one
-ContainerReader, which names the file and the field in the FormatError of a
-truncated file. Any blob the readers cannot decode into a valid value,
-truncated or corrupted alike, raises FormatError. The NDF and SAFR writers
-build and check all of a file's bytes before they create it, so a refused
-write (ValidationError) leaves no file.
+Every file is built whole and checked, then created by write_file, so a
+refused write (ValidationError) leaves no file. The NDF, SAFR and SAFM
+(safnet.model) readers parse through one ContainerReader, which reads each
+payload straight into a fresh array and names the file and the field in
+the FormatError of a truncated file. Any blob the readers cannot decode
+into a valid value, truncated or corrupted alike, raises FormatError.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import operator
 import os
 import struct
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import FormatError, ParseError, ValidationError
-from .textio import write_csv
 
 NDF_MAGIC = b"SAF1"
 NDF_VERSION = 1
@@ -53,7 +55,7 @@ SAFR_VERSION = 1
 MANIFEST_HEADER = ["path", "subject", "class", "split"]
 SPLIT_TOKENS = ("train", "val", "test", "none")
 SPLIT_RATIOS = (0.8, 0.1, 0.1)  # train, val, test
-_MANIFEST_FORBIDDEN = (",", '"', "\n", "\r")
+_MANIFEST_FORBIDDEN = (",", '"', "\n", "\r", "\0")
 NAME_MAX_BYTES = 255  # the usual file-name limit (NAME_MAX)
 
 
@@ -109,8 +111,7 @@ class Epoch:
         x = np.ascontiguousarray(self.x, dtype=np.float32)
         if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] < 1:
             raise ValidationError(f"epoch data must be non-empty 2-D, got shape {x.shape}")
-        if self.y not in (0, 1):
-            raise ValidationError(f"class label must be 0 or 1, got {self.y}")
+        object.__setattr__(self, "y", _class_label(self.y))
         with np.errstate(over="ignore"):
             if not 0 < np.float32(self.sample_rate_hz) < np.inf:
                 raise ValidationError(f"sample rate {self.sample_rate_hz} Hz is not a "
@@ -168,46 +169,79 @@ class Manifest:
     base_dir: str = "."
 
 
-class ContainerReader:
-    """Bounds-checked cursor over the bytes of one container file. Every read
-    names its field; one that runs past the end raises FormatError naming the
-    file and the field."""
+def _class_label(value) -> int:
+    """value as an int, if it is an integer (a bool or a numpy integer
+    included) equal to 0 or 1; a ValidationError otherwise, for 1.0 too."""
+    try:
+        label = operator.index(value)
+    except TypeError:
+        label = None
+    if label not in (0, 1):
+        raise ValidationError(f"class label must be the integer 0 or 1, got "
+                              f"{value!r}")
+    return label
 
-    def __init__(self, blob: bytes, path: str, kind: str):
-        self.blob, self.path, self.kind = blob, path, kind
+
+class ContainerReader:
+    """Bounds-checked cursor over one container file, which it opens and reads
+    as a stream; use it as a context manager. Every read names its field, and
+    its size is checked against the bytes left before anything is allocated:
+    one that runs past the end raises FormatError naming the file and the
+    field. With crc32, the last 4 bytes are a CRC-32 trailer, not a field."""
+
+    def __init__(self, path: str, kind: str, crc32: bool = False):
+        self.path, self.kind = path, kind
+        self.fh = open(path, "rb")
+        self.end = os.fstat(self.fh.fileno()).st_size - 4 * crc32
         self.offset = 0
 
-    def _advance(self, size: int, field: str) -> int:
-        start = self.offset
-        if size > len(self.blob) - start:
-            raise FormatError(f"{self.path}: truncated {self.kind}: too short "
-                              f"for the {field}")
-        self.offset = start + size
-        return start
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.fh.close()
+
+    def _fill(self, make, size: int, field: str):
+        """make(), holding size bytes, filled with the next size bytes."""
+        if size <= self.end - self.offset:
+            buf = make()
+            # fewer bytes arrive only if the file shrank after it was opened
+            if self.fh.readinto(buf) == size:
+                self.offset += size
+                return buf
+        raise FormatError(f"{self.path}: truncated {self.kind}: too short for "
+                          f"the {field}")
 
     def unpack(self, fmt: str, field: str) -> tuple:
-        return struct.unpack_from(fmt, self.blob,
-                                  self._advance(struct.calcsize(fmt), field))
+        size = struct.calcsize(fmt)
+        return struct.unpack(fmt, self._fill(lambda: bytearray(size), size, field))
 
     def text(self, field: str) -> str:
         """u32 byte length, then that many bytes of UTF-8."""
         (size,) = self.unpack("<I", f"{field} length")
-        start = self._advance(size, field)
         try:
-            return self.blob[start:self.offset].decode("utf-8")
+            return self._fill(lambda: bytearray(size), size, field).decode("utf-8")
         except UnicodeDecodeError as exc:
             raise FormatError(f"{self.path}: {field} is not valid UTF-8") from exc
 
     def array(self, dtype: str, shape: tuple[int, ...], field: str) -> np.ndarray:
-        """A read-only view of the next prod(shape) values, not a copy."""
-        count = math.prod(shape)
-        start = self._advance(count * np.dtype(dtype).itemsize, field)
-        return np.frombuffer(self.blob, dtype=dtype, count=count,
-                             offset=start).reshape(shape)
+        """The next prod(shape) values, read straight into a fresh, aligned,
+        writable array."""
+        return self._fill(lambda: np.empty(shape, dtype=dtype),
+                          math.prod(shape) * np.dtype(dtype).itemsize, field)
+
+    def check_crc32(self) -> None:
+        """Refuse a file whose CRC-32 trailer does not match the bytes before
+        it; reading goes on from the current field."""
+        self.fh.seek(0)
+        if struct.pack("<I", zlib.crc32(self.fh.read(self.end))) != self.fh.read(4):
+            raise FormatError(f"{self.path}: checksum mismatch, the file is "
+                              f"truncated or corrupted")
+        self.fh.seek(self.offset)
 
     def finish(self, field: str) -> None:
         """Reject bytes after the last field."""
-        extra = len(self.blob) - self.offset
+        extra = self.end - self.offset
         if extra:
             raise FormatError(f"{self.path}: {extra} trailing bytes after the "
                               f"{field}")
@@ -223,10 +257,10 @@ def _utf8(text: str, what: str) -> bytes:
                               f"UTF-8") from None
 
 
-def _write_file(path: str, blob: bytes) -> None:
+def write_file(path: str, blob: bytes) -> None:
     """Create or truncate path, with the mode open(path, "wb") gives it, and
-    write blob through the file descriptor, looping until the kernel has
-    taken every byte; the descriptor is closed on error too."""
+    write blob through one descriptor, looping until the kernel has taken
+    every byte, closing it on error too. Every file written goes through here."""
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC
                  | getattr(os, "O_BINARY", 0), 0o666)
     try:
@@ -235,6 +269,19 @@ def _write_file(path: str, blob: bytes) -> None:
             view = view[os.write(fd, view):]
     finally:
         os.close(fd)
+
+
+def format_float(value: float) -> str:
+    """Six significant digits, shortest form ('%.6g')."""
+    return f"{float(value):.6g}"
+
+
+def write_csv(path: str, header: list[str], rows) -> None:
+    """One header line and one LF-terminated line per row, each float cell as
+    format_float gives it; the text cells must be ones UTF-8 can encode."""
+    lines = ((format_float(v) if isinstance(v, (float, np.floating)) else str(v)
+              for v in row) for row in [header, *rows])
+    write_file(path, "".join(",".join(line) + "\n" for line in lines).encode("utf-8"))
 
 
 def write_ndf(epoch: Epoch, path: str) -> None:
@@ -247,34 +294,25 @@ def write_ndf(epoch: Epoch, path: str) -> None:
     if not np.all(np.isfinite(x)):
         raise ValidationError("refusing to write non-finite epoch data")
     sbytes = _utf8(epoch.s, "subject id")
-    header = struct.pack(
-        "<4sIIIfB I",
-        NDF_MAGIC,
-        NDF_VERSION,
-        epoch.channels,
-        epoch.samples,
-        float(epoch.sample_rate_hz),
-        epoch.y,
-        len(sbytes),
-    )
-    _write_file(path, b"".join(
-        (header, sbytes, np.ascontiguousarray(x, dtype="<f4"))))
+    header = struct.pack("<4sIIIfBI", NDF_MAGIC, NDF_VERSION, epoch.channels,
+                         epoch.samples, float(epoch.sample_rate_hz), epoch.y,
+                         len(sbytes))
+    write_file(path, b"".join((header, sbytes, np.ascontiguousarray(x, dtype="<f4"))))
 
 
 def read_ndf(path: str) -> Epoch:
     """Read one epoch written by write_ndf; rejects bad magic and truncation."""
-    with open(path, "rb") as fh:
-        r = ContainerReader(fh.read(), path, "NDF epoch")
-    magic, version, c, m, fs, y = r.unpack("<4sIIIfB", "header")
-    if magic != NDF_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}")
-    if version != NDF_VERSION:
-        raise FormatError(f"{path}: unsupported NDF version {version}")
-    subject = r.text("subject")
-    x = r.array("<f4", (c, m), "payload")
-    r.finish("payload")
+    with ContainerReader(path, "NDF epoch") as r:
+        magic, version, c, m, fs, y = r.unpack("<4sIIIfB", "header")
+        if magic != NDF_MAGIC:
+            raise FormatError(f"{path}: bad magic {magic!r}")
+        if version != NDF_VERSION:
+            raise FormatError(f"{path}: unsupported NDF version {version}")
+        subject = r.text("subject")
+        x = r.array("<f4", (c, m), "payload")
+        r.finish("payload")
     try:
-        return Epoch(x=x.copy(), y=int(y), s=subject, sample_rate_hz=float(fs))
+        return Epoch(x=x, y=y, s=subject, sample_rate_hz=float(fs))
     except ValidationError as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
@@ -292,53 +330,61 @@ def write_recording(rec: Recording, path: str) -> None:
         nbytes = _utf8(name, "channel name")
         parts += [struct.pack("<I", len(nbytes)), nbytes]
     parts.append(np.ascontiguousarray(rec.data, dtype="<f8"))
-    _write_file(path, b"".join(parts))
+    write_file(path, b"".join(parts))
 
 
 def read_recording(path: str) -> Recording:
     """Read a SAFR recording container."""
-    with open(path, "rb") as fh:
-        r = ContainerReader(fh.read(), path, "SAFR recording")
-    magic, version, c, n, fs = r.unpack("<4sIIQd", "header")
-    if magic != SAFR_MAGIC:
-        raise FormatError(f"{path}: not a SAFR recording")
-    if version != SAFR_VERSION:
-        raise FormatError(f"{path}: unsupported SAFR version {version}")
-    names = tuple(r.text("channel name") for _ in range(c))
-    data = r.array("<f8", (c, n), "payload")
-    r.finish("payload")
+    with ContainerReader(path, "SAFR recording") as r:
+        magic, version, c, n, fs = r.unpack("<4sIIQd", "header")
+        if magic != SAFR_MAGIC:
+            raise FormatError(f"{path}: not a SAFR recording")
+        if version != SAFR_VERSION:
+            raise FormatError(f"{path}: unsupported SAFR version {version}")
+        names = tuple(r.text("channel name") for _ in range(c))
+        data = r.array("<f8", (c, n), "payload")
+        r.finish("payload")
     try:
-        return Recording(data=data.copy(), sample_rate_hz=fs, channel_names=names)
+        return Recording(data=data, sample_rate_hz=fs, channel_names=names)
     except ValidationError as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
 
 def check_manifest_field(value: str, what: str = "subject id") -> None:
-    """Reject a path or subject id that the unquoted manifest CSV cannot carry."""
+    """Reject a path or subject id that the unquoted manifest CSV cannot
+    carry, or that its UTF-8 cannot encode."""
     for ch in _MANIFEST_FORBIDDEN:
         if ch in value:
             raise ValidationError(f"{what} {value!r} contains {ch!r}, which a "
                                   f"manifest cannot hold")
+    _utf8(value, what)
 
 
 def check_subject_id(subject: str) -> None:
-    """Reject a subject id holding a character check_manifest_field refuses,
-    a path separator (its files would land outside their directory) or a
-    NUL, or one that NDF's and the manifest's UTF-8 cannot encode."""
-    check_manifest_field(subject)
+    """Reject a subject id holding a path separator (its files would land
+    outside their directory) or a NUL, or one that check_manifest_field
+    refuses."""
     for ch, what in (("/", "a path separator"), ("\\", "a path separator"),
                      ("\0", "a NUL")):
         if ch in subject:
             raise ValidationError(f"subject id {subject!r} holds {what}, "
                                   f"which a file name cannot")
-    _utf8(subject, "subject id")
+    check_manifest_field(subject)
 
 
 def write_manifest(manifest: Manifest, path: str) -> None:
-    for row_path, subject, _, _ in manifest.rows:
+    """Write the manifest CSV. Every row is checked before the file is
+    created, so a refused row (ValidationError) leaves no file: a path or
+    subject id that check_manifest_field refuses, a class that is not an
+    integer 0 or 1, or a split tag outside SPLIT_TOKENS."""
+    rows = []
+    for row_path, subject, cls, split in manifest.rows:
         check_manifest_field(row_path, "path")
         check_manifest_field(subject)
-    write_csv(path, MANIFEST_HEADER, manifest.rows)
+        if split not in SPLIT_TOKENS:
+            raise ValidationError(f"unknown split tag {split!r}")
+        rows.append((row_path, subject, _class_label(cls), split))
+    write_csv(path, MANIFEST_HEADER, rows)
 
 
 def write_epoch_dir(epoch_set: EpochSet, out_dir: str) -> Manifest:

@@ -190,7 +190,10 @@ def coefficient_of_variation(values) -> float:
 
 
 def f_statistic(features, groups) -> float:
-    """One-way ANOVA F per feature dimension, averaged over dimensions."""
+    """One-way ANOVA F per feature dimension, averaged over dimensions. A
+    dimension with no spread at all scores 0; one with no spread within the
+    groups but some between them, whose F is infinite, is refused with a
+    ValidationError naming it."""
     features = np.asarray(features, dtype=np.float64)
     if features.ndim == 1:
         features = features[:, None]
@@ -214,9 +217,13 @@ def f_statistic(features, groups) -> float:
     df_within = n_total - labels.size
     ms_between = ss_between / df_between
     ms_within = ss_within / df_within
-    with np.errstate(divide="ignore", invalid="ignore"):
-        f_per_dim = ms_between / ms_within
-    f_per_dim = np.where(ms_between == 0.0, 0.0, f_per_dim)
+    infinite = np.flatnonzero((ms_within == 0.0) & (ms_between > 0.0))
+    if infinite.size:
+        raise ValidationError(
+            f"feature dimension {infinite[0]} varies between groups but not "
+            f"within any, so its F statistic is infinite")
+    f_per_dim = np.divide(ms_between, ms_within, out=np.zeros_like(ms_between),
+                          where=ms_between != 0.0)
     return float(np.mean(f_per_dim))
 
 

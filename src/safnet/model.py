@@ -22,7 +22,7 @@ layers.
 Only the input's channels, length and rate are configurable (EncoderConfig);
 the other sizes are the constants below, with a half-second temporal kernel,
 and load_checkpoint refuses a header that stores other values. Checkpoints
-are read through datamodel.ContainerReader, like NDF and SAFR.
+are written by datamodel.write_file and read through its ContainerReader.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .datamodel import ContainerReader
+from .datamodel import ContainerReader, write_file
 from .errors import FormatError, ValidationError
 
 CHECKPOINT_MAGIC = b"SAFM"
@@ -190,9 +190,9 @@ class SafModel:
 def save_checkpoint(model: SafModel, path: str) -> None:
     """Binary checkpoint: architecture header, then every parameter and
     batch-norm running buffer as a named float32 tensor, then the CRC-32 of
-    all the bytes before it. A tensor that is not float32, or holds a value
-    that is not finite, is refused before the file is opened, since
-    load_checkpoint would give back a float32 model or reject it."""
+    all the bytes before it, as one blob. A tensor that is not float32, or
+    holds a value that is not finite, is refused before the file is created,
+    since load_checkpoint would give back a float32 model or reject it."""
     entries = []
     for name, value in list(model.params.items()) + list(model.buffers.items()):
         arr = value.data if isinstance(value, Tensor) else value
@@ -211,9 +211,7 @@ def save_checkpoint(model: SafModel, path: str) -> None:
         parts += [struct.pack("<I", len(nbytes)), nbytes,
                   struct.pack(f"<I{arr.ndim}I", arr.ndim, *arr.shape), arr.tobytes()]
     blob = b"".join(parts)
-    with open(path, "wb") as fh:
-        fh.write(blob)
-        fh.write(struct.pack("<I", zlib.crc32(blob)))
+    write_file(path, blob + struct.pack("<I", zlib.crc32(blob)))
 
 
 def load_checkpoint(path: str) -> SafModel:
@@ -224,42 +222,38 @@ def load_checkpoint(path: str) -> SafModel:
     for values that are not finite, and the model is built last, so a
     corrupted header cannot ask for more memory than the file holds. A
     header whose architecture is not the encoder constants' is refused."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    r = ContainerReader(blob[:-4], path, "checkpoint")
-    magic, version = r.unpack("<4sI", "magic and version")
-    if magic != CHECKPOINT_MAGIC:
-        raise FormatError(f"{path}: not a model checkpoint")
-    if version != CHECKPOINT_VERSION:
-        raise FormatError(f"{path}: unsupported checkpoint version {version}")
-    if struct.pack("<I", zlib.crc32(r.blob)) != blob[-4:]:
-        raise FormatError(f"{path}: checksum mismatch, the file is truncated or "
-                          f"corrupted")
-    c, m, fs, *arch, num_domains, count = r.unpack(_HEADER, "header")
-    try:
-        cfg = EncoderConfig(C=c, M=m, fs=fs)
-        if tuple(arch) != _architecture(cfg):
-            raise ValidationError(f"architecture {tuple(arch)} is not the "
-                                  f"encoder's {_architecture(cfg)}")
-    except (ValidationError, ValueError, OverflowError) as exc:
-        raise FormatError(f"{path}: invalid model header: {exc}") from exc
-    params, buffers = _tensor_specs(cfg, num_domains)
-    shapes = {name: shape for name, (shape, _) in (params | buffers).items()}
-    stored = {}
-    for _ in range(count):
-        name = r.text("tensor name")
-        if name not in shapes:
-            raise FormatError(f"{path}: unknown tensor {name!r}")
-        (ndim,) = r.unpack("<I", f"shape of {name}")
-        shape = r.unpack(f"<{ndim}I", f"shape of {name}")
-        if shape != shapes[name]:
-            raise FormatError(f"{path}: {name} stored with shape {shape}, "
-                              f"model expects {shapes[name]}")
-        arr = r.array("<f4", shape, f"payload of {name}")
-        if not np.isfinite(arr).all():
-            raise FormatError(f"{path}: {name} holds a value that is not finite")
-        stored[name] = arr
-    r.finish("last tensor")
+    with ContainerReader(path, "checkpoint", crc32=True) as r:
+        magic, version = r.unpack("<4sI", "magic and version")
+        if magic != CHECKPOINT_MAGIC:
+            raise FormatError(f"{path}: not a model checkpoint")
+        if version != CHECKPOINT_VERSION:
+            raise FormatError(f"{path}: unsupported checkpoint version {version}")
+        r.check_crc32()
+        c, m, fs, *arch, num_domains, count = r.unpack(_HEADER, "header")
+        try:
+            cfg = EncoderConfig(C=c, M=m, fs=fs)
+            if tuple(arch) != _architecture(cfg):
+                raise ValidationError(f"architecture {tuple(arch)} is not the "
+                                      f"encoder's {_architecture(cfg)}")
+        except (ValidationError, ValueError, OverflowError) as exc:
+            raise FormatError(f"{path}: invalid model header: {exc}") from exc
+        params, buffers = _tensor_specs(cfg, num_domains)
+        shapes = {name: shape for name, (shape, _) in (params | buffers).items()}
+        stored = {}
+        for _ in range(count):
+            name = r.text("tensor name")
+            if name not in shapes:
+                raise FormatError(f"{path}: unknown tensor {name!r}")
+            (ndim,) = r.unpack("<I", f"shape of {name}")
+            shape = r.unpack(f"<{ndim}I", f"shape of {name}")
+            if shape != shapes[name]:
+                raise FormatError(f"{path}: {name} stored with shape {shape}, "
+                                  f"model expects {shapes[name]}")
+            arr = r.array("<f4", shape, f"payload of {name}")
+            if not np.isfinite(arr).all():
+                raise FormatError(f"{path}: {name} holds a value that is not finite")
+            stored[name] = arr
+        r.finish("last tensor")
     missing = set(shapes) - set(stored)
     if missing:
         raise FormatError(f"{path}: missing tensors {sorted(missing)}")

@@ -49,12 +49,11 @@ from dataclasses import astuple, dataclass, field, fields, replace
 import numpy as np
 
 from . import autodiff as ad
-from .datamodel import Epoch
+from .datamodel import Epoch, write_csv
 from .errors import ValidationError
 from .isbcs import SwapConfig, isbcs_augment_batch
 from .metrics import confusion, macro_metrics
 from .model import EncoderConfig, SafModel
-from .textio import write_csv
 
 GRID_TABLE_HEADER = ["lambda_mi", "lambda_grl", "val_macro_acc"]
 EVAL_BATCH = 256

@@ -22,6 +22,7 @@ from safnet.datamodel import (
     Epoch,
     EpochSet,
     Recording,
+    format_float,
     load_manifest,
     read_recording,
     write_epoch_dir,
@@ -37,7 +38,6 @@ from safnet.metrics import (
     macro_metrics,
 )
 from safnet.model import EncoderConfig, SafModel, load_checkpoint, save_checkpoint
-from safnet.textio import format_float
 
 BASE_CONFIG = """\
 [synth]
@@ -998,6 +998,26 @@ class TestAnalyzeCommand:
         assert main(["analyze", "--manifest", os.path.join(data, "manifest.csv"),
                      "--out", str(adir)]) == 0
         assert (adir / "silhouette.txt").read_text(encoding="utf-8") == "0\n"
+
+    def test_feature_without_spread_within_subjects_writes_nothing(
+            self, tmp_path, capsys):
+        """Subjects a and b each repeat one random epoch six times, so a
+        feature dimension varies between the subjects and not within
+        either: its F would be infinite. analyze exits 1, names the
+        dimension, and creates no output."""
+        rng = np.random.default_rng(0)
+        epochs = []
+        for s in ("a", "b"):
+            x = rng.standard_normal((2, 512)).astype(np.float32)
+            epochs += [Epoch(x=x, y=k % 2, s=s, sample_rate_hz=128.0)
+                       for k in range(6)]
+        data, adir = str(tmp_path / "data"), tmp_path / "analysis"
+        write_epoch_dir(EpochSet(epochs=epochs), data)
+        assert main(["analyze", "--manifest", os.path.join(data, "manifest.csv"),
+                     "--out", str(adir)]) == 1
+        assert re.search(r"error: feature dimension \d+ varies between groups "
+                         r"but not within any", capsys.readouterr().err)
+        assert not adir.exists()
 
     @pytest.mark.parametrize("fs", [100.5, 8.8])
     def test_non_integer_rate(self, fs, tmp_path):

@@ -486,7 +486,7 @@ class TestManifestFields:
             try:
                 write_manifest(Manifest(rows=[("e.ndf", subject, 0, "none")]), mpath)
             except ValidationError:
-                assert any(ch in subject for ch in ',"\r\n')
+                assert any(ch in subject for ch in ',"\r\n\0')
                 return
             manifest, eset = load_manifest(mpath)
         assert manifest.rows == [("e.ndf", subject, 0, "none")]

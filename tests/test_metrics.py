@@ -452,6 +452,16 @@ class TestFStatistic:
         assert f_statistic(features, groups) == pytest.approx(
             f_statistic(features * 7.5, groups), rel=1e-8)
 
+    def test_dimension_without_spread_within_groups_refused(self):
+        """Dimension 1 is constant within each group and differs between
+        them, so its F is infinite: refused, naming the dimension, however
+        informative dimension 0 is."""
+        rng = np.random.default_rng(8)
+        features = np.column_stack([rng.standard_normal(8),
+                                    np.repeat([1.0, 3.0], 4)])
+        with pytest.raises(ValidationError, match="feature dimension 1 varies"):
+            f_statistic(features, np.repeat([0, 1], 4))
+
     def test_singleton_group_rejected(self):
         with pytest.raises(ValidationError):
             f_statistic(np.ones((3, 2)), np.array([0, 0, 1]))
