@@ -190,10 +190,13 @@ def coefficient_of_variation(values) -> float:
 
 
 def f_statistic(features, groups) -> float:
-    """One-way ANOVA F per feature dimension, averaged over dimensions. A
-    dimension with no spread at all scores 0; one with no spread within the
-    groups but some between them, whose F is infinite, is refused with a
-    ValidationError naming it."""
+    """One-way ANOVA F per feature dimension, averaged over dimensions.
+    Whether a dimension has spread, overall or within a group, is read from
+    its values (largest equal to smallest), not from sums of squares, which
+    can round to tiny nonzero numbers on equal values. A dimension with no
+    spread at all scores 0; one with no spread within any group but some
+    between them, whose F is infinite, is refused with a ValidationError
+    naming it, as is one whose within-group sum of squares is exactly 0."""
     features = np.asarray(features, dtype=np.float64)
     if features.ndim == 1:
         features = features[:, None]
@@ -217,13 +220,17 @@ def f_statistic(features, groups) -> float:
     df_within = n_total - labels.size
     ms_between = ss_between / df_between
     ms_within = ss_within / df_within
-    infinite = np.flatnonzero((ms_within == 0.0) & (ms_between > 0.0))
+    flat = features.max(axis=0) == features.min(axis=0)
+    flat_within = np.logical_and.reduce(
+        [m.max(axis=0) == m.min(axis=0) for m in members])
+    zero_within = (ms_within == 0.0) & (ms_between > 0.0)
+    infinite = np.flatnonzero(~flat & (flat_within | zero_within))
     if infinite.size:
         raise ValidationError(
             f"feature dimension {infinite[0]} varies between groups but not "
             f"within any, so its F statistic is infinite")
     f_per_dim = np.divide(ms_between, ms_within, out=np.zeros_like(ms_between),
-                          where=ms_between != 0.0)
+                          where=~flat & (ms_between != 0.0))
     return float(np.mean(f_per_dim))
 
 

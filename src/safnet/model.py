@@ -21,7 +21,8 @@ parameters, buffers and checkpoint layout are those of the separate
 layers.
 Only the input's channels, length and rate are configurable (EncoderConfig);
 the other sizes are the constants below, with a half-second temporal kernel,
-and load_checkpoint refuses a header that stores other values. Checkpoints
+which may not be longer than the epoch, and load_checkpoint refuses a header
+that stores other values. Checkpoints
 are written by datamodel.write_file and read through its ContainerReader.
 """
 
@@ -64,6 +65,10 @@ class EncoderConfig:
             raise ValidationError("temporal kernel must be at least 1 sample")
         if min(self.C, self.M) < 1:
             raise ValidationError("C and M must be positive")
+        if self.temporal_kernel > self.M:
+            raise ValidationError(
+                f"the temporal kernel of {self.temporal_kernel} samples at "
+                f"{self.fs} Hz is longer than the epoch's {self.M}")
         if self.feature_dim < 1:
             raise ValidationError(
                 f"pooling {POOL1}x{POOL2} leaves no features for M={self.M}")

@@ -29,6 +29,8 @@ Adam's decay rates and epsilon (BETA1, BETA2, ADAM_EPS) and the plateau
 schedule's improvement margin, decay factor and floor (IMPROVEMENT_EPS,
 LR_FACTOR, LR_FLOOR) are constants; TrainConfig holds the learning rate,
 batch size, epoch bounds, patience, plateau window, seed and swap setting.
+fit keeps one running best of the validation accuracy: the snapshot it
+restores, the plateau decay and early stopping all follow from it.
 
 The grid search spans LAMBDA_MIN to LAMBDA_MAX on both axes and trains its
 cells independently, each seeded from its grid position. It runs them on a
@@ -221,43 +223,6 @@ def adam_step(params: dict[str, ad.Tensor], state: AdamState, lr: float) -> None
         p.data -= step[state.slices[name]].reshape(p.data.shape)
 
 
-def _tail_stagnation(history) -> int:
-    """Consecutive epochs at the end of history that failed to beat the
-    running best by more than IMPROVEMENT_EPS."""
-    best = -np.inf
-    stagnant = 0
-    for v in history:
-        if v > best + IMPROVEMENT_EPS:
-            stagnant = 0
-        else:
-            stagnant += 1
-        if v > best:
-            best = v
-    return stagnant
-
-
-def scheduler_update(history, lr: float, cfg: TrainConfig) -> float:
-    """The learning rate for the next epoch: lr times LR_FACTOR (down to
-    LR_FLOOR) each time the monitored metric goes plateau_window consecutive
-    epochs without improving on the best-so-far by more than IMPROVEMENT_EPS,
-    lr otherwise. Call once per epoch, after appending that epoch's value to
-    history."""
-    if len(history) == 0:
-        raise ValidationError("scheduler needs at least one recorded epoch")
-    stagnant = _tail_stagnation(history)
-    if stagnant > 0 and stagnant % cfg.plateau_window == 0:
-        return max(lr * LR_FACTOR, LR_FLOOR)
-    return lr
-
-
-def early_stop_check(history, cfg: TrainConfig) -> bool:
-    """True once at least min_epochs have run and the last patience epochs
-    all failed to improve on the best by more than IMPROVEMENT_EPS."""
-    if len(history) < cfg.min_epochs:
-        return False
-    return _tail_stagnation(history) >= cfg.patience
-
-
 def _check_epochs(model: SafModel, epochs: list[Epoch], empty: str) -> None:
     """The one check of an epoch list against the model, before any step or
     prediction: refuses an empty list (with the message `empty`), and
@@ -323,6 +288,17 @@ def fit(train_data, val_data, model: SafModel, cfg: TrainConfig,
     ValidationError that names its epoch and step, before that batch
     updates the weights. An empty set, and epochs of another shape or rate
     than the model's, are refused before the first step.
+
+    After each epoch, one running best of the validation macro-accuracy
+    decides model selection, the learning rate and stopping. The epoch that
+    raises the best (ties keep the earlier one) is the one the model is
+    restored to. An epoch is stagnant unless it beats the best so far by
+    more than IMPROVEMENT_EPS, and `stagnant` counts the stagnant epochs
+    since the last one that did. The learning rate of the next epoch is
+    lr * LR_FACTOR, down to LR_FLOOR, each time that count reaches a
+    multiple of plateau_window. Training stops ("early_stop") once at
+    least min_epochs have run and the count reaches patience, and at
+    max_epochs ("max_epochs") otherwise.
     """
     for epochs in (train_data, val_data):
         _check_epochs(model, epochs, "train and validation sets must be non-empty")
@@ -350,7 +326,7 @@ def fit(train_data, val_data, model: SafModel, cfg: TrainConfig,
     lr = cfg.lr
     log = TrainLog()
     best_acc = -np.inf
-    best_snap = _snapshot(model)
+    stagnant = 0
     loss_limit = None
 
     n = len(train_data)
@@ -387,13 +363,15 @@ def fit(train_data, val_data, model: SafModel, cfg: TrainConfig,
             epoch=epoch, l_task=means[0], l_domain=means[1], l_mi=means[2],
             l_total=means[3], lr=lr, val_macro_acc=val_acc))
 
+        stagnant = 0 if val_acc > best_acc + IMPROVEMENT_EPS else stagnant + 1
         if val_acc > best_acc:
             best_acc = val_acc
             best_snap = _snapshot(model)
             log.best_epoch = epoch
 
-        lr = scheduler_update(log.val_accuracies, lr, cfg)
-        if early_stop_check(log.val_accuracies, cfg):
+        if stagnant > 0 and stagnant % cfg.plateau_window == 0:
+            lr = max(lr * LR_FACTOR, LR_FLOOR)
+        if epoch >= cfg.min_epochs and stagnant >= cfg.patience:
             log.stop_reason = "early_stop"
             break
     else:

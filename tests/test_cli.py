@@ -742,6 +742,29 @@ class TestTrainAndEvalCommands:
         assert "not finite" in capsys.readouterr().err
         assert not model_path.exists()
 
+    def test_temporal_kernel_longer_than_the_epoch_is_validation_error(
+            self, tmp_path, capsys):
+        """Epochs of 64 samples at 1e12 Hz ask for a half-second temporal
+        kernel of about 5e11 samples; train exits 1 with one error line
+        naming the kernel, instead of trying to allocate it, and writes no
+        checkpoint."""
+        rng = np.random.default_rng(0)
+        epochs = [Epoch(x=rng.standard_normal((2, 64)).astype(np.float32),
+                        y=k % 2, s=f"s{k // 2 % 2}", sample_rate_hz=1e12)
+                  for k in range(8)]
+        data = str(tmp_path / "data")
+        write_epoch_dir(EpochSet(epochs=epochs, split=["train"] * 4 + ["val"] * 4),
+                        data)
+        model_path = tmp_path / "model.safm"
+        code = main(["train", "--config", write_config(tmp_path / "c.ini"),
+                     "--manifest", os.path.join(data, "manifest.csv"),
+                     "--out", str(model_path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "temporal kernel" in err and "Traceback" not in err
+        assert not model_path.exists()
+
     def test_eval_matches_direct_metrics(self, dataset, tmp_path):
         config, out = dataset
         manifest = os.path.join(out, "manifest.csv")

@@ -462,6 +462,27 @@ class TestFStatistic:
         with pytest.raises(ValidationError, match="feature dimension 1 varies"):
             f_statistic(features, np.repeat([0, 1], 4))
 
+    def test_groups_of_equal_rows_refused_after_standardizing(self):
+        """Each group's rows are equal, but after z-scoring the within-group
+        sum of squares rounds to about 1e-31 instead of 0: still refused,
+        not scored 1.6e33."""
+        features = metrics.standardize_features(
+            np.array([[0.1]] * 6 + [[0.2]] * 6))
+        with pytest.raises(ValidationError, match="feature dimension 0 varies"):
+            f_statistic(features, [0] * 6 + [1] * 6)
+
+    @pytest.mark.parametrize("value, n0, n1", [
+        (0.1, 6, 6),      # group means round apart from the grand mean: F 40
+        (1 / 3, 10, 13),  # F 298.2
+        (0.3, 5, 6),      # group rows equal their mean exactly: refused
+        (1.1, 3, 4),
+    ])
+    def test_constant_dimension_scores_zero_whatever_its_rounding(self, value,
+                                                                  n0, n1):
+        """A constant column scores 0, however its group and grand means
+        round; the sums of squares alone gave the F or refusal noted."""
+        assert f_statistic(np.full((n0 + n1, 1), value), [0] * n0 + [1] * n1) == 0.0
+
     def test_singleton_group_rejected(self):
         with pytest.raises(ValidationError):
             f_statistic(np.ones((3, 2)), np.array([0, 0, 1]))

@@ -39,6 +39,11 @@ class TestArchitectureArithmetic:
         with pytest.raises(ValidationError):
             EncoderConfig(C=4, M=16, fs=32.0)
 
+    def test_temporal_kernel_longer_than_the_epoch_rejected(self):
+        assert EncoderConfig(C=4, M=64, fs=128.0).temporal_kernel == 64
+        with pytest.raises(ValidationError, match="temporal kernel of 65 samples"):
+            EncoderConfig(C=4, M=64, fs=130.0)
+
 
 def both_heads(model, x):
     """Task and domain logits in eval mode, which runs under no_grad."""
@@ -395,6 +400,7 @@ class TestCheckpoint:
         {48: ("<d", 2.0)},                     # dropout outside [0, 1)
         {40: ("<I", 0)},                       # pool1 of zero
         {36: ("<I", 0), 16: ("<d", np.inf)},   # kernel from an infinite rate
+        {36: ("<I", 128), 16: ("<d", 256.0)},  # kernel longer than the epoch
         {24: ("<I", 4)},                       # F1 other than the encoder's
         {28: ("<I", 1)},                       # D other than the encoder's
         {32: ("<I", 8)},                       # F2 other than the encoder's

@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import safnet.autodiff as ad
 import safnet.train as train_module
@@ -20,12 +22,10 @@ from safnet.train import (
     TrainConfig,
     adam_step,
     compute_losses,
-    early_stop_check,
     evaluate_macro_accuracy,
     fit,
     grid_search,
     make_lambda_grid,
-    scheduler_update,
     write_grid_table,
     write_train_log,
 )
@@ -269,65 +269,119 @@ class TestAdam:
             adam_step({"w": w}, state, lr=0.1)
 
 
+SCRIPT_SET = make_epochs(1)
+
+
+def scripted_fit(accs, **cfg_kw):
+    """fit on a tiny set for len(accs) epochs at most, with the validation
+    accuracies of the epochs scripted as accs. The schedule's settings are
+    TrainConfig's defaults unless cfg_kw names them; min_epochs defaults to
+    len(accs). Returns the log."""
+    cfg_kw = {"min_epochs": len(accs), **cfg_kw}
+    cfg = TrainConfig(batch_size=8, max_epochs=len(accs), seed=7,
+                      swap=SwapConfig(p=0.0), **cfg_kw)
+    script = iter(accs)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(train_module, "evaluate_macro_accuracy",
+                      lambda model, epochs: next(script))
+        _, log = fit(SCRIPT_SET, SCRIPT_SET, tiny_model(), cfg, LossWeights())
+    return log
+
+
+def schedule(log):
+    """Each record's learning rate, the stop reason, the record count and
+    the best epoch of a log."""
+    return ([r.lr for r in log.records], log.stop_reason, len(log.records),
+            log.best_epoch)
+
+
 class TestScheduler:
-    CFG = TrainConfig()
+    """The plateau decay at TrainConfig's defaults (plateau_window 5,
+    patience 10), seen in the learning rate fit logs for each epoch."""
 
     def test_five_stagnant_epochs_halve_lr(self):
-        history = [0.80]
-        lr = scheduler_update(history, 0.001, self.CFG)
-        for v in (0.801, 0.799, 0.80, 0.8005, 0.801):
-            history.append(v)
-            lr = scheduler_update(history, lr, self.CFG)
-        assert lr == pytest.approx(0.0005)
+        # 0.801 beats 0.80 by no more than IMPROVEMENT_EPS, yet becomes the best
+        log = scripted_fit([0.80, 0.801, 0.799, 0.80, 0.8005, 0.801, 0.80])
+        assert schedule(log) == ([1e-3] * 6 + [5e-4], "max_epochs", 7, 2)
 
     def test_improvement_resets_counter(self):
-        lr = 0.001
-        history = []
-        for v in (0.80, 0.80, 0.80, 0.80, 0.85, 0.85, 0.85, 0.85):
-            history.append(v)
-            lr = scheduler_update(history, lr, self.CFG)
-        # four stagnant, improvement, then only four stagnant again
-        assert lr == 0.001
+        # four stagnant epochs, an improvement, then only four stagnant again
+        log = scripted_fit([0.80] * 5 + [0.85] * 5)
+        assert schedule(log) == ([1e-3] * 10, "max_epochs", 10, 6)
 
     def test_floor_respected(self):
-        lr = 1e-6
-        hist = []
-        for v in [0.5] * 6:
-            hist.append(v)
-            lr = scheduler_update(hist, lr, self.CFG)
-        assert lr == 1e-6
+        log = scripted_fit([0.5] * 7, lr=1e-6)
+        assert schedule(log) == ([1e-6] * 7, "max_epochs", 7, 1)
 
     def test_repeated_plateaus_halve_again(self):
-        lr = 0.001
-        hist = []
-        for v in [0.8] + [0.8] * 10:
-            hist.append(v)
-            lr = scheduler_update(hist, lr, self.CFG)
-        assert lr == pytest.approx(0.00025)
-
-    def test_empty_history_rejected(self):
-        with pytest.raises(ValidationError):
-            scheduler_update([], 0.001, self.CFG)
+        log = scripted_fit([0.8] * 12, patience=20)
+        assert schedule(log) == ([1e-3] * 6 + [5e-4] * 5 + [2.5e-4],
+                                 "max_epochs", 12, 1)
 
 
 class TestEarlyStop:
-    CFG = TrainConfig()
+    """Early stopping at TrainConfig's defaults (min_epochs 20, patience 10,
+    plateau_window 5)."""
 
     def test_never_stops_before_min_epochs(self):
-        history = [0.9] + [0.5] * 14  # 14 stagnant epochs, epoch 15 < 20
-        assert not early_stop_check(history, self.CFG)
+        # patience runs out at epoch 11, yet training goes on to epoch 20
+        log = scripted_fit([0.9] + [0.5] * 24, min_epochs=20)
+        assert schedule(log) == (
+            [1e-3] * 6 + [5e-4] * 5 + [2.5e-4] * 5 + [1.25e-4] * 4,
+            "early_stop", 20, 1)
 
     def test_stops_after_patience_stagnation(self):
-        history = [0.5 + 0.01 * i for i in range(25)] + [0.5] * 10
-        assert early_stop_check(history, self.CFG)
+        log = scripted_fit([0.5 + 0.01 * i for i in range(25)] + [0.5] * 15,
+                           min_epochs=20)
+        assert schedule(log) == ([1e-3] * 30 + [5e-4] * 5, "early_stop", 35, 25)
 
     def test_improvement_resets(self):
-        history = [0.5] * 29 + [0.9] + [0.5] * 5
-        assert not early_stop_check(history, self.CFG)
+        # without the improvement at epoch 11, training would stop at epoch 20
+        log = scripted_fit([0.5] * 10 + [0.9] + [0.5] * 14, min_epochs=20)
+        assert schedule(log) == ([1e-3] * 6 + [5e-4] * 10 + [2.5e-4] * 5,
+                                 "early_stop", 21, 11)
 
     def test_boundary_at_min_epochs(self):
-        history = [0.9] + [0.5] * 19  # exactly 20 epochs, 19 stagnant
-        assert early_stop_check(history, self.CFG)
+        # the tenth stagnant epoch is epoch 20, the first that may stop
+        log = scripted_fit([0.5 + 0.01 * i for i in range(10)] + [0.5] * 15,
+                           min_epochs=20)
+        assert schedule(log) == ([1e-3] * 15 + [5e-4] * 5, "early_stop", 20, 10)
+
+
+def replayed_schedule(accs, cfg):
+    """The schedule fit must keep, from a full replay of the history after
+    every epoch: the trailing run of epochs that do not beat the best before
+    them by more than IMPROVEMENT_EPS sets the decay and the stop, and the
+    best epoch is the first that reaches the maximum so far."""
+    lr, lrs = cfg.lr, []
+    for epoch in range(1, len(accs) + 1):
+        lrs.append(lr)
+        history = accs[:epoch]
+        tail = 0
+        for i, v in enumerate(history):
+            best_before = max(history[:i], default=-np.inf)
+            tail = 0 if v > best_before + train_module.IMPROVEMENT_EPS else tail + 1
+        if tail and tail % cfg.plateau_window == 0:
+            lr = max(lr * train_module.LR_FACTOR, train_module.LR_FLOOR)
+        best_epoch = history.index(max(history)) + 1
+        if epoch >= cfg.min_epochs and tail >= cfg.patience:
+            return lrs, "early_stop", epoch, best_epoch
+    return lrs, "max_epochs", len(accs), best_epoch
+
+
+@settings(max_examples=50, deadline=None)
+@given(accs=st.lists(st.sampled_from([0.5, 0.5005, 0.501, 0.5015, 0.6, 0.9]),
+                     min_size=1, max_size=24),
+       data=st.data())
+def test_schedule_matches_a_replay_of_the_history(accs, data):
+    min_epochs = data.draw(st.integers(1, len(accs)))
+    patience = data.draw(st.integers(1, 8))
+    plateau_window = data.draw(st.integers(1, 6))
+    log = scripted_fit(accs, min_epochs=min_epochs, patience=patience,
+                       plateau_window=plateau_window)
+    cfg = TrainConfig(min_epochs=min_epochs, max_epochs=len(accs),
+                      patience=patience, plateau_window=plateau_window)
+    assert schedule(log) == replayed_schedule(accs, cfg)
 
 
 def quick_cfg(**kw):
