@@ -113,9 +113,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def item(self):
-        return float(self.data)
-
     def zero_grad(self):
         self.grad = None
 

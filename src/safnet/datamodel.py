@@ -27,10 +27,12 @@ Relative paths resolve against the manifest's own directory. Every CSV
 
 Every file is built whole and checked, then created by write_file, so a
 refused write (ValidationError) leaves no file. The NDF, SAFR and SAFM
-(safnet.model) readers parse through one ContainerReader, which reads each
-payload straight into a fresh array and names the file and the field in
-the FormatError of a truncated file. Any blob the readers cannot decode
-into a valid value, truncated or corrupted alike, raises FormatError.
+(safnet.model) codecs state only their own fields: write_container and
+ContainerReader own the envelope (magic, version, SAFM's CRC-32 trailer, no
+trailing bytes). The reader reads each payload straight into a fresh array
+and names the file and the field in the FormatError of a truncated file.
+Any blob the readers cannot decode into a valid value, truncated or
+corrupted alike, raises FormatError.
 """
 
 from __future__ import annotations
@@ -82,6 +84,9 @@ class Recording:
             raise ValidationError(
                 f"{len(names)} channel names for {data.shape[0]} channels"
             )
+        for name in names:
+            if not isinstance(name, str):
+                raise ValidationError(f"channel name {name!r} is not a str")
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "channel_names", tuple(names))
 
@@ -112,6 +117,8 @@ class Epoch:
         if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] < 1:
             raise ValidationError(f"epoch data must be non-empty 2-D, got shape {x.shape}")
         object.__setattr__(self, "y", _class_label(self.y))
+        if not isinstance(self.s, str):
+            raise ValidationError(f"subject id {self.s!r} is not a str")
         with np.errstate(over="ignore"):
             if not 0 < np.float32(self.sample_rate_hz) < np.inf:
                 raise ValidationError(f"sample rate {self.sample_rate_hz} Hz is not a "
@@ -182,24 +189,64 @@ def _class_label(value) -> int:
     return label
 
 
+def set_integers(config, *names: str) -> None:
+    """Store each named field of the dataclass config as an int, if it is an
+    integer (a bool or a numpy integer included, as for _class_label); a
+    ValidationError naming the field otherwise, for 2.0 too."""
+    for name in names:
+        value = getattr(config, name)
+        try:
+            object.__setattr__(config, name, operator.index(value))
+        except TypeError:
+            raise ValidationError(f"{name} must be an integer, got {value!r}") from None
+
+
 class ContainerReader:
     """Bounds-checked cursor over one container file, which it opens and reads
-    as a stream; use it as a context manager. Every read names its field, and
-    its size is checked against the bytes left before anything is allocated:
-    one that runs past the end raises FormatError naming the file and the
-    field. With crc32, the last 4 bytes are a CRC-32 trailer, not a field."""
+    as a stream; use it as a context manager and build the decoded value
+    inside the block. Before any other field it checks the envelope that
+    write_container writes: the magic, the version and, with crc32, the
+    CRC-32 trailer. Every read names its field (the envelope's is the
+    "header"), and its size is checked against the bytes left before
+    anything is allocated: one that runs past the end raises FormatError
+    naming the file and the field. Leaving the block without an error
+    refuses bytes after the last field read; a ValidationError raised in it
+    leaves as a FormatError naming the file."""
 
-    def __init__(self, path: str, kind: str, crc32: bool = False):
+    def __init__(self, path: str, kind: str, magic: bytes, version: int,
+                 crc32: bool = False):
         self.path, self.kind = path, kind
         self.fh = open(path, "rb")
         self.end = os.fstat(self.fh.fileno()).st_size - 4 * crc32
         self.offset = 0
+        try:
+            got_magic, got_version = self.unpack(f"<{len(magic)}sI", "header")
+            if got_magic != magic:
+                raise FormatError(f"{path}: magic {got_magic!r} is not the "
+                                  f"{kind} magic {magic!r}")
+            if got_version != version:
+                raise FormatError(f"{path}: unsupported {kind} version {got_version}")
+            if crc32:
+                self.fh.seek(0)
+                if struct.pack("<I", zlib.crc32(self.fh.read(self.end))) != self.fh.read(4):
+                    raise FormatError(f"{path}: checksum mismatch, the file is "
+                                      f"truncated or corrupted")
+                self.fh.seek(self.offset)
+        except BaseException:
+            self.fh.close()
+            raise
 
     def __enter__(self):
         return self
 
-    def __exit__(self, *exc_info):
+    def __exit__(self, exc_type, exc, tb):
         self.fh.close()
+        if isinstance(exc, ValidationError):
+            raise FormatError(f"{self.path}: {exc}") from exc
+        extra = self.end - self.offset
+        if exc is None and extra:
+            raise FormatError(f"{self.path}: {extra} trailing bytes after the "
+                              f"{self.field}")
 
     def _fill(self, make, size: int, field: str):
         """make(), holding size bytes, filled with the next size bytes."""
@@ -208,6 +255,7 @@ class ContainerReader:
             # fewer bytes arrive only if the file shrank after it was opened
             if self.fh.readinto(buf) == size:
                 self.offset += size
+                self.field = field
                 return buf
         raise FormatError(f"{self.path}: truncated {self.kind}: too short for "
                           f"the {field}")
@@ -229,22 +277,6 @@ class ContainerReader:
         writable array."""
         return self._fill(lambda: np.empty(shape, dtype=dtype),
                           math.prod(shape) * np.dtype(dtype).itemsize, field)
-
-    def check_crc32(self) -> None:
-        """Refuse a file whose CRC-32 trailer does not match the bytes before
-        it; reading goes on from the current field."""
-        self.fh.seek(0)
-        if struct.pack("<I", zlib.crc32(self.fh.read(self.end))) != self.fh.read(4):
-            raise FormatError(f"{self.path}: checksum mismatch, the file is "
-                              f"truncated or corrupted")
-        self.fh.seek(self.offset)
-
-    def finish(self, field: str) -> None:
-        """Reject bytes after the last field."""
-        extra = self.end - self.offset
-        if extra:
-            raise FormatError(f"{self.path}: {extra} trailing bytes after the "
-                              f"{field}")
 
 
 def _utf8(text: str, what: str) -> bytes:
@@ -271,6 +303,15 @@ def write_file(path: str, blob: bytes) -> None:
         os.close(fd)
 
 
+def write_container(path: str, magic: bytes, version: int, parts,
+                    crc32: bool = False) -> None:
+    """Write the envelope ContainerReader checks around parts (bytes or
+    contiguous arrays, in file order): the magic, the u32 version, the parts
+    and, with crc32, the CRC-32 of all of those, as one blob."""
+    blob = b"".join([magic, struct.pack("<I", version), *parts])
+    write_file(path, blob + struct.pack("<I", zlib.crc32(blob)) if crc32 else blob)
+
+
 def format_float(value: float) -> str:
     """Six significant digits, shortest form ('%.6g')."""
     return f"{float(value):.6g}"
@@ -288,33 +329,24 @@ def write_ndf(epoch: Epoch, path: str) -> None:
     """Serialize one epoch to the binary NDF layout (see module docstring).
     Refuses data that is not finite (Epoch checks it when built, but its
     array can be written to later) and a subject id that UTF-8 cannot
-    encode. The header, subject and payload reach the file as one bytes
-    object."""
+    encode."""
     x = epoch.x
     if not np.all(np.isfinite(x)):
         raise ValidationError("refusing to write non-finite epoch data")
     sbytes = _utf8(epoch.s, "subject id")
-    header = struct.pack("<4sIIIfBI", NDF_MAGIC, NDF_VERSION, epoch.channels,
-                         epoch.samples, float(epoch.sample_rate_hz), epoch.y,
-                         len(sbytes))
-    write_file(path, b"".join((header, sbytes, np.ascontiguousarray(x, dtype="<f4"))))
+    header = struct.pack("<IIfBI", epoch.channels, epoch.samples,
+                         float(epoch.sample_rate_hz), epoch.y, len(sbytes))
+    write_container(path, NDF_MAGIC, NDF_VERSION,
+                    (header, sbytes, np.ascontiguousarray(x, dtype="<f4")))
 
 
 def read_ndf(path: str) -> Epoch:
-    """Read one epoch written by write_ndf; rejects bad magic and truncation."""
-    with ContainerReader(path, "NDF epoch") as r:
-        magic, version, c, m, fs, y = r.unpack("<4sIIIfB", "header")
-        if magic != NDF_MAGIC:
-            raise FormatError(f"{path}: bad magic {magic!r}")
-        if version != NDF_VERSION:
-            raise FormatError(f"{path}: unsupported NDF version {version}")
+    """Read one epoch written by write_ndf."""
+    with ContainerReader(path, "NDF epoch", NDF_MAGIC, NDF_VERSION) as r:
+        c, m, fs, y = r.unpack("<IIfB", "header")
         subject = r.text("subject")
-        x = r.array("<f4", (c, m), "payload")
-        r.finish("payload")
-    try:
-        return Epoch(x=x, y=y, s=subject, sample_rate_hz=float(fs))
-    except ValidationError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
+        return Epoch(x=r.array("<f4", (c, m), "payload"), y=y, s=subject,
+                     sample_rate_hz=float(fs))
 
 
 def write_recording(rec: Recording, path: str) -> None:
@@ -324,35 +356,28 @@ def write_recording(rec: Recording, path: str) -> None:
     that UTF-8 cannot encode."""
     if not np.all(np.isfinite(rec.data)):
         raise ValidationError("refusing to write non-finite recording data")
-    parts = [SAFR_MAGIC, struct.pack("<IIQd", SAFR_VERSION, rec.channels,
-                                     rec.samples, float(rec.sample_rate_hz))]
+    parts = [struct.pack("<IQd", rec.channels, rec.samples, float(rec.sample_rate_hz))]
     for name in rec.channel_names:
         nbytes = _utf8(name, "channel name")
         parts += [struct.pack("<I", len(nbytes)), nbytes]
     parts.append(np.ascontiguousarray(rec.data, dtype="<f8"))
-    write_file(path, b"".join(parts))
+    write_container(path, SAFR_MAGIC, SAFR_VERSION, parts)
 
 
 def read_recording(path: str) -> Recording:
     """Read a SAFR recording container."""
-    with ContainerReader(path, "SAFR recording") as r:
-        magic, version, c, n, fs = r.unpack("<4sIIQd", "header")
-        if magic != SAFR_MAGIC:
-            raise FormatError(f"{path}: not a SAFR recording")
-        if version != SAFR_VERSION:
-            raise FormatError(f"{path}: unsupported SAFR version {version}")
+    with ContainerReader(path, "SAFR recording", SAFR_MAGIC, SAFR_VERSION) as r:
+        c, n, fs = r.unpack("<IQd", "header")
         names = tuple(r.text("channel name") for _ in range(c))
-        data = r.array("<f8", (c, n), "payload")
-        r.finish("payload")
-    try:
-        return Recording(data=data, sample_rate_hz=fs, channel_names=names)
-    except ValidationError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
+        return Recording(data=r.array("<f8", (c, n), "payload"), sample_rate_hz=fs,
+                         channel_names=names)
 
 
 def check_manifest_field(value: str, what: str = "subject id") -> None:
-    """Reject a path or subject id that the unquoted manifest CSV cannot
-    carry, or that its UTF-8 cannot encode."""
+    """Reject a path or subject id that is not a str, that the unquoted
+    manifest CSV cannot carry, or that its UTF-8 cannot encode."""
+    if not isinstance(value, str):
+        raise ValidationError(f"{what} {value!r} is not a str")
     for ch in _MANIFEST_FORBIDDEN:
         if ch in value:
             raise ValidationError(f"{what} {value!r} contains {ch!r}, which a "

@@ -19,24 +19,25 @@ runs as another, autodiff.second_stage; the two hand each other their
 output and input gradient in first_stage's (F1*D, B, time) layout. The
 parameters, buffers and checkpoint layout are those of the separate
 layers.
-Only the input's channels, length and rate are configurable (EncoderConfig);
+Only the input's channels, length and rate are configurable (EncoderConfig:
+integers C and M, a positive finite fs);
 the other sizes are the constants below, with a half-second temporal kernel,
 which may not be longer than the epoch, and load_checkpoint refuses a header
-that stores other values. Checkpoints
-are written by datamodel.write_file and read through its ContainerReader.
+that stores other values. Checkpoints are SAFM containers, written by
+datamodel.write_container and read through its ContainerReader, which own
+the magic, the version and the CRC-32 trailer.
 """
 
 from __future__ import annotations
 
 import struct
-import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .datamodel import ContainerReader, write_file
+from .datamodel import ContainerReader, set_integers, write_container
 from .errors import FormatError, ValidationError
 
 CHECKPOINT_MAGIC = b"SAFM"
@@ -61,6 +62,9 @@ class EncoderConfig:
     fs: float
 
     def __post_init__(self):
+        set_integers(self, "C", "M")
+        if not 0 < self.fs < np.inf:
+            raise ValidationError(f"fs must be positive and finite, got {self.fs}")
         if self.temporal_kernel < 1:
             raise ValidationError("temporal kernel must be at least 1 sample")
         if min(self.C, self.M) < 1:
@@ -194,11 +198,13 @@ class SafModel:
 
 def save_checkpoint(model: SafModel, path: str) -> None:
     """Binary checkpoint: architecture header, then every parameter and
-    batch-norm running buffer as a named float32 tensor, then the CRC-32 of
-    all the bytes before it, as one blob. A tensor that is not float32, or
-    holds a value that is not finite, is refused before the file is created,
-    since load_checkpoint would give back a float32 model or reject it."""
-    entries = []
+    batch-norm running buffer as a named float32 tensor, in a container with
+    a CRC-32 trailer. A tensor that is not float32, or holds a value that is
+    not finite, is refused before the file is created, since load_checkpoint
+    would give back a float32 model or reject it."""
+    parts = [struct.pack(_HEADER, model.cfg.C, model.cfg.M, model.cfg.fs,
+                         *_architecture(model.cfg), model.num_domains,
+                         len(model.params) + len(model.buffers))]
     for name, value in list(model.params.items()) + list(model.buffers.items()):
         arr = value.data if isinstance(value, Tensor) else value
         if arr.dtype != np.float32:
@@ -207,41 +213,31 @@ def save_checkpoint(model: SafModel, path: str) -> None:
         if not np.isfinite(arr).all():
             raise ValidationError(f"cannot save a model whose {name} is not "
                                   f"finite")
-        entries.append((name, np.ascontiguousarray(arr, dtype="<f4")))
-    parts = [CHECKPOINT_MAGIC, struct.pack("<I", CHECKPOINT_VERSION),
-             struct.pack(_HEADER, model.cfg.C, model.cfg.M, model.cfg.fs,
-                         *_architecture(model.cfg), model.num_domains, len(entries))]
-    for name, arr in entries:
         nbytes = name.encode("utf-8")
         parts += [struct.pack("<I", len(nbytes)), nbytes,
-                  struct.pack(f"<I{arr.ndim}I", arr.ndim, *arr.shape), arr.tobytes()]
-    blob = b"".join(parts)
-    write_file(path, blob + struct.pack("<I", zlib.crc32(blob)))
+                  struct.pack(f"<I{arr.ndim}I", arr.ndim, *arr.shape),
+                  np.ascontiguousarray(arr, dtype="<f4")]
+    write_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, parts, crc32=True)
 
 
 def load_checkpoint(path: str) -> SafModel:
     """Read a checkpoint written by save_checkpoint through
-    datamodel.ContainerReader. After the magic and version, the CRC-32 is
-    checked before any header field or tensor is parsed. Each stored tensor
-    is then checked, as it is read, against the shape the header implies and
-    for values that are not finite, and the model is built last, so a
-    corrupted header cannot ask for more memory than the file holds. A
-    header whose architecture is not the encoder constants' is refused."""
-    with ContainerReader(path, "checkpoint", crc32=True) as r:
-        magic, version = r.unpack("<4sI", "magic and version")
-        if magic != CHECKPOINT_MAGIC:
-            raise FormatError(f"{path}: not a model checkpoint")
-        if version != CHECKPOINT_VERSION:
-            raise FormatError(f"{path}: unsupported checkpoint version {version}")
-        r.check_crc32()
+    datamodel.ContainerReader, which checks the CRC-32 before any header
+    field or tensor is parsed. Each stored tensor is then checked, as it is
+    read, against the shape the header implies and for values that are not
+    finite, and the model is built last, so a corrupted header cannot ask
+    for more memory than the file holds. A header whose architecture is not
+    the encoder constants' is refused."""
+    with ContainerReader(path, "checkpoint", CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+                         crc32=True) as r:
         c, m, fs, *arch, num_domains, count = r.unpack(_HEADER, "header")
         try:
             cfg = EncoderConfig(C=c, M=m, fs=fs)
             if tuple(arch) != _architecture(cfg):
                 raise ValidationError(f"architecture {tuple(arch)} is not the "
                                       f"encoder's {_architecture(cfg)}")
-        except (ValidationError, ValueError, OverflowError) as exc:
-            raise FormatError(f"{path}: invalid model header: {exc}") from exc
+        except ValidationError as exc:
+            raise ValidationError(f"invalid model header: {exc}") from exc
         params, buffers = _tensor_specs(cfg, num_domains)
         shapes = {name: shape for name, (shape, _) in (params | buffers).items()}
         stored = {}
@@ -258,15 +254,11 @@ def load_checkpoint(path: str) -> SafModel:
             if not np.isfinite(arr).all():
                 raise FormatError(f"{path}: {name} holds a value that is not finite")
             stored[name] = arr
-        r.finish("last tensor")
-    missing = set(shapes) - set(stored)
-    if missing:
-        raise FormatError(f"{path}: missing tensors {sorted(missing)}")
-    try:
+        missing = set(shapes) - set(stored)
+        if missing:
+            raise FormatError(f"{path}: missing tensors {sorted(missing)}")
         model = SafModel(cfg, num_domains=num_domains, seed=0)
-    except ValidationError as exc:
-        raise FormatError(f"{path}: invalid model header: {exc}") from exc
-    for name, arr in stored.items():
-        target = model.params[name].data if name in model.params else model.buffers[name]
-        target[...] = arr
-    return model
+        for name, arr in stored.items():
+            target = model.params[name].data if name in model.params else model.buffers[name]
+            target[...] = arr
+        return model

@@ -26,7 +26,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asr import AsrConfig, asr_apply, asr_fit, select_calibration
-from .datamodel import Epoch, EpochSet, Manifest, Recording, split_dataset, write_epoch_dir
+from .datamodel import (
+    Epoch,
+    EpochSet,
+    Manifest,
+    Recording,
+    set_integers,
+    split_dataset,
+    write_epoch_dir,
+)
 from .dsp import PipelineConfig, filter_recording, slice_epochs, window_samples
 from .errors import ValidationError
 from .metrics import DEFAULT_BANDS
@@ -81,6 +89,7 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        set_integers(self, "subjects", "channels", "seed")
         if self.subjects < 1 or self.channels < 1:
             raise ValidationError("need at least one subject and one channel")
         if self.fs <= 0 or self.duration_s <= 0:

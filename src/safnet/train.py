@@ -51,7 +51,7 @@ from dataclasses import astuple, dataclass, field, fields, replace
 import numpy as np
 
 from . import autodiff as ad
-from .datamodel import Epoch, write_csv
+from .datamodel import Epoch, set_integers, write_csv
 from .errors import ValidationError
 from .isbcs import SwapConfig, isbcs_augment_batch
 from .metrics import confusion, macro_metrics
@@ -100,6 +100,8 @@ class TrainConfig:
     def __post_init__(self):
         if not (np.isfinite(self.lr) and self.lr > 0):
             raise ValidationError(f"lr must be finite and positive, got {self.lr}")
+        set_integers(self, "batch_size", "min_epochs", "max_epochs", "patience",
+                       "plateau_window", "seed")
         if self.batch_size < 1:
             raise ValidationError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.min_epochs < 1 or self.max_epochs < self.min_epochs:

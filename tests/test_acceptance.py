@@ -184,7 +184,7 @@ def _fd_check(build, arrays, rng):
     for tensor in tensors:
         def loss_fn():
             fresh = [Tensor(t.data, requires_grad=False) for t in tensors]
-            return ad.tensor_sum(ad.mul(build(*fresh), Tensor(weights))).item()
+            return float(ad.tensor_sum(ad.mul(build(*fresh), Tensor(weights))).data)
         numeric, idx = numeric_gradient(loss_fn, tensor.data)
         worst = max(worst, max_relative_error(tensor.grad.reshape(-1)[idx],
                                               numeric))
@@ -272,7 +272,7 @@ class TestCriterion3Autodiff:
         for name, p in model.params.items():
             idx = sample_indices(rng, p.data.size, 8)
             numeric, _ = numeric_gradient(
-                lambda: _true_gradient_loss(model, x, y, s).item(), p.data,
+                lambda: float(_true_gradient_loss(model, x, y, s).data), p.data,
                 indices=idx)
             grad = np.zeros_like(p.data) if p.grad is None else p.grad  # as Adam
             err = max_relative_error(grad.reshape(-1)[idx], numeric)

@@ -41,6 +41,8 @@ ANY_TEXT = (TEXT
             | st.text(st.characters(exclude_categories=())
                       | st.characters(categories=["Cs"]), max_size=8)
             | st.text(st.sampled_from(',"\r\n\0/\\a'), max_size=3))
+# values of other types where a str belongs
+NOT_TEXT = st.integers() | st.none() | st.binary(max_size=3) | st.floats()
 LABELS = (st.sampled_from([0, 1]) | st.integers(-1, 2) | st.booleans()
           | st.floats(0, 1) | st.sampled_from([np.int64(1), np.float32(1)]))
 SHAPES = st.tuples(st.integers(1, 3), st.integers(1, 6))
@@ -52,7 +54,8 @@ def utf8_encodable(text):
 
 
 def manifest_can_hold(text):
-    return utf8_encodable(text) and not any(ch in text for ch in ',"\r\n\0')
+    return (isinstance(text, str) and utf8_encodable(text)
+            and not any(ch in text for ch in ',"\r\n\0'))
 
 
 def integer_label(value):
@@ -86,12 +89,13 @@ def owns_aligned_memory(arr):
 @settings(max_examples=300, deadline=None)
 @given(x=hnp.arrays(np.float32, SHAPES, elements=st.floats(
            width=32, allow_nan=False, allow_infinity=False)),
-       y=LABELS, s=ANY_TEXT, fs=RATES, spoil=st.booleans())
+       y=LABELS, s=ANY_TEXT | NOT_TEXT, fs=RATES, spoil=st.booleans())
 def test_write_ndf(x, y, s, fs, spoil):
     try:
         epoch = Epoch(x=x, y=y, s=s, sample_rate_hz=fs)
     except ValidationError:
         return
+    assert isinstance(s, str)
     if spoil:
         epoch.x[0, 0] = np.nan
     with tempfile.TemporaryDirectory() as tmp:
@@ -112,12 +116,14 @@ def test_write_ndf(x, y, s, fs, spoil):
 @settings(max_examples=300, deadline=None)
 @given(data=hnp.arrays(np.float64, SHAPES, elements=st.floats(
            allow_nan=False, allow_infinity=False)),
-       fs=RATES, names=st.lists(ANY_TEXT, max_size=3), spoil=st.booleans())
+       fs=RATES, names=st.lists(ANY_TEXT | NOT_TEXT, max_size=3),
+       spoil=st.booleans())
 def test_write_recording(data, fs, names, spoil):
     try:
         rec = Recording(data=data, sample_rate_hz=fs, channel_names=tuple(names))
     except ValidationError:
         return
+    assert all(isinstance(name, str) for name in rec.channel_names)
     if spoil:
         rec.data[-1, -1] = np.inf
     with tempfile.TemporaryDirectory() as tmp:
@@ -176,7 +182,8 @@ def test_save_checkpoint(c, m, fs, domains, seed, spoil, which):
 @settings(max_examples=300, deadline=None)
 @given(rows=st.lists(
     st.tuples(TEXT, TEXT, st.sampled_from([0, 1]), st.sampled_from(SPLIT_TOKENS))
-    | st.tuples(ANY_TEXT, ANY_TEXT, LABELS, st.sampled_from(SPLIT_TOKENS) | ANY_TEXT),
+    | st.tuples(ANY_TEXT | NOT_TEXT, ANY_TEXT | NOT_TEXT, LABELS,
+                st.sampled_from(SPLIT_TOKENS) | ANY_TEXT),
     max_size=4))
 def test_write_manifest(rows):
     """load_manifest reads every row's epoch; here a stand-in read_ndf hands

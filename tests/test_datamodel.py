@@ -2,6 +2,7 @@ import os
 import re
 import struct
 import tempfile
+import zlib
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from safnet.datamodel import (
 )
 from safnet import datamodel
 from safnet.errors import FormatError, ParseError, ValidationError
+from safnet.model import EncoderConfig, SafModel, load_checkpoint, save_checkpoint
 
 
 def make_epoch(c=2, m=16, y=0, s="s0", fs=512.0, seed=0):
@@ -366,6 +368,58 @@ class TestTruncatedFields:
             message = truncated_read(read_recording, SAFR_BLOB, cut, tmp_path)
             assert message.endswith(f"truncated SAFR recording: too short for "
                                     f"the {field}")
+
+
+SAFM_BLOB = valid_blob(save_checkpoint, SafModel(
+    EncoderConfig(C=1, M=32, fs=2.0), num_domains=1, seed=1))
+
+# reader, a blob its writer wrote, whether a CRC-32 trailer ends it, and a
+# header field (offset, format, value) whose value the decoded type refuses,
+# with the words of that refusal
+CONTAINERS = {
+    "NDF": (read_ndf, NDF_BLOB, False, (20, "<B", 2), "class label"),
+    "SAFR": (read_recording, SAFR_BLOB, False, (20, "<d", 0.0), "sample rate"),
+    "SAFM": (load_checkpoint, SAFM_BLOB, True, (16, "<d", np.inf),
+             "invalid model header"),
+}
+
+
+def spoiled_envelopes(kind):
+    """(what, blob, words of the refusal) for each way to spoil the envelope
+    of kind's blob, or a header value; a CRC-32 trailer is recomputed, so
+    the spoiled field itself is what the reader meets."""
+    _, blob, crc32, (offset, fmt, value), refusal = CONTAINERS[kind]
+    body = blob[:-4] if crc32 else blob
+
+    def sealed(edit):
+        spoiled = bytearray(body)
+        edit(spoiled)
+        return bytes(spoiled) + (struct.pack("<I", zlib.crc32(spoiled)) if crc32
+                                 else b"")
+
+    return [
+        ("foreign magic", sealed(lambda b: struct.pack_into("4s", b, 0, b"JUNK")),
+         "magic b'JUNK'"),
+        *((f"{other} file", other_blob, "magic")
+          for other, (_, other_blob, *_) in CONTAINERS.items() if other != kind),
+        ("unsupported version", sealed(lambda b: struct.pack_into("<I", b, 4, 99)),
+         "version 99"),
+        ("one trailing byte", sealed(lambda b: b.append(0)), "1 trailing bytes after"),
+        ("refused header value",
+         sealed(lambda b: struct.pack_into(fmt, b, offset, value)), refusal)]
+
+
+@pytest.mark.parametrize("kind", sorted(CONTAINERS))
+def test_every_reader_refuses_a_spoiled_envelope(tmp_path, kind):
+    """datamodel owns the envelope of all three formats: each spoiling is a
+    FormatError that starts with the file's path."""
+    path = tmp_path / "blob"
+    for what, blob, words in spoiled_envelopes(kind):
+        path.write_bytes(blob)
+        with pytest.raises(FormatError) as info:
+            CONTAINERS[kind][0](str(path))
+        assert str(info.value).startswith(f"{path}: "), what
+        assert words in str(info.value), (what, str(info.value))
 
 
 def write_set(tmp_path, rows):

@@ -44,6 +44,28 @@ class TestArchitectureArithmetic:
         with pytest.raises(ValidationError, match="temporal kernel of 65 samples"):
             EncoderConfig(C=4, M=64, fs=130.0)
 
+    @pytest.mark.parametrize("fs", [float("nan"), float("inf"), float("-inf"),
+                                    0.0, -32.0])
+    def test_rate_that_is_not_positive_and_finite_rejected(self, fs):
+        """Refused before the temporal kernel, round(fs / 2), is computed,
+        which raised ValueError for NaN and OverflowError for inf."""
+        with pytest.raises(ValidationError, match="fs must be positive and finite"):
+            EncoderConfig(C=2, M=64, fs=fs)
+
+    @pytest.mark.parametrize("kwargs", [{"C": 2.5}, {"C": 2.0}, {"M": 64.0},
+                                        {"M": "64"}])
+    def test_count_that_is_not_an_integer_rejected(self, kwargs):
+        """Refused when built, not later in SafModel as a TypeError."""
+        (name, value), = kwargs.items()
+        with pytest.raises(ValidationError, match=re.escape(
+                f"{name} must be an integer, got {value!r}")):
+            EncoderConfig(**{"C": 2, "M": 64, "fs": 32.0, **kwargs})
+
+    def test_numpy_integer_counts_pass(self):
+        cfg = EncoderConfig(C=np.int64(2), M=np.uint16(64), fs=32.0)
+        assert (type(cfg.C), type(cfg.M)) == (int, int)
+        assert SafModel(cfg, num_domains=2).params["conv_spatial_w"].shape == (8, 2, 2)
+
 
 def both_heads(model, x):
     """Task and domain logits in eval mode, which runs under no_grad."""
@@ -169,7 +191,7 @@ class TestFullModelGradients:
         for name, p in model.params.items():
             idx = sample_indices(rng, p.data.size, 8)
             numeric, _ = numeric_gradient(
-                lambda: true_gradient_loss(model, x, y, s).item(), p.data,
+                lambda: float(true_gradient_loss(model, x, y, s).data), p.data,
                 indices=idx)
             grad = np.zeros_like(p.data) if p.grad is None else p.grad
             err = max_relative_error(grad.reshape(-1)[idx], numeric)

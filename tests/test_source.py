@@ -1,8 +1,9 @@
 """Checks on the library's source text: no private module-level function,
 class or assigned name of src/safnet is left that nothing in src/ reads, no
 public top-level function or class either unless UNREAD_PUBLIC names it
-with its reason, and every file is written by one function and every
-container opened by one reader."""
+with its reason, no method or property of a class either unless it is a
+dunder, and every file is written by one function and every container
+opened by one reader."""
 
 import ast
 import pathlib
@@ -51,6 +52,16 @@ def private_definitions(tree: ast.Module) -> list[str]:
             if name.startswith("_") and not name.startswith("__")]
 
 
+def method_definitions(tree: ast.Module) -> list[str]:
+    """Class.name of every method and property that a class of a module
+    defines, a nested class's too, leaving out the dunders, which Python
+    itself calls."""
+    return [f"{cls.name}.{stmt.name}" for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef) for stmt in cls.body
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (stmt.name.startswith("__") and stmt.name.endswith("__"))]
+
+
 def public_definitions(tree: ast.Module) -> list[str]:
     """The public functions and classes a module defines at top level."""
     return [stmt.name for stmt in tree.body
@@ -89,6 +100,23 @@ def test_public_definitions_are_read_in_src(module):
             if name not in USED and name not in UNREAD_PUBLIC]
     assert dead == [], (f"{module} defines {dead}, which nothing in src/ uses; "
                         f"delete them or name them in UNREAD_PUBLIC")
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_methods_are_read_in_src(module):
+    dead = [name for name in method_definitions(TREES[module])
+            if name.rpartition(".")[2] not in USED]
+    assert dead == [], (f"{module} defines {dead}, which nothing in src/ "
+                        f"reads; delete them")
+
+
+def test_method_definitions_skip_dunders_and_reach_nested_classes():
+    tree = ast.parse("class A:\n    def __init__(self): pass\n"
+                     "    @property\n    def size(self): pass\n"
+                     "    def _step(self): pass\n"
+                     "    class B:\n        async def run(self): pass\n"
+                     "def f(): pass\n")
+    assert method_definitions(tree) == ["A.size", "A._step", "B.run"]
 
 
 def test_unread_public_names_are_defined_and_unread():

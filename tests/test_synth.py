@@ -129,6 +129,20 @@ class TestConfig:
         with pytest.raises(ValidationError):
             SynthConfig(subjects=0)
 
+    @pytest.mark.parametrize("name", ["subjects", "channels", "seed"])
+    @pytest.mark.parametrize("value", [2.5, 2.0])
+    def test_count_that_is_not_an_integer_rejected(self, name, value):
+        """Refused when built, not later in generate_epochs as a TypeError."""
+        with pytest.raises(ValidationError, match=re.escape(
+                f"{name} must be an integer, got {value!r}")):
+            SynthConfig(**{name: value})
+
+    def test_numpy_integer_counts_pass(self):
+        cfg = SynthConfig(subjects=np.int64(2), channels=np.uint8(3),
+                          seed=np.int32(7))
+        assert (cfg.subjects, cfg.channels, cfg.seed) == (2, 3, 7)
+        assert {type(cfg.subjects), type(cfg.channels), type(cfg.seed)} == {int}
+
     AMPLITUDE_BOUNDS = [("subject_bias_strength", synth.SUBJECT_BIAS_MAX),
                         ("line_noise_amp", synth.LINE_NOISE_AMP_MAX),
                         ("artifact_gain", synth.ARTIFACT_GAIN_MAX),

@@ -102,6 +102,22 @@ class TestTrainConfig:
         with pytest.raises(ValidationError, match="lr must be finite and positive"):
             TrainConfig(lr=lr)
 
+    COUNTS = {"batch_size": 8, "min_epochs": 2, "max_epochs": 30, "patience": 3,
+              "plateau_window": 4, "seed": 5}
+
+    @pytest.mark.parametrize("name", sorted(COUNTS))
+    @pytest.mark.parametrize("value", [1.5, 30.0, "30"])
+    def test_count_that_is_not_an_integer_rejected(self, name, value):
+        """Refused when built, not later in fit as a TypeError."""
+        with pytest.raises(ValidationError, match=re.escape(
+                f"{name} must be an integer, got {value!r}")):
+            TrainConfig(**{name: value})
+
+    def test_numpy_integer_counts_pass(self):
+        cfg = TrainConfig(**{name: np.int64(v) for name, v in self.COUNTS.items()})
+        assert {name: getattr(cfg, name) for name in self.COUNTS} == self.COUNTS
+        assert {type(getattr(cfg, name)) for name in self.COUNTS} == {int}
+
 
 def train_rng():
     """A fresh dropout generator: calls given one each draw the same masks."""
